@@ -1,15 +1,16 @@
 """diopoly: construct and certify integer polynomials whose values over a
 given finite set multiply pairwise to perfect squares.
 
-The package is layered bottom-up: exact arithmetic (exactmath), node
-configurations and their determinantal quadrics (variety), birational
+The package is layered bottom-up: exact integer arithmetic in closed
+forms (exactmath), integer node configurations and their determinantal
+quadrics (variety), birational
 maps and parametrizations between the two varieties (rationalmaps), the
 construction / verification / search pipeline (forge), rational points
 on the associated twisted curves (twist), and a JSON-emitting command
 line (cli).
 """
 
-from .exactmath import Matrix, det, det_cofactor, integer_sqrt, interpolate, minor
+from .exactmath import integer_sqrt, interpolate
 from .variety import (
     DiagonalQuadric,
     PointConfig,
@@ -50,10 +51,6 @@ from .twist import DegenerateTwistError, TwistCurve, TwistPointSet, twist_points
 __version__ = "0.1.0"
 
 __all__ = [
-    "Matrix",
-    "det",
-    "det_cofactor",
-    "minor",
     "interpolate",
     "integer_sqrt",
     "ProjPoint",

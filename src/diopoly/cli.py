@@ -5,6 +5,10 @@ squeezed through a binary float; small structural numbers (pair indices,
 degree bounds) stay JSON integers.  Output is byte-deterministic for a
 fixed seed: fixed key order, compact separators, one document per line.
 
+Integer input is strict (optional sign, ASCII digits, no empty fields)
+and stays under CPython's int<->str digit limit; output integers are
+formatted with that limit lifted, so any size is printed.
+
 Exit codes: 0 success, 1 usage error (including a refused search box),
 2 construction failure, 3 verification failure.
 """
@@ -15,7 +19,9 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Sequence
 
@@ -143,13 +149,33 @@ def witness_document(witness: Witness, include_twist: bool = False) -> dict:
     return doc
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_ints(fields, where: str) -> list[int]:
+    """Decimal integers, surrounding whitespace allowed.  A ValueError names
+    the first bad field ("<where> 3") and echoes at most 40 characters."""
+    out = []
+    for i, text in enumerate(fields, 1):
+        field = text.strip()
+        if not _INTEGER.fullmatch(field):
+            shown = repr(field) if len(field) <= 40 else f"{field[:40]!r}..."
+            raise ValueError(f"{where} {i} is not a decimal integer: {shown}")
+        try:
+            out.append(int(field, 10))
+        except ValueError:
+            # a well-formed field fails only on the int<->str digit limit
+            raise ValueError(
+                f"{where} {i} has {len(field.lstrip('+-'))} digits, over Python's "
+                f"limit of {sys.get_int_max_str_digits()} digits for integer strings"
+            ) from None
+    return out
+
+
 def _parse_decimal_list(values, label: str) -> list[int]:
     if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
         raise ValueError(f"document field {label!r} must be a list of decimal strings")
-    try:
-        return [int(v, 10) for v in values]
-    except ValueError as exc:
-        raise ValueError(f"document field {label!r} holds a non-decimal entry") from exc
+    return _parse_ints(values, f"document field {label!r} entry")
 
 
 def parse_witness_document(text: str) -> dict:
@@ -220,12 +246,33 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_list(text: str, label: str) -> list[int]:
     try:
-        return [int(part.strip(), 10) for part in text.split(",") if part.strip() != ""]
+        return _parse_ints(text.split(","), f"--{label} field")
     except ValueError as exc:
-        raise _UsageError(f"--{label} expects comma-separated integers, got {text!r}") from exc
+        raise _UsageError(str(exc)) from None
 
 
-def _emit(doc: dict) -> None:
+@contextmanager
+def _int_str_limit_lifted():
+    """Lift the int->str digit limit for the duration, then restore it.
+    Python before 3.10.7 has no limit and no setter."""
+    setter = getattr(sys, "set_int_max_str_digits", None)
+    if setter is None:
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    setter(0)
+    try:
+        yield
+    finally:
+        setter(old)
+
+
+def _emit(build, *args, **kwargs) -> None:
+    """Build one output document and write it as one line.  The program's
+    own integers can outgrow the digit limit (a product of two 3000-digit
+    values has 6000), so they are formatted with the limit lifted."""
+    with _int_str_limit_lifted():
+        doc = build(*args, **kwargs)
     sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
@@ -276,7 +323,7 @@ def _cmd_construct(args) -> int:
             max_attempts=args.max_attempts,
             param_bound=args.param_bound,
         )
-        _emit(witness_document(witness, include_twist=args.emit_twist))
+        _emit(witness_document, witness, include_twist=args.emit_twist)
     return 0
 
 
@@ -301,7 +348,7 @@ def _cmd_verify(args) -> int:
     all_ok = True
     for elements, coeffs in jobs:
         report = verify_witness(elements, coeffs)
-        _emit(_verify_report_document(report))
+        _emit(_verify_report_document, report)
         all_ok = all_ok and report.ok
     return 0 if all_ok else 3
 
@@ -316,7 +363,7 @@ def _cmd_search(args) -> int:
         except ValueError as exc:
             raise _UsageError(f"{CEILING_ENV_VAR} must be an integer, got {override!r}") from exc
     report = brute_force_search(elements, args.max_degree, args.max_height, ceiling=ceiling)
-    _emit(_search_report_document(report))
+    _emit(_search_report_document, report)
     return 0
 
 

@@ -1,24 +1,24 @@
-"""Exact scalars and small dense exact linear algebra.
+"""Exact integer arithmetic for the construction, in closed forms.
 
 Integers are Python ints and rationals are fractions.Fraction, both
-unbounded and kept in lowest terms with positive denominator, so every
-equality test in this package is bit-exact.  No floating point enters
-any code path.  All values are immutable and all functions are pure,
-which makes everything here safe to call from concurrent code.
+unbounded, so every equality test in this package is bit-exact.  No
+floating point enters any code path.  The construction works over
+integer nodes, where every determinant it needs has a closed form: a
+Vandermonde product, a Lagrange basis, or the kernel of an r x (r+1)
+matrix.  All functions are pure, which makes everything here safe to
+call from concurrent code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
-    "Matrix",
-    "det",
-    "det_cofactor",
-    "minor",
+    "vandermonde",
+    "lagrange_basis",
+    "integer_kernel",
     "interpolate",
     "eval_poly",
     "integer_sqrt",
@@ -27,157 +27,89 @@ __all__ = [
 Scalar = int | Fraction
 
 
-def _frac(x: Scalar) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def vandermonde(xs: Sequence[Scalar]) -> Scalar:
+    """prod_{i<j} (x_j - x_i), the determinant of the power rows
+    x^0..x^{m-1} over the nodes xs, in the given order."""
+    out = 1
+    for j, xj in enumerate(xs):
+        for xi in xs[:j]:
+            out *= xj - xi
+    return out
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Rectangular matrix of exact rationals, stored row-major.
+def lagrange_basis(xs: Sequence[Scalar]) -> list[tuple[Scalar, list[Scalar]]]:
+    """For each node x_i, the pair (w_i, b_i) with w_i = prod_{j != i} (x_i - x_j)
+    and b_i the ascending coefficients of prod_{j != i} (x - x_j).
 
-    Use Matrix.from_rows to build one from any mix of ints and
-    Fractions; the constructor insists on at least one row and one
-    column and on all rows having equal length.
+    The Lagrange interpolant of values v_i is sum_i (v_i / w_i) * b_i.
+    Each b_i is the node polynomial prod_j (x - x_j) divided by (x - x_i)
+    synthetically, so the whole basis costs O(m^2) operations.
     """
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        if not self.entries or not self.entries[0]:
-            raise ValueError("matrix needs at least one row and one column")
-        width = len(self.entries[0])
-        if any(len(row) != width for row in self.entries):
-            raise ValueError("matrix rows must all have the same length")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Scalar]]) -> "Matrix":
-        return cls(tuple(tuple(_frac(x) for x in row) for row in rows))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0])
-
-    @property
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
-    def entry(self, i: int, j: int) -> Fraction:
-        self._check_row(i)
-        self._check_col(j)
-        return self.entries[i][j]
-
-    def submatrix(self, drop_row: int, drop_col: int) -> "Matrix":
-        """Copy of the matrix with one row and one column removed."""
-        self._check_row(drop_row)
-        self._check_col(drop_col)
-        rows = tuple(
-            tuple(x for j, x in enumerate(row) if j != drop_col)
-            for i, row in enumerate(self.entries)
-            if i != drop_row
-        )
-        return Matrix(rows)
-
-    def drop_col(self, drop_col: int) -> "Matrix":
-        """Copy of the matrix with one column removed."""
-        self._check_col(drop_col)
-        return Matrix(
-            tuple(tuple(x for j, x in enumerate(row) if j != drop_col) for row in self.entries)
-        )
-
-    def _check_row(self, i: int) -> None:
-        if not 0 <= i < self.nrows:
-            raise IndexError(f"row index {i} out of range for {self.nrows} rows")
-
-    def _check_col(self, j: int) -> None:
-        if not 0 <= j < self.ncols:
-            raise IndexError(f"column index {j} out of range for {self.ncols} columns")
+    node_poly = [1]
+    for x in xs:
+        # times (X - x): new[t] = old[t-1] - x * old[t]
+        node_poly = [a - x * b for a, b in zip([0] + node_poly, node_poly + [0])]
+    out = []
+    for i, xi in enumerate(xs):
+        basis = [0] * len(xs)
+        acc = 0
+        for t in range(len(xs), 0, -1):
+            acc = node_poly[t] + xi * acc
+            basis[t - 1] = acc
+        weight = math.prod(xi - xj for j, xj in enumerate(xs) if j != i)
+        out.append((weight, basis))
+    return out
 
 
-def det(m: Matrix) -> Fraction:
-    """Determinant by fraction-free one-step elimination with row pivoting.
+def integer_kernel(rows: Sequence[Sequence[int]]) -> list[int] | None:
+    """Kernel of an r x (r+1) integer matrix A by fraction-free Gauss-Jordan
+    elimination.
 
-    The elimination divides each updated entry by the previous pivot;
-    that division is always exact, so integer input matrices stay in
-    integers all the way through (a fast plain-int path is used for
-    them) and rational inputs never leave Fraction arithmetic.
+    Returns the alternating maximal minors (-1)^j * det(A without column j),
+    j = 0..r, which span the kernel when A has rank r, or None when the rank
+    is below r (then every maximal minor vanishes).  Each update divides by
+    the previous pivot, and that division is exact (Bareiss 1968, Math.
+    Comp. 22): every intermediate entry is itself a minor of A.
     """
-    if not m.is_square:
-        raise ValueError("determinant needs a square matrix")
-    if all(x.denominator == 1 for row in m.entries for x in row):
-        return Fraction(_det_bareiss_int([[x.numerator for x in row] for row in m.entries]))
-    return _det_bareiss_frac([list(row) for row in m.entries])
-
-
-def _det_bareiss_int(a: list[list[int]]) -> int:
-    n = len(a)
-    sign = 1
-    prev = 1
-    for r in range(n - 1):
-        if a[r][r] == 0:
-            swap = next((i for i in range(r + 1, n) if a[i][r] != 0), None)
-            if swap is None:
-                return 0
-            a[r], a[swap] = a[swap], a[r]
-            sign = -sign
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                # exact by the one-step elimination identity
-                a[i][j] = (a[i][j] * a[r][r] - a[i][r] * a[r][j]) // prev
-            a[i][r] = 0
-        prev = a[r][r]
-    return sign * a[n - 1][n - 1]
-
-
-def _det_bareiss_frac(a: list[list[Fraction]]) -> Fraction:
-    n = len(a)
-    sign = 1
-    prev = Fraction(1)
-    for r in range(n - 1):
-        if a[r][r] == 0:
-            swap = next((i for i in range(r + 1, n) if a[i][r] != 0), None)
-            if swap is None:
-                return Fraction(0)
-            a[r], a[swap] = a[swap], a[r]
-            sign = -sign
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                a[i][j] = (a[i][j] * a[r][r] - a[i][r] * a[r][j]) / prev
-            a[i][r] = Fraction(0)
-        prev = a[r][r]
-    return sign * a[n - 1][n - 1]
-
-
-def det_cofactor(m: Matrix) -> Fraction:
-    """Determinant by Laplace expansion along the first row.
-
-    Exponential in the size; kept as an independent cross-check path
-    for small matrices (tests compare it against det on sizes <= 4).
-    """
-    if not m.is_square:
-        raise ValueError("determinant needs a square matrix")
-    n = m.nrows
-    if n == 1:
-        return m.entries[0][0]
-    total = Fraction(0)
-    for j, x in enumerate(m.entries[0]):
-        if x == 0:
+    r = len(rows)
+    if r == 0 or any(len(row) != r + 1 for row in rows):
+        raise ValueError("kernel needs an r x (r+1) matrix with r >= 1")
+    if any(not isinstance(x, int) or isinstance(x, bool) for row in rows for x in row):
+        raise TypeError("kernel matrix entries must be plain ints")
+    a = [list(row) for row in rows]
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for col in range(r + 1):
+        if len(pivots) == r:
+            break
+        top = len(pivots)
+        p = next((i for i in range(top, r) if a[i][col]), None)
+        if p is None:
             continue
-        piece = x * det_cofactor(m.submatrix(0, j))
-        total += piece if j % 2 == 0 else -piece
-    return total
-
-
-def minor(m: Matrix, drop_row: int, drop_col: int) -> Fraction:
-    """Determinant of the square matrix with one row and column removed."""
-    if not m.is_square:
-        raise ValueError("minor needs a square matrix")
-    if m.nrows == 1:
-        raise ValueError("a 1x1 matrix has no minors")
-    return det(m.submatrix(drop_row, drop_col))
+        if p != top:
+            a[top], a[p] = a[p], a[top]
+            sign = -sign
+        piv = a[top]
+        lead = piv[col]
+        for i in range(r):
+            if i != top:
+                f = a[i][col]
+                a[i] = [(lead * x - f * y) // prev for x, y in zip(a[i], piv)]
+        prev = lead
+        pivots.append(col)
+    if len(pivots) < r:
+        return None
+    # Now row i reads prev at column pivots[i] and b_i at the free column,
+    # so x_free = prev, x_pivots[i] = -b_i spans the kernel.  prev is the
+    # determinant of the row-permuted pivot columns, which fixes the scale
+    # to the alternating minors.
+    free = next(c for c in range(r + 1) if c not in pivots)
+    scale = sign if free % 2 == 0 else -sign
+    out = [0] * (r + 1)
+    out[free] = scale * prev
+    for i, c in enumerate(pivots):
+        out[c] = -scale * a[i][free]
+    return out
 
 
 def interpolate(
@@ -195,37 +127,27 @@ def interpolate(
         raise ValueError(
             f"need exactly {max_degree + 1} points for degree bound {max_degree}, got {len(points)}"
         )
-    xs = [_frac(x) for x, _ in points]
-    ys = [_frac(y) for _, y in points]
+    xs = [x for x, _ in points]
     if len(set(xs)) != len(xs):
         raise ValueError("duplicate abscissae in interpolation nodes")
 
     coeffs = [Fraction(0)] * (max_degree + 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        # coefficients of prod_{j != i} (x - x_j), built incrementally
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            nxt = [Fraction(0)] * (len(basis) + 1)
-            for t, c in enumerate(basis):
-                nxt[t + 1] += c
-                nxt[t] -= xj * c
-            basis = nxt
-            denom *= xi - xj
-        scale = yi / denom
+    for (weight, basis), (_, y) in zip(lagrange_basis(xs), points):
+        scale = Fraction(y) / weight
         for t, c in enumerate(basis):
             coeffs[t] += scale * c
     return tuple(coeffs)
 
 
-def eval_poly(coeffs: Sequence[Scalar], x: Scalar) -> Fraction:
-    """Evaluate ascending coefficients at x by Horner's rule, exactly."""
-    acc = Fraction(0)
-    xf = _frac(x)
+def eval_poly(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
+    """Evaluate ascending coefficients at x by Horner's rule, exactly.
+
+    Integer coefficients at an integer x give an int; any Fraction among
+    them gives a Fraction.
+    """
+    acc = 0
     for c in reversed(coeffs):
-        acc = acc * xf + _frac(c)
+        acc = acc * x + c
     return acc
 
 

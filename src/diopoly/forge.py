@@ -32,7 +32,6 @@ from .rationalmaps import (
     QuadricPoint,
     parametrize_plane,
     parametrize_quadric,
-    quadric_to_certificate,
     quadric_to_certificate_raw,
 )
 from .variety import PointConfig, ProjPoint
@@ -127,11 +126,6 @@ class Polynomial:
         return self.degree == 0
 
     def __call__(self, x: int | Fraction) -> int | Fraction:
-        if isinstance(x, int):
-            acc = 0
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
         return eval_poly(self.coeffs, x)
 
     def sign_normalized(self) -> "Polynomial":
@@ -277,10 +271,10 @@ def _method_setup(elems: tuple[int, ...], method: str) -> tuple[PointConfig, tup
     """Returns (config, padding, expected degree)."""
     if method == "quadric":
         d = len(elems) - 2
-        return PointConfig(tuple(Fraction(x) for x in elems), d), (), d
+        return PointConfig(elems, d), (), d
     if method == "plane":
         padding = _plane_padding(elems)
-        nodes = tuple(Fraction(x) for x in sorted(set(elems) | set(padding)))
+        nodes = tuple(sorted(set(elems) | set(padding)))
         k = (len(nodes) - 2) // 3
         return PointConfig(nodes, 2 * k), padding, 2 * k
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -301,10 +295,9 @@ def _build_witness(
     padding: tuple[int, ...],
     expected_degree: int,
 ) -> Witness:
-    raw_coeffs, _ = quadric_to_certificate_raw(w)
-    # integer nodes keep the raw minors integral
-    poly = Polynomial(tuple(int(c) for c in raw_coeffs)).sign_normalized()
-    certificate = quadric_to_certificate(w)
+    coeffs, certs = quadric_to_certificate_raw(w)
+    poly = Polynomial(coeffs).sign_normalized()
+    certificate = CertificatePoint(config, ProjPoint(coeffs + certs))
 
     flags = set(classify_trivial(poly, elems))
     if poly.degree < expected_degree:
@@ -479,7 +472,7 @@ def brute_force_search(
                 coeffs = rest + (lead,)
                 if reduce(math.gcd, (abs(c) for c in coeffs)) != 1:
                     continue
-                values = [eval_horner_int(coeffs, x) for x in elems]
+                values = [eval_poly(coeffs, x) for x in elems]
                 if all(
                     integer_sqrt(values[i] * values[j]) is not None
                     for i, j in combinations(range(len(elems)), 2)
@@ -493,13 +486,6 @@ def brute_force_search(
         candidates=size,
         exhausted=True,
     )
-
-
-def eval_horner_int(coeffs: Sequence[int], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def classify_trivial(poly: Polynomial, elements: Iterable[int]) -> frozenset[str]:

@@ -8,9 +8,11 @@ Reverse map: from (Y_0..Y_n), coefficient j of the polynomial is
 (-1)^j times the minor obtained from the (d+2) x (d+1) array of power
 rows plus the squares row (Y_0^2..Y_d^2) by deleting power row j; the
 certificates are z_i = (-1)^d * D * Y_0 * Y_i, where D is the
-Vandermonde determinant of the first d+1 nodes.  The reconstructed
+Vandermonde product of the first d+1 nodes.  The reconstructed
 polynomial satisfies f(x_i) = (-1)^d * D * Y_i^2 at every node, which
-is what makes the certificate identities hold.  With the (-1)^d twist
+is what makes the certificate identities hold; it is therefore computed
+as (-1)^d * D times the Lagrange interpolant of the Y_i^2 over
+x_0..x_d, whose integer form needs no determinant.  With the (-1)^d twist
 on the certificates, both composites are exact projective identities
 away from the f(x_0) = 0 locus, not merely identities up to
 coordinate signs.
@@ -26,22 +28,21 @@ Parametrizations of the quadric side:
 * plane construction (needs d = 2k, n = 3k+1): the variety contains the
   plane spanned by the power points T_0..T_k; for a direction q the
   residual intersection point is sum(mu_t * T_t) + mu_{k+1} * q_hat,
-  where q_hat pads q with zeros and the mu are alternating maximal
-  minors of a (k+1) x (k+2) system matrix of bracket evaluations.
+  where q_hat pads q with zeros and the mu span the kernel of a
+  (k+1) x (k+2) integer system matrix of bracket evaluations.
 
-Everything is computed with exact rational arithmetic and returned in
-canonical projective form, so composing a map with its inverse can be
-checked with plain tuple equality.
+Nodes are integers, so everything except the plane inverse (which
+interpolates with rationals) is computed in exact integer arithmetic,
+and every point is returned in canonical projective form, so composing
+a map with its inverse can be checked with plain tuple equality.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
 
-from .exactmath import Matrix, det, eval_poly, interpolate
+from .exactmath import eval_poly, integer_kernel, interpolate, lagrange_basis, vandermonde
 from .variety import (
     PointConfig,
     ProjPoint,
@@ -94,7 +95,7 @@ class CertificatePoint:
     def certificates(self) -> tuple[int, ...]:
         return self.point.coords[self.config.degree + 1 :]
 
-    def poly_value(self, node_index: int) -> Fraction:
+    def poly_value(self, node_index: int) -> int:
         """f(x_i) for the stored integer coefficients."""
         return eval_poly(self.coefficients, self.config.nodes[node_index])
 
@@ -130,17 +131,14 @@ class QuadricPoint:
         k = d // 2
         nodes = self.config.nodes
         coords = self.point.coords
-        tail = [(nodes[m], Fraction(coords[m])) for m in range(d + 1, self.config.n + 1)]
+        tail = [(nodes[m], coords[m]) for m in range(d + 1, self.config.n + 1)]
         g = interpolate(tail[: k + 1], k)
-        return all(Fraction(coords[i]) == eval_poly(g, nodes[i]) for i in range(len(coords)))
+        return all(coords[i] == eval_poly(g, nodes[i]) for i in range(len(coords)))
 
 
-@lru_cache(maxsize=None)
-def node_vandermonde(config: PointConfig) -> Fraction:
-    """Vandermonde determinant of the first d+1 nodes."""
-    d = config.degree
-    rows = [[config.nodes[j] ** t for j in range(d + 1)] for t in range(d + 1)]
-    return det(Matrix.from_rows(rows))
+def node_vandermonde(config: PointConfig) -> int:
+    """Vandermonde product of the first d+1 nodes."""
+    return vandermonde(config.nodes[: config.degree + 1])
 
 
 def certificate_to_quadric(v: CertificatePoint) -> QuadricPoint:
@@ -148,35 +146,31 @@ def certificate_to_quadric(v: CertificatePoint) -> QuadricPoint:
     fx0 = v.poly_value(0)
     if fx0 == 0:
         raise IndeterminatePointError("forward map undefined where f(x_0) = 0")
-    image = [fx0] + [Fraction(z) for z in v.certificates]
-    return QuadricPoint(v.config, ProjPoint.from_rationals(image))
+    return QuadricPoint(v.config, ProjPoint((fx0, *v.certificates)))
 
 
-def quadric_to_certificate_raw(
-    w: QuadricPoint,
-) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+def quadric_to_certificate_raw(w: QuadricPoint) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reverse map before projective canonicalization.
 
-    Returns (coefficients f_0..f_d, certificates z_1..z_n) given by the
+    Returns (coefficients f_0..f_d, certificates z_1..z_n), equal to the
     literal minor and product formulas; the coefficient part satisfies
-    f(x_i) = (-1)^d * D * Y_i^2 exactly at every node index i.
+    f(x_i) = (-1)^d * D * Y_i^2 exactly at every node index i.  It is
+    built in Lagrange form, (-1)^d * sum_i (D / w_i) * Y_i^2 * b_i(x),
+    where each D / w_i is an exact integer quotient.
     """
     config = w.config
     d, n = config.degree, config.n
     y = w.point.coords
-    squares = [Fraction(c) ** 2 for c in y[: d + 1]]
-    power = [[config.nodes[j] ** t for j in range(d + 1)] for t in range(d + 1)]
+    dd = node_vandermonde(config)
+    sign = -1 if d % 2 else 1
 
-    coeffs = []
-    for j in range(d + 1):
-        rows = [power[t] for t in range(d + 1) if t != j]
-        rows.append(squares)
-        m = det(Matrix.from_rows(rows))
-        coeffs.append(m if j % 2 == 0 else -m)
+    coeffs = [0] * (d + 1)
+    for i, (weight, basis) in enumerate(lagrange_basis(config.nodes[: d + 1])):
+        scale = sign * (dd // weight) * y[i] ** 2
+        for t, c in enumerate(basis):
+            coeffs[t] += scale * c
 
-    scale = node_vandermonde(config) * y[0]
-    if d % 2 != 0:
-        scale = -scale
+    scale = sign * dd * y[0]
     certs = tuple(scale * y[i] for i in range(1, n + 1))
     return tuple(coeffs), certs
 
@@ -189,7 +183,7 @@ def quadric_to_certificate(w: QuadricPoint) -> CertificatePoint:
     CertificatePoint.degenerate) rather than raising.
     """
     coeffs, certs = quadric_to_certificate_raw(w)
-    return CertificatePoint(w.config, ProjPoint.from_rationals(coeffs + certs))
+    return CertificatePoint(w.config, ProjPoint(coeffs + certs))
 
 
 def _check_line_shape(config: PointConfig) -> None:
@@ -212,12 +206,12 @@ def parametrize_quadric(config: PointConfig, direction: ProjPoint) -> QuadricPoi
         raise ValueError(f"direction needs {d + 1} coordinates, got {len(direction)}")
     cof = bracket_cofactors(config, d + 1)
     q = direction.coords
-    mu = sum((cof[j] * q[j] for j in range(d + 1)), Fraction(0))
-    nu = sum((cof[j] * q[j] ** 2 for j in range(d + 1)), Fraction(0))
+    mu = sum(cof[j] * q[j] for j in range(d + 1))
+    nu = sum(cof[j] * q[j] ** 2 for j in range(d + 1))
     if mu == 0 and nu == 0:
         raise DegenerateParameterError("direction lies on the quadric and its polar")
     image = [2 * mu * q[j] - nu for j in range(d + 1)] + [-nu]
-    return QuadricPoint(config, ProjPoint.from_rationals(image))
+    return QuadricPoint(config, ProjPoint(tuple(image)))
 
 
 def parametrize_quadric_inverse(w: QuadricPoint) -> ProjPoint:
@@ -242,9 +236,9 @@ def _plane_k(config: PointConfig) -> int:
     return k
 
 
-def plane_system_matrix(config: PointConfig, direction: ProjPoint) -> Matrix:
-    """The (k+1) x (k+2) system whose alternating maximal minors give the
-    plane coefficients mu_0..mu_{k+1}.
+def plane_system_matrix(config: PointConfig, direction: ProjPoint) -> list[list[int]]:
+    """The (k+1) x (k+2) integer system whose kernel gives the plane
+    coefficients mu_0..mu_{k+1} (its alternating maximal minors).
 
     Row m - (d+1) covers extra index m: the first k+1 entries are twice
     the bracket of (q_i * x_i^t) padded with zero at m, the last entry
@@ -260,39 +254,42 @@ def plane_system_matrix(config: PointConfig, direction: ProjPoint) -> Matrix:
     for m in config.extra_indices:
         cof = bracket_cofactors(config, m)
         row = [
-            2 * sum((cof[i] * q[i] * config.nodes[i] ** t for i in range(d + 1)), Fraction(0))
+            2 * sum(cof[i] * q[i] * config.nodes[i] ** t for i in range(d + 1))
             for t in range(k + 1)
         ]
-        row.append(sum((cof[i] * q[i] ** 2 for i in range(d + 1)), Fraction(0)))
+        row.append(sum(cof[i] * q[i] ** 2 for i in range(d + 1)))
         rows.append(row)
-    return Matrix.from_rows(rows)
+    return rows
 
 
 def parametrize_plane(config: PointConfig, direction: ProjPoint) -> QuadricPoint:
     """Residual intersection point sum(mu_t * T_t) + mu_{k+1} * q_hat.
 
-    Directions whose system matrix drops rank (all mu zero) raise
+    The mu are any integer kernel vector of the system matrix: the image
+    is linear in mu, so every nonzero multiple gives the same canonical
+    point, and dividing each row by its content leaves the kernel as it
+    is.  Directions whose system matrix drops rank (all mu zero) raise
     DegenerateParameterError.  When mu_{k+1} = 0 the image lies inside
     the spanned plane itself; it is still returned, and callers can
     test QuadricPoint.in_plane.
     """
     k = _plane_k(config)
     d = config.degree
-    a = plane_system_matrix(config, direction)
-    mus = []
-    for j in range(k + 2):
-        m = det(a.drop_col(j))
-        mus.append(m if j % 2 == 0 else -m)
-    if all(m == 0 for m in mus):
+    rows = []
+    for row in plane_system_matrix(config, direction):
+        g = math.gcd(*row)
+        rows.append([c // g for c in row] if g > 1 else row)
+    mus = integer_kernel(rows)
+    if mus is None:
         raise DegenerateParameterError("system matrix has deficient rank for this direction")
     q = direction.coords
     image = []
     for i in range(config.n + 1):
-        val = sum((mus[t] * config.nodes[i] ** t for t in range(k + 1)), Fraction(0))
+        val = sum(mus[t] * config.nodes[i] ** t for t in range(k + 1))
         if i <= d:
             val += mus[k + 1] * q[i]
         image.append(val)
-    return QuadricPoint(config, ProjPoint.from_rationals(image))
+    return QuadricPoint(config, ProjPoint(tuple(image)))
 
 
 def parametrize_plane_inverse(w: QuadricPoint) -> ProjPoint:
@@ -307,9 +304,9 @@ def parametrize_plane_inverse(w: QuadricPoint) -> ProjPoint:
     k = _plane_k(config)
     d = config.degree
     y = w.point.coords
-    tail = [(config.nodes[m], Fraction(y[m])) for m in config.extra_indices]
+    tail = [(config.nodes[m], y[m]) for m in config.extra_indices]
     g = interpolate(tail, k)
-    diffs = [Fraction(y[i]) - eval_poly(g, config.nodes[i]) for i in range(d + 1)]
+    diffs = [y[i] - eval_poly(g, config.nodes[i]) for i in range(d + 1)]
     if all(c == 0 for c in diffs):
         raise IndeterminatePointError("inverse undefined on the power-point plane")
     return ProjPoint.from_rationals(diffs)

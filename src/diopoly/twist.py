@@ -27,11 +27,11 @@ class DegenerateTwistError(ValueError):
 class TwistCurve:
     """The curve twist_scalar * y^2 = f(x), coefficients ascending.
 
-    twist_scalar equals f evaluated at the base node and is nonzero.
-    Stored exactly; rational nodes make it a non-integer rational.
+    twist_scalar equals f evaluated at the base node and is nonzero; it
+    is an integer, because nodes and coefficients are.
     """
 
-    twist_scalar: Fraction
+    twist_scalar: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -45,7 +45,7 @@ class TwistCurve:
             d -= 1
         return d
 
-    def contains(self, x: Fraction, y: Fraction) -> bool:
+    def contains(self, x: int | Fraction, y: Fraction) -> bool:
         return self.twist_scalar * y**2 == eval_poly(self.coeffs, x)
 
 
@@ -54,7 +54,7 @@ class TwistPointSet:
     """A twisted curve together with one rational point per node."""
 
     curve: TwistCurve
-    points: tuple[tuple[Fraction, Fraction], ...]
+    points: tuple[tuple[int, Fraction], ...]
 
     @property
     def genus_note(self) -> str | None:

@@ -1,6 +1,6 @@
 """Evaluation-node configurations and their determinantal quadrics.
 
-Fixing pairwise-distinct rational nodes x_0..x_n and a degree bound
+Fixing pairwise-distinct integer nodes x_0..x_n and a degree bound
 d with 1 <= d < n produces the two projective varieties this package
 works on:
 
@@ -14,7 +14,8 @@ works on:
   as the last row, must vanish.  Expanding along that last row shows
   the equation is diagonal in the squares; the coefficients are the
   signed maximal minors of the power block, i.e. Vandermonde
-  determinants of d+1 of the d+2 chosen nodes.
+  products of d+1 of the d+2 chosen nodes, so no determinant is ever
+  taken.
 
 Points are canonical primitive integer vectors (content one, first
 nonzero coordinate positive), so point equality is tuple equality and
@@ -26,16 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Iterable, Sequence
 
-from .exactmath import Matrix, Scalar, _frac, det, eval_poly
+from .exactmath import Scalar, eval_poly, vandermonde
 
 __all__ = [
     "ProjPoint",
     "PointConfig",
     "DiagonalQuadric",
-    "bracket_matrix",
     "bracket",
     "bracket_cofactors",
     "diagonal_quadric",
@@ -75,7 +75,7 @@ class ProjPoint:
     @classmethod
     def from_rationals(cls, values: Iterable[Scalar]) -> "ProjPoint":
         """Clear denominators of a rational vector, then canonicalize."""
-        fracs = [_frac(v) for v in values]
+        fracs = [Fraction(v) for v in values]
         if not fracs:
             raise ValueError("projective point needs at least one coordinate")
         common = reduce(lambda a, b: a * b // math.gcd(a, b), (f.denominator for f in fracs), 1)
@@ -96,15 +96,16 @@ class PointConfig:
     """Pairwise distinct nodes x_0..x_n plus a degree bound d.
 
     Requires d >= 1 and n >= d + 1 (so there is at least one quadric).
-    Nodes may be arbitrary rationals; the integer-only restriction
-    lives in the construction pipeline, not here.
+    Nodes are plain ints, which keeps every bracket cofactor an integer.
     """
 
-    nodes: tuple[Fraction, ...]
+    nodes: tuple[int, ...]
     degree: int
 
     def __post_init__(self) -> None:
-        nodes = tuple(_frac(x) for x in self.nodes)
+        nodes = tuple(self.nodes)
+        if any(not isinstance(x, int) or isinstance(x, bool) for x in nodes):
+            raise TypeError("nodes must be plain ints")
         object.__setattr__(self, "nodes", nodes)
         if len(set(nodes)) != len(nodes):
             raise ValueError("nodes must be pairwise distinct")
@@ -147,17 +148,9 @@ class DiagonalQuadric:
         if g != 1:
             raise ValueError("quadric coefficients must be primitive")
 
-    def squares_residual(self, point_coords: Sequence[Scalar]) -> Fraction:
+    def squares_residual(self, point_coords: Sequence[Scalar]) -> Scalar:
         """Evaluate the quadric on the squares of the given coordinates."""
-        return sum(
-            (_frac(c) * _frac(point_coords[j]) ** 2 for j, c in zip(self.support, self.coeffs)),
-            Fraction(0),
-        )
-
-
-def _power_rows(config: PointConfig, column_indices: tuple[int, ...]) -> list[list[Fraction]]:
-    cols = [config.nodes[j] for j in column_indices]
-    return [[x**t for x in cols] for t in range(config.degree + 1)]
+        return sum(c * point_coords[j] ** 2 for j, c in zip(self.support, self.coeffs))
 
 
 def _check_extra_index(config: PointConfig, extra_index: int) -> None:
@@ -167,61 +160,45 @@ def _check_extra_index(config: PointConfig, extra_index: int) -> None:
         )
 
 
-def bracket_matrix(config: PointConfig, z_values: Sequence[Scalar], extra_index: int) -> Matrix:
-    """The (d+2) x (d+2) bracket: power rows over (x_0..x_d, x_extra), then z."""
-    _check_extra_index(config, extra_index)
-    if len(z_values) != config.degree + 2:
-        raise ValueError(f"need {config.degree + 2} last-row values, got {len(z_values)}")
-    cols = tuple(range(config.degree + 1)) + (extra_index,)
-    rows = _power_rows(config, cols)
-    rows.append([_frac(z) for z in z_values])
-    return Matrix.from_rows(rows)
-
-
-@lru_cache(maxsize=None)
-def bracket_cofactors(config: PointConfig, extra_index: int) -> tuple[Fraction, ...]:
+def bracket_cofactors(config: PointConfig, extra_index: int) -> tuple[int, ...]:
     """Last-row cofactors of the bracket, without any normalization.
 
     Entry j is the signed minor multiplying the j-th last-row value in
     the Laplace expansion of the bracket determinant, so the bracket
-    with last row z equals the dot product of this vector with z.
+    with last row z equals the dot product of this vector with z.  That
+    minor is the Vandermonde product of the other d+1 columns' nodes,
+    and with its sign it equals V / w_j, where V is the Vandermonde
+    product of all d+2 nodes and w_j = prod_{a != j} (x_j - x_a); the
+    division is exact.
     """
     _check_extra_index(config, extra_index)
-    d = config.degree
-    cols = tuple(range(d + 1)) + (extra_index,)
-    power = _power_rows(config, cols)
-    out = []
-    for j in range(d + 2):
-        sub = Matrix.from_rows([[row[t] for t in range(d + 2) if t != j] for row in power])
-        sign = 1 if (d + 1 + j) % 2 == 0 else -1
-        out.append(sign * det(sub))
-    return tuple(out)
+    xs = config.nodes[: config.degree + 1] + (config.nodes[extra_index],)
+    full = vandermonde(xs)
+    return tuple(
+        full // math.prod(xj - xa for a, xa in enumerate(xs) if a != j)
+        for j, xj in enumerate(xs)
+    )
 
 
-def bracket(config: PointConfig, z_values: Sequence[Scalar], extra_index: int) -> Fraction:
+def bracket(config: PointConfig, z_values: Sequence[Scalar], extra_index: int) -> Scalar:
     """Bracket determinant with an arbitrary last row, exactly."""
     _check_extra_index(config, extra_index)
     if len(z_values) != config.degree + 2:
         raise ValueError(f"need {config.degree + 2} last-row values, got {len(z_values)}")
     cof = bracket_cofactors(config, extra_index)
-    return sum((c * _frac(z) for c, z in zip(cof, z_values)), Fraction(0))
+    return sum(c * z for c, z in zip(cof, z_values))
 
 
-@lru_cache(maxsize=None)
 def diagonal_quadric(config: PointConfig, extra_index: int) -> DiagonalQuadric:
     """Defining quadric for one extra index, in canonical integer form."""
     cof = bracket_cofactors(config, extra_index)
-    common = reduce(lambda a, b: a * b // math.gcd(a, b), (c.denominator for c in cof), 1)
-    ints = [int(c * common) for c in cof]
-    g = reduce(math.gcd, (abs(c) for c in ints))
-    ints = [c // g for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
+    g = math.gcd(*cof)
+    if cof[-1] < 0:
+        g = -g
     support = tuple(range(config.degree + 1)) + (extra_index,)
-    return DiagonalQuadric(support=support, coeffs=tuple(ints))
+    return DiagonalQuadric(support=support, coeffs=tuple(c // g for c in cof))
 
 
-@lru_cache(maxsize=None)
 def diagonal_quadrics(config: PointConfig) -> tuple[DiagonalQuadric, ...]:
     return tuple(diagonal_quadric(config, i) for i in config.extra_indices)
 
@@ -241,7 +218,7 @@ def on_certificate_variety(config: PointConfig, point: ProjPoint) -> bool:
     coeffs = point.coords[: d + 1]
     certs = point.coords[d + 1 :]
     values = [eval_poly(coeffs, x) for x in config.nodes]
-    return all(Fraction(z) ** 2 == values[0] * values[i + 1] for i, z in enumerate(certs))
+    return all(z**2 == values[0] * values[i + 1] for i, z in enumerate(certs))
 
 
 def base_point(config: PointConfig) -> ProjPoint:
@@ -253,7 +230,7 @@ def power_point(config: PointConfig, t: int) -> ProjPoint:
     """Canonical form of (x_0^t, .., x_n^t); on the variety when 2t <= d."""
     if t < 0:
         raise IndexError("power must be non-negative")
-    return ProjPoint.from_rationals(x**t for x in config.nodes)
+    return ProjPoint(tuple(x**t for x in config.nodes))
 
 
 def plane_basis(config: PointConfig) -> tuple[ProjPoint, ...]:

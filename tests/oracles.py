@@ -28,6 +28,15 @@ def laplace_det(rows):
     return total
 
 
+def alternating_minors(rows):
+    """(-1)^j times the determinant with column j deleted, j = 0..r, of an
+    r x (r+1) matrix: a vector spanning its kernel when the rank is r."""
+    return [
+        (-1) ** j * laplace_det([list(r[:j]) + list(r[j + 1 :]) for r in rows])
+        for j in range(len(rows) + 1)
+    ]
+
+
 def vandermonde_product(xs):
     """prod_{i<j} (x_j - x_i), the closed form for a power-row determinant."""
     out = Fraction(1)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import product
 
 from diopoly.cli import main
-from diopoly.exactmath import det, eval_poly
+from diopoly.exactmath import eval_poly, integer_kernel
 from diopoly.forge import (
     FLAG_DEGREE_DROPPED,
     ConstructionError,
@@ -44,6 +44,8 @@ from diopoly.variety import (
     on_quadric_variety,
     plane_basis,
 )
+
+from oracles import alternating_minors
 
 LINE_INSTANCES = [PointConfig(tuple(range(d + 2)), d) for d in (1, 2, 3, 4)]
 PLANE_INSTANCES = [PointConfig(tuple(range(3 * k + 2)), 2 * k) for k in (1, 2, 3)]
@@ -110,7 +112,7 @@ def test_criterion_02_golden_plane_witness():
     cfg = PointConfig((0, 1, 2, 3, 4), 2)
     w = construct_witness([0, 1, 2, 3, 4], "plane", parameter=(1, 2, 0))
     a = plane_system_matrix(cfg, ProjPoint((1, 2, 0)))
-    mus = [(-1) ** j * det(a.drop_col(j)) for j in range(3)]
+    mus = alternating_minors(a)
     lead = mus[0]
     image = parametrize_plane(cfg, ProjPoint((1, 2, 0)))
     residuals = [
@@ -120,6 +122,7 @@ def test_criterion_02_golden_plane_witness():
     ok = (
         w.poly.coeffs == (2, 4, 2)
         and [m / lead for m in mus] == [1, 1, -2]  # proportional to (-1,-1,2)
+        and integer_kernel(a) == mus
         and image.point.coords == (1, 2, -3, -4, -5)
         and len(residuals) == 2
         and all(r == 0 for r in residuals)
@@ -247,8 +250,7 @@ def test_criterion_07_structural_invariants():
 def test_criterion_08_degenerate_loci():
     cfg5 = PointConfig((0, 1, 2, 3, 4), 2)
     a = plane_system_matrix(cfg5, ProjPoint((1, 0, 0)))
-    rows = [[int(a.entry(r, c)) for c in range(a.ncols)] for r in range(a.nrows)]
-    matrix_ok = rows == [[-4, 0, -2], [-12, 0, -6]]
+    matrix_ok = a == [[-4, 0, -2], [-12, 0, -6]] and integer_kernel(a) is None
     try:
         parametrize_plane(cfg5, ProjPoint((1, 0, 0)))
         raised_param = False
@@ -334,17 +336,19 @@ def test_criterion_11_distinct_polynomials():
     report(11, "distinctness-100-parameters", ok, f"{len(polys)} distinct")
 
 
-def test_criterion_12_cli_determinism():
+def test_criterion_12_cli_determinism(cli_env):
     first = run_cli("construct", "--set", "0,1,2", "--seed", "9", "--count", "5")
     second = run_cli("construct", "--set", "0,1,2", "--seed", "9", "--count", "5")
     in_process_ok = first == second and first[0] == 0
     proc_a = subprocess.run(
         [sys.executable, "-m", "diopoly", "construct", "--set", "0,1,2", "--seed", "9", "--count", "5"],
         capture_output=True,
+        env=cli_env,
     )
     proc_b = subprocess.run(
         [sys.executable, "-m", "diopoly", "construct", "--set", "0,1,2", "--seed", "9", "--count", "5"],
         capture_output=True,
+        env=cli_env,
     )
     subprocess_ok = proc_a.stdout == proc_b.stdout == first[1].encode()
     code, out, _ = run_cli("verify", "--from-json", "-", stdin=first[1])

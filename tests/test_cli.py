@@ -10,6 +10,10 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit limit before 3.10.7"
+)
+
 from diopoly.cli import (
     SCHEMA_VERSION,
     WITNESS_DOCUMENT_SCHEMA,
@@ -138,6 +142,28 @@ class TestConstructCommand:
     def test_malformed_set_exit_one(self):
         assert run_cli("construct", "--set", "0,1,x")[0] == 1
 
+    def test_empty_field_exit_one(self):
+        code, out, err = run_cli("construct", "--set", "0,1,,2", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert "--set field 3 is not a decimal integer" in err
+        assert run_cli("construct", "--set", "0,1,2,", "--seed", "1")[0] == 1
+
+    def test_plane_twist_points_include_padding(self):
+        # set 5,9,13 is padded with 0 and 1 for the plane method; the twist
+        # block has one point per node, padding included, and its poly is
+        # the certificate's canonical scaling of the witness polynomial
+        code, out, _ = run_cli(
+            "construct", "--set", "5,9,13", "--method", "plane", "--seed", "1", "--emit-twist"
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["padding"] == ["0", "1"]
+        assert [p["x"] for p in doc["twist"]["points"]] == ["0", "1", "5", "9", "13"]
+        poly = [int(c) for c in doc["poly"]]
+        twist_poly = [int(c) for c in doc["twist"]["poly"]]
+        assert twist_poly != poly
+        assert all(a * twist_poly[0] == b * poly[0] for a, b in zip(poly, twist_poly))
+
 
 class TestVerifyCommand:
     def test_passing(self):
@@ -175,6 +201,38 @@ class TestVerifyCommand:
     def test_missing_file_exit_one(self):
         assert run_cli("verify", "--from-json", "/nonexistent/w.json")[0] == 1
 
+    @needs_digit_limit
+    def test_over_limit_input_names_the_limit(self):
+        limit = sys.get_int_max_str_digits()
+        big = "9" * (limit + 701)
+        code, _, err = run_cli("verify", "--set", "0,1", "--poly", f"{big},0")
+        assert code == 1
+        assert f"--poly field 1 has {limit + 701} digits" in err
+        assert f"limit of {limit} digits" in err
+        assert len(err) < 200  # the input is not echoed
+        assert sys.get_int_max_str_digits() == limit
+
+    @needs_digit_limit
+    def test_over_limit_document_entry_names_the_limit(self):
+        limit = sys.get_int_max_str_digits()
+        doc = {"schema_version": "1", "set": ["0", "1", "2"], "poly": ["1", "9" * (limit + 1)]}
+        code, out, err = run_cli("verify", "--from-json", "-", stdin=json.dumps(doc))
+        assert (code, out) == (1, "")
+        assert f"entry 2 has {limit + 1} digits" in err
+        assert f"limit of {limit} digits" in err
+        assert len(err) < 200
+
+    def test_output_past_the_digit_limit(self):
+        # f = 10^3000 - 1 is valid input; f(0) * f(1) has 6000 digits
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli("verify", "--set", "0,1", "--poly", "9" * 3000 + ",0")
+        assert (code, err) == (0, "")
+        (pair,) = json.loads(out)["pairs"]
+        # (10^3000 - 1)^2 = 10^6000 - 2 * 10^3000 + 1
+        assert pair["product"] == "9" * 2999 + "8" + "0" * 2999 + "1"
+        assert pair["root"] == "9" * 3000
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
 
 class TestSearchCommand:
     def test_worked_box(self):
@@ -200,11 +258,12 @@ class TestSearchCommand:
 
 
 class TestSubprocessPipe:
-    def test_construct_verify_pipe(self):
+    def test_construct_verify_pipe(self, cli_env):
         construct = subprocess.run(
             [sys.executable, "-m", "diopoly", "construct", "--set", "0,1,2", "--seed", "5", "--count", "3"],
             capture_output=True,
             text=True,
+            env=cli_env,
         )
         assert construct.returncode == 0
         verify = subprocess.run(
@@ -212,14 +271,16 @@ class TestSubprocessPipe:
             input=construct.stdout,
             capture_output=True,
             text=True,
+            env=cli_env,
         )
         assert verify.returncode == 0
 
-    def test_subprocess_matches_in_process_output(self):
+    def test_subprocess_matches_in_process_output(self, cli_env):
         proc = subprocess.run(
             [sys.executable, "-m", "diopoly", "construct", "--set", "0,1,2", "--param", "3,1"],
             capture_output=True,
             text=True,
+            env=cli_env,
         )
         _, out, _ = run_cli("construct", "--set", "0,1,2", "--param", "3,1")
         assert proc.stdout == out

@@ -1,71 +1,99 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diopoly.exactmath import Matrix, det, det_cofactor, eval_poly, integer_sqrt, interpolate
+from diopoly.exactmath import (
+    eval_poly,
+    integer_kernel,
+    integer_sqrt,
+    interpolate,
+    lagrange_basis,
+    vandermonde,
+)
 
-from oracles import eval_ascending, laplace_det, solve_interpolation, vandermonde_product
+from oracles import (
+    alternating_minors,
+    eval_ascending,
+    laplace_det,
+    solve_interpolation,
+    vandermonde_product,
+)
 
 
-def mat(rows):
-    return Matrix.from_rows(rows)
+def kernel_det(rows):
+    """Determinant of a square integer matrix, read off the kernel routine:
+    a zero column in front makes the alternating minors (det, 0, .., 0)."""
+    mus = integer_kernel([[0, *row] for row in rows])
+    return 0 if mus is None else mus[0]
 
 
 class TestMatrix:
+    """Matrices are plain lists of integer rows; the kernel routine takes an
+    r x (r+1) one and returns its alternating maximal minors."""
+
     def test_shape_and_entries(self):
-        m = mat([[1, 2, 3], [4, 5, 6]])
-        assert (m.nrows, m.ncols) == (2, 3)
-        assert m.entry(1, 2) == 6
-        assert not m.is_square
+        m = [[1, 2, 3], [4, 5, 6]]
+        assert integer_kernel(m) == alternating_minors(m) == [-3, 6, -3]
+        assert all(sum(a * v for a, v in zip(row, integer_kernel(m))) == 0 for row in m)
 
     def test_entries_are_fractions(self):
-        m = mat([[1, Fraction(1, 2)]])
-        assert m.entry(0, 1) == Fraction(1, 2)
-        assert isinstance(m.entry(0, 0), Fraction)
+        # the oracle works over fractions; the kernel routine takes ints only
+        assert alternating_minors([[1, Fraction(1, 2)]]) == [Fraction(1, 2), -1]
+        assert integer_kernel([[2, 1]]) == [1, -2]
+        with pytest.raises(TypeError):
+            integer_kernel([[1, Fraction(1, 2)]])
 
     def test_submatrix(self):
-        m = mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        s = m.submatrix(1, 0)
-        assert [[s.entry(r, c) for c in range(2)] for r in range(2)] == [[2, 3], [8, 9]]
+        # with row 1 dropped, minor 0 is the submatrix without row 1, column 0
+        m = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+        assert integer_kernel([m[0], m[2]])[0] == laplace_det([[2, 3], [8, 9]]) == -6
 
     def test_drop_col(self):
-        m = mat([[1, 2, 3], [4, 5, 6]])
-        s = m.drop_col(1)
-        assert [[s.entry(r, c) for c in range(2)] for r in range(2)] == [[1, 3], [4, 6]]
+        m = [[1, 2, 3], [4, 5, 6]]
+        assert integer_kernel(m)[1] == -laplace_det([[1, 3], [4, 6]]) == 6
 
-    def test_index_errors(self):
-        m = mat([[1, 2], [3, 4]])
-        with pytest.raises(IndexError):
-            m.entry(2, 0)
-        with pytest.raises(IndexError):
-            m.submatrix(0, 5)
+    def test_wrong_width_rejected(self):
+        with pytest.raises(ValueError):
+            integer_kernel([[1, 2, 3, 4], [4, 5, 6, 7]])
+        with pytest.raises(ValueError):
+            integer_kernel([])
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
-            mat([[1, 2], [3]])
+            integer_kernel([[1, 2, 3], [3]])
 
 
 class TestDet:
+    """Determinants come only from the Laplace oracle now; every worked
+    value is also read off the kernel routine through kernel_det."""
+
     def test_worked_2x2(self):
-        assert det(mat([[1, 1], [1, 3]])) == 2
+        rows = [[1, 1], [1, 3]]
+        assert laplace_det(rows) == kernel_det(rows) == 2
 
     def test_worked_3x3(self):
-        assert det(mat([[2, 0, 1], [1, 1, 0], [0, 3, 1]])) == 5
+        rows = [[2, 0, 1], [1, 1, 0], [0, 3, 1]]
+        assert laplace_det(rows) == kernel_det(rows) == 5
 
     def test_fraction_entries(self):
-        m = mat([[Fraction(1, 2), 1], [1, Fraction(2, 3)]])
-        assert det(m) == Fraction(1, 3) - 1
+        m = [[Fraction(1, 2), 1], [1, Fraction(2, 3)]]
+        assert laplace_det(m) == Fraction(1, 3) - 1
+        # rows scaled by 2 and 3 scale the determinant by 6
+        assert kernel_det([[1, 2], [3, 2]]) == 6 * (Fraction(1, 3) - 1)
 
     def test_singular(self):
-        assert det(mat([[1, 2], [2, 4]])) == 0
+        assert laplace_det([[1, 2], [2, 4]]) == 0
+        assert integer_kernel([[0, 1, 2], [0, 2, 4]]) is None
 
     def test_zero_column(self):
-        assert det(mat([[0, 1], [0, 2]])) == 0
+        assert laplace_det([[0, 1], [0, 2]]) == kernel_det([[0, 1], [0, 2]]) == 0
 
     def test_non_square_rejected(self):
+        # the kernel routine needs one more column than rows
         with pytest.raises(ValueError):
-            det(mat([[1, 2, 3], [4, 5, 6]]))
+            integer_kernel([[1, 2], [4, 5]])
 
     @given(
         st.lists(
@@ -75,7 +103,7 @@ class TestDet:
         )
     )
     def test_agrees_with_laplace_oracle(self, rows):
-        assert det(mat(rows)) == laplace_det(rows)
+        assert kernel_det(rows) == laplace_det(rows)
 
     @given(
         st.lists(
@@ -85,7 +113,9 @@ class TestDet:
         )
     )
     def test_fraction_matrices_agree_with_laplace(self, rows):
-        assert det(mat(rows)) == laplace_det(rows)
+        scales = [math.lcm(*(x.denominator for x in row)) for row in rows]
+        ints = [[int(x * s) for x in row] for row, s in zip(rows, scales)]
+        assert kernel_det(ints) == laplace_det(rows) * math.prod(scales)
 
     @given(
         st.lists(
@@ -101,21 +131,52 @@ class TestDet:
             return
         swapped = list(rows)
         swapped[i], swapped[j] = swapped[j], swapped[i]
-        assert det(mat(swapped)) == -det(mat(rows))
+        assert kernel_det(swapped) == -kernel_det(rows) == -laplace_det(rows)
 
     @given(st.lists(st.integers(-50, 50), min_size=2, max_size=6, unique=True))
     def test_power_matrix_matches_product_formula(self, xs):
         rows = [[x**t for x in xs] for t in range(len(xs))]
-        assert det(mat(rows)) == vandermonde_product(xs)
+        assert vandermonde(xs) == vandermonde_product(xs) == kernel_det(rows)
 
     def test_det_cofactor_cross_check(self):
         rows = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
-        assert det_cofactor(mat(rows)) == det(mat(rows)) == laplace_det(rows)
+        assert kernel_det(rows) == laplace_det(rows) == -90
 
     def test_large_integer_entries_stay_exact(self):
         big = 10**40
-        m = mat([[big, 1], [1, big]])
-        assert det(m) == big * big - 1
+        assert kernel_det([[big, 1], [1, big]]) == big * big - 1
+
+
+class TestKernel:
+    @settings(max_examples=300)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda r: st.lists(
+                st.lists(st.integers(-6, 6), min_size=r + 1, max_size=r + 1),
+                min_size=r,
+                max_size=r,
+            )
+        )
+    )
+    def test_equals_alternating_minors(self, rows):
+        mus = alternating_minors(rows)
+        got = integer_kernel(rows)
+        if all(m == 0 for m in mus):
+            assert got is None
+        else:
+            assert got == mus
+
+    def test_rank_deficient_after_a_skipped_column(self):
+        assert integer_kernel([[0, 1, 2], [0, 3, 6]]) is None
+        assert integer_kernel([[0, 1, 2], [0, 3, 5]]) == [-1, 0, 0]
+
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=6, unique=True))
+    def test_lagrange_basis_is_dual_to_nodes(self, xs):
+        for i, (weight, basis) in enumerate(lagrange_basis(xs)):
+            assert len(basis) == len(xs)
+            assert weight == math.prod(xs[i] - x for x in xs if x != xs[i])
+            for j, x in enumerate(xs):
+                assert eval_poly(basis, x) == (weight if i == j else 0)
 
 
 class TestInterpolate:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diopoly.exactmath import Matrix, det, eval_poly
+from diopoly.exactmath import eval_poly, integer_kernel
 from diopoly.rationalmaps import (
     CertificatePoint,
     DegenerateParameterError,
@@ -23,7 +23,15 @@ from diopoly.rationalmaps import (
     quadric_to_certificate,
     quadric_to_certificate_raw,
 )
-from diopoly.variety import PointConfig, ProjPoint, base_point, on_quadric_variety
+from diopoly.variety import (
+    PointConfig,
+    ProjPoint,
+    base_point,
+    bracket_cofactors,
+    on_quadric_variety,
+)
+
+from oracles import alternating_minors, laplace_det
 
 LINE_CFG = PointConfig((0, 1, 2), 1)
 PLANE_CFG = PointConfig((0, 1, 2, 3, 4), 2)
@@ -262,18 +270,15 @@ class TestLineParametrization:
 
 class TestPlaneParametrization:
     def test_worked_system_matrices(self):
-        rows = lambda m: [
-            [int(m.entry(r, c)) for c in range(m.ncols)] for r in range(m.nrows)
-        ]
-        assert rows(plane_system_matrix(PLANE_CFG, ProjPoint((1, 1, 0)))) == [
+        assert plane_system_matrix(PLANE_CFG, ProjPoint((1, 1, 0))) == [
             [8, 12, 4],
             [20, 32, 10],
         ]
-        assert rows(plane_system_matrix(PLANE_CFG, ProjPoint((1, 2, 0)))) == [
+        assert plane_system_matrix(PLANE_CFG, ProjPoint((1, 2, 0))) == [
             [20, 24, 22],
             [52, 64, 58],
         ]
-        assert rows(plane_system_matrix(PLANE_CFG, ProjPoint((1, 0, 0)))) == [
+        assert plane_system_matrix(PLANE_CFG, ProjPoint((1, 0, 0))) == [
             [-4, 0, -2],
             [-12, 0, -6],
         ]
@@ -288,7 +293,8 @@ class TestPlaneParametrization:
 
     def test_worked_plane_coefficients(self):
         a = plane_system_matrix(PLANE_CFG, ProjPoint((1, 2, 0)))
-        mus = [(-1) ** j * det(a.drop_col(j)) for j in range(3)]
+        mus = alternating_minors(a)
+        assert integer_kernel(a) == mus
         lead = next(m for m in mus if m)
         assert [m / lead for m in mus] == [1, 1, -2]  # proportional to (-1,-1,2)
 
@@ -336,3 +342,51 @@ class TestPlaneParametrization:
                 if w is None:
                     continue
                 assert parametrize_plane_inverse(w) == q
+
+
+@st.composite
+def plane_configs_and_directions(draw):
+    k = draw(st.integers(1, 2))
+    nodes = draw(st.lists(st.integers(-9, 9), min_size=3 * k + 2, max_size=3 * k + 2, unique=True))
+    direction = draw(
+        st.lists(st.integers(-5, 5), min_size=2 * k + 1, max_size=2 * k + 1).filter(any)
+    )
+    return PointConfig(tuple(nodes), 2 * k), ProjPoint(tuple(direction))
+
+
+@settings(max_examples=60, deadline=None)
+@given(plane_configs_and_directions())
+def test_closed_forms_match_laplace_minors(case):
+    """The closed forms against determinants taken by the Laplace oracle:
+    bracket cofactors are the signed minors of the power block, the plane
+    kernel is proportional to the alternating maximal minors of the
+    system matrix, and the reverse map is the (d+1)-minor formula."""
+    cfg, q = case
+    d = cfg.degree
+    for m in cfg.extra_indices:
+        cols = [cfg.nodes[j] for j in range(d + 1)] + [cfg.nodes[m]]
+        power = [[x**t for x in cols] for t in range(d + 1)]
+        assert list(bracket_cofactors(cfg, m)) == [
+            (-1) ** (d + 1 + j) * laplace_det([r[:j] + r[j + 1 :] for r in power])
+            for j in range(d + 2)
+        ]
+
+    a = plane_system_matrix(cfg, q)
+    mus = alternating_minors(a)
+    kernel = integer_kernel(a)
+    try:
+        w = parametrize_plane(cfg, q)
+    except DegenerateParameterError:
+        assert all(m == 0 for m in mus) and kernel is None
+        return
+    assert kernel is not None
+    assert all(kernel[i] * mus[j] == kernel[j] * mus[i] for i in range(len(mus)) for j in range(i))
+
+    y = w.point.coords
+    power = [[cfg.nodes[j] ** t for j in range(d + 1)] for t in range(d + 1)]
+    squares = [c**2 for c in y[: d + 1]]
+    expected = [
+        (-1) ** j * laplace_det([power[t] for t in range(d + 1) if t != j] + [squares])
+        for j in range(d + 1)
+    ]
+    assert list(quadric_to_certificate_raw(w)[0]) == expected

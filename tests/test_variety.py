@@ -15,7 +15,6 @@ from diopoly.variety import (
     base_point,
     bracket,
     bracket_cofactors,
-    bracket_matrix,
     diagonal_quadric,
     diagonal_quadrics,
     on_certificate_variety,
@@ -34,6 +33,14 @@ def small_configs():
     yield PointConfig((0, 1, 2, 3, 4), 2)
     yield PointConfig((-2, 0, 1, 3, 7), 2)
     yield PointConfig((0, 1, 2, 3, 4, 5, 6, 7), 4)
+
+
+def bracket_rows(cfg, z, m):
+    """The (d+2) x (d+2) bracket: power rows over (x_0..x_d, x_m), then z."""
+    d = cfg.degree
+    rows = [[cfg.nodes[j] ** t for j in range(d + 1)] + [cfg.nodes[m] ** t] for t in range(d + 1)]
+    rows.append(list(z))
+    return rows
 
 
 config_strategy = st.builds(
@@ -102,9 +109,16 @@ class TestPointConfig:
         assert cfg.n == 3
         assert list(cfg.extra_indices) == [2, 3]
 
-    def test_nodes_become_fractions(self):
-        cfg = PointConfig((0, 1, 2), 1)
-        assert all(isinstance(x, Fraction) for x in cfg.nodes)
+    def test_nodes_must_be_plain_ints(self):
+        cfg = PointConfig([0, 1, 2], 1)
+        assert cfg.nodes == (0, 1, 2)
+        assert all(type(x) is int for x in cfg.nodes)
+        with pytest.raises(TypeError):
+            PointConfig((0, Fraction(1, 2), 2), 1)
+        with pytest.raises(TypeError):
+            PointConfig((0, 1.0, 2), 1)
+        with pytest.raises(TypeError):
+            PointConfig((False, True, 2), 1)
 
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(ValueError):
@@ -120,8 +134,9 @@ class TestPointConfig:
 class TestBrackets:
     def test_matrix_shape(self):
         cfg = PointConfig((0, 1, 2), 1)
-        m = bracket_matrix(cfg, (1, 1, 0), 2)
-        assert m.nrows == m.ncols == 3
+        rows = bracket_rows(cfg, (1, 1, 0), 2)
+        assert len(rows) == 3 and all(len(r) == 3 for r in rows)
+        assert laplace_det(rows) == bracket(cfg, (1, 1, 0), 2) == -1
 
     def test_worked_values(self):
         cfg = PointConfig((0, 1, 2), 1)
@@ -149,12 +164,7 @@ class TestBrackets:
         z = data.draw(
             st.lists(st.integers(-9, 9), min_size=cfg.degree + 2, max_size=cfg.degree + 2)
         )
-        rows = [
-            [cfg.nodes[j] ** t for j in range(cfg.degree + 1)] + [cfg.nodes[m] ** t]
-            for t in range(cfg.degree + 1)
-        ]
-        rows.append([Fraction(c) for c in z])
-        assert bracket(cfg, z, m) == laplace_det(rows)
+        assert bracket(cfg, z, m) == laplace_det(bracket_rows(cfg, z, m))
 
     @given(config_strategy)
     def test_last_cofactor_is_node_vandermonde(self, cfg):
