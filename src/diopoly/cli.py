@@ -152,24 +152,26 @@ def witness_document(witness: Witness, include_twist: bool = False) -> dict:
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+def _parse_int(text: str, where: str) -> int:
+    """One decimal integer, surrounding whitespace allowed.  A ValueError
+    names the field by `where` and echoes at most 40 characters."""
+    field = text.strip()
+    if not _INTEGER.fullmatch(field):
+        shown = repr(field) if len(field) <= 40 else f"{field[:40]!r}..."
+        raise ValueError(f"{where} is not a decimal integer: {shown}")
+    try:
+        return int(field, 10)
+    except ValueError:
+        # a well-formed field fails only on the int<->str digit limit
+        raise ValueError(
+            f"{where} has {len(field.lstrip('+-'))} digits, over Python's "
+            f"limit of {sys.get_int_max_str_digits()} digits for integer strings"
+        ) from None
+
+
 def _parse_ints(fields, where: str) -> list[int]:
-    """Decimal integers, surrounding whitespace allowed.  A ValueError names
-    the first bad field ("<where> 3") and echoes at most 40 characters."""
-    out = []
-    for i, text in enumerate(fields, 1):
-        field = text.strip()
-        if not _INTEGER.fullmatch(field):
-            shown = repr(field) if len(field) <= 40 else f"{field[:40]!r}..."
-            raise ValueError(f"{where} {i} is not a decimal integer: {shown}")
-        try:
-            out.append(int(field, 10))
-        except ValueError:
-            # a well-formed field fails only on the int<->str digit limit
-            raise ValueError(
-                f"{where} {i} has {len(field.lstrip('+-'))} digits, over Python's "
-                f"limit of {sys.get_int_max_str_digits()} digits for integer strings"
-            ) from None
-    return out
+    """Decimal integers; the first bad field is named "<where> <position>"."""
+    return [_parse_int(text, f"{where} {i}") for i, text in enumerate(fields, 1)]
 
 
 def _parse_decimal_list(values, label: str) -> list[int]:
@@ -251,6 +253,30 @@ def _int_list(text: str, label: str) -> list[int]:
         raise _UsageError(str(exc)) from None
 
 
+def _int_option(text: str) -> int:
+    try:
+        return _parse_int(text, "value")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+# options whose comma-separated value may start with a minus sign
+_LIST_OPTIONS = ("--set", "--poly", "--param")
+_NEGATIVE = re.compile(r"-[0-9]")
+
+
+def _attach_negative_lists(argv: Sequence[str]) -> list[str]:
+    """argparse takes a value such as -3,1,2 for an unknown option, so
+    `--set -3,1,2` becomes `--set=-3,1,2`, which it reads as a value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _LIST_OPTIONS and _NEGATIVE.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 @contextmanager
 def _int_str_limit_lifted():
     """Lift the int->str digit limit for the duration, then restore it.
@@ -284,10 +310,10 @@ def _build_parser() -> _Parser:
     c.add_argument("--set", required=True, help="comma-separated distinct integers")
     c.add_argument("--method", choices=["quadric", "plane"], default="quadric")
     c.add_argument("--param", help="explicit projective parameter, comma-separated")
-    c.add_argument("--seed", type=int, default=None)
-    c.add_argument("--count", type=int, default=1)
-    c.add_argument("--max-attempts", type=int, default=DEFAULT_MAX_ATTEMPTS)
-    c.add_argument("--param-bound", type=int, default=DEFAULT_PARAM_BOUND)
+    c.add_argument("--seed", type=_int_option, default=None)
+    c.add_argument("--count", type=_int_option, default=1)
+    c.add_argument("--max-attempts", type=_int_option, default=DEFAULT_MAX_ATTEMPTS)
+    c.add_argument("--param-bound", type=_int_option, default=DEFAULT_PARAM_BOUND)
     c.add_argument("--emit-twist", action="store_true")
 
     v = sub.add_parser("verify", help="verify a polynomial against a set")
@@ -301,8 +327,8 @@ def _build_parser() -> _Parser:
 
     s = sub.add_parser("search", help="exhaustive search over a coefficient box")
     s.add_argument("--set", required=True, help="comma-separated distinct integers")
-    s.add_argument("--max-degree", type=int, required=True)
-    s.add_argument("--max-height", type=int, required=True)
+    s.add_argument("--max-degree", type=_int_option, required=True)
+    s.add_argument("--max-height", type=_int_option, required=True)
     return parser
 
 
@@ -327,24 +353,32 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _document_jobs(lines):
+    """(set, poly) of each non-blank line, parsed only when it is reached,
+    so the reports of earlier lines are out before a bad line stops the run."""
+    seen = False
+    for line in lines:
+        if line.strip():
+            seen = True
+            yield document_to_inputs(parse_witness_document(line))
+    if not seen:
+        raise _UsageError("no witness documents on input")
+
+
 def _cmd_verify(args) -> int:
-    if args.from_json is not None:
-        if args.set is not None or args.poly is not None:
-            raise _UsageError("--from-json replaces --set/--poly")
-        if args.from_json == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.from_json, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            raise _UsageError("no witness documents on input")
-        jobs = [document_to_inputs(parse_witness_document(line)) for line in lines]
-    else:
+    if args.from_json is None:
         if args.set is None or args.poly is None:
             raise _UsageError("verify needs --set and --poly, or --from-json")
-        jobs = [(_int_list(args.set, "set"), _int_list(args.poly, "poly"))]
+        return _verify_jobs([(_int_list(args.set, "set"), _int_list(args.poly, "poly"))])
+    if args.set is not None or args.poly is not None:
+        raise _UsageError("--from-json replaces --set/--poly")
+    if args.from_json == "-":
+        return _verify_jobs(_document_jobs(sys.stdin))
+    with open(args.from_json, "r", encoding="utf-8") as fh:
+        return _verify_jobs(_document_jobs(fh))
 
+
+def _verify_jobs(jobs) -> int:
     all_ok = True
     for elements, coeffs in jobs:
         report = verify_witness(elements, coeffs)
@@ -358,10 +392,7 @@ def _cmd_search(args) -> int:
     ceiling = DEFAULT_SEARCH_CEILING
     override = os.environ.get(CEILING_ENV_VAR)
     if override is not None:
-        try:
-            ceiling = int(override, 10)
-        except ValueError as exc:
-            raise _UsageError(f"{CEILING_ENV_VAR} must be an integer, got {override!r}") from exc
+        ceiling = _parse_int(override, CEILING_ENV_VAR)
     report = brute_force_search(elements, args.max_degree, args.max_height, ceiling=ceiling)
     _emit(_search_report_document, report)
     return 0
@@ -370,7 +401,7 @@ def _cmd_search(args) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
     except _UsageError as exc:
         print(f"diopoly: error: {exc}", file=sys.stderr)
         return 1

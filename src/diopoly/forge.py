@@ -2,9 +2,10 @@
 whose value products over all distinct pairs are perfect squares.
 
 Both constructions push a projective parameter through a parametrization
-onto the quadric variety, pull integer coefficients back through the
-reverse birational map, and then re-derive every square root in the
-certificate from the polynomial itself with exact integer arithmetic:
+onto the quadric variety (a point Y) and pull integer coefficients back
+through the reverse birational map, whose identity f(x) = +-D * Y_x^2
+(D a Vandermonde product), checked once per node, gives every pair root
+as |D * Y_a * Y_b|; verify_witness re-checks them by integer square roots:
 
 * quadric: nodes are the set itself, degree |S| - 2;
 * plane: the set is padded to size 3k+2 with the smallest fresh
@@ -20,7 +21,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
 from typing import Iterable, Sequence
@@ -30,6 +30,7 @@ from .rationalmaps import (
     CertificatePoint,
     DegenerateParameterError,
     QuadricPoint,
+    node_vandermonde,
     parametrize_plane,
     parametrize_quadric,
     quadric_to_certificate_raw,
@@ -125,7 +126,7 @@ class Polynomial:
     def is_constant(self) -> bool:
         return self.degree == 0
 
-    def __call__(self, x: int | Fraction) -> int | Fraction:
+    def __call__(self, x: int) -> int:
         return eval_poly(self.coeffs, x)
 
     def sign_normalized(self) -> "Polynomial":
@@ -158,26 +159,20 @@ def poly_square_root(coeffs: Sequence[int]) -> tuple[int, ...] | None:
     coeffs = tuple(coeffs)
     while coeffs and coeffs[-1] == 0:
         coeffs = coeffs[:-1]
-    if not coeffs:
+    if len(coeffs) % 2 == 0 or coeffs[-1] < 0:
         return None
-    deg = len(coeffs) - 1
-    if deg % 2 != 0:
-        return None
-    m = deg // 2
-    if coeffs[-1] < 0:
-        return None
-    r = integer_sqrt(coeffs[-1])
-    if r is None:
-        return None
-    g: list[Fraction] = [Fraction(0)] * (m + 1)
-    g[m] = Fraction(r)
+    m = len(coeffs) // 2
+    # floor root: when r^2 misses the leading coefficient, so does g^2 below
+    r = math.isqrt(coeffs[-1])
+    g = [0] * (m + 1)
+    g[m] = r
     for i in range(m - 1, -1, -1):
-        s = sum((g[a] * g[i + m - a] for a in range(i + 1, m)), Fraction(0))
-        g[i] = (Fraction(coeffs[i + m]) - s) / (2 * r)
-    if any(c.denominator != 1 for c in g):
-        return None
-    ints = tuple(int(c) for c in g)
-    return ints if _poly_mul(ints, ints) == coeffs else None
+        s = sum(g[a] * g[i + m - a] for a in range(i + 1, m))
+        g[i], rem = divmod(coeffs[i + m] - s, 2 * r)
+        if rem:
+            return None
+    root = tuple(g)
+    return root if _poly_mul(root, root) == coeffs else None
 
 
 @dataclass(frozen=True)
@@ -296,6 +291,14 @@ def _build_witness(
     expected_degree: int,
 ) -> Witness:
     coeffs, certs = quadric_to_certificate_raw(w)
+    # the reverse map pins f(x) = (-1)^d * D * Y_x^2 at every node, so
+    # f(a) * f(b) = (D * Y_a * Y_b)^2 whatever sign f is normalized to
+    dd = node_vandermonde(config)
+    t = -dd if config.degree % 2 else dd
+    y = dict(zip(config.nodes, w.point.coords))
+    bad = [x for x in config.nodes if eval_poly(coeffs, x) != t * y[x] ** 2]
+    if bad:
+        raise ConstructionError(f"reverse map breaks f(x) = +-D * Y_x^2 at node {bad[0]}")
     poly = Polynomial(coeffs).sign_normalized()
     certificate = CertificatePoint(config, ProjPoint(coeffs + certs))
 
@@ -303,20 +306,14 @@ def _build_witness(
     if poly.degree < expected_degree:
         flags.add(FLAG_DEGREE_DROPPED)
 
-    values = [poly(x) for x in elems]
-    roots = []
-    for (i, a), (j, b) in combinations(enumerate(elems), 2):
-        r = integer_sqrt(values[i] * values[j])
-        if r is None:
-            raise ConstructionError(
-                f"internal certificate failure for pair ({a}, {b})"
-            )
-        roots.append((i, j, r))
+    ys = [abs(y[x]) for x in elems]
+    dys = [abs(dd) * v for v in ys]
+    roots = tuple((i, j, dys[i] * ys[j]) for i, j in combinations(range(len(elems)), 2))
 
     return Witness(
         elements=elems,
         poly=poly,
-        pair_roots=tuple(roots),
+        pair_roots=roots,
         method=method,
         parameter=q,
         padding=padding,

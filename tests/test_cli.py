@@ -7,6 +7,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -17,6 +18,7 @@ needs_digit_limit = pytest.mark.skipif(
 from diopoly.cli import (
     SCHEMA_VERSION,
     WITNESS_DOCUMENT_SCHEMA,
+    _parse_ints,
     document_to_inputs,
     main,
     parse_witness_document,
@@ -79,6 +81,40 @@ class TestDocuments:
         doc["schema_version"] = "99"
         with pytest.raises(ValueError):
             parse_witness_document(json.dumps(doc))
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=10,
+)
+_decimal_texts = st.from_regex(r"\s?[+-]?[0-9]{1,30}\s?", fullmatch=True)
+_fields = st.lists(_decimal_texts | st.text(max_size=8), max_size=5) | _json_values
+_documents = st.fixed_dictionaries(
+    {},
+    optional={"schema_version": st.just("1") | _json_values, "set": _fields, "poly": _fields},
+).map(json.dumps)
+
+
+class TestParserFuzz:
+    """Outside input either parses or raises ValueError, nothing else."""
+
+    @given(st.text() | _documents)
+    def test_parse_witness_document(self, text):
+        try:
+            doc = parse_witness_document(text)
+        except ValueError:
+            return
+        assert isinstance(doc, dict)
+
+    @given(st.lists(_decimal_texts | st.text(), max_size=6))
+    def test_parse_ints(self, fields):
+        try:
+            values = _parse_ints(fields, "field")
+        except ValueError:
+            return
+        assert isinstance(values, list)
+        assert values == [int(f.strip(), 10) for f in fields]
 
 
 class TestConstructCommand:
@@ -148,6 +184,32 @@ class TestConstructCommand:
         assert "--set field 3 is not a decimal integer" in err
         assert run_cli("construct", "--set", "0,1,2,", "--seed", "1")[0] == 1
 
+    @pytest.mark.parametrize(
+        "command,option,value,rest",
+        [
+            ("construct", "--set", "-3,1,2", ("--seed", "1")),
+            ("construct", "--param", "-3,1", ("--set", "0,1,2")),
+            ("verify", "--poly", "-1,-24", ("--set", "0,1,2")),
+        ],
+    )
+    def test_leading_negative_value_in_both_forms(self, command, option, value, rest):
+        spaced = run_cli(command, option, value, *rest)
+        assert spaced[0] == 0 and spaced[2] == ""
+        assert run_cli(command, f"{option}={value}", *rest) == spaced
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("construct", "--set", "0,1,2", "--count", "1_0"),
+            ("construct", "--set", "0,1,2", "--seed", "\u0661"),
+            ("search", "--set", "0,1", "--max-degree", "1", "--max-height", "2_0"),
+        ],
+    )
+    def test_integer_options_are_strict(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (1, "")
+        assert f"argument {argv[-2]}: value is not a decimal integer" in err
+
     def test_plane_twist_points_include_padding(self):
         # set 5,9,13 is padded with 0 and 1 for the plane method; the twist
         # block has one point per node, padding included, and its poly is
@@ -193,6 +255,13 @@ class TestVerifyCommand:
         code, vout, _ = run_cli("verify", "--from-json", str(f))
         assert code == 0
         assert json.loads(vout)["poly"] == ["1", "24"]
+
+    def test_from_json_streams_until_a_bad_line(self):
+        _, good, _ = run_cli("construct", "--set", "0,1,2", "--param", "3,1")
+        code, out, err = run_cli("verify", "--from-json", "-", stdin=good + "{not json\n" + good)
+        assert code == 1
+        assert [json.loads(line)["poly"] for line in out.splitlines()] == [["1", "24"]]
+        assert "malformed JSON document" in err
 
     def test_from_json_conflicts_with_set(self):
         code, _, err = run_cli("verify", "--set", "0,1,2", "--from-json", "-", stdin="{}")

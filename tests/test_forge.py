@@ -5,8 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from diopoly import forge
 from diopoly.exactmath import eval_poly
 from diopoly.forge import (
     DEFAULT_SEARCH_CEILING,
@@ -243,6 +244,70 @@ class TestSampledConstruction:
         for (i, j), root in w.roots_map().items():
             elems = w.elements
             assert root * root == w.poly(elems[i]) * w.poly(elems[j])
+
+
+def parameter_length(size, method):
+    # quadric degree |S| - 2; plane degree 2k with k minimal such that 3k + 2 >= |S|
+    return size - 1 if method == "quadric" else 2 * max(1, -(-(size - 2) // 3)) + 1
+
+
+class TestCertificateRoots:
+    """Construction reads every pair root off the reverse-map identity
+    f(x) = +-D * Y_x^2; verify_witness re-derives them by integer square roots."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(-60, 60), min_size=3, max_size=12, unique=True),
+        st.sampled_from(("quadric", "plane")),
+        st.data(),
+    )
+    def test_roots_equal_verify_roots(self, elems, method, data):
+        if data.draw(st.booleans(), label="explicit parameter"):
+            plen = parameter_length(len(elems), method)
+            coords = data.draw(st.lists(st.integers(-3, 3), min_size=plen, max_size=plen).filter(any))
+            kwargs = {"parameter": coords}
+        else:
+            kwargs = {"seed": data.draw(st.integers(0, 2**32))}
+        try:
+            w = construct_witness(elems, method, **kwargs)
+        except ConstructionError:
+            assume(False)  # degenerate parameter, or sampling exhausted
+        report = verify_witness(elems, w.poly)
+        assert report.ok
+        assert w.pair_roots == tuple((c.i, c.j, c.root) for c in report.checks)
+
+    def test_construction_takes_no_square_roots(self, monkeypatch):
+        calls = []
+        real = forge.integer_sqrt
+        monkeypatch.setattr(forge, "integer_sqrt", lambda n: calls.append(n) or real(n))
+        for size in (11, 12):
+            for method in ("quadric", "plane"):
+                construct_witness(range(size), method, seed=1)
+        # a trivial-family witness: classify_trivial finds the square root of f
+        construct_witness([0, 1, 2, 3, 4], "plane", parameter=(1, 2, 0))
+        assert calls == []
+        verify_witness([0, 1, 2], [1, 24])
+        assert len(calls) == 3  # the counter is live
+
+    @pytest.mark.parametrize(
+        "elems,method,kwargs",
+        [
+            ([0, 1, 2], "quadric", {"parameter": (3, 1)}),
+            ([0, 1, 2, 3, 4], "plane", {"parameter": (1, 2, 0)}),
+            (range(9), "quadric", {"seed": 1}),
+            ([5, 9, 13], "plane", {"seed": 1}),
+        ],
+    )
+    def test_tampered_reverse_map_raises(self, monkeypatch, elems, method, kwargs):
+        real = forge.quadric_to_certificate_raw
+
+        def bumped(w):
+            coeffs, certs = real(w)
+            return (coeffs[0] + 1, *coeffs[1:]), certs
+
+        monkeypatch.setattr(forge, "quadric_to_certificate_raw", bumped)
+        with pytest.raises(ConstructionError, match="reverse map breaks"):
+            construct_witness(elems, method, **kwargs)
 
 
 class TestVerify:
