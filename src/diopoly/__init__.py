@@ -4,7 +4,7 @@ given finite set multiply pairwise to perfect squares.
 The package is layered bottom-up: exact integer arithmetic in closed
 forms (exactmath), integer node configurations and their determinantal
 quadrics (variety), birational
-maps and parametrizations between the two varieties (rationalmaps), the
+maps between the two varieties and their parametrization (rationalmaps), the
 construction / verification / search pipeline (forge), rational points
 on the associated twisted curves (twist), and a JSON-emitting command
 line (cli).
@@ -29,8 +29,6 @@ from .rationalmaps import (
     certificate_to_quadric,
     parametrize_plane,
     parametrize_plane_inverse,
-    parametrize_quadric,
-    parametrize_quadric_inverse,
     plane_system_matrix,
     quadric_to_certificate,
 )
@@ -67,8 +65,6 @@ __all__ = [
     "DegenerateParameterError",
     "certificate_to_quadric",
     "quadric_to_certificate",
-    "parametrize_quadric",
-    "parametrize_quadric_inverse",
     "plane_system_matrix",
     "parametrize_plane",
     "parametrize_plane_inverse",

@@ -241,6 +241,11 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # no abbreviations (subcommand parsers are _Parser too), because
+    # _attach_negative_lists knows each option by its full name
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # argparse exits with code 2 on bad usage; the contract here is 1
     def error(self, message):
         raise _UsageError(message)

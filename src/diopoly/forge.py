@@ -1,13 +1,15 @@
 """End-to-end pipeline: from a finite integer set to a certified polynomial
 whose value products over all distinct pairs are perfect squares.
 
-Both constructions push a projective parameter through a parametrization
-onto the quadric variety (a point Y) and pull integer coefficients back
-through the reverse birational map, whose identity f(x) = +-D * Y_x^2
-(D a Vandermonde product), checked once per node, gives every pair root
-as |D * Y_a * Y_b|; verify_witness re-checks them by integer square roots:
+Every construction pushes a projective parameter through the one
+power-span parametrization (k = n - d - 1) onto the quadric variety (a
+point Y) and pulls integer coefficients back through the reverse
+birational map, whose identity f(x) = +-D * Y_x^2 (D a Vandermonde
+product), checked once per node, gives every pair root as
+|D * Y_a * Y_b|; verify_witness re-checks them by integer square roots.
+A method only chooses the node configuration:
 
-* quadric: nodes are the set itself, degree |S| - 2;
+* quadric: nodes are the set itself, degree |S| - 2 (k = 0, a line);
 * plane: the set is padded to size 3k+2 with the smallest fresh
   non-negative integers (k minimal), degree 2k, and the certificate is
   restricted to the original elements.
@@ -32,7 +34,6 @@ from .rationalmaps import (
     QuadricPoint,
     node_vandermonde,
     parametrize_plane,
-    parametrize_quadric,
     quadric_to_certificate_raw,
 )
 from .variety import PointConfig, ProjPoint
@@ -79,7 +80,8 @@ class ConstructionError(RuntimeError):
 
 
 class SearchSpaceError(ValueError):
-    """The exhaustive search box exceeds the configured ceiling."""
+    """The exhaustive search box exceeds the configured ceiling; estimate
+    is a partial count that already exceeds it."""
 
     def __init__(self, message: str, estimate: int):
         super().__init__(message)
@@ -262,23 +264,16 @@ def _plane_padding(elems: Sequence[int]) -> tuple[int, ...]:
     return tuple(padding)
 
 
-def _method_setup(elems: tuple[int, ...], method: str) -> tuple[PointConfig, tuple[int, ...], int]:
-    """Returns (config, padding, expected degree)."""
+def _method_setup(elems: tuple[int, ...], method: str) -> tuple[PointConfig, tuple[int, ...]]:
+    """Returns (config, padding)."""
     if method == "quadric":
-        d = len(elems) - 2
-        return PointConfig(elems, d), (), d
+        return PointConfig(elems, len(elems) - 2), ()
     if method == "plane":
         padding = _plane_padding(elems)
         nodes = tuple(sorted(set(elems) | set(padding)))
         k = (len(nodes) - 2) // 3
-        return PointConfig(nodes, 2 * k), padding, 2 * k
+        return PointConfig(nodes, 2 * k), padding
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-
-
-def _map_parameter(config: PointConfig, method: str, q: ProjPoint) -> QuadricPoint:
-    if method == "quadric":
-        return parametrize_quadric(config, q)
-    return parametrize_plane(config, q)
 
 
 def _build_witness(
@@ -288,7 +283,6 @@ def _build_witness(
     w: QuadricPoint,
     elems: tuple[int, ...],
     padding: tuple[int, ...],
-    expected_degree: int,
 ) -> Witness:
     coeffs, certs = quadric_to_certificate_raw(w)
     # the reverse map pins f(x) = (-1)^d * D * Y_x^2 at every node, so
@@ -303,7 +297,7 @@ def _build_witness(
     certificate = CertificatePoint(config, ProjPoint(coeffs + certs))
 
     flags = set(classify_trivial(poly, elems))
-    if poly.degree < expected_degree:
+    if poly.degree < config.degree:
         flags.add(FLAG_DEGREE_DROPPED)
 
     ys = [abs(y[x]) for x in elems]
@@ -339,11 +333,11 @@ def construct_witness(
     ConstructionError).  Without one, parameters are sampled uniformly
     over [-param_bound, param_bound] coordinates from a seeded
     generator, and degenerate or flagged outcomes (degree drop, zero
-    value, base-point or in-plane image, f vanishing at the base node)
+    value, in-plane image, f vanishing at the base node)
     are resampled up to max_attempts before giving up.
     """
     elems = _validate_elements(elements, minimum=3)
-    config, padding, expected_degree = _method_setup(elems, method)
+    config, padding = _method_setup(elems, method)
     plen = config.degree + 1
 
     if parameter is not None:
@@ -351,10 +345,10 @@ def construct_witness(
         if len(q) != plen:
             raise ValueError(f"parameter needs {plen} coordinates, got {len(q)}")
         try:
-            w = _map_parameter(config, method, q)
+            w = parametrize_plane(config, q)
         except DegenerateParameterError as exc:
             raise ConstructionError(f"parameter {q.coords} is degenerate: {exc}") from exc
-        return _build_witness(config, method, q, w, elems, padding, expected_degree)
+        return _build_witness(config, method, q, w, elems, padding)
 
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
@@ -364,7 +358,6 @@ def construct_witness(
     stats = {
         "attempts": 0,
         "degenerate-parameter": 0,
-        "base-point": 0,
         "in-plane": 0,
         "degree-dropped": 0,
         "zero-value": 0,
@@ -377,17 +370,14 @@ def construct_witness(
             coords = [rng.randint(-param_bound, param_bound) for _ in range(plen)]
         q = ProjPoint(tuple(coords))
         try:
-            w = _map_parameter(config, method, q)
+            w = parametrize_plane(config, q)
         except DegenerateParameterError:
             stats["degenerate-parameter"] += 1
             continue
-        if w.is_base_point:
-            stats["base-point"] += 1
-            continue
-        if method == "plane" and w.in_plane:
+        if w.in_plane:
             stats["in-plane"] += 1
             continue
-        witness = _build_witness(config, method, q, w, elems, padding, expected_degree)
+        witness = _build_witness(config, method, q, w, elems, padding)
         if FLAG_DEGREE_DROPPED in witness.flags:
             stats["degree-dropped"] += 1
             continue
@@ -429,8 +419,15 @@ def verify_witness(elements: Iterable[int], coeffs: Polynomial | Sequence[int]) 
     )
 
 
-def _search_size(max_degree: int, max_height: int) -> int:
-    return sum(max_height * (2 * max_height + 1) ** e for e in range(max_degree + 1))
+def _search_size(max_degree: int, max_height: int, ceiling: int) -> int:
+    """Candidates in the box, summed by degree; the sum stops once it passes
+    the ceiling, since the full count can have thousands of digits."""
+    total = 0
+    for e in range(max_degree + 1):
+        total += max_height * (2 * max_height + 1) ** e
+        if total > ceiling:
+            break
+    return total
 
 
 def brute_force_search(
@@ -455,12 +452,9 @@ def brute_force_search(
         raise ValueError("max_degree must be non-negative")
     if max_height < 1:
         raise ValueError("max_height must be at least 1")
-    size = _search_size(max_degree, max_height)
+    size = _search_size(max_degree, max_height, ceiling)
     if size > ceiling:
-        raise SearchSpaceError(
-            f"search box holds about {size} candidates, over the ceiling {ceiling}",
-            size,
-        )
+        raise SearchSpaceError(f"search box holds more than {ceiling} candidates", size)
 
     found = []
     for e in range(max_degree + 1):

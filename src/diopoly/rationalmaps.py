@@ -1,5 +1,5 @@
-"""Birational correspondence between the two varieties, plus two rational
-parametrizations of the quadric side with exact inverses.
+"""Birational correspondence between the two varieties, plus the rational
+parametrization of the quadric side with its exact inverse.
 
 Forward map: a certificate point (f_0..f_d, z_1..z_n) with f(x_0) != 0
 goes to the value-side point (f(x_0), z_1, .., z_n).
@@ -17,32 +17,31 @@ on the certificates, both composites are exact projective identities
 away from the f(x_0) = 0 locus, not merely identities up to
 coordinate signs.
 
-Parametrizations of the quadric side:
+Parametrization of the quadric side (needs 2k <= d for k = n - d - 1):
+the variety contains the plane spanned by the power points T_0..T_k;
+for a direction q the residual intersection point is
+sum(mu_t * T_t) + mu_{k+1} * q_hat, where q_hat pads q with zeros and
+the mu span the kernel of a (k+1) x (k+2) integer system matrix of
+bracket evaluations.  A line config (n = d + 1) is the case k = 0:
+T_0 is the all-ones base point, so the image is the second intersection
+of the single quadric with the line through it in direction q_hat.
+The inverse and the plane test read the residuals D_tail * Y_i - G(x_i),
+where G / D_tail interpolates the tail coordinates in the same integer
+Lagrange form as the reverse map.
 
-* line construction (needs n = d+1, a single quadric): intersect the
-  quadric with the line through the all-ones point in direction
-  (q_0..q_d, 0); with mu the bracket of the padded direction and nu the
-  bracket of its squares, the second intersection point is
-  (2*mu*q_0 - nu, .., 2*mu*q_d - nu, -nu);
-
-* plane construction (needs d = 2k, n = 3k+1): the variety contains the
-  plane spanned by the power points T_0..T_k; for a direction q the
-  residual intersection point is sum(mu_t * T_t) + mu_{k+1} * q_hat,
-  where q_hat pads q with zeros and the mu span the kernel of a
-  (k+1) x (k+2) integer system matrix of bracket evaluations.
-
-Nodes are integers, so everything except the plane inverse (which
-interpolates with rationals) is computed in exact integer arithmetic,
-and every point is returned in canonical projective form, so composing
-a map with its inverse can be checked with plain tuple equality.
+Nodes are integers, so everything is computed in exact integer
+arithmetic, and every point is returned in canonical projective form,
+so composing a map with its inverse can be checked with plain tuple
+equality.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-from .exactmath import eval_poly, integer_kernel, interpolate, lagrange_basis, vandermonde
+from .exactmath import eval_poly, integer_kernel, lagrange_basis, vandermonde
 from .variety import (
     PointConfig,
     ProjPoint,
@@ -60,8 +59,6 @@ __all__ = [
     "certificate_to_quadric",
     "quadric_to_certificate",
     "quadric_to_certificate_raw",
-    "parametrize_quadric",
-    "parametrize_quadric_inverse",
     "plane_system_matrix",
     "parametrize_plane",
     "parametrize_plane_inverse",
@@ -118,27 +115,28 @@ class QuadricPoint:
             raise ValueError("coordinates do not satisfy the quadric equations")
 
     @property
-    def is_base_point(self) -> bool:
-        return self.point.coords == (1,) * (self.config.n + 1)
-
-    @property
     def in_plane(self) -> bool:
-        """Whether the point lies in the plane spanned by the power points
-        T_0..T_k; only meaningful for configurations with even degree."""
-        d = self.config.degree
-        if d % 2 != 0:
-            raise ValueError("the power-point plane needs an even degree bound")
-        k = d // 2
-        nodes = self.config.nodes
-        coords = self.point.coords
-        tail = [(nodes[m], coords[m]) for m in range(d + 1, self.config.n + 1)]
-        g = interpolate(tail[: k + 1], k)
-        return all(coords[i] == eval_poly(g, nodes[i]) for i in range(len(coords)))
+        """Whether the point lies in the span of the power points T_0..T_k,
+        k = n - d - 1; for a line config (k = 0) that is the base point."""
+        return not any(_plane_residuals(self))
 
 
 def node_vandermonde(config: PointConfig) -> int:
     """Vandermonde product of the first d+1 nodes."""
     return vandermonde(config.nodes[: config.degree + 1])
+
+
+def _scaled_interpolant(xs: Sequence[int], values: Sequence[int]) -> tuple[int, list[int]]:
+    """(V, G) with V the Vandermonde product of the integer nodes xs and
+    G = sum_i (V / w_i) * v_i * b_i, so G / V is the Lagrange interpolant
+    of the values; each V / w_i is an exact integer quotient."""
+    v = vandermonde(xs)
+    g = [0] * len(xs)
+    for (weight, basis), value in zip(lagrange_basis(xs), values):
+        scale = (v // weight) * value
+        for t, c in enumerate(basis):
+            g[t] += scale * c
+    return v, g
 
 
 def certificate_to_quadric(v: CertificatePoint) -> QuadricPoint:
@@ -161,18 +159,13 @@ def quadric_to_certificate_raw(w: QuadricPoint) -> tuple[tuple[int, ...], tuple[
     config = w.config
     d, n = config.degree, config.n
     y = w.point.coords
-    dd = node_vandermonde(config)
+    dd, g = _scaled_interpolant(config.nodes[: d + 1], [c**2 for c in y[: d + 1]])
     sign = -1 if d % 2 else 1
-
-    coeffs = [0] * (d + 1)
-    for i, (weight, basis) in enumerate(lagrange_basis(config.nodes[: d + 1])):
-        scale = sign * (dd // weight) * y[i] ** 2
-        for t, c in enumerate(basis):
-            coeffs[t] += scale * c
+    coeffs = tuple(sign * c for c in g)
 
     scale = sign * dd * y[0]
     certs = tuple(scale * y[i] for i in range(1, n + 1))
-    return tuple(coeffs), certs
+    return coeffs, certs
 
 
 def quadric_to_certificate(w: QuadricPoint) -> CertificatePoint:
@@ -186,53 +179,15 @@ def quadric_to_certificate(w: QuadricPoint) -> CertificatePoint:
     return CertificatePoint(w.config, ProjPoint(coeffs + certs))
 
 
-def _check_line_shape(config: PointConfig) -> None:
-    if config.n != config.degree + 1:
-        raise ValueError("line construction needs exactly n = degree + 1")
-
-
-def parametrize_quadric(config: PointConfig, direction: ProjPoint) -> QuadricPoint:
-    """Second intersection of the single quadric with the line through the
-    all-ones point in direction (q, 0).
-
-    The image equal to the all-ones base point (direction on the
-    polar locus mu = 0) is returned as-is; callers can test
-    QuadricPoint.is_base_point.  A direction with mu = nu = 0 leaves
-    the image undefined and raises DegenerateParameterError.
-    """
-    _check_line_shape(config)
-    d = config.degree
-    if len(direction) != d + 1:
-        raise ValueError(f"direction needs {d + 1} coordinates, got {len(direction)}")
-    cof = bracket_cofactors(config, d + 1)
-    q = direction.coords
-    mu = sum(cof[j] * q[j] for j in range(d + 1))
-    nu = sum(cof[j] * q[j] ** 2 for j in range(d + 1))
-    if mu == 0 and nu == 0:
-        raise DegenerateParameterError("direction lies on the quadric and its polar")
-    image = [2 * mu * q[j] - nu for j in range(d + 1)] + [-nu]
-    return QuadricPoint(config, ProjPoint(tuple(image)))
-
-
-def parametrize_quadric_inverse(w: QuadricPoint) -> ProjPoint:
-    """Direction recovering a quadric-variety point under the line map:
-    coordinate-wise difference with the last coordinate."""
-    _check_line_shape(w.config)
-    d = w.config.degree
-    y = w.point.coords
-    diffs = [y[j] - y[d + 1] for j in range(d + 1)]
-    if all(c == 0 for c in diffs):
-        raise IndeterminatePointError("inverse undefined at the all-ones base point")
-    return ProjPoint(tuple(diffs))
-
-
 def _plane_k(config: PointConfig) -> int:
-    d, n = config.degree, config.n
-    if d % 2 != 0:
-        raise ValueError("plane construction needs an even degree bound")
-    k = d // 2
-    if n != 3 * k + 1:
-        raise ValueError("plane construction needs exactly n = 3k + 1 nodes past the first")
+    """k = n - d - 1, so the k+1 extra indices give a (k+1) x (k+2) system;
+    the power points T_0..T_k lie on the variety only when 2k <= d."""
+    d = config.degree
+    k = config.n - d - 1
+    if 2 * k > d:
+        raise ValueError(
+            f"power-span construction needs 2k <= d for k = n - d - 1; got k = {k}, d = {d}"
+        )
     return k
 
 
@@ -270,8 +225,9 @@ def parametrize_plane(config: PointConfig, direction: ProjPoint) -> QuadricPoint
     point, and dividing each row by its content leaves the kernel as it
     is.  Directions whose system matrix drops rank (all mu zero) raise
     DegenerateParameterError.  When mu_{k+1} = 0 the image lies inside
-    the spanned plane itself; it is still returned, and callers can
-    test QuadricPoint.in_plane.
+    the spanned plane itself (for k = 0: the base point, when q is on the
+    polar); it is still returned, and callers can test
+    QuadricPoint.in_plane.
     """
     k = _plane_k(config)
     d = config.degree
@@ -292,21 +248,25 @@ def parametrize_plane(config: PointConfig, direction: ProjPoint) -> QuadricPoint
     return QuadricPoint(config, ProjPoint(tuple(image)))
 
 
-def parametrize_plane_inverse(w: QuadricPoint) -> ProjPoint:
-    """Direction recovering a quadric-variety point under the plane map.
-
-    Interpolate the degree <= k polynomial g through the tail
-    coordinates (x_m, Y_m), m = d+1..n, and return the differences
-    (Y_0 - g(x_0), .., Y_d - g(x_d)).  Points inside the spanned plane
-    make every difference vanish and raise IndeterminatePointError.
-    """
+def _plane_residuals(w: QuadricPoint) -> list[int]:
+    """D_tail * Y_i - G(x_i) for i = 0..d, where G / D_tail is the degree
+    <= k interpolant of the tail coordinates (x_m, Y_m), m = d+1..n.  All
+    vanish exactly when the point lies in the span of T_0..T_k."""
     config = w.config
-    k = _plane_k(config)
-    d = config.degree
+    _plane_k(config)
     y = w.point.coords
-    tail = [(config.nodes[m], y[m]) for m in config.extra_indices]
-    g = interpolate(tail, k)
-    diffs = [y[i] - eval_poly(g, config.nodes[i]) for i in range(d + 1)]
-    if all(c == 0 for c in diffs):
+    tail = config.extra_indices
+    dt, g = _scaled_interpolant([config.nodes[m] for m in tail], [y[m] for m in tail])
+    return [dt * y[i] - eval_poly(g, config.nodes[i]) for i in range(config.degree + 1)]
+
+
+def parametrize_plane_inverse(w: QuadricPoint) -> ProjPoint:
+    """Direction recovering a quadric-variety point under the plane map:
+    the residuals D_tail * (Y_i - g(x_i)), i = 0..d, with g the tail
+    interpolant.  Points inside the spanned plane make every residual
+    vanish and raise IndeterminatePointError.
+    """
+    diffs = _plane_residuals(w)
+    if not any(diffs):
         raise IndeterminatePointError("inverse undefined on the power-point plane")
-    return ProjPoint.from_rationals(diffs)
+    return ProjPoint(tuple(diffs))

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -263,6 +264,15 @@ class TestVerifyCommand:
         assert [json.loads(line)["poly"] for line in out.splitlines()] == [["1", "24"]]
         assert "malformed JSON document" in err
 
+    @pytest.mark.parametrize("value", ["1,24", "-1,-24"])
+    def test_abbreviated_option_refused(self, value):
+        # one spelling per option, so a leading negative never depends on it
+        code, out, err = run_cli("verify", "--set", "0,1,2", "--pol", value)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --pol" in err
+        code, out, err = run_cli("verify", "--set", "0,1,2", "--poly", value)
+        assert (code, err) == (0, "") and json.loads(out)["ok"] is True
+
     def test_from_json_conflicts_with_set(self):
         code, _, err = run_cli("verify", "--set", "0,1,2", "--from-json", "-", stdin="{}")
         assert code == 1 and "from-json" in err
@@ -316,6 +326,18 @@ class TestSearchCommand:
         code, _, err = run_cli("search", "--set", "0,1,2", "--max-degree", "9", "--max-height", "50")
         assert code == 1
         assert "DIOPOLY_SEARCH_CEILING" in err
+
+    def test_huge_box_refused_fast(self):
+        # the full count has 47713 digits, past Python's int->str limit
+        t0 = time.monotonic()
+        argv = ("search", "--set", "0,1", "--max-degree", "100000", "--max-height", "1")
+        code, out, err = run_cli(*argv)
+        elapsed = time.monotonic() - t0
+        assert (code, out) == (1, "")
+        assert elapsed < 1
+        assert "more than 100000000 candidates" in err
+        assert "DIOPOLY_SEARCH_CEILING" in err
+        assert "Exceeds the limit" not in err and "digits" not in err
 
     def test_env_ceiling_override(self, monkeypatch):
         monkeypatch.setenv("DIOPOLY_SEARCH_CEILING", "3")

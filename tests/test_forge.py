@@ -233,6 +233,21 @@ class TestSampledConstruction:
         assert exc.value.stats["attempts"] == 1
         assert exc.value.stats["degree-dropped"] == 1
 
+    def test_polar_direction_counted_in_plane(self):
+        # (2, 1) is on the polar of {0, 1, 2}: the image is the base point,
+        # which is the whole plane of a line config
+        class Stub:
+            draws = iter([2, 1])
+
+            def randint(self, lo, hi):
+                return next(self.draws)
+
+        with pytest.raises(ConstructionError) as exc:
+            construct_witness([0, 1, 2], "quadric", rng=Stub(), max_attempts=1)
+        assert exc.value.stats["attempts"] == 1
+        assert exc.value.stats["in-plane"] == 1
+        assert "base-point" not in exc.value.stats
+
     def test_param_bound_validation(self):
         with pytest.raises(ValueError):
             construct_witness([0, 1, 2], "quadric", param_bound=0)

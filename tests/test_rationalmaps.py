@@ -1,5 +1,6 @@
-"""The forward/reverse maps between the two varieties and the two
-parametrizations, checked as exact projective identities."""
+"""The forward/reverse maps between the two varieties and the power-span
+parametrization (line configs are its k = 0 case), checked as exact
+projective identities."""
 
 import random
 from fractions import Fraction
@@ -17,8 +18,6 @@ from diopoly.rationalmaps import (
     node_vandermonde,
     parametrize_plane,
     parametrize_plane_inverse,
-    parametrize_quadric,
-    parametrize_quadric_inverse,
     plane_system_matrix,
     quadric_to_certificate,
     quadric_to_certificate_raw,
@@ -59,16 +58,9 @@ def sample_direction(rnd, length, bound=12):
             return ProjPoint(coords)
 
 
-def line_point(config, direction):
-    """Parametrized point, or None on the degenerate/base locus."""
-    try:
-        w = parametrize_quadric(config, direction)
-    except DegenerateParameterError:
-        return None
-    return None if w.is_base_point else w
-
-
 def plane_point(config, direction):
+    """Parametrized point, or None on the degenerate locus or in the
+    plane (for a line config: the base point)."""
     try:
         w = parametrize_plane(config, direction)
     except DegenerateParameterError:
@@ -97,11 +89,14 @@ class TestWrappers:
         assert v.degenerate
 
     def test_base_point_flag(self):
+        # on a line config (k = 0) the plane is the base point alone
         w = QuadricPoint(LINE_CFG, base_point(LINE_CFG))
-        assert w.is_base_point
+        assert w.in_plane
+        assert not QuadricPoint(LINE_CFG, ProjPoint((1, 5, 7))).in_plane
 
-    def test_in_plane_needs_even_degree(self):
-        w = QuadricPoint(LINE_CFG, ProjPoint((1, 5, 7)))
+    def test_in_plane_needs_2k_at_most_d(self):
+        cfg = PointConfig(tuple(range(6)), 2)  # k = 2 > d / 2
+        w = QuadricPoint(cfg, base_point(cfg))
         with pytest.raises(ValueError):
             w.in_plane
 
@@ -147,7 +142,7 @@ class TestReverseMap:
         # A point with Y_0 = 0 still maps; the image is degenerate for the
         # forward direction rather than an error here.
         cfg = PointConfig((0, 1, 2, 3), 2)
-        w = parametrize_quadric(cfg, ProjPoint((3, 4, 5)))
+        w = parametrize_plane(cfg, ProjPoint((3, 4, 5)))
         assert w.point.coords == (0, 1, 2, -3)
         v = quadric_to_certificate(w)
         assert v.degenerate
@@ -161,7 +156,7 @@ class TestReverseMap:
             sign = -1 if d % 2 else 1
             dd = node_vandermonde(cfg)
             for _ in range(25):
-                w = line_point(cfg, sample_direction(rnd, d + 1))
+                w = plane_point(cfg, sample_direction(rnd, d + 1))
                 if w is None:
                     continue
                 coeffs, _ = quadric_to_certificate_raw(w)
@@ -189,7 +184,7 @@ class TestRoundTrips:
         rnd = random.Random(23)
         for cfg in line_configs():
             for _ in range(30):
-                w = line_point(cfg, sample_direction(rnd, cfg.degree + 1))
+                w = plane_point(cfg, sample_direction(rnd, cfg.degree + 1))
                 if w is None or w.point.coords[0] == 0:
                     continue
                 again = certificate_to_quadric(quadric_to_certificate(w))
@@ -199,7 +194,7 @@ class TestRoundTrips:
         rnd = random.Random(29)
         for cfg in line_configs():
             for _ in range(30):
-                w = line_point(cfg, sample_direction(rnd, cfg.degree + 1))
+                w = plane_point(cfg, sample_direction(rnd, cfg.degree + 1))
                 if w is None or w.point.coords[0] == 0:
                     continue
                 v = quadric_to_certificate(w)
@@ -219,34 +214,37 @@ class TestRoundTrips:
 
 
 class TestLineParametrization:
+    """Line configs (n = d + 1) through the power-span map with k = 0."""
+
     def test_worked_image(self):
-        w = parametrize_quadric(LINE_CFG, ProjPoint((3, 1)))
+        w = parametrize_plane(LINE_CFG, ProjPoint((3, 1)))
         assert w.point.coords == (1, 5, 7)
 
     def test_polar_direction_gives_base_point(self):
-        w = parametrize_quadric(LINE_CFG, ProjPoint((2, 1)))
-        assert w.is_base_point
+        w = parametrize_plane(LINE_CFG, ProjPoint((2, 1)))
+        assert w.point == base_point(LINE_CFG)
+        assert w.in_plane
 
     def test_worked_inverse(self):
         w = QuadricPoint(LINE_CFG, ProjPoint((1, 5, 7)))
-        assert parametrize_quadric_inverse(w).coords == (3, 1)
+        assert parametrize_plane_inverse(w).coords == (3, 1)
 
     def test_inverse_undefined_at_base_point(self):
         w = QuadricPoint(LINE_CFG, base_point(LINE_CFG))
         with pytest.raises(IndeterminatePointError):
-            parametrize_quadric_inverse(w)
+            parametrize_plane_inverse(w)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
-            parametrize_quadric(PLANE_CFG, ProjPoint((1, 1, 1)))  # n != d+1
+            parametrize_plane(PointConfig(tuple(range(6)), 2), ProjPoint((1, 1, 1)))  # 2k > d
         with pytest.raises(ValueError):
-            parametrize_quadric(LINE_CFG, ProjPoint((1, 1, 1)))  # bad length
+            parametrize_plane(LINE_CFG, ProjPoint((1, 1, 1)))  # bad length
 
     def test_images_lie_on_variety(self):
         rnd = random.Random(37)
         for cfg in line_configs():
             for _ in range(50):
-                w = line_point(cfg, sample_direction(rnd, cfg.degree + 1))
+                w = plane_point(cfg, sample_direction(rnd, cfg.degree + 1))
                 if w is not None:
                     assert on_quadric_variety(cfg, w.point)
 
@@ -255,17 +253,17 @@ class TestLineParametrization:
         for cfg in line_configs():
             for _ in range(40):
                 q = sample_direction(rnd, cfg.degree + 1)
-                w = line_point(cfg, q)
+                w = plane_point(cfg, q)
                 if w is None:
                     continue
-                assert parametrize_quadric_inverse(w) == q
+                assert parametrize_plane_inverse(w) == q
 
     @given(st.tuples(st.integers(-40, 40), st.integers(-40, 40)).filter(lambda q: any(q)))
     def test_round_trip_degree_one(self, q):
         direction = ProjPoint(q)
-        w = line_point(LINE_CFG, direction)
+        w = plane_point(LINE_CFG, direction)
         if w is not None:
-            assert parametrize_quadric_inverse(w) == direction
+            assert parametrize_plane_inverse(w) == direction
 
 
 class TestPlaneParametrization:
@@ -313,10 +311,13 @@ class TestPlaneParametrization:
             parametrize_plane_inverse(w)
 
     def test_shape_validation(self):
+        cfg = PointConfig(tuple(range(6)), 2)  # k = n - d - 1 = 2 > d / 2
         with pytest.raises(ValueError):
-            parametrize_plane(LINE_CFG, ProjPoint((1, 1)))  # odd degree
+            parametrize_plane(cfg, ProjPoint((1, 1, 1)))
         with pytest.raises(ValueError):
-            parametrize_plane(PointConfig((0, 1, 2, 3), 2), ProjPoint((1, 1, 1)))
+            plane_system_matrix(cfg, ProjPoint((1, 1, 1)))
+        with pytest.raises(ValueError):
+            parametrize_plane_inverse(QuadricPoint(cfg, base_point(cfg)))
         with pytest.raises(ValueError):
             parametrize_plane(PLANE_CFG, ProjPoint((1, 1)))  # bad length
 
@@ -390,3 +391,33 @@ def test_closed_forms_match_laplace_minors(case):
         for j in range(d + 1)
     ]
     assert list(quadric_to_certificate_raw(w)[0]) == expected
+
+
+@st.composite
+def power_span_cases(draw):
+    """Every shape the power-span map takes: d >= 1 (odd too) and any
+    k = n - d - 1 with 2k <= d, from line configs (k = 0) up to d = 2k."""
+    d = draw(st.integers(1, 6))
+    k = draw(st.integers(0, d // 2))
+    size = d + k + 2
+    nodes = draw(st.lists(st.integers(-12, 12), min_size=size, max_size=size, unique=True))
+    direction = draw(st.lists(st.integers(-5, 5), min_size=d + 1, max_size=d + 1).filter(any))
+    return PointConfig(tuple(nodes), d), ProjPoint(tuple(direction))
+
+
+@settings(max_examples=150, deadline=None)
+@given(power_span_cases())
+def test_power_span_image_and_inverse(case):
+    """The image lies on the variety and, off the plane, the inverse returns
+    the direction; images in the plane leave the inverse undefined."""
+    cfg, q = case
+    try:
+        w = parametrize_plane(cfg, q)
+    except DegenerateParameterError:
+        return
+    assert on_quadric_variety(cfg, w.point)
+    if w.in_plane:
+        with pytest.raises(IndeterminatePointError):
+            parametrize_plane_inverse(w)
+    else:
+        assert parametrize_plane_inverse(w) == q
