@@ -10,7 +10,7 @@ on the associated twisted curves (twist), and a JSON-emitting command
 line (cli).
 """
 
-from .exactmath import integer_sqrt, interpolate
+from .exactmath import integer_sqrt
 from .variety import (
     DiagonalQuadric,
     PointConfig,
@@ -49,7 +49,6 @@ from .twist import DegenerateTwistError, TwistCurve, TwistPointSet, twist_points
 __version__ = "0.1.0"
 
 __all__ = [
-    "interpolate",
     "integer_sqrt",
     "ProjPoint",
     "PointConfig",

@@ -398,6 +398,8 @@ def _cmd_search(args) -> int:
     override = os.environ.get(CEILING_ENV_VAR)
     if override is not None:
         ceiling = _parse_int(override, CEILING_ENV_VAR)
+        if ceiling < 1:
+            raise _UsageError(f"{CEILING_ENV_VAR} must be at least 1, got {ceiling}")
     report = brute_force_search(elements, args.max_degree, args.max_height, ceiling=ceiling)
     _emit(_search_report_document, report)
     return 0

@@ -19,7 +19,6 @@ __all__ = [
     "vandermonde",
     "lagrange_basis",
     "integer_kernel",
-    "interpolate",
     "eval_poly",
     "integer_sqrt",
 ]
@@ -110,33 +109,6 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> list[int] | None:
     for i, c in enumerate(pivots):
         out[c] = -scale * a[i][free]
     return out
-
-
-def interpolate(
-    points: Sequence[tuple[Scalar, Scalar]], max_degree: int
-) -> tuple[Fraction, ...]:
-    """Lagrange interpolation through exactly max_degree + 1 points.
-
-    Returns ascending coefficients (always max_degree + 1 of them;
-    trailing zeros are kept, so the represented degree may be lower).
-    Duplicate abscissae or a wrong point count raise ValueError.
-    """
-    if max_degree < 0:
-        raise ValueError("max_degree must be non-negative")
-    if len(points) != max_degree + 1:
-        raise ValueError(
-            f"need exactly {max_degree + 1} points for degree bound {max_degree}, got {len(points)}"
-        )
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("duplicate abscissae in interpolation nodes")
-
-    coeffs = [Fraction(0)] * (max_degree + 1)
-    for (weight, basis), (_, y) in zip(lagrange_basis(xs), points):
-        scale = Fraction(y) / weight
-        for t, c in enumerate(basis):
-            coeffs[t] += scale * c
-    return tuple(coeffs)
 
 
 def eval_poly(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:

@@ -445,13 +445,16 @@ def brute_force_search(
     lexicographic) is deterministic and the found list preserves it.
     Scaling a polynomial never changes whether products of its values
     are squares, so primitive representatives lose nothing.  Boxes
-    larger than the ceiling are refused outright.
+    larger than the ceiling are refused outright; the ceiling must be at
+    least 1.
     """
     elems = _validate_elements(elements, minimum=2)
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     if max_height < 1:
         raise ValueError("max_height must be at least 1")
+    if ceiling < 1:
+        raise ValueError("ceiling must be at least 1")
     size = _search_size(max_degree, max_height, ceiling)
     if size > ceiling:
         raise SearchSpaceError(f"search box holds more than {ceiling} candidates", size)

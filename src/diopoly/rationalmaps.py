@@ -12,19 +12,23 @@ Vandermonde product of the first d+1 nodes.  The reconstructed
 polynomial satisfies f(x_i) = (-1)^d * D * Y_i^2 at every node, which
 is what makes the certificate identities hold; it is therefore computed
 as (-1)^d * D times the Lagrange interpolant of the Y_i^2 over
-x_0..x_d, whose integer form needs no determinant.  With the (-1)^d twist
-on the certificates, both composites are exact projective identities
-away from the f(x_0) = 0 locus, not merely identities up to
-coordinate signs.
+x_0..x_d, whose integer form needs no determinant.  D and the scaled
+weights D / w_i come from the config's base table
+(PointConfig.base_lagrange), built once per config; the bracket
+cofactors are read off the same weights.  With the (-1)^d twist on the
+certificates, both composites are exact projective identities away
+from the f(x_0) = 0 locus, not merely identities up to coordinate
+signs.
 
 Parametrization of the quadric side (needs 2k <= d for k = n - d - 1):
 the variety contains the plane spanned by the power points T_0..T_k;
 for a direction q the residual intersection point is
 sum(mu_t * T_t) + mu_{k+1} * q_hat, where q_hat pads q with zeros and
 the mu span the kernel of a (k+1) x (k+2) integer system matrix of
-bracket evaluations.  A line config (n = d + 1) is the case k = 0:
-T_0 is the all-ones base point, so the image is the second intersection
-of the single quadric with the line through it in direction q_hat.
+bracket evaluations, taken with the config's cofactor rows.  A line
+config (n = d + 1) is the case k = 0: T_0 is the all-ones base point,
+so the image is the second intersection of the single quadric with the
+line through it in direction q_hat.
 The inverse and the plane test read the residuals D_tail * Y_i - G(x_i),
 where G / D_tail interpolates the tail coordinates in the same integer
 Lagrange form as the reverse map.
@@ -123,20 +127,28 @@ class QuadricPoint:
 
 def node_vandermonde(config: PointConfig) -> int:
     """Vandermonde product of the first d+1 nodes."""
-    return vandermonde(config.nodes[: config.degree + 1])
+    return config.base_lagrange[0]
+
+
+def _lagrange_sum(
+    weights: Sequence[tuple[int, Sequence[int]]], values: Sequence[int]
+) -> list[int]:
+    """G = sum_i s_i * v_i * b_i over pairs (s_i, b_i) = (V / w_i, b_i), so
+    G / V is the Lagrange interpolant of the values."""
+    g = [0] * len(weights)
+    for (s, basis), value in zip(weights, values):
+        scale = s * value
+        for t, c in enumerate(basis):
+            g[t] += scale * c
+    return g
 
 
 def _scaled_interpolant(xs: Sequence[int], values: Sequence[int]) -> tuple[int, list[int]]:
     """(V, G) with V the Vandermonde product of the integer nodes xs and
-    G = sum_i (V / w_i) * v_i * b_i, so G / V is the Lagrange interpolant
-    of the values; each V / w_i is an exact integer quotient."""
+    G / V the Lagrange interpolant of the values; each V / w_i is an exact
+    integer quotient."""
     v = vandermonde(xs)
-    g = [0] * len(xs)
-    for (weight, basis), value in zip(lagrange_basis(xs), values):
-        scale = (v // weight) * value
-        for t, c in enumerate(basis):
-            g[t] += scale * c
-    return v, g
+    return v, _lagrange_sum([(v // w, b) for w, b in lagrange_basis(xs)], values)
 
 
 def certificate_to_quadric(v: CertificatePoint) -> QuadricPoint:
@@ -159,7 +171,8 @@ def quadric_to_certificate_raw(w: QuadricPoint) -> tuple[tuple[int, ...], tuple[
     config = w.config
     d, n = config.degree, config.n
     y = w.point.coords
-    dd, g = _scaled_interpolant(config.nodes[: d + 1], [c**2 for c in y[: d + 1]])
+    dd, weights = config.base_lagrange
+    g = _lagrange_sum(weights, [c**2 for c in y[: d + 1]])
     sign = -1 if d % 2 else 1
     coeffs = tuple(sign * c for c in g)
 
@@ -205,14 +218,16 @@ def plane_system_matrix(config: PointConfig, direction: ProjPoint) -> list[list[
     if len(direction) != d + 1:
         raise ValueError(f"direction needs {d + 1} coordinates, got {len(direction)}")
     q = direction.coords
+    xs = config.nodes[: d + 1]
     rows = []
     for m in config.extra_indices:
-        cof = bracket_cofactors(config, m)
-        row = [
-            2 * sum(cof[i] * q[i] * config.nodes[i] ** t for i in range(d + 1))
-            for t in range(k + 1)
-        ]
-        row.append(sum(cof[i] * q[i] ** 2 for i in range(d + 1)))
+        a = [c * qi for c, qi in zip(bracket_cofactors(config, m), q)]
+        squares = sum(ai * qi for ai, qi in zip(a, q))
+        row = [2 * sum(a)]
+        for _ in range(k):
+            a = [ai * x for ai, x in zip(a, xs)]
+            row.append(2 * sum(a))
+        row.append(squares)
         rows.append(row)
     return rows
 

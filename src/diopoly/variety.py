@@ -15,7 +15,9 @@ works on:
   the equation is diagonal in the squares; the coefficients are the
   signed maximal minors of the power block, i.e. Vandermonde
   products of d+1 of the d+2 chosen nodes, so no determinant is ever
-  taken.
+  taken.  All of them follow from the Lagrange weights D / w_j of the
+  base nodes x_0..x_d (D their Vandermonde product), which a config
+  computes once, on first use, together with every cofactor row.
 
 Points are canonical primitive integer vectors (content one, first
 nonzero coordinate positive), so point equality is tuple equality and
@@ -26,11 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import reduce
-from typing import Iterable, Sequence
+from functools import cached_property, reduce
+from typing import Sequence
 
-from .exactmath import Scalar, eval_poly, vandermonde
+from .exactmath import Scalar, eval_poly, lagrange_basis, vandermonde
 
 __all__ = [
     "ProjPoint",
@@ -72,15 +73,6 @@ class ProjPoint:
         sign = 1 if first > 0 else -1
         object.__setattr__(self, "coords", tuple(sign * c // g for c in raw))
 
-    @classmethod
-    def from_rationals(cls, values: Iterable[Scalar]) -> "ProjPoint":
-        """Clear denominators of a rational vector, then canonicalize."""
-        fracs = [Fraction(v) for v in values]
-        if not fracs:
-            raise ValueError("projective point needs at least one coordinate")
-        common = reduce(lambda a, b: a * b // math.gcd(a, b), (f.denominator for f in fracs), 1)
-        return cls(tuple(int(f * common) for f in fracs))
-
     def __len__(self) -> int:
         return len(self.coords)
 
@@ -97,6 +89,9 @@ class PointConfig:
 
     Requires d >= 1 and n >= d + 1 (so there is at least one quadric).
     Nodes are plain ints, which keeps every bracket cofactor an integer.
+    The node tables (base_lagrange, cofactor_rows) are built on first
+    use and live as long as the config; they take no part in equality
+    or hashing.
     """
 
     nodes: tuple[int, ...]
@@ -125,6 +120,35 @@ class PointConfig:
     def extra_indices(self) -> range:
         """Indices d+1..n, one diagonal quadric per index."""
         return range(self.degree + 1, self.n + 1)
+
+    @cached_property
+    def base_lagrange(self) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+        """(D, ((D / w_0, b_0), .., (D / w_d, b_d))) over the base nodes
+        x_0..x_d: D is their Vandermonde product, and w_j, b_j are the
+        weight and basis polynomial of exactmath.lagrange_basis, so
+        sum_j (D / w_j) * v_j * b_j is D times the interpolant of the v_j.
+        Each D / w_j is an exact integer quotient."""
+        xs = self.nodes[: self.degree + 1]
+        dd = vandermonde(xs)
+        return dd, tuple((dd // w, tuple(b)) for w, b in lagrange_basis(xs))
+
+    @cached_property
+    def cofactor_rows(self) -> tuple[tuple[int, ...], ...]:
+        """bracket_cofactors for the extra indices d+1..n, in order.
+
+        Over the d+2 nodes (x_0..x_d, x_m) the Vandermonde product is
+        D * P_m with P_m = prod_{i<=d} (x_m - x_i), and node j <= d has
+        weight w_j * (x_j - x_m), so cofactor j is
+        -(D / w_j) * (P_m / (x_m - x_j)) and the last one is D; both
+        quotients are exact.
+        """
+        dd, weights = self.base_lagrange
+        base = self.nodes[: self.degree + 1]
+        rows = []
+        for xm in self.nodes[self.degree + 1 :]:
+            pm = math.prod(xm - xi for xi in base)
+            rows.append(tuple(-s * (pm // (xm - xj)) for (s, _), xj in zip(weights, base)) + (dd,))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -168,16 +192,12 @@ def bracket_cofactors(config: PointConfig, extra_index: int) -> tuple[int, ...]:
     with last row z equals the dot product of this vector with z.  That
     minor is the Vandermonde product of the other d+1 columns' nodes,
     and with its sign it equals V / w_j, where V is the Vandermonde
-    product of all d+2 nodes and w_j = prod_{a != j} (x_j - x_a); the
-    division is exact.
+    product of all d+2 nodes and w_j = prod_{a != j} (x_j - x_a).  The
+    first call builds the rows of every extra index at once
+    (PointConfig.cofactor_rows); later calls look them up.
     """
     _check_extra_index(config, extra_index)
-    xs = config.nodes[: config.degree + 1] + (config.nodes[extra_index],)
-    full = vandermonde(xs)
-    return tuple(
-        full // math.prod(xj - xa for a, xa in enumerate(xs) if a != j)
-        for j, xj in enumerate(xs)
-    )
+    return config.cofactor_rows[extra_index - config.degree - 1]
 
 
 def bracket(config: PointConfig, z_values: Sequence[Scalar], extra_index: int) -> Scalar:
@@ -207,7 +227,10 @@ def on_quadric_variety(config: PointConfig, point: ProjPoint) -> bool:
     """Whether (Y_0..Y_n) satisfies every defining diagonal quadric."""
     if len(point) != config.n + 1:
         raise ValueError(f"point needs {config.n + 1} coordinates, got {len(point)}")
-    return all(q.squares_residual(point.coords) == 0 for q in diagonal_quadrics(config))
+    # the raw brackets: a zero test does not depend on their scale
+    squares = [c * c for c in point.coords]
+    base = squares[: config.degree + 1]
+    return all(bracket(config, base + [squares[m]], m) == 0 for m in config.extra_indices)
 
 
 def on_certificate_variety(config: PointConfig, point: ProjPoint) -> bool:

@@ -14,18 +14,28 @@ from itertools import combinations
 
 
 def laplace_det(rows):
-    """Determinant by cofactor expansion along the first row."""
+    """Determinant by cofactor expansion along the first row, recursively,
+    exact for int and Fraction entries.  A minor is fixed by its column
+    set (its rows are the last ones), so each is expanded once per call:
+    n * 2^n steps instead of n!."""
     n = len(rows)
     assert n > 0 and all(len(r) == n for r in rows)
-    if n == 1:
-        return Fraction(rows[0][0])
-    total = Fraction(0)
-    for j, top in enumerate(rows[0]):
-        if top == 0:
-            continue
-        minor = [list(r[:j]) + list(r[j + 1 :]) for r in rows[1:]]
-        total += (-1) ** j * Fraction(top) * laplace_det(minor)
-    return total
+    minors = {}
+
+    def expand(cols):
+        if cols not in minors:
+            top = rows[n - len(cols)]
+            if len(cols) == 1:
+                minors[cols] = top[cols[0]]
+            else:
+                minors[cols] = sum(
+                    (-1) ** pos * top[c] * expand(cols[:pos] + cols[pos + 1 :])
+                    for pos, c in enumerate(cols)
+                    if top[c] != 0
+                )
+        return minors[cols]
+
+    return expand(tuple(range(n)))
 
 
 def alternating_minors(rows):

@@ -347,6 +347,13 @@ class TestSearchCommand:
         code, out, _ = run_cli("search", "--set", "1,3", "--max-degree", "1", "--max-height", "2")
         assert code == 0
 
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_env_ceiling_below_one_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("DIOPOLY_SEARCH_CEILING", value)
+        code, out, err = run_cli("search", "--set", "0,1", "--max-degree", "1", "--max-height", "1")
+        assert (code, out) == (1, "")
+        assert f"DIOPOLY_SEARCH_CEILING must be at least 1, got {value}" in err
+
 
 class TestSubprocessPipe:
     def test_construct_verify_pipe(self, cli_env):

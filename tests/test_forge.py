@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from diopoly import forge
+from diopoly import forge, rationalmaps, variety
 from diopoly.exactmath import eval_poly
 from diopoly.forge import (
     DEFAULT_SEARCH_CEILING,
@@ -304,6 +304,20 @@ class TestCertificateRoots:
         verify_witness([0, 1, 2], [1, 24])
         assert len(calls) == 3  # the counter is live
 
+    def test_one_node_table_per_construction(self, monkeypatch):
+        """Cofactors, system matrix, variety check, reverse map and root
+        identity all read the config's tables: a plane witness on 0..29
+        (21 base nodes, 11 extra) takes one Vandermonde product for the
+        base nodes and one for the tail interpolant of the in-plane test."""
+        calls = []
+        for module in (variety, rationalmaps):
+            real = module.vandermonde
+            monkeypatch.setattr(
+                module, "vandermonde", lambda xs, real=real: calls.append(len(xs)) or real(xs)
+            )
+        construct_witness(range(30), "plane", seed=1)
+        assert sorted(calls) == [11, 21]
+
     @pytest.mark.parametrize(
         "elems,method,kwargs",
         [
@@ -397,6 +411,11 @@ class TestBruteForceSearch:
     def test_ceiling_override(self):
         report = brute_force_search([1, 3], max_degree=1, max_height=1, ceiling=10)
         assert report.exhausted
+
+    @pytest.mark.parametrize("ceiling", [-5, 0])
+    def test_ceiling_below_one_rejected(self, ceiling):
+        with pytest.raises(ValueError, match="ceiling must be at least 1"):
+            brute_force_search([0, 1], max_degree=1, max_height=1, ceiling=ceiling)
 
     def test_tight_ceiling_refuses(self):
         with pytest.raises(SearchSpaceError):

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diopoly.exactmath import eval_poly, integer_kernel
 from diopoly.rationalmaps import (
@@ -30,7 +30,7 @@ from diopoly.variety import (
     on_quadric_variety,
 )
 
-from oracles import alternating_minors, laplace_det
+from oracles import alternating_minors, laplace_det, vandermonde_product
 
 LINE_CFG = PointConfig((0, 1, 2), 1)
 PLANE_CFG = PointConfig((0, 1, 2, 3, 4), 2)
@@ -346,24 +346,38 @@ class TestPlaneParametrization:
 
 
 @st.composite
-def plane_configs_and_directions(draw):
-    k = draw(st.integers(1, 2))
-    nodes = draw(st.lists(st.integers(-9, 9), min_size=3 * k + 2, max_size=3 * k + 2, unique=True))
-    direction = draw(
-        st.lists(st.integers(-5, 5), min_size=2 * k + 1, max_size=2 * k + 1).filter(any)
-    )
-    return PointConfig(tuple(nodes), 2 * k), ProjPoint(tuple(direction))
+def power_span_cases(draw, max_degree=6):
+    """Every shape the power-span map takes: d >= 1 (odd too) and any
+    k = n - d - 1 with 2k <= d, from line configs (k = 0) up to d = 2k;
+    nodes are unsorted and may be negative."""
+    d = draw(st.integers(1, max_degree))
+    k = draw(st.integers(0, d // 2))
+    size = d + k + 2
+    nodes = draw(st.lists(st.integers(-12, 12), min_size=size, max_size=size, unique=True))
+    direction = draw(st.lists(st.integers(-5, 5), min_size=d + 1, max_size=d + 1).filter(any))
+    return PointConfig(tuple(nodes), d), ProjPoint(tuple(direction))
 
 
 @settings(max_examples=60, deadline=None)
-@given(plane_configs_and_directions())
+@given(power_span_cases(max_degree=8))
+@example((PointConfig((3, -7, 0, 11, -2, 5, -9), 4), ProjPoint((2, -1, 0, 3, 1))))
+@example(
+    (
+        PointConfig((5, -3, 9, -8, 0, 2, -1, 7, -6, 4, -4, 1, 8, -2), 8),
+        ProjPoint((1, -2, 0, 3, 1, -1, 2, 0, 1)),
+    )
+)
 def test_closed_forms_match_laplace_minors(case):
     """The closed forms against determinants taken by the Laplace oracle:
-    bracket cofactors are the signed minors of the power block, the plane
-    kernel is proportional to the alternating maximal minors of the
-    system matrix, and the reverse map is the (d+1)-minor formula."""
+    bracket cofactors are the signed minors of the power block, the node
+    Vandermonde is the power block's determinant, the plane kernel is
+    proportional to the alternating maximal minors of the system matrix,
+    and the reverse map is the (d+1)-minor formula."""
     cfg, q = case
     d = cfg.degree
+    base_power = [[cfg.nodes[j] ** t for j in range(d + 1)] for t in range(d + 1)]
+    assert node_vandermonde(cfg) == vandermonde_product(cfg.nodes[: d + 1])
+    assert node_vandermonde(cfg) == laplace_det(base_power)
     for m in cfg.extra_indices:
         cols = [cfg.nodes[j] for j in range(d + 1)] + [cfg.nodes[m]]
         power = [[x**t for x in cols] for t in range(d + 1)]
@@ -384,25 +398,12 @@ def test_closed_forms_match_laplace_minors(case):
     assert all(kernel[i] * mus[j] == kernel[j] * mus[i] for i in range(len(mus)) for j in range(i))
 
     y = w.point.coords
-    power = [[cfg.nodes[j] ** t for j in range(d + 1)] for t in range(d + 1)]
     squares = [c**2 for c in y[: d + 1]]
     expected = [
-        (-1) ** j * laplace_det([power[t] for t in range(d + 1) if t != j] + [squares])
+        (-1) ** j * laplace_det([base_power[t] for t in range(d + 1) if t != j] + [squares])
         for j in range(d + 1)
     ]
     assert list(quadric_to_certificate_raw(w)[0]) == expected
-
-
-@st.composite
-def power_span_cases(draw):
-    """Every shape the power-span map takes: d >= 1 (odd too) and any
-    k = n - d - 1 with 2k <= d, from line configs (k = 0) up to d = 2k."""
-    d = draw(st.integers(1, 6))
-    k = draw(st.integers(0, d // 2))
-    size = d + k + 2
-    nodes = draw(st.lists(st.integers(-12, 12), min_size=size, max_size=size, unique=True))
-    direction = draw(st.lists(st.integers(-5, 5), min_size=d + 1, max_size=d + 1).filter(any))
-    return PointConfig(tuple(nodes), d), ProjPoint(tuple(direction))
 
 
 @settings(max_examples=150, deadline=None)

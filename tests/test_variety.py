@@ -71,14 +71,6 @@ class TestProjPoint:
         with pytest.raises(TypeError):
             ProjPoint((True, 1))
 
-    def test_from_rationals_clears_denominators(self):
-        p = ProjPoint.from_rationals([Fraction(1, 2), Fraction(1, 3)])
-        assert p.coords == (3, 2)
-
-    def test_from_rationals_sign(self):
-        p = ProjPoint.from_rationals([0, Fraction(-1, 2)])
-        assert p.coords == (0, 1)
-
     def test_sequence_protocol(self):
         p = ProjPoint((2, 4))
         assert len(p) == 2 and p[1] == 2 and tuple(p) == (1, 2)
@@ -129,6 +121,18 @@ class TestPointConfig:
             PointConfig((0, 1, 2), 0)
         with pytest.raises(ValueError):
             PointConfig((0, 1, 2), 2)  # needs at least degree+2 nodes
+
+    def test_tables_leave_equality_and_hash_alone(self):
+        """The node tables are stored on the instance once built, yet a
+        config with them equals and hashes like one without."""
+        built, fresh = PointConfig((3, -1, 4, 0, 7), 2), PointConfig((3, -1, 4, 0, 7), 2)
+        before = hash(built)
+        assert bracket_cofactors(built, 4) == built.cofactor_rows[1]
+        assert {"base_lagrange", "cofactor_rows"} <= set(vars(built))
+        assert not {"base_lagrange", "cofactor_rows"} & set(vars(fresh))
+        assert built.cofactor_rows is built.cofactor_rows
+        assert built == fresh and hash(built) == before == hash(fresh)
+        assert {fresh: "found"}[built] == "found"
 
 
 class TestBrackets:
@@ -241,7 +245,7 @@ class TestDiagonalQuadrics:
         values = [eval_poly(coeffs, x) for x in cfg.nodes]
         if all(v == 0 for v in values):
             return
-        assert on_quadric_variety(cfg, ProjPoint.from_rationals(values))
+        assert on_quadric_variety(cfg, ProjPoint(tuple(values)))
 
 
 class TestVarietyMembership:
