@@ -5,9 +5,9 @@ squeezed through a binary float; small structural numbers (pair indices,
 degree bounds) stay JSON integers.  Output is byte-deterministic for a
 fixed seed: fixed key order, compact separators, one document per line.
 
-Integer input is strict (optional sign, ASCII digits, no empty fields)
-and stays under CPython's int<->str digit limit; output integers are
-formatted with that limit lifted, so any size is printed.
+Integer input is strict (optional sign, ASCII digits, no empty fields,
+at most INPUT_DIGITS_CAP digits); CPython's int<->str digit limit is
+lifted while integers are parsed and printed, so any output reads back.
 
 Exit codes: 0 success, 1 usage error (including a refused search box),
 2 construction failure, 3 verification failure.
@@ -39,6 +39,7 @@ from .forge import (
 from .twist import DegenerateTwistError, TwistPointSet, twist_points
 
 __all__ = [
+    "INPUT_DIGITS_CAP",
     "WITNESS_DOCUMENT_SCHEMA",
     "witness_document",
     "parse_witness_document",
@@ -49,6 +50,9 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 CEILING_ENV_VAR = "DIOPOLY_SEARCH_CEILING"
+# longest integer input in digits: parsing is quadratic in the digit count,
+# and construct prints far shorter integers for sets of a few hundred elements
+INPUT_DIGITS_CAP = 100_000
 
 _DECIMAL = {"type": "string", "pattern": "^-?[0-9]+$"}
 _RATIONAL = {"type": "string", "pattern": "^-?[0-9]+(/[1-9][0-9]*)?$"}
@@ -153,20 +157,16 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_int(text: str, where: str) -> int:
-    """One decimal integer, surrounding whitespace allowed.  A ValueError
-    names the field by `where` and echoes at most 40 characters."""
+    """One decimal integer of at most INPUT_DIGITS_CAP digits, surrounding
+    whitespace allowed.  A ValueError names the field, echoing <= 40 chars."""
     field = text.strip()
     if not _INTEGER.fullmatch(field):
         shown = repr(field) if len(field) <= 40 else f"{field[:40]!r}..."
         raise ValueError(f"{where} is not a decimal integer: {shown}")
-    try:
+    if (digits := len(field.lstrip("+-"))) > INPUT_DIGITS_CAP:
+        raise ValueError(f"{where} has {digits} digits, over the input cap of {INPUT_DIGITS_CAP}")
+    with _int_str_limit_lifted():
         return int(field, 10)
-    except ValueError:
-        # a well-formed field fails only on the int<->str digit limit
-        raise ValueError(
-            f"{where} has {len(field.lstrip('+-'))} digits, over Python's "
-            f"limit of {sys.get_int_max_str_digits()} digits for integer strings"
-        ) from None
 
 
 def _parse_ints(fields, where: str) -> list[int]:
@@ -284,7 +284,7 @@ def _attach_negative_lists(argv: Sequence[str]) -> list[str]:
 
 @contextmanager
 def _int_str_limit_lifted():
-    """Lift the int->str digit limit for the duration, then restore it.
+    """Lift the int<->str digit limit for the duration, then restore it.
     Python before 3.10.7 has no limit and no setter."""
     setter = getattr(sys, "set_int_max_str_digits", None)
     if setter is None:

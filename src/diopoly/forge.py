@@ -4,9 +4,9 @@ whose value products over all distinct pairs are perfect squares.
 Every construction pushes a projective parameter through the one
 power-span parametrization (k = n - d - 1) onto the quadric variety (a
 point Y) and pulls integer coefficients back through the reverse
-birational map, whose identity f(x) = +-D * Y_x^2 (D a Vandermonde
-product), checked once per node, gives every pair root as
-|D * Y_a * Y_b|; verify_witness re-checks them by integer square roots.
+birational map, whose identity f(x) = +-L * Y_x^2 (L the lcm of the
+base Lagrange weights), checked once per node, gives every pair root
+as |L * Y_a * Y_b|; verify_witness re-checks them by integer square roots.
 A method only chooses the node configuration:
 
 * quadric: nodes are the set itself, degree |S| - 2 (k = 0, a line);
@@ -32,9 +32,8 @@ from .rationalmaps import (
     CertificatePoint,
     DegenerateParameterError,
     QuadricPoint,
-    node_vandermonde,
     parametrize_plane,
-    quadric_to_certificate_raw,
+    quadric_to_certificate_lcm,
 )
 from .variety import PointConfig, ProjPoint
 
@@ -95,9 +94,9 @@ class Polynomial:
     Trailing zero coefficients are trimmed on construction so degree is
     exact; the zero polynomial is rejected.  Content is preserved: the
     construction pipeline emits coefficients exactly as the reverse map
-    produces them (only the overall sign is normalized), because the
-    certificate identities pin those integers.  Use primitive_part for
-    the content-free representative.
+    produces them on the scale L (only the overall sign is normalized),
+    because the certificate identities f(x) = +-L * Y_x^2 pin those
+    integers.  Use primitive_part for the content-free representative.
     """
 
     coeffs: tuple[int, ...]
@@ -284,15 +283,15 @@ def _build_witness(
     elems: tuple[int, ...],
     padding: tuple[int, ...],
 ) -> Witness:
-    coeffs, certs = quadric_to_certificate_raw(w)
-    # the reverse map pins f(x) = (-1)^d * D * Y_x^2 at every node, so
-    # f(a) * f(b) = (D * Y_a * Y_b)^2 whatever sign f is normalized to
-    dd = node_vandermonde(config)
-    t = -dd if config.degree % 2 else dd
+    coeffs, certs = quadric_to_certificate_lcm(w)
+    # the reverse map pins f(x) = (-1)^d * L * Y_x^2 at every node, so
+    # f(a) * f(b) = (L * Y_a * Y_b)^2 whatever sign f is normalized to
+    ll = config.base_lagrange[0]
+    t = -ll if config.degree % 2 else ll
     y = dict(zip(config.nodes, w.point.coords))
     bad = [x for x in config.nodes if eval_poly(coeffs, x) != t * y[x] ** 2]
     if bad:
-        raise ConstructionError(f"reverse map breaks f(x) = +-D * Y_x^2 at node {bad[0]}")
+        raise ConstructionError(f"reverse map breaks f(x) = +-L * Y_x^2 at node {bad[0]}")
     poly = Polynomial(coeffs).sign_normalized()
     certificate = CertificatePoint(config, ProjPoint(coeffs + certs))
 
@@ -301,7 +300,7 @@ def _build_witness(
         flags.add(FLAG_DEGREE_DROPPED)
 
     ys = [abs(y[x]) for x in elems]
-    dys = [abs(dd) * v for v in ys]
+    dys = [ll * v for v in ys]
     roots = tuple((i, j, dys[i] * ys[j]) for i, j in combinations(range(len(elems)), 2))
 
     return Witness(
@@ -355,14 +354,8 @@ def construct_witness(
     if param_bound < 1:
         raise ValueError("param_bound must be at least 1")
     rng = rng if rng is not None else random.Random(seed)
-    stats = {
-        "attempts": 0,
-        "degenerate-parameter": 0,
-        "in-plane": 0,
-        "degree-dropped": 0,
-        "zero-value": 0,
-        "base-node-zero": 0,
-    }
+    counters = "attempts degenerate-parameter in-plane degree-dropped zero-value base-node-zero"
+    stats = dict.fromkeys(counters.split(), 0)
     for _ in range(max_attempts):
         stats["attempts"] += 1
         coords = [rng.randint(-param_bound, param_bound) for _ in range(plen)]

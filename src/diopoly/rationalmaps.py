@@ -8,17 +8,15 @@ Reverse map: from (Y_0..Y_n), coefficient j of the polynomial is
 (-1)^j times the minor obtained from the (d+2) x (d+1) array of power
 rows plus the squares row (Y_0^2..Y_d^2) by deleting power row j; the
 certificates are z_i = (-1)^d * D * Y_0 * Y_i, where D is the
-Vandermonde product of the first d+1 nodes.  The reconstructed
-polynomial satisfies f(x_i) = (-1)^d * D * Y_i^2 at every node, which
-is what makes the certificate identities hold; it is therefore computed
-as (-1)^d * D times the Lagrange interpolant of the Y_i^2 over
-x_0..x_d, whose integer form needs no determinant.  D and the scaled
-weights D / w_i come from the config's base table
-(PointConfig.base_lagrange), built once per config; the bracket
-cofactors are read off the same weights.  With the (-1)^d twist on the
-certificates, both composites are exact projective identities away
-from the f(x_0) = 0 locus, not merely identities up to coordinate
-signs.
+Vandermonde product of the first d+1 nodes.  Then
+f(x_i) = (-1)^d * D * Y_i^2 at every node, which makes the certificate
+identities hold, as they do for any constant multiple.  The pipeline
+takes L / D times both, L the lcm of the base Lagrange weights w_i: f is
+(-1)^d * L times the Lagrange interpolant of the Y_i^2 over x_0..x_d,
+built from the config's weights L / w_i (PointConfig.base_lagrange)
+with no determinant.  With the (-1)^d twist on the certificates, both
+composites are exact projective identities away from the f(x_0) = 0
+locus, not merely identities up to coordinate signs.
 
 Parametrization of the quadric side (needs 2k <= d for k = n - d - 1):
 the variety contains the plane spanned by the power points T_0..T_k;
@@ -43,13 +41,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .exactmath import eval_poly, integer_kernel, lagrange_basis, vandermonde
 from .variety import (
     PointConfig,
     ProjPoint,
-    bracket_cofactors,
     on_certificate_variety,
     on_quadric_variety,
 )
@@ -63,6 +61,7 @@ __all__ = [
     "certificate_to_quadric",
     "quadric_to_certificate",
     "quadric_to_certificate_raw",
+    "quadric_to_certificate_lcm",
     "plane_system_matrix",
     "parametrize_plane",
     "parametrize_plane_inverse",
@@ -118,16 +117,17 @@ class QuadricPoint:
         if not on_quadric_variety(self.config, self.point):
             raise ValueError("coordinates do not satisfy the quadric equations")
 
-    @property
+    @cached_property
     def in_plane(self) -> bool:
         """Whether the point lies in the span of the power points T_0..T_k,
-        k = n - d - 1; for a line config (k = 0) that is the base point."""
+        k = n - d - 1; for a line config (k = 0) that is the base point.
+        Images of parametrize_plane carry it, read off their kernel."""
         return not any(_plane_residuals(self))
 
 
 def node_vandermonde(config: PointConfig) -> int:
     """Vandermonde product of the first d+1 nodes."""
-    return config.base_lagrange[0]
+    return vandermonde(config.nodes[: config.degree + 1])
 
 
 def _lagrange_sum(
@@ -159,26 +159,29 @@ def certificate_to_quadric(v: CertificatePoint) -> QuadricPoint:
     return QuadricPoint(v.config, ProjPoint((fx0, *v.certificates)))
 
 
+def quadric_to_certificate_lcm(w: QuadricPoint) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """quadric_to_certificate_raw times L / D: f(x_i) = (-1)^d * L * Y_i^2
+    at every node index i and z_i = (-1)^d * L * Y_0 * Y_i, with f built
+    as (-1)^d * sum_i (L / w_i) * Y_i^2 * b_i(x) from the config's table."""
+    d, y = w.config.degree, w.point.coords
+    ll, weights = w.config.base_lagrange
+    sign = -1 if d % 2 else 1
+    coeffs = tuple(sign * c for c in _lagrange_sum(weights, [c**2 for c in y[: d + 1]]))
+    scale = sign * ll * y[0]
+    return coeffs, tuple(scale * c for c in y[1:])
+
+
 def quadric_to_certificate_raw(w: QuadricPoint) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Reverse map before projective canonicalization.
 
     Returns (coefficients f_0..f_d, certificates z_1..z_n), equal to the
     literal minor and product formulas; the coefficient part satisfies
     f(x_i) = (-1)^d * D * Y_i^2 exactly at every node index i.  It is
-    built in Lagrange form, (-1)^d * sum_i (D / w_i) * Y_i^2 * b_i(x),
-    where each D / w_i is an exact integer quotient.
+    quadric_to_certificate_lcm times D / L, an exact integer quotient.
     """
-    config = w.config
-    d, n = config.degree, config.n
-    y = w.point.coords
-    dd, weights = config.base_lagrange
-    g = _lagrange_sum(weights, [c**2 for c in y[: d + 1]])
-    sign = -1 if d % 2 else 1
-    coeffs = tuple(sign * c for c in g)
-
-    scale = sign * dd * y[0]
-    certs = tuple(scale * y[i] for i in range(1, n + 1))
-    return coeffs, certs
+    coeffs, certs = quadric_to_certificate_lcm(w)
+    scale = node_vandermonde(w.config) // w.config.base_lagrange[0]
+    return tuple(scale * c for c in coeffs), tuple(scale * z for z in certs)
 
 
 def quadric_to_certificate(w: QuadricPoint) -> CertificatePoint:
@@ -188,7 +191,7 @@ def quadric_to_certificate(w: QuadricPoint) -> CertificatePoint:
     points whose polynomial vanishes at the base node (flagged through
     CertificatePoint.degenerate) rather than raising.
     """
-    coeffs, certs = quadric_to_certificate_raw(w)
+    coeffs, certs = quadric_to_certificate_lcm(w)
     return CertificatePoint(w.config, ProjPoint(coeffs + certs))
 
 
@@ -210,8 +213,8 @@ def plane_system_matrix(config: PointConfig, direction: ProjPoint) -> list[list[
 
     Row m - (d+1) covers extra index m: the first k+1 entries are twice
     the bracket of (q_i * x_i^t) padded with zero at m, the last entry
-    is the bracket of the squared direction.  Brackets enter raw, with
-    their full Vandermonde content.
+    is the bracket of the squared direction.  Brackets enter on the
+    scale of the config's cofactor rows, D / L times the literal minors.
     """
     k = _plane_k(config)
     d = config.degree
@@ -220,8 +223,8 @@ def plane_system_matrix(config: PointConfig, direction: ProjPoint) -> list[list[
     q = direction.coords
     xs = config.nodes[: d + 1]
     rows = []
-    for m in config.extra_indices:
-        a = [c * qi for c, qi in zip(bracket_cofactors(config, m), q)]
+    for cof in config.cofactor_rows:
+        a = [c * qi for c, qi in zip(cof, q)]
         squares = sum(ai * qi for ai, qi in zip(a, q))
         row = [2 * sum(a)]
         for _ in range(k):
@@ -241,8 +244,10 @@ def parametrize_plane(config: PointConfig, direction: ProjPoint) -> QuadricPoint
     is.  Directions whose system matrix drops rank (all mu zero) raise
     DegenerateParameterError.  When mu_{k+1} = 0 the image lies inside
     the spanned plane itself (for k = 0: the base point, when q is on the
-    polar); it is still returned, and callers can test
-    QuadricPoint.in_plane.
+    polar); it is still returned, with QuadricPoint.in_plane set from
+    the kernel: the tail coordinates are the values of sum(mu_t * x^t),
+    of degree <= k, at k+1 nodes, and q is nonzero, so the image lies in
+    the plane exactly when mu_{k+1} = 0.
     """
     k = _plane_k(config)
     d = config.degree
@@ -260,7 +265,9 @@ def parametrize_plane(config: PointConfig, direction: ProjPoint) -> QuadricPoint
         if i <= d:
             val += mus[k + 1] * q[i]
         image.append(val)
-    return QuadricPoint(config, ProjPoint(tuple(image)))
+    w = QuadricPoint(config, ProjPoint(tuple(image)))
+    vars(w)["in_plane"] = mus[k + 1] == 0
+    return w
 
 
 def _plane_residuals(w: QuadricPoint) -> list[int]:

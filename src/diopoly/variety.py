@@ -15,9 +15,9 @@ works on:
   the equation is diagonal in the squares; the coefficients are the
   signed maximal minors of the power block, i.e. Vandermonde
   products of d+1 of the d+2 chosen nodes, so no determinant is ever
-  taken.  All of them follow from the Lagrange weights D / w_j of the
-  base nodes x_0..x_d (D their Vandermonde product), which a config
-  computes once, on first use, together with every cofactor row.
+  taken.  A config computes all of them once, on first use, divided by
+  D / L (D the Vandermonde product of the base nodes x_0..x_d, L the lcm
+  of their Lagrange weights w_j), together with the weights L / w_j.
 
 Points are canonical primitive integer vectors (content one, first
 nonzero coordinate positive), so point equality is tuple equality and
@@ -123,31 +123,31 @@ class PointConfig:
 
     @cached_property
     def base_lagrange(self) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-        """(D, ((D / w_0, b_0), .., (D / w_d, b_d))) over the base nodes
-        x_0..x_d: D is their Vandermonde product, and w_j, b_j are the
-        weight and basis polynomial of exactmath.lagrange_basis, so
-        sum_j (D / w_j) * v_j * b_j is D times the interpolant of the v_j.
-        Each D / w_j is an exact integer quotient."""
-        xs = self.nodes[: self.degree + 1]
-        dd = vandermonde(xs)
-        return dd, tuple((dd // w, tuple(b)) for w, b in lagrange_basis(xs))
+        """(L, ((L / w_0, b_0), .., (L / w_d, b_d))) over the base nodes
+        x_0..x_d: w_j, b_j are the weight and basis polynomial of
+        exactmath.lagrange_basis and L = lcm(|w_0|..|w_d|), so
+        sum_j (L / w_j) * v_j * b_j is L times the interpolant of the v_j.
+        L divides D, as each w_j is +-D over the differences without x_j."""
+        basis = lagrange_basis(self.nodes[: self.degree + 1])
+        ll = math.lcm(*(w for w, _ in basis))
+        return ll, tuple((ll // w, tuple(b)) for w, b in basis)
 
     @cached_property
     def cofactor_rows(self) -> tuple[tuple[int, ...], ...]:
-        """bracket_cofactors for the extra indices d+1..n, in order.
+        """bracket_cofactors of the extra indices d+1..n, in order, over D / L.
 
         Over the d+2 nodes (x_0..x_d, x_m) the Vandermonde product is
         D * P_m with P_m = prod_{i<=d} (x_m - x_i), and node j <= d has
-        weight w_j * (x_j - x_m), so cofactor j is
-        -(D / w_j) * (P_m / (x_m - x_j)) and the last one is D; both
+        weight w_j * (x_j - x_m), so cofactor j over D / L is
+        -(L / w_j) * (P_m / (x_m - x_j)) and the last one is L; both
         quotients are exact.
         """
-        dd, weights = self.base_lagrange
+        ll, weights = self.base_lagrange
         base = self.nodes[: self.degree + 1]
         rows = []
         for xm in self.nodes[self.degree + 1 :]:
             pm = math.prod(xm - xi for xi in base)
-            rows.append(tuple(-s * (pm // (xm - xj)) for (s, _), xj in zip(weights, base)) + (dd,))
+            rows.append(tuple(-s * (pm // (xm - xj)) for (s, _), xj in zip(weights, base)) + (ll,))
         return tuple(rows)
 
 
@@ -192,20 +192,19 @@ def bracket_cofactors(config: PointConfig, extra_index: int) -> tuple[int, ...]:
     with last row z equals the dot product of this vector with z.  That
     minor is the Vandermonde product of the other d+1 columns' nodes,
     and with its sign it equals V / w_j, where V is the Vandermonde
-    product of all d+2 nodes and w_j = prod_{a != j} (x_j - x_a).  The
-    first call builds the rows of every extra index at once
-    (PointConfig.cofactor_rows); later calls look them up.
+    product of all d+2 nodes and w_j = prod_{a != j} (x_j - x_a).  It is
+    the config's L-scaled row times D / L (PointConfig.cofactor_rows).
     """
     _check_extra_index(config, extra_index)
-    return config.cofactor_rows[extra_index - config.degree - 1]
+    scale = vandermonde(config.nodes[: config.degree + 1]) // config.base_lagrange[0]
+    return tuple(scale * c for c in config.cofactor_rows[extra_index - config.degree - 1])
 
 
 def bracket(config: PointConfig, z_values: Sequence[Scalar], extra_index: int) -> Scalar:
     """Bracket determinant with an arbitrary last row, exactly."""
-    _check_extra_index(config, extra_index)
+    cof = bracket_cofactors(config, extra_index)
     if len(z_values) != config.degree + 2:
         raise ValueError(f"need {config.degree + 2} last-row values, got {len(z_values)}")
-    cof = bracket_cofactors(config, extra_index)
     return sum(c * z for c, z in zip(cof, z_values))
 
 
@@ -227,10 +226,11 @@ def on_quadric_variety(config: PointConfig, point: ProjPoint) -> bool:
     """Whether (Y_0..Y_n) satisfies every defining diagonal quadric."""
     if len(point) != config.n + 1:
         raise ValueError(f"point needs {config.n + 1} coordinates, got {len(point)}")
-    # the raw brackets: a zero test does not depend on their scale
+    # the L-scaled brackets: a zero test does not depend on their scale
     squares = [c * c for c in point.coords]
     base = squares[: config.degree + 1]
-    return all(bracket(config, base + [squares[m]], m) == 0 for m in config.extra_indices)
+    rows = zip(config.cofactor_rows, squares[config.degree + 1 :])
+    return all(sum(c * v for c, v in zip(row, base + [s])) == 0 for row, s in rows)
 
 
 def on_certificate_variety(config: PointConfig, point: ProjPoint) -> bool:

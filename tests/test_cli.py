@@ -17,6 +17,7 @@ needs_digit_limit = pytest.mark.skipif(
 )
 
 from diopoly.cli import (
+    INPUT_DIGITS_CAP,
     SCHEMA_VERSION,
     WITNESS_DOCUMENT_SCHEMA,
     _parse_ints,
@@ -280,26 +281,38 @@ class TestVerifyCommand:
     def test_missing_file_exit_one(self):
         assert run_cli("verify", "--from-json", "/nonexistent/w.json")[0] == 1
 
-    @needs_digit_limit
     def test_over_limit_input_names_the_limit(self):
-        limit = sys.get_int_max_str_digits()
-        big = "9" * (limit + 701)
-        code, _, err = run_cli("verify", "--set", "0,1", "--poly", f"{big},0")
-        assert code == 1
-        assert f"--poly field 1 has {limit + 701} digits" in err
-        assert f"limit of {limit} digits" in err
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        big = "9" * (INPUT_DIGITS_CAP + 1)
+        code, out, err = run_cli("verify", "--set", "0,1", "--poly", f"{big},0")
+        assert (code, out) == (1, "")
+        assert f"--poly field 1 has {INPUT_DIGITS_CAP + 1} digits" in err
+        assert f"over the input cap of {INPUT_DIGITS_CAP}" in err
         assert len(err) < 200  # the input is not echoed
-        assert sys.get_int_max_str_digits() == limit
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
-    @needs_digit_limit
     def test_over_limit_document_entry_names_the_limit(self):
-        limit = sys.get_int_max_str_digits()
-        doc = {"schema_version": "1", "set": ["0", "1", "2"], "poly": ["1", "9" * (limit + 1)]}
+        doc = {
+            "schema_version": "1",
+            "set": ["0", "1", "2"],
+            "poly": ["1", "-" + "9" * (INPUT_DIGITS_CAP + 1)],
+        }
         code, out, err = run_cli("verify", "--from-json", "-", stdin=json.dumps(doc))
         assert (code, out) == (1, "")
-        assert f"entry 2 has {limit + 1} digits" in err
-        assert f"limit of {limit} digits" in err
+        assert f"entry 2 has {INPUT_DIGITS_CAP + 1} digits" in err
+        assert f"over the input cap of {INPUT_DIGITS_CAP}" in err
         assert len(err) < 200
+
+    @needs_digit_limit
+    def test_input_past_python_digit_limit(self):
+        # 5000 digits is over CPython's default limit of 4300, under the cap
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli("verify", "--set", "0,1", "--poly", "9" * 5000 + ",0")
+        assert (code, err) == (0, "") and json.loads(out)["ok"] is True
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_input_at_the_cap(self):
+        assert _parse_ints(["-" + "9" * INPUT_DIGITS_CAP], "field") == [1 - 10**INPUT_DIGITS_CAP]
 
     def test_output_past_the_digit_limit(self):
         # f = 10^3000 - 1 is valid input; f(0) * f(1) has 6000 digits
@@ -311,6 +324,16 @@ class TestVerifyCommand:
         assert pair["product"] == "9" * 2999 + "8" + "0" * 2999 + "1"
         assert pair["root"] == "9" * 3000
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    @pytest.mark.parametrize("method", ["quadric", "plane"])
+    def test_reads_its_own_output_on_0_to_89(self, method):
+        # with the Vandermonde product as scale, the quadric witness had
+        # 5261-digit coefficients here, and verify refused them with exit 1
+        elements = ",".join(str(x) for x in range(90))
+        code, out, _ = run_cli("construct", "--set", elements, "--method", method, "--seed", "1")
+        assert code == 0
+        code, report, err = run_cli("verify", "--from-json", "-", stdin=out)
+        assert (code, err) == (0, "") and json.loads(report)["ok"] is True
 
 
 class TestSearchCommand:

@@ -306,17 +306,19 @@ class TestCertificateRoots:
 
     def test_one_node_table_per_construction(self, monkeypatch):
         """Cofactors, system matrix, variety check, reverse map and root
-        identity all read the config's tables: a plane witness on 0..29
-        (21 base nodes, 11 extra) takes one Vandermonde product for the
-        base nodes and one for the tail interpolant of the in-plane test."""
-        calls = []
+        identity all read the config's tables on the scale L, and the
+        in-plane test reads the kernel: a plane witness on 0..29 (21 base
+        nodes, 11 extra) takes one Lagrange basis, for the base nodes, and
+        no Vandermonde product at all."""
+        calls = {"vandermonde": [], "lagrange_basis": []}
         for module in (variety, rationalmaps):
-            real = module.vandermonde
-            monkeypatch.setattr(
-                module, "vandermonde", lambda xs, real=real: calls.append(len(xs)) or real(xs)
-            )
+            for name, seen in calls.items():
+                real = getattr(module, name)
+                monkeypatch.setattr(
+                    module, name, lambda xs, real=real, seen=seen: seen.append(len(xs)) or real(xs)
+                )
         construct_witness(range(30), "plane", seed=1)
-        assert sorted(calls) == [11, 21]
+        assert calls == {"vandermonde": [], "lagrange_basis": [21]}
 
     @pytest.mark.parametrize(
         "elems,method,kwargs",
@@ -328,13 +330,13 @@ class TestCertificateRoots:
         ],
     )
     def test_tampered_reverse_map_raises(self, monkeypatch, elems, method, kwargs):
-        real = forge.quadric_to_certificate_raw
+        real = forge.quadric_to_certificate_lcm
 
         def bumped(w):
             coeffs, certs = real(w)
             return (coeffs[0] + 1, *coeffs[1:]), certs
 
-        monkeypatch.setattr(forge, "quadric_to_certificate_raw", bumped)
+        monkeypatch.setattr(forge, "quadric_to_certificate_lcm", bumped)
         with pytest.raises(ConstructionError, match="reverse map breaks"):
             construct_witness(elems, method, **kwargs)
 

@@ -2,6 +2,7 @@
 parametrization (line configs are its k = 0 case), checked as exact
 projective identities."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from diopoly.rationalmaps import (
     parametrize_plane_inverse,
     plane_system_matrix,
     quadric_to_certificate,
+    quadric_to_certificate_lcm,
     quadric_to_certificate_raw,
 )
 from diopoly.variety import (
@@ -404,6 +406,56 @@ def test_closed_forms_match_laplace_minors(case):
         for j in range(d + 1)
     ]
     assert list(quadric_to_certificate_raw(w)[0]) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(power_span_cases(max_degree=8))
+@example((PointConfig((3, -7, 0, 11, -2, 5, -9), 4), ProjPoint((2, -1, 0, 3, 1))))
+@example((PointConfig((9, -4, 2, -11, 0, 6), 3), ProjPoint((1, 0, -2, 1))))
+def test_literal_forms_are_d_over_l_times_the_pipeline(case):
+    """The config tables and the pipeline's reverse map sit on the scale L,
+    the lcm of the base Lagrange weights; the literal minors and the
+    literal reverse map are exactly D / L times them, D the Vandermonde
+    product of the base nodes, and reduce to the same projective point."""
+    cfg, q = case
+    d = cfg.degree
+    base = cfg.nodes[: d + 1]
+    ll = math.lcm(*(math.prod(xi - xj for xj in base if xj != xi) for xi in base))
+    ratio = vandermonde_product(base) / ll
+    assert ratio.denominator == 1 and cfg.base_lagrange[0] == ll
+    ratio = int(ratio)
+    for m, row in zip(cfg.extra_indices, cfg.cofactor_rows):
+        assert row[-1] == ll
+        assert bracket_cofactors(cfg, m) == tuple(ratio * c for c in row)
+    try:
+        w = parametrize_plane(cfg, q)
+    except DegenerateParameterError:
+        return
+    coeffs, certs = quadric_to_certificate_lcm(w)
+    y = w.point.coords
+    sign = (-1) ** d
+    assert [eval_poly(coeffs, x) for x in cfg.nodes] == [sign * ll * c**2 for c in y]
+    assert certs == tuple(sign * ll * y[0] * c for c in y[1:])
+    raw = quadric_to_certificate_raw(w)
+    assert raw == (tuple(ratio * c for c in coeffs), tuple(ratio * z for z in certs))
+    assert quadric_to_certificate(w).point == ProjPoint(raw[0] + raw[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(power_span_cases())
+@example((LINE_CFG, ProjPoint((2, 1))))  # the polar direction: the base point
+@example((PLANE_CFG, ProjPoint((2, 3, -1))))
+@example((PointConfig((3, -7, 0, 11, -2, 5, -9), 4), ProjPoint((-1, -3, -3, -3, -3))))
+def test_kernel_in_plane_test_agrees_with_residuals(case):
+    """parametrize_plane reads in_plane off its kernel (mu_{k+1} = 0); the
+    same point rebuilt from its coordinates tests the tail residuals."""
+    cfg, q = case
+    try:
+        w = parametrize_plane(cfg, q)
+    except DegenerateParameterError:
+        return
+    assert "in_plane" in vars(w)
+    assert w.in_plane == QuadricPoint(cfg, w.point).in_plane
 
 
 @settings(max_examples=150, deadline=None)

@@ -127,7 +127,8 @@ class TestPointConfig:
         config with them equals and hashes like one without."""
         built, fresh = PointConfig((3, -1, 4, 0, 7), 2), PointConfig((3, -1, 4, 0, 7), 2)
         before = hash(built)
-        assert bracket_cofactors(built, 4) == built.cofactor_rows[1]
+        # base nodes (3, -1, 4): D = -20, L = lcm(4, 20, 5) = 20, so D / L = -1
+        assert bracket_cofactors(built, 4) == tuple(-c for c in built.cofactor_rows[1])
         assert {"base_lagrange", "cofactor_rows"} <= set(vars(built))
         assert not {"base_lagrange", "cofactor_rows"} & set(vars(fresh))
         assert built.cofactor_rows is built.cofactor_rows
