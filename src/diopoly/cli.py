@@ -23,6 +23,7 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .forge import (
@@ -156,7 +157,7 @@ def witness_document(witness: Witness, include_twist: bool = False) -> dict:
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _parse_int(text: str, where: str) -> int:
+def _decimal(text: str, where: str) -> int:
     """One decimal integer of at most INPUT_DIGITS_CAP digits, surrounding
     whitespace allowed.  A ValueError names the field, echoing <= 40 chars."""
     field = text.strip()
@@ -165,13 +166,19 @@ def _parse_int(text: str, where: str) -> int:
         raise ValueError(f"{where} is not a decimal integer: {shown}")
     if (digits := len(field.lstrip("+-"))) > INPUT_DIGITS_CAP:
         raise ValueError(f"{where} has {digits} digits, over the input cap of {INPUT_DIGITS_CAP}")
+    return int(field, 10)
+
+
+def _parse_int(text: str, where: str) -> int:
     with _int_str_limit_lifted():
-        return int(field, 10)
+        return _decimal(text, where)
 
 
 def _parse_ints(fields, where: str) -> list[int]:
-    """Decimal integers; the first bad field is named "<where> <position>"."""
-    return [_parse_int(text, f"{where} {i}") for i, text in enumerate(fields, 1)]
+    """Decimal integers under one lift of the digit limit; the first bad
+    field is named "<where> <position>"."""
+    with _int_str_limit_lifted():
+        return [_decimal(text, f"{where} {i}") for i, text in enumerate(fields, 1)]
 
 
 def _parse_decimal_list(values, label: str) -> list[int]:
@@ -307,6 +314,7 @@ def _emit(build, *args, **kwargs) -> None:
     sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
+@cache  # built on the first main call, not at import
 def _build_parser() -> _Parser:
     parser = _Parser(prog="diopoly", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)

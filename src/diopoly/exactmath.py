@@ -5,8 +5,8 @@ unbounded, so every equality test in this package is bit-exact.  No
 floating point enters any code path.  The construction works over
 integer nodes, where every determinant it needs has a closed form: a
 Vandermonde product, a Lagrange basis, or the kernel of an r x (r+1)
-matrix.  All functions are pure, which makes everything here safe to
-call from concurrent code.
+matrix by forward elimination and back substitution.  All functions are
+pure, which makes everything here safe to call from concurrent code.
 """
 
 from __future__ import annotations
@@ -61,14 +61,16 @@ def lagrange_basis(xs: Sequence[Scalar]) -> list[tuple[Scalar, list[Scalar]]]:
 
 
 def integer_kernel(rows: Sequence[Sequence[int]]) -> list[int] | None:
-    """Kernel of an r x (r+1) integer matrix A by fraction-free Gauss-Jordan
-    elimination.
+    """Kernel of an r x (r+1) integer matrix A by fraction-free forward
+    elimination and exact back substitution.
 
     Returns the alternating maximal minors (-1)^j * det(A without column j),
     j = 0..r, which span the kernel when A has rank r, or None when the rank
-    is below r (then every maximal minor vanishes).  Each update divides by
-    the previous pivot, and that division is exact (Bareiss 1968, Math.
-    Comp. 22): every intermediate entry is itself a minor of A.
+    is below r (then every maximal minor vanishes).  Each forward update
+    divides by the previous pivot, exactly (Bareiss 1968, Math. Comp. 22):
+    every intermediate entry is a minor of A.  The last pivot fixes the
+    free entry, and back substitution divides exactly, as the minors are
+    the only kernel vector with that entry.
     """
     r = len(rows)
     if r == 0 or any(len(row) != r + 1 for row in rows):
@@ -88,26 +90,22 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> list[int] | None:
         if p != top:
             a[top], a[p] = a[p], a[top]
             sign = -sign
-        piv = a[top]
-        lead = piv[col]
-        for i in range(r):
-            if i != top:
-                f = a[i][col]
-                a[i] = [(lead * x - f * y) // prev for x, y in zip(a[i], piv)]
+        lead, tail = a[top][col], a[top][col + 1 :]
+        # only the rows below change, and none is read left of col + 1 again
+        for row in a[top + 1 :]:
+            f = row[col]
+            row[col + 1 :] = [(lead * x - f * y) // prev for x, y in zip(row[col + 1 :], tail)]
         prev = lead
         pivots.append(col)
     if len(pivots) < r:
         return None
-    # Now row i reads prev at column pivots[i] and b_i at the free column,
-    # so x_free = prev, x_pivots[i] = -b_i spans the kernel.  prev is the
-    # determinant of the row-permuted pivot columns, which fixes the scale
-    # to the alternating minors.
+    # prev is the determinant of the row-permuted pivot columns, so the
+    # alternating minor at the free column is +-prev
     free = next(c for c in range(r + 1) if c not in pivots)
-    scale = sign if free % 2 == 0 else -sign
     out = [0] * (r + 1)
-    out[free] = scale * prev
-    for i, c in enumerate(pivots):
-        out[c] = -scale * a[i][free]
+    out[free] = (sign if free % 2 == 0 else -sign) * prev
+    for i, c in reversed(list(enumerate(pivots))):
+        out[c] = -sum(x * y for x, y in zip(a[i][c + 1 :], out[c + 1 :])) // a[i][c]
     return out
 
 

@@ -211,10 +211,13 @@ def plane_system_matrix(config: PointConfig, direction: ProjPoint) -> list[list[
     """The (k+1) x (k+2) integer system whose kernel gives the plane
     coefficients mu_0..mu_{k+1} (its alternating maximal minors).
 
-    Row m - (d+1) covers extra index m: the first k+1 entries are twice
-    the bracket of (q_i * x_i^t) padded with zero at m, the last entry
-    is the bracket of the squared direction.  Brackets enter on the
-    scale of the config's cofactor rows, D / L times the literal minors.
+    Row m - (d+1) covers extra index m.  With a_j = c_j * q_j over the
+    config's cofactor row c (on the scale L, D / L times the literal minors),
+    entry t = 0..k is 2 * sum_j a_j * x_j^t, twice the bracket of q_i * x_i^t
+    padded with zero at m, and the last is sum_j a_j * q_j, the bracket of the
+    squared direction.  As a_j * (x_m - x_j) = -(L / w_j) * q_j * P_m with
+    P_m = prod_{i<=d} (x_m - x_i), entry t+1 = x_m * entry_t + 2 * P_m * s_t,
+    where the moments s_t = sum_j (L / w_j) * q_j * x_j^t are shared by all rows.
     """
     k = _plane_k(config)
     d = config.degree
@@ -222,15 +225,16 @@ def plane_system_matrix(config: PointConfig, direction: ProjPoint) -> list[list[
         raise ValueError(f"direction needs {d + 1} coordinates, got {len(direction)}")
     q = direction.coords
     xs = config.nodes[: d + 1]
+    weights = config.base_lagrange[1]
+    moments = [sum(s * qi * x**t for (s, _), qi, x in zip(weights, q, xs)) for t in range(k)]
     rows = []
-    for cof in config.cofactor_rows:
+    for xm, cof in zip(config.nodes[d + 1 :], config.cofactor_rows):
         a = [c * qi for c, qi in zip(cof, q)]
-        squares = sum(ai * qi for ai, qi in zip(a, q))
+        twice_pm = 2 * math.prod(xm - x for x in xs)
         row = [2 * sum(a)]
-        for _ in range(k):
-            a = [ai * x for ai, x in zip(a, xs)]
-            row.append(2 * sum(a))
-        row.append(squares)
+        for s in moments:
+            row.append(xm * row[-1] + twice_pm * s)
+        row.append(sum(ai * qi for ai, qi in zip(a, q)))
         rows.append(row)
     return rows
 

@@ -86,3 +86,25 @@ def is_perfect_square(n):
     while i * i < n:
         i += 1
     return i * i == n
+
+
+def plane_system_by_powers(config, direction):
+    """rationalmaps.plane_system_matrix the direct way, without its moment
+    recurrence: over each cofactor row c of the config, a_j = c_j * q_j is
+    rescaled by x_j once per power t = 1..k, and every entry is a fresh sum
+    (2 * sum_j a_j * x_j^t for t = 0..k, then sum_j a_j * q_j)."""
+    d = config.degree
+    k = config.n - d - 1
+    q = direction.coords
+    xs = config.nodes[: d + 1]
+    rows = []
+    for cof in config.cofactor_rows:
+        a = [c * qi for c, qi in zip(cof, q)]
+        squares = sum(ai * qi for ai, qi in zip(a, q))
+        row = [2 * sum(a)]
+        for _ in range(k):
+            a = [ai * x for ai, x in zip(a, xs)]
+            row.append(2 * sum(a))
+        row.append(squares)
+        rows.append(row)
+    return rows

@@ -1,5 +1,6 @@
 """Command-line interface: document shapes, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -16,10 +17,12 @@ needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit limit before 3.10.7"
 )
 
+from diopoly import cli
 from diopoly.cli import (
     INPUT_DIGITS_CAP,
     SCHEMA_VERSION,
     WITNESS_DOCUMENT_SCHEMA,
+    _build_parser,
     _parse_ints,
     document_to_inputs,
     main,
@@ -118,6 +121,13 @@ class TestParserFuzz:
         assert isinstance(values, list)
         assert values == [int(f.strip(), 10) for f in fields]
 
+    def test_one_digit_limit_lift_per_list(self, monkeypatch):
+        lifts = []
+        lifted = cli._int_str_limit_lifted
+        monkeypatch.setattr(cli, "_int_str_limit_lifted", lambda: lifts.append(1) or lifted())
+        assert _parse_ints([str(x) for x in range(250)], "field") == list(range(250))
+        assert len(lifts) == 1
+
 
 class TestConstructCommand:
     def test_golden_line(self):
@@ -157,6 +167,21 @@ class TestConstructCommand:
         a = run_cli("construct", "--set", "0,1,2", "--seed", "9", "--count", "2")
         b = run_cli("construct", "--set", "0,1,2", "--seed", "9", "--count", "2")
         assert a == b
+
+    @pytest.mark.parametrize(
+        "method, digest",
+        [
+            ("plane", "bcc4d130d1e82d3cb4a2ae25fb3c5cc9074f7db4813da82912f77491b64188e6"),
+            ("quadric", "46dbe72bfbc6055a156ceb370d7f6701d97e170d3b3959ee7260bf8cc1cf26e1"),
+        ],
+    )
+    def test_seeded_bytes_on_0_to_29(self, method, digest):
+        # plane on 0..29 solves an 11 x 12 kernel system
+        elements = ",".join(str(x) for x in range(30))
+        argv = ("construct", "--set", elements, "--method", method, "--seed", "1", "--emit-twist")
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_param_with_count_rejected(self):
         code, _, err = run_cli(
@@ -405,3 +430,28 @@ class TestSubprocessPipe:
         )
         _, out, _ = run_cli("construct", "--set", "0,1,2", "--param", "3,1")
         assert proc.stdout == out
+
+    def test_one_parser_serves_a_sequence_of_calls(self, cli_env, monkeypatch):
+        """main reuses one argparse tree; each call of a sequence made in one
+        process exits and prints as the same call made alone."""
+        sequence = [
+            ("construct", "--seed", "1"),
+            ("--help",),
+            ("construct", "--set", "0,1,2,3,4", "--method", "plane", "--seed", "3", "--emit-twist"),
+            ("verify", "--set", "0,1,2", "--poly", "1,24"),
+            ("search", "--set", "0,1,2", "--max-degree", "1", "--max-height", "5"),
+        ]
+        monkeypatch.setenv("COLUMNS", "80")
+        together = [run_cli(*argv)[:2] for argv in sequence]
+        assert _build_parser() is _build_parser()
+        alone = [
+            subprocess.run(
+                [sys.executable, "-m", "diopoly", *argv],
+                capture_output=True,
+                text=True,
+                env=dict(cli_env, COLUMNS="80"),
+            )
+            for argv in sequence
+        ]
+        assert [code for code, _ in together] == [1, 0, 0, 0, 0]
+        assert together == [(proc.returncode, proc.stdout) for proc in alone]

@@ -147,24 +147,58 @@ class TestDet:
         assert kernel_det([[big, 1], [1, big]]) == big * big - 1
 
 
-class TestKernel:
-    @settings(max_examples=300)
-    @given(
-        st.integers(1, 4).flatmap(
-            lambda r: st.lists(
-                st.lists(st.integers(-6, 6), min_size=r + 1, max_size=r + 1),
-                min_size=r,
-                max_size=r,
-            )
+def kernel_matrices(max_r=8, bound=10**30):
+    """r x (r+1) integer matrices, r = 1..max_r, entries in [-bound, bound]."""
+    return st.integers(1, max_r).flatmap(
+        lambda r: st.lists(
+            st.lists(st.integers(-bound, bound), min_size=r + 1, max_size=r + 1),
+            min_size=r,
+            max_size=r,
         )
     )
-    def test_equals_alternating_minors(self, rows):
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """Kernel matrices made singular on purpose: one or two zero columns
+    (two force rank < r, one exercises a skipped pivot column), a row
+    repeated or scaled from another, or a zero row."""
+    rows = draw(kernel_matrices())
+    r = len(rows)
+    kind = draw(st.sampled_from(["zero columns", "proportional row", "zero row"]))
+    if kind == "zero columns":
+        cols = draw(st.sets(st.integers(0, r), min_size=1, max_size=2))
+        return [[0 if c in cols else x for c, x in enumerate(row)] for row in rows]
+    i = draw(st.integers(0, r - 1))
+    if kind == "zero row" or r == 1:
+        rows[i] = [0] * (r + 1)
+    else:
+        j = draw(st.integers(0, r - 1).filter(lambda j: j != i))
+        factor = draw(st.sampled_from([1, -1]) | st.integers(-10**12, 10**12))
+        rows[j] = [factor * x for x in rows[i]]
+    return rows
+
+
+class TestKernel:
+    @staticmethod
+    def assert_minors_or_none(rows):
         mus = alternating_minors(rows)
         got = integer_kernel(rows)
         if all(m == 0 for m in mus):
             assert got is None
         else:
             assert got == mus
+
+    # entries in [-3, 3] make zero pivots and skipped columns common
+    @settings(max_examples=400, deadline=None)
+    @given(kernel_matrices() | kernel_matrices(bound=3))
+    def test_equals_alternating_minors(self, rows):
+        self.assert_minors_or_none(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rank_deficient_matrices())
+    def test_rank_deficient_inputs(self, rows):
+        self.assert_minors_or_none(rows)
 
     def test_rank_deficient_after_a_skipped_column(self):
         assert integer_kernel([[0, 1, 2], [0, 3, 6]]) is None

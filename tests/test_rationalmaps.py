@@ -32,7 +32,12 @@ from diopoly.variety import (
     on_quadric_variety,
 )
 
-from oracles import alternating_minors, laplace_det, vandermonde_product
+from oracles import (
+    alternating_minors,
+    laplace_det,
+    plane_system_by_powers,
+    vandermonde_product,
+)
 
 LINE_CFG = PointConfig((0, 1, 2), 1)
 PLANE_CFG = PointConfig((0, 1, 2, 3, 4), 2)
@@ -348,12 +353,12 @@ class TestPlaneParametrization:
 
 
 @st.composite
-def power_span_cases(draw, max_degree=6):
+def power_span_cases(draw, max_degree=6, min_k=0):
     """Every shape the power-span map takes: d >= 1 (odd too) and any
-    k = n - d - 1 with 2k <= d, from line configs (k = 0) up to d = 2k;
-    nodes are unsorted and may be negative."""
-    d = draw(st.integers(1, max_degree))
-    k = draw(st.integers(0, d // 2))
+    k = n - d - 1 >= min_k with 2k <= d, from line configs (k = 0) up to
+    d = 2k; nodes are unsorted and may be negative."""
+    d = draw(st.integers(max(1, 2 * min_k), max_degree))
+    k = draw(st.integers(min_k, d // 2))
     size = d + k + 2
     nodes = draw(st.lists(st.integers(-12, 12), min_size=size, max_size=size, unique=True))
     direction = draw(st.lists(st.integers(-5, 5), min_size=d + 1, max_size=d + 1).filter(any))
@@ -406,6 +411,16 @@ def test_closed_forms_match_laplace_minors(case):
         for j in range(d + 1)
     ]
     assert list(quadric_to_certificate_raw(w)[0]) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(power_span_cases(max_degree=10, min_k=1))
+@example((PointConfig((3, -7, 0, 11, -2, 5, -9), 4), ProjPoint((2, -1, 0, 3, 1))))
+def test_system_rows_follow_the_moment_recurrence(case):
+    """The system rows built by the moment recurrence equal the rows summed
+    power by power, bit for bit."""
+    cfg, q = case
+    assert plane_system_matrix(cfg, q) == plane_system_by_powers(cfg, q)
 
 
 @settings(max_examples=60, deadline=None)
