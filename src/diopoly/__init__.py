@@ -12,12 +12,8 @@ line (cli).
 
 from .exactmath import integer_sqrt
 from .variety import (
-    DiagonalQuadric,
     PointConfig,
     ProjPoint,
-    bracket,
-    diagonal_quadric,
-    diagonal_quadrics,
     on_certificate_variety,
     on_quadric_variety,
 )
@@ -52,10 +48,6 @@ __all__ = [
     "integer_sqrt",
     "ProjPoint",
     "PointConfig",
-    "DiagonalQuadric",
-    "bracket",
-    "diagonal_quadric",
-    "diagonal_quadrics",
     "on_quadric_variety",
     "on_certificate_variety",
     "CertificatePoint",

@@ -187,8 +187,9 @@ def _parse_decimal_list(values, label: str) -> list[int]:
     return _parse_ints(values, f"document field {label!r} entry")
 
 
-def parse_witness_document(text: str) -> dict:
-    """Parse and structurally validate one witness document."""
+def _load_document(text: str) -> dict:
+    """One witness document's JSON, with its required fields and schema
+    checked; the integer lists are left to document_to_inputs."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -200,8 +201,13 @@ def parse_witness_document(text: str) -> dict:
             raise ValueError(f"witness document misses required field {key!r}")
     if doc["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {doc['schema_version']!r}")
-    _parse_decimal_list(doc["set"], "set")
-    _parse_decimal_list(doc["poly"], "poly")
+    return doc
+
+
+def parse_witness_document(text: str) -> dict:
+    """Parse and structurally validate one witness document."""
+    doc = _load_document(text)
+    document_to_inputs(doc)
     return doc
 
 
@@ -373,7 +379,7 @@ def _document_jobs(lines):
     for line in lines:
         if line.strip():
             seen = True
-            yield document_to_inputs(parse_witness_document(line))
+            yield document_to_inputs(_load_document(line))
     if not seen:
         raise _UsageError("no witness documents on input")
 

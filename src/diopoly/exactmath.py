@@ -4,9 +4,10 @@ Integers are Python ints and rationals are fractions.Fraction, both
 unbounded, so every equality test in this package is bit-exact.  No
 floating point enters any code path.  The construction works over
 integer nodes, where every determinant it needs has a closed form: a
-Vandermonde product, a Lagrange basis, or the kernel of an r x (r+1)
-matrix by forward elimination and back substitution.  All functions are
-pure, which makes everything here safe to call from concurrent code.
+Lagrange basis on the scale of the lcm of its weights, or the kernel of
+an r x (r+1) matrix by forward elimination and back substitution.  All
+functions are pure, which makes everything here safe to call from
+concurrent code.
 """
 
 from __future__ import annotations
@@ -16,24 +17,14 @@ from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
-    "vandermonde",
     "lagrange_basis",
+    "lagrange_table",
     "integer_kernel",
     "eval_poly",
     "integer_sqrt",
 ]
 
 Scalar = int | Fraction
-
-
-def vandermonde(xs: Sequence[Scalar]) -> Scalar:
-    """prod_{i<j} (x_j - x_i), the determinant of the power rows
-    x^0..x^{m-1} over the nodes xs, in the given order."""
-    out = 1
-    for j, xj in enumerate(xs):
-        for xi in xs[:j]:
-            out *= xj - xi
-    return out
 
 
 def lagrange_basis(xs: Sequence[Scalar]) -> list[tuple[Scalar, list[Scalar]]]:
@@ -58,6 +49,19 @@ def lagrange_basis(xs: Sequence[Scalar]) -> list[tuple[Scalar, list[Scalar]]]:
         weight = math.prod(xi - xj for j, xj in enumerate(xs) if j != i)
         out.append((weight, basis))
     return out
+
+
+def lagrange_table(xs: Sequence[int]) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """(L, ((L / w_0, b_0), .., (L / w_m, b_m))) over the integer nodes xs,
+    with w_i, b_i from lagrange_basis and L = lcm(|w_0|..|w_m|).
+
+    sum_i (L / w_i) * v_i * b_i is L times the interpolant of the values v_i.
+    L is the smallest scale that keeps it integral for all integer values,
+    as b_i is monic, and it divides the Vandermonde product of xs.
+    """
+    basis = lagrange_basis(xs)
+    ll = math.lcm(*(w for w, _ in basis))
+    return ll, tuple((ll // w, tuple(b)) for w, b in basis)
 
 
 def integer_kernel(rows: Sequence[Sequence[int]]) -> list[int] | None:

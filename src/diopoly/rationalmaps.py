@@ -10,7 +10,7 @@ rows plus the squares row (Y_0^2..Y_d^2) by deleting power row j; the
 certificates are z_i = (-1)^d * D * Y_0 * Y_i, where D is the
 Vandermonde product of the first d+1 nodes.  Then
 f(x_i) = (-1)^d * D * Y_i^2 at every node, which makes the certificate
-identities hold, as they do for any constant multiple.  The pipeline
+identities hold, as they do for any constant multiple.  This module
 takes L / D times both, L the lcm of the base Lagrange weights w_i: f is
 (-1)^d * L times the Lagrange interpolant of the Y_i^2 over x_0..x_d,
 built from the config's weights L / w_i (PointConfig.base_lagrange)
@@ -27,9 +27,9 @@ bracket evaluations, taken with the config's cofactor rows.  A line
 config (n = d + 1) is the case k = 0: T_0 is the all-ones base point,
 so the image is the second intersection of the single quadric with the
 line through it in direction q_hat.
-The inverse and the plane test read the residuals D_tail * Y_i - G(x_i),
-where G / D_tail interpolates the tail coordinates in the same integer
-Lagrange form as the reverse map.
+The inverse and the plane test read the residuals L_tail * Y_i - G(x_i),
+where G / L_tail interpolates the tail coordinates from the same kind of
+Lagrange table as the reverse map, L_tail the lcm of the tail weights.
 
 Nodes are integers, so everything is computed in exact integer
 arithmetic, and every point is returned in canonical projective form,
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .exactmath import eval_poly, integer_kernel, lagrange_basis, vandermonde
+from .exactmath import eval_poly, integer_kernel, lagrange_table
 from .variety import (
     PointConfig,
     ProjPoint,
@@ -57,10 +57,8 @@ __all__ = [
     "DegenerateParameterError",
     "CertificatePoint",
     "QuadricPoint",
-    "node_vandermonde",
     "certificate_to_quadric",
     "quadric_to_certificate",
-    "quadric_to_certificate_raw",
     "quadric_to_certificate_lcm",
     "plane_system_matrix",
     "parametrize_plane",
@@ -125,30 +123,18 @@ class QuadricPoint:
         return not any(_plane_residuals(self))
 
 
-def node_vandermonde(config: PointConfig) -> int:
-    """Vandermonde product of the first d+1 nodes."""
-    return vandermonde(config.nodes[: config.degree + 1])
-
-
 def _lagrange_sum(
     weights: Sequence[tuple[int, Sequence[int]]], values: Sequence[int]
 ) -> list[int]:
-    """G = sum_i s_i * v_i * b_i over pairs (s_i, b_i) = (V / w_i, b_i), so
-    G / V is the Lagrange interpolant of the values."""
+    """G = sum_i s_i * v_i * b_i over pairs (s_i, b_i) = (L / w_i, b_i) of
+    exactmath.lagrange_table, so G / L is the Lagrange interpolant of the
+    values."""
     g = [0] * len(weights)
     for (s, basis), value in zip(weights, values):
         scale = s * value
         for t, c in enumerate(basis):
             g[t] += scale * c
     return g
-
-
-def _scaled_interpolant(xs: Sequence[int], values: Sequence[int]) -> tuple[int, list[int]]:
-    """(V, G) with V the Vandermonde product of the integer nodes xs and
-    G / V the Lagrange interpolant of the values; each V / w_i is an exact
-    integer quotient."""
-    v = vandermonde(xs)
-    return v, _lagrange_sum([(v // w, b) for w, b in lagrange_basis(xs)], values)
 
 
 def certificate_to_quadric(v: CertificatePoint) -> QuadricPoint:
@@ -160,28 +146,19 @@ def certificate_to_quadric(v: CertificatePoint) -> QuadricPoint:
 
 
 def quadric_to_certificate_lcm(w: QuadricPoint) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """quadric_to_certificate_raw times L / D: f(x_i) = (-1)^d * L * Y_i^2
-    at every node index i and z_i = (-1)^d * L * Y_0 * Y_i, with f built
-    as (-1)^d * sum_i (L / w_i) * Y_i^2 * b_i(x) from the config's table."""
+    """Reverse map before projective canonicalization, on the scale L.
+
+    Returns (coefficients f_0..f_d, certificates z_1..z_n), L / D times the
+    literal minor formulas: f = (-1)^d * sum_i (L / w_i) * Y_i^2 * b_i from
+    the config's table, so f(x_i) = (-1)^d * L * Y_i^2 at every node index
+    i, and z_i = (-1)^d * L * Y_0 * Y_i.
+    """
     d, y = w.config.degree, w.point.coords
     ll, weights = w.config.base_lagrange
     sign = -1 if d % 2 else 1
     coeffs = tuple(sign * c for c in _lagrange_sum(weights, [c**2 for c in y[: d + 1]]))
     scale = sign * ll * y[0]
     return coeffs, tuple(scale * c for c in y[1:])
-
-
-def quadric_to_certificate_raw(w: QuadricPoint) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reverse map before projective canonicalization.
-
-    Returns (coefficients f_0..f_d, certificates z_1..z_n), equal to the
-    literal minor and product formulas; the coefficient part satisfies
-    f(x_i) = (-1)^d * D * Y_i^2 exactly at every node index i.  It is
-    quadric_to_certificate_lcm times D / L, an exact integer quotient.
-    """
-    coeffs, certs = quadric_to_certificate_lcm(w)
-    scale = node_vandermonde(w.config) // w.config.base_lagrange[0]
-    return tuple(scale * c for c in coeffs), tuple(scale * z for z in certs)
 
 
 def quadric_to_certificate(w: QuadricPoint) -> CertificatePoint:
@@ -212,7 +189,7 @@ def plane_system_matrix(config: PointConfig, direction: ProjPoint) -> list[list[
     coefficients mu_0..mu_{k+1} (its alternating maximal minors).
 
     Row m - (d+1) covers extra index m.  With a_j = c_j * q_j over the
-    config's cofactor row c (on the scale L, D / L times the literal minors),
+    config's cofactor row c (on the scale L, L / D times the literal minors),
     entry t = 0..k is 2 * sum_j a_j * x_j^t, twice the bracket of q_i * x_i^t
     padded with zero at m, and the last is sum_j a_j * q_j, the bracket of the
     squared direction.  As a_j * (x_m - x_j) = -(L / w_j) * q_j * P_m with
@@ -275,20 +252,22 @@ def parametrize_plane(config: PointConfig, direction: ProjPoint) -> QuadricPoint
 
 
 def _plane_residuals(w: QuadricPoint) -> list[int]:
-    """D_tail * Y_i - G(x_i) for i = 0..d, where G / D_tail is the degree
-    <= k interpolant of the tail coordinates (x_m, Y_m), m = d+1..n.  All
-    vanish exactly when the point lies in the span of T_0..T_k."""
+    """L_tail * Y_i - G(x_i) for i = 0..d, where G / L_tail is the degree
+    <= k interpolant of the tail coordinates (x_m, Y_m), m = d+1..n, from
+    exactmath.lagrange_table over the tail nodes.  All vanish exactly when
+    the point lies in the span of T_0..T_k."""
     config = w.config
     _plane_k(config)
     y = w.point.coords
     tail = config.extra_indices
-    dt, g = _scaled_interpolant([config.nodes[m] for m in tail], [y[m] for m in tail])
-    return [dt * y[i] - eval_poly(g, config.nodes[i]) for i in range(config.degree + 1)]
+    lt, weights = lagrange_table([config.nodes[m] for m in tail])
+    g = _lagrange_sum(weights, [y[m] for m in tail])
+    return [lt * y[i] - eval_poly(g, config.nodes[i]) for i in range(config.degree + 1)]
 
 
 def parametrize_plane_inverse(w: QuadricPoint) -> ProjPoint:
     """Direction recovering a quadric-variety point under the plane map:
-    the residuals D_tail * (Y_i - g(x_i)), i = 0..d, with g the tail
+    the residuals L_tail * (Y_i - g(x_i)), i = 0..d, with g the tail
     interpolant.  Points inside the spanned plane make every residual
     vanish and raise IndeterminatePointError.
     """

@@ -15,9 +15,10 @@ works on:
   the equation is diagonal in the squares; the coefficients are the
   signed maximal minors of the power block, i.e. Vandermonde
   products of d+1 of the d+2 chosen nodes, so no determinant is ever
-  taken.  A config computes all of them once, on first use, divided by
-  D / L (D the Vandermonde product of the base nodes x_0..x_d, L the lcm
-  of their Lagrange weights w_j), together with the weights L / w_j.
+  taken.  Only the ratios of one row matter, so a config keeps each row
+  on the scale L, the lcm of the Lagrange weights w_j of the base nodes
+  x_0..x_d, and computes all of them once, on first use, together with
+  the weights L / w_j.
 
 Points are canonical primitive integer vectors (content one, first
 nonzero coordinate positive), so point equality is tuple equality and
@@ -29,23 +30,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Sequence
 
-from .exactmath import Scalar, eval_poly, lagrange_basis, vandermonde
+from .exactmath import eval_poly, lagrange_table
 
 __all__ = [
     "ProjPoint",
     "PointConfig",
-    "DiagonalQuadric",
-    "bracket",
-    "bracket_cofactors",
-    "diagonal_quadric",
-    "diagonal_quadrics",
     "on_quadric_variety",
     "on_certificate_variety",
-    "base_point",
-    "power_point",
-    "plane_basis",
 ]
 
 
@@ -123,24 +115,21 @@ class PointConfig:
 
     @cached_property
     def base_lagrange(self) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-        """(L, ((L / w_0, b_0), .., (L / w_d, b_d))) over the base nodes
-        x_0..x_d: w_j, b_j are the weight and basis polynomial of
-        exactmath.lagrange_basis and L = lcm(|w_0|..|w_d|), so
-        sum_j (L / w_j) * v_j * b_j is L times the interpolant of the v_j.
-        L divides D, as each w_j is +-D over the differences without x_j."""
-        basis = lagrange_basis(self.nodes[: self.degree + 1])
-        ll = math.lcm(*(w for w, _ in basis))
-        return ll, tuple((ll // w, tuple(b)) for w, b in basis)
+        """exactmath.lagrange_table over the base nodes x_0..x_d:
+        (L, ((L / w_0, b_0), .., (L / w_d, b_d))), so
+        sum_j (L / w_j) * v_j * b_j is L times the interpolant of the v_j."""
+        return lagrange_table(self.nodes[: self.degree + 1])
 
     @cached_property
     def cofactor_rows(self) -> tuple[tuple[int, ...], ...]:
-        """bracket_cofactors of the extra indices d+1..n, in order, over D / L.
+        """The bracket's last-row cofactors for the extra indices d+1..n, in
+        order, each row times L / D.
 
-        Over the d+2 nodes (x_0..x_d, x_m) the Vandermonde product is
-        D * P_m with P_m = prod_{i<=d} (x_m - x_i), and node j <= d has
-        weight w_j * (x_j - x_m), so cofactor j over D / L is
-        -(L / w_j) * (P_m / (x_m - x_j)) and the last one is L; both
-        quotients are exact.
+        Over the d+2 nodes (x_0..x_d, x_m) literal cofactor j is V / w'_j, with
+        V = D * P_m their Vandermonde product (D that of the base nodes,
+        P_m = prod_{i<=d} (x_m - x_i)) and w'_j = w_j * (x_j - x_m) the weight
+        of node j <= d, so times L / D it is -(L / w_j) * (P_m / (x_m - x_j)),
+        and the last one is L; both quotients are exact.
         """
         ll, weights = self.base_lagrange
         base = self.nodes[: self.degree + 1]
@@ -149,77 +138,6 @@ class PointConfig:
             pm = math.prod(xm - xi for xi in base)
             rows.append(tuple(-s * (pm // (xm - xj)) for (s, _), xj in zip(weights, base)) + (ll,))
         return tuple(rows)
-
-
-@dataclass(frozen=True)
-class DiagonalQuadric:
-    """One defining quadric: sum of coeffs[j] * Y_support[j]^2 over the support.
-
-    Coefficients are primitive integers with the coefficient attached to
-    the extra index (the last support entry) positive; up to that
-    normalization they are the signed Vandermonde minors of the bracket.
-    """
-
-    support: tuple[int, ...]
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.support) != len(self.coeffs):
-            raise ValueError("support and coefficient lengths differ")
-        if self.coeffs[-1] <= 0:
-            raise ValueError("extra-index coefficient must be positive")
-        g = reduce(math.gcd, (abs(c) for c in self.coeffs))
-        if g != 1:
-            raise ValueError("quadric coefficients must be primitive")
-
-    def squares_residual(self, point_coords: Sequence[Scalar]) -> Scalar:
-        """Evaluate the quadric on the squares of the given coordinates."""
-        return sum(c * point_coords[j] ** 2 for j, c in zip(self.support, self.coeffs))
-
-
-def _check_extra_index(config: PointConfig, extra_index: int) -> None:
-    if extra_index not in config.extra_indices:
-        raise IndexError(
-            f"extra index {extra_index} outside {config.degree + 1}..{config.n}"
-        )
-
-
-def bracket_cofactors(config: PointConfig, extra_index: int) -> tuple[int, ...]:
-    """Last-row cofactors of the bracket, without any normalization.
-
-    Entry j is the signed minor multiplying the j-th last-row value in
-    the Laplace expansion of the bracket determinant, so the bracket
-    with last row z equals the dot product of this vector with z.  That
-    minor is the Vandermonde product of the other d+1 columns' nodes,
-    and with its sign it equals V / w_j, where V is the Vandermonde
-    product of all d+2 nodes and w_j = prod_{a != j} (x_j - x_a).  It is
-    the config's L-scaled row times D / L (PointConfig.cofactor_rows).
-    """
-    _check_extra_index(config, extra_index)
-    scale = vandermonde(config.nodes[: config.degree + 1]) // config.base_lagrange[0]
-    return tuple(scale * c for c in config.cofactor_rows[extra_index - config.degree - 1])
-
-
-def bracket(config: PointConfig, z_values: Sequence[Scalar], extra_index: int) -> Scalar:
-    """Bracket determinant with an arbitrary last row, exactly."""
-    cof = bracket_cofactors(config, extra_index)
-    if len(z_values) != config.degree + 2:
-        raise ValueError(f"need {config.degree + 2} last-row values, got {len(z_values)}")
-    return sum(c * z for c, z in zip(cof, z_values))
-
-
-def diagonal_quadric(config: PointConfig, extra_index: int) -> DiagonalQuadric:
-    """Defining quadric for one extra index, in canonical integer form."""
-    cof = bracket_cofactors(config, extra_index)
-    g = math.gcd(*cof)
-    if cof[-1] < 0:
-        g = -g
-    support = tuple(range(config.degree + 1)) + (extra_index,)
-    return DiagonalQuadric(support=support, coeffs=tuple(c // g for c in cof))
-
-
-def diagonal_quadrics(config: PointConfig) -> tuple[DiagonalQuadric, ...]:
-    return tuple(diagonal_quadric(config, i) for i in config.extra_indices)
 
 
 def on_quadric_variety(config: PointConfig, point: ProjPoint) -> bool:
@@ -242,21 +160,3 @@ def on_certificate_variety(config: PointConfig, point: ProjPoint) -> bool:
     certs = point.coords[d + 1 :]
     values = [eval_poly(coeffs, x) for x in config.nodes]
     return all(z**2 == values[0] * values[i + 1] for i, z in enumerate(certs))
-
-
-def base_point(config: PointConfig) -> ProjPoint:
-    """The all-ones point, which lies on every defining quadric."""
-    return ProjPoint((1,) * (config.n + 1))
-
-
-def power_point(config: PointConfig, t: int) -> ProjPoint:
-    """Canonical form of (x_0^t, .., x_n^t); on the variety when 2t <= d."""
-    if t < 0:
-        raise IndexError("power must be non-negative")
-    return ProjPoint(tuple(x**t for x in config.nodes))
-
-
-def plane_basis(config: PointConfig) -> tuple[ProjPoint, ...]:
-    """The power points T_0..T_k with 2k <= degree, spanning a plane inside
-    the quadric variety."""
-    return tuple(power_point(config, t) for t in range(config.degree // 2 + 1))

@@ -5,12 +5,23 @@ the production code: determinants by recursive cofactor expansion instead
 of fraction-free elimination, interpolation by solving the linear system
 instead of Lagrange bases, evaluation by summing powers instead of
 Horner's rule.  Slow but obviously correct on small inputs.
+
+The literal forms of the construction live here too, on the scale D, the
+Vandermonde product of the base nodes x_0..x_d: the bracket cofactors and
+the reverse map as Laplace minors, the primitive diagonal quadrics, the
+power points, and the in-plane residuals over the tail's Vandermonde
+product.  The program keeps one scale, L, the lcm of the base Lagrange
+weights; tests compare it with these forms through the integer D / L.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
+
+from diopoly.variety import ProjPoint
 
 
 def laplace_det(rows):
@@ -108,3 +119,90 @@ def plane_system_by_powers(config, direction):
         row.append(squares)
         rows.append(row)
     return rows
+
+
+def power_rows(xs, count):
+    """The power rows x^0..x^(count-1) over the nodes xs."""
+    return [[x**t for x in xs] for t in range(count)]
+
+
+def node_vandermonde(config):
+    """D, the determinant of the power rows over the base nodes x_0..x_d."""
+    d = config.degree
+    return laplace_det(power_rows(config.nodes[: d + 1], d + 1))
+
+
+def bracket_rows(config, z, m):
+    """The (d+2) x (d+2) bracket: power rows over (x_0..x_d, x_m), then z."""
+    d = config.degree
+    return power_rows(config.nodes[: d + 1] + (config.nodes[m],), d + 1) + [list(z)]
+
+
+def bracket_cofactors(config, m):
+    """Last-row cofactors of the bracket for extra index m, as Laplace minors:
+    entry j is (-1)^(d+1+j) times the power block without column j, so the
+    bracket with last row z is their dot product with z."""
+    d = config.degree
+    power = bracket_rows(config, [0] * (d + 2), m)[:-1]
+    return tuple(
+        (-1) ** (d + 1 + j) * laplace_det([r[:j] + r[j + 1 :] for r in power])
+        for j in range(d + 2)
+    )
+
+
+class Quadric(NamedTuple):
+    """sum of coeffs[j] * Y_support[j]^2 over the support."""
+
+    support: tuple
+    coeffs: tuple
+
+    def squares_residual(self, coords):
+        return sum(c * coords[j] ** 2 for j, c in zip(self.support, self.coeffs))
+
+
+def diagonal_quadrics(config):
+    """The defining quadrics, one per extra index m: the bracket cofactors
+    over the support (0..d, m), divided by their gcd and signed so that the
+    coefficient of Y_m^2 is positive."""
+    d = config.degree
+    out = []
+    for m in range(d + 1, config.n + 1):
+        cof = bracket_cofactors(config, m)
+        g = math.gcd(*cof) if cof[-1] > 0 else -math.gcd(*cof)
+        out.append(Quadric(tuple(range(d + 1)) + (m,), tuple(c // g for c in cof)))
+    return tuple(out)
+
+
+def power_point(config, t):
+    """T_t = (x_0^t, .., x_n^t) in canonical form; T_0 is the all-ones base
+    point, and T_t lies on the quadric variety when 2t <= d."""
+    return ProjPoint(tuple(x**t for x in config.nodes))
+
+
+def reverse_map_by_minors(w):
+    """The reverse map on the scale D: coefficient j is (-1)^j times the
+    power rows of x_0..x_d without row j, stacked on the squares row
+    (Y_0^2..Y_d^2), and z_i = (-1)^d * D * Y_0 * Y_i."""
+    config, y = w.config, w.point.coords
+    d = config.degree
+    power = power_rows(config.nodes[: d + 1], d + 1)
+    squares = [c**2 for c in y[: d + 1]]
+    coeffs = tuple(
+        (-1) ** j * laplace_det(power[:j] + power[j + 1 :] + [squares]) for j in range(d + 1)
+    )
+    scale = (-1) ** d * node_vandermonde(config) * y[0]
+    return coeffs, tuple(scale * c for c in y[1:])
+
+
+def plane_residuals(w):
+    """The in-plane residuals on the scale D_tail, the Vandermonde product of
+    the tail nodes x_{d+1}..x_n: D_tail * (Y_i - g(x_i)) for i = 0..d, with
+    g the interpolant of the tail coordinates.  All vanish exactly when the
+    point lies in the span of the power points T_0..T_k, k = n - d - 1."""
+    config, y = w.config, w.point.coords
+    tail = range(config.degree + 1, config.n + 1)
+    dt = vandermonde_product([config.nodes[m] for m in tail])
+    g = solve_interpolation([(config.nodes[m], y[m]) for m in tail])
+    out = [dt * (y[i] - eval_ascending(g, config.nodes[i])) for i in range(config.degree + 1)]
+    assert all(r.denominator == 1 for r in out)
+    return [int(r) for r in out]

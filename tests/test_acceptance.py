@@ -26,24 +26,22 @@ from diopoly.forge import (
 from diopoly.rationalmaps import (
     DegenerateParameterError,
     certificate_to_quadric,
-    node_vandermonde,
     parametrize_plane,
     parametrize_plane_inverse,
     plane_system_matrix,
     quadric_to_certificate,
-    quadric_to_certificate_raw,
+    quadric_to_certificate_lcm,
 )
 from diopoly.twist import twist_points
-from diopoly.variety import (
-    PointConfig,
-    ProjPoint,
-    base_point,
-    diagonal_quadrics,
-    on_quadric_variety,
-    plane_basis,
-)
+from diopoly.variety import PointConfig, ProjPoint, on_quadric_variety
 
-from oracles import alternating_minors
+from oracles import (
+    alternating_minors,
+    diagonal_quadrics,
+    node_vandermonde,
+    power_point,
+    reverse_map_by_minors,
+)
 
 LINE_INSTANCES = [PointConfig(tuple(range(d + 2)), d) for d in (1, 2, 3, 4)]
 PLANE_INSTANCES = [PointConfig(tuple(range(3 * k + 2)), 2 * k) for k in (1, 2, 3)]
@@ -196,10 +194,13 @@ def test_criterion_06_reverse_map_determinant_identity():
     while checked < 200:
         for cfg, bound in SOURCES:
             (w,) = generic_points(cfg, 1, rnd, bound)
-            coeffs, _ = quadric_to_certificate_raw(w)
+            coeffs, _ = reverse_map_by_minors(w)
             d = cfg.degree
             sign = -1 if d % 2 else 1
             dd = node_vandermonde(cfg)
+            ratio, rem = divmod(dd, cfg.base_lagrange[0])
+            if rem or coeffs != tuple(ratio * c for c in quadric_to_certificate_lcm(w)[0]):
+                failures += 1
             y = w.point.coords
             for i, x in enumerate(cfg.nodes):
                 if eval_poly(coeffs, x) != sign * dd * y[i] ** 2:
@@ -223,11 +224,11 @@ def test_criterion_07_structural_invariants():
                 )
                 if s != 0:
                     failures.append(("power-relation", cfg.nodes, q.support, t))
-        if not on_quadric_variety(cfg, base_point(cfg)):
+        if not on_quadric_variety(cfg, power_point(cfg, 0)):
             failures.append(("base-point", cfg.nodes))
         if cfg.degree % 2 == 0:
-            for t, pt in enumerate(plane_basis(cfg)):
-                if not on_quadric_variety(cfg, pt):
+            for t in range(cfg.degree // 2 + 1):
+                if not on_quadric_variety(cfg, power_point(cfg, t)):
                     failures.append(("power-point", cfg.nodes, t))
     report(7, "structural-invariants", not failures, f"{len(failures)} violations")
 
@@ -250,7 +251,7 @@ def test_criterion_08_degenerate_loci():
     w = parametrize_plane(cfg3, ProjPoint((2, 1)))
     witness = construct_witness([0, 1, 2], "quadric", parameter=(2, 1))
     base_ok = (
-        w.point == base_point(cfg3) and w.in_plane and FLAG_DEGREE_DROPPED in witness.flags
+        w.point == power_point(cfg3, 0) and w.in_plane and FLAG_DEGREE_DROPPED in witness.flags
     )
     ok = matrix_ok and raised_param and raised_construct and base_ok
     report(8, "degenerate-loci", ok)

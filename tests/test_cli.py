@@ -283,6 +283,16 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(vout)["poly"] == ["1", "24"]
 
+    def test_from_json_parses_each_integer_once(self, monkeypatch):
+        _, doc, _ = run_cli("construct", "--set", ",".join(map(str, range(20))), "--seed", "1")
+        fields = json.loads(doc)
+        calls = []
+        decimal = cli._decimal
+        monkeypatch.setattr(cli, "_decimal", lambda *args: calls.append(1) or decimal(*args))
+        code, out, _ = run_cli("verify", "--from-json", "-", stdin=doc)
+        assert code == 0 and json.loads(out)["ok"] is True
+        assert len(calls) == len(fields["set"]) + len(fields["poly"]) == 39
+
     def test_from_json_streams_until_a_bad_line(self):
         _, good, _ = run_cli("construct", "--set", "0,1,2", "--param", "3,1")
         code, out, err = run_cli("verify", "--from-json", "-", stdin=good + "{not json\n" + good)

@@ -9,9 +9,9 @@ from diopoly.exactmath import (
     integer_kernel,
     integer_sqrt,
     lagrange_basis,
-    vandermonde,
+    lagrange_table,
 )
-from diopoly.rationalmaps import _scaled_interpolant
+from diopoly.rationalmaps import _lagrange_sum
 
 from oracles import (
     alternating_minors,
@@ -136,7 +136,7 @@ class TestDet:
     @given(st.lists(st.integers(-50, 50), min_size=2, max_size=6, unique=True))
     def test_power_matrix_matches_product_formula(self, xs):
         rows = [[x**t for x in xs] for t in range(len(xs))]
-        assert vandermonde(xs) == vandermonde_product(xs) == kernel_det(rows)
+        assert vandermonde_product(xs) == kernel_det(rows) == laplace_det(rows)
 
     def test_det_cofactor_cross_check(self):
         rows = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
@@ -214,9 +214,10 @@ class TestKernel:
 
 
 def scaled_interpolant(points):
-    """(V, G) in the integer Lagrange form the program uses: V the
-    Vandermonde product of the abscissae, G / V the interpolant."""
-    return _scaled_interpolant([x for x, _ in points], [y for _, y in points])
+    """(L, G) in the integer Lagrange form the program uses: L the lcm of
+    the abscissae's Lagrange weights, G / L the interpolant."""
+    ll, weights = lagrange_table([x for x, _ in points])
+    return ll, _lagrange_sum(weights, [y for _, y in points])
 
 
 def interpolant(points):
@@ -243,7 +244,9 @@ class TestInterpolate:
     )
     def test_agrees_with_linear_solve_oracle(self, points):
         v, g = scaled_interpolant(points)
-        assert v == vandermonde_product([x for x, _ in points])
+        xs = [x for x, _ in points]
+        assert v == math.lcm(*(math.prod(xi - xj for xj in xs if xj != xi) for xi in xs))
+        assert vandermonde_product(xs) % v == 0
         assert interpolant(points) == solve_interpolation(points)
         for x, y in points:
             assert eval_poly(g, x) == v * y

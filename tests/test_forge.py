@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from diopoly import forge, rationalmaps, variety
+from diopoly import exactmath, forge, rationalmaps, variety
 from diopoly.exactmath import eval_poly
 from diopoly.forge import (
     DEFAULT_SEARCH_CEILING,
@@ -308,17 +308,19 @@ class TestCertificateRoots:
         """Cofactors, system matrix, variety check, reverse map and root
         identity all read the config's tables on the scale L, and the
         in-plane test reads the kernel: a plane witness on 0..29 (21 base
-        nodes, 11 extra) takes one Lagrange basis, for the base nodes, and
-        no Vandermonde product at all."""
-        calls = {"vandermonde": [], "lagrange_basis": []}
-        for module in (variety, rationalmaps):
-            for name, seen in calls.items():
-                real = getattr(module, name)
-                monkeypatch.setattr(
-                    module, name, lambda xs, real=real, seen=seen: seen.append(len(xs)) or real(xs)
-                )
+        nodes, 11 extra) takes one Lagrange basis, for the base nodes.  No
+        module keeps a Vandermonde product or a basis of its own."""
+        calls = []
+        real = exactmath.lagrange_basis
+        monkeypatch.setattr(
+            exactmath, "lagrange_basis", lambda xs: calls.append(len(xs)) or real(xs)
+        )
         construct_witness(range(30), "plane", seed=1)
-        assert calls == {"vandermonde": [], "lagrange_basis": [21]}
+        assert calls == [21]
+        # every table is built in exactmath, where the count above sees it
+        for module in (variety, rationalmaps, forge):
+            assert not {"vandermonde", "lagrange_basis"} & set(vars(module))
+        assert not hasattr(exactmath, "vandermonde")
 
     @pytest.mark.parametrize(
         "elems,method,kwargs",

@@ -16,26 +16,22 @@ from diopoly.rationalmaps import (
     IndeterminatePointError,
     QuadricPoint,
     certificate_to_quadric,
-    node_vandermonde,
     parametrize_plane,
     parametrize_plane_inverse,
     plane_system_matrix,
     quadric_to_certificate,
     quadric_to_certificate_lcm,
-    quadric_to_certificate_raw,
 )
-from diopoly.variety import (
-    PointConfig,
-    ProjPoint,
-    base_point,
-    bracket_cofactors,
-    on_quadric_variety,
-)
+from diopoly.variety import PointConfig, ProjPoint, on_quadric_variety
 
 from oracles import (
     alternating_minors,
-    laplace_det,
+    bracket_cofactors,
+    node_vandermonde,
+    plane_residuals,
     plane_system_by_powers,
+    power_point,
+    reverse_map_by_minors,
     vandermonde_product,
 )
 
@@ -63,6 +59,21 @@ def sample_direction(rnd, length, bound=12):
         coords = tuple(rnd.randint(-bound, bound) for _ in range(length))
         if any(coords):
             return ProjPoint(coords)
+
+
+def d_over_l(config):
+    """The integer D / L, D the Vandermonde product of the base nodes and L
+    the lcm of their Lagrange weights."""
+    ratio, rem = divmod(node_vandermonde(config), config.base_lagrange[0])
+    assert rem == 0
+    return ratio
+
+
+def literal_reverse_map(w):
+    """quadric_to_certificate_lcm times D / L: the reverse map on the scale D."""
+    ratio = d_over_l(w.config)
+    coeffs, certs = quadric_to_certificate_lcm(w)
+    return tuple(ratio * c for c in coeffs), tuple(ratio * z for z in certs)
 
 
 def plane_point(config, direction):
@@ -97,19 +108,20 @@ class TestWrappers:
 
     def test_base_point_flag(self):
         # on a line config (k = 0) the plane is the base point alone
-        w = QuadricPoint(LINE_CFG, base_point(LINE_CFG))
+        w = QuadricPoint(LINE_CFG, power_point(LINE_CFG, 0))
         assert w.in_plane
         assert not QuadricPoint(LINE_CFG, ProjPoint((1, 5, 7))).in_plane
 
     def test_in_plane_needs_2k_at_most_d(self):
         cfg = PointConfig(tuple(range(6)), 2)  # k = 2 > d / 2
-        w = QuadricPoint(cfg, base_point(cfg))
+        w = QuadricPoint(cfg, power_point(cfg, 0))
         with pytest.raises(ValueError):
             w.in_plane
 
     def test_node_vandermonde_worked(self):
         assert node_vandermonde(LINE_CFG) == 1
         assert node_vandermonde(PLANE_CFG) == 2
+        assert d_over_l(LINE_CFG) == 1 and d_over_l(PLANE_CFG) == 1
 
 
 class TestForwardMap:
@@ -136,12 +148,13 @@ class TestReverseMap:
 
     def test_worked_raw_values(self):
         w = QuadricPoint(LINE_CFG, ProjPoint((1, 5, 7)))
-        coeffs, certs = quadric_to_certificate_raw(w)
+        coeffs, certs = reverse_map_by_minors(w)
         assert coeffs == (-1, -24)
         assert certs == (-5, -7)
+        assert literal_reverse_map(w) == (coeffs, certs)
 
     def test_base_point_maps_to_constant(self):
-        w = QuadricPoint(LINE_CFG, base_point(LINE_CFG))
+        w = QuadricPoint(LINE_CFG, power_point(LINE_CFG, 0))
         v = quadric_to_certificate(w)
         assert v.point.coords == (1, 0, 1, 1)
 
@@ -166,7 +179,7 @@ class TestReverseMap:
                 w = plane_point(cfg, sample_direction(rnd, d + 1))
                 if w is None:
                     continue
-                coeffs, _ = quadric_to_certificate_raw(w)
+                coeffs, _ = literal_reverse_map(w)
                 y = w.point.coords
                 for i, x in enumerate(cfg.nodes):
                     assert eval_poly(coeffs, x) == sign * dd * y[i] ** 2
@@ -180,7 +193,7 @@ class TestReverseMap:
                 w = plane_point(cfg, sample_direction(rnd, d + 1, 6))
                 if w is None:
                     continue
-                coeffs, _ = quadric_to_certificate_raw(w)
+                coeffs, _ = literal_reverse_map(w)
                 y = w.point.coords
                 for i, x in enumerate(cfg.nodes):
                     assert eval_poly(coeffs, x) == dd * y[i] ** 2  # d even
@@ -229,7 +242,7 @@ class TestLineParametrization:
 
     def test_polar_direction_gives_base_point(self):
         w = parametrize_plane(LINE_CFG, ProjPoint((2, 1)))
-        assert w.point == base_point(LINE_CFG)
+        assert w.point == power_point(LINE_CFG, 0)
         assert w.in_plane
 
     def test_worked_inverse(self):
@@ -237,7 +250,7 @@ class TestLineParametrization:
         assert parametrize_plane_inverse(w).coords == (3, 1)
 
     def test_inverse_undefined_at_base_point(self):
-        w = QuadricPoint(LINE_CFG, base_point(LINE_CFG))
+        w = QuadricPoint(LINE_CFG, power_point(LINE_CFG, 0))
         with pytest.raises(IndeterminatePointError):
             parametrize_plane_inverse(w)
 
@@ -324,7 +337,7 @@ class TestPlaneParametrization:
         with pytest.raises(ValueError):
             plane_system_matrix(cfg, ProjPoint((1, 1, 1)))
         with pytest.raises(ValueError):
-            parametrize_plane_inverse(QuadricPoint(cfg, base_point(cfg)))
+            parametrize_plane_inverse(QuadricPoint(cfg, power_point(cfg, 0)))
         with pytest.raises(ValueError):
             parametrize_plane(PLANE_CFG, ProjPoint((1, 1)))  # bad length
 
@@ -376,22 +389,17 @@ def power_span_cases(draw, max_degree=6, min_k=0):
 )
 def test_closed_forms_match_laplace_minors(case):
     """The closed forms against determinants taken by the Laplace oracle:
-    bracket cofactors are the signed minors of the power block, the node
-    Vandermonde is the power block's determinant, the plane kernel is
-    proportional to the alternating maximal minors of the system matrix,
-    and the reverse map is the (d+1)-minor formula."""
+    the config's cofactor rows times D / L are the signed minors of the
+    power block, the node Vandermonde is the power block's determinant, the
+    plane kernel is proportional to the alternating maximal minors of the
+    system matrix, and the reverse map times D / L is the (d+1)-minor
+    formula."""
     cfg, q = case
     d = cfg.degree
-    base_power = [[cfg.nodes[j] ** t for j in range(d + 1)] for t in range(d + 1)]
     assert node_vandermonde(cfg) == vandermonde_product(cfg.nodes[: d + 1])
-    assert node_vandermonde(cfg) == laplace_det(base_power)
-    for m in cfg.extra_indices:
-        cols = [cfg.nodes[j] for j in range(d + 1)] + [cfg.nodes[m]]
-        power = [[x**t for x in cols] for t in range(d + 1)]
-        assert list(bracket_cofactors(cfg, m)) == [
-            (-1) ** (d + 1 + j) * laplace_det([r[:j] + r[j + 1 :] for r in power])
-            for j in range(d + 2)
-        ]
+    ratio = d_over_l(cfg)
+    for m, row in zip(cfg.extra_indices, cfg.cofactor_rows):
+        assert bracket_cofactors(cfg, m) == tuple(ratio * c for c in row)
 
     a = plane_system_matrix(cfg, q)
     mus = alternating_minors(a)
@@ -403,14 +411,7 @@ def test_closed_forms_match_laplace_minors(case):
         return
     assert kernel is not None
     assert all(kernel[i] * mus[j] == kernel[j] * mus[i] for i in range(len(mus)) for j in range(i))
-
-    y = w.point.coords
-    squares = [c**2 for c in y[: d + 1]]
-    expected = [
-        (-1) ** j * laplace_det([base_power[t] for t in range(d + 1) if t != j] + [squares])
-        for j in range(d + 1)
-    ]
-    assert list(quadric_to_certificate_raw(w)[0]) == expected
+    assert literal_reverse_map(w) == reverse_map_by_minors(w)
 
 
 @settings(max_examples=100, deadline=None)
@@ -451,7 +452,7 @@ def test_literal_forms_are_d_over_l_times_the_pipeline(case):
     sign = (-1) ** d
     assert [eval_poly(coeffs, x) for x in cfg.nodes] == [sign * ll * c**2 for c in y]
     assert certs == tuple(sign * ll * y[0] * c for c in y[1:])
-    raw = quadric_to_certificate_raw(w)
+    raw = reverse_map_by_minors(w)
     assert raw == (tuple(ratio * c for c in coeffs), tuple(ratio * z for z in certs))
     assert quadric_to_certificate(w).point == ProjPoint(raw[0] + raw[1])
 
@@ -471,6 +472,35 @@ def test_kernel_in_plane_test_agrees_with_residuals(case):
         return
     assert "in_plane" in vars(w)
     assert w.in_plane == QuadricPoint(cfg, w.point).in_plane
+
+
+@settings(max_examples=150, deadline=None)
+@given(power_span_cases(), st.lists(st.integers(-6, 6), min_size=4, max_size=4))
+# tail nodes 7..10: D_tail = 12 and L_tail = 6
+@example((PointConfig(tuple(range(11)), 6), ProjPoint((1, -2, 0, 3, 1, -1, 2))), [1, -1, 2, 1])
+def test_in_plane_and_inverse_match_d_scale_residuals(case, g):
+    """QuadricPoint.in_plane and parametrize_plane_inverse read residuals on
+    the scale L_tail, the lcm of the tail's Lagrange weights; they agree
+    with the residuals over the tail's Vandermonde product.  The points are
+    the image of the direction and the values of a degree <= k polynomial,
+    which lie in the plane."""
+    cfg, q = case
+    k = cfg.n - cfg.degree - 1
+    values = tuple(eval_poly(g[: k + 1], x) for x in cfg.nodes)
+    points = [ProjPoint(values)] if any(values) else []
+    try:
+        points.append(parametrize_plane(cfg, q).point)
+    except DegenerateParameterError:
+        pass
+    for point in points:
+        w = QuadricPoint(cfg, point)
+        residuals = plane_residuals(w)
+        assert w.in_plane == (not any(residuals))
+        if w.in_plane:
+            with pytest.raises(IndeterminatePointError):
+                parametrize_plane_inverse(w)
+        else:
+            assert parametrize_plane_inverse(w) == ProjPoint(tuple(residuals))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,7 @@
 """Projective points, node configurations, and the diagonal quadrics that cut
 out the value-side variety."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -9,21 +10,21 @@ from hypothesis import given, settings, strategies as st
 
 from diopoly.exactmath import eval_poly
 from diopoly.variety import (
-    DiagonalQuadric,
     PointConfig,
     ProjPoint,
-    base_point,
-    bracket,
-    bracket_cofactors,
-    diagonal_quadric,
-    diagonal_quadrics,
     on_certificate_variety,
     on_quadric_variety,
-    plane_basis,
-    power_point,
 )
 
-from oracles import laplace_det, vandermonde_product
+from oracles import (
+    bracket_cofactors,
+    bracket_rows,
+    diagonal_quadrics,
+    laplace_det,
+    node_vandermonde,
+    power_point,
+    vandermonde_product,
+)
 
 
 def small_configs():
@@ -35,12 +36,12 @@ def small_configs():
     yield PointConfig((0, 1, 2, 3, 4, 5, 6, 7), 4)
 
 
-def bracket_rows(cfg, z, m):
-    """The (d+2) x (d+2) bracket: power rows over (x_0..x_d, x_m), then z."""
-    d = cfg.degree
-    rows = [[cfg.nodes[j] ** t for j in range(d + 1)] + [cfg.nodes[m] ** t] for t in range(d + 1)]
-    rows.append(list(z))
-    return rows
+def literal_rows(cfg):
+    """The config's cofactor rows times the integer D / L: the literal
+    bracket cofactors of the extra indices."""
+    ratio, rem = divmod(node_vandermonde(cfg), cfg.base_lagrange[0])
+    assert rem == 0
+    return [tuple(ratio * c for c in row) for row in cfg.cofactor_rows]
 
 
 config_strategy = st.builds(
@@ -128,7 +129,8 @@ class TestPointConfig:
         built, fresh = PointConfig((3, -1, 4, 0, 7), 2), PointConfig((3, -1, 4, 0, 7), 2)
         before = hash(built)
         # base nodes (3, -1, 4): D = -20, L = lcm(4, 20, 5) = 20, so D / L = -1
-        assert bracket_cofactors(built, 4) == tuple(-c for c in built.cofactor_rows[1])
+        assert literal_rows(built)[1] == tuple(-c for c in built.cofactor_rows[1])
+        assert bracket_cofactors(fresh, 4) == literal_rows(built)[1]
         assert {"base_lagrange", "cofactor_rows"} <= set(vars(built))
         assert not {"base_lagrange", "cofactor_rows"} & set(vars(fresh))
         assert built.cofactor_rows is built.cofactor_rows
@@ -141,35 +143,34 @@ class TestBrackets:
         cfg = PointConfig((0, 1, 2), 1)
         rows = bracket_rows(cfg, (1, 1, 0), 2)
         assert len(rows) == 3 and all(len(r) == 3 for r in rows)
-        assert laplace_det(rows) == bracket(cfg, (1, 1, 0), 2) == -1
+        assert laplace_det(rows) == -1
+        assert sum(c * z for c, z in zip(literal_rows(cfg)[0], (1, 1, 0))) == -1
 
     def test_worked_values(self):
         cfg = PointConfig((0, 1, 2), 1)
-        assert bracket(cfg, (1, 1, 0), 2) == -1
-        assert bracket(cfg, (1, 1, 1), 2) == 0
+        assert laplace_det(bracket_rows(cfg, (1, 1, 0), 2)) == -1
+        assert laplace_det(bracket_rows(cfg, (1, 1, 1), 2)) == 0
 
     def test_cofactors_worked(self):
         cfg = PointConfig((0, 1, 2), 1)
         assert bracket_cofactors(cfg, 2) == (1, -2, 1)
+        assert literal_rows(cfg) == [(1, -2, 1)]
         cfg5 = PointConfig((0, 1, 2, 3, 4), 2)
         assert bracket_cofactors(cfg5, 3) == (-2, 6, -6, 2)
         assert bracket_cofactors(cfg5, 4) == (-6, 16, -12, 2)
-
-    def test_bad_extra_index(self):
-        cfg = PointConfig((0, 1, 2), 1)
-        with pytest.raises(IndexError):
-            bracket_cofactors(cfg, 1)
-        with pytest.raises(IndexError):
-            bracket_cofactors(cfg, 3)
+        assert literal_rows(cfg5) == [(-2, 6, -6, 2), (-6, 16, -12, 2)]
 
     @given(config_strategy, st.data())
     def test_bracket_expands_through_cofactors(self, cfg, data):
-        """The bracket of z equals the full determinant with z as last row."""
+        """The bracket of z equals the full determinant with z as last row,
+        and the config's rows are the Laplace cofactors over D / L."""
         m = data.draw(st.sampled_from(list(cfg.extra_indices)))
         z = data.draw(
             st.lists(st.integers(-9, 9), min_size=cfg.degree + 2, max_size=cfg.degree + 2)
         )
-        assert bracket(cfg, z, m) == laplace_det(bracket_rows(cfg, z, m))
+        cof = literal_rows(cfg)[m - cfg.degree - 1]
+        assert cof == bracket_cofactors(cfg, m)
+        assert sum(c * v for c, v in zip(cof, z)) == laplace_det(bracket_rows(cfg, z, m))
 
     @given(config_strategy)
     def test_last_cofactor_is_node_vandermonde(self, cfg):
@@ -178,19 +179,21 @@ class TestBrackets:
         m = next(iter(cfg.extra_indices))
         cof = bracket_cofactors(cfg, m)
         assert cof[-1] == vandermonde_product(cfg.nodes[: cfg.degree + 1])
+        assert all(row[-1] == cfg.base_lagrange[0] for row in cfg.cofactor_rows)
+        assert literal_rows(cfg)[0][-1] == cof[-1]
 
 
 class TestDiagonalQuadrics:
     def test_worked_coefficients(self):
-        assert diagonal_quadric(PointConfig((0, 1, 2), 1), 2).coeffs == (1, -2, 1)
-        cfg4 = PointConfig((0, 1, 2, 3), 1)
-        assert diagonal_quadric(cfg4, 2).support == (0, 1, 2)
-        assert diagonal_quadric(cfg4, 2).coeffs == (1, -2, 1)
-        assert diagonal_quadric(cfg4, 3).support == (0, 1, 3)
-        assert diagonal_quadric(cfg4, 3).coeffs == (2, -3, 1)
-        cfg5 = PointConfig((0, 1, 2, 3, 4), 2)
-        assert diagonal_quadric(cfg5, 3).coeffs == (-1, 3, -3, 1)
-        assert diagonal_quadric(cfg5, 4).coeffs == (-3, 8, -6, 1)
+        assert diagonal_quadrics(PointConfig((0, 1, 2), 1))[0].coeffs == (1, -2, 1)
+        q2, q3 = diagonal_quadrics(PointConfig((0, 1, 2, 3), 1))
+        assert q2.support == (0, 1, 2)
+        assert q2.coeffs == (1, -2, 1)
+        assert q3.support == (0, 1, 3)
+        assert q3.coeffs == (2, -3, 1)
+        q3, q4 = diagonal_quadrics(PointConfig((0, 1, 2, 3, 4), 2))
+        assert q3.coeffs == (-1, 3, -3, 1)
+        assert q4.coeffs == (-3, 8, -6, 1)
 
     def test_one_quadric_per_extra_node(self):
         for cfg in small_configs():
@@ -198,16 +201,14 @@ class TestDiagonalQuadrics:
             assert len(qs) == cfg.n - cfg.degree
             assert [q.support[-1] for q in qs] == list(cfg.extra_indices)
 
-    def test_invalid_coefficients_rejected(self):
-        with pytest.raises(ValueError):
-            DiagonalQuadric((0, 1, 2), (2, -4, 2))  # not primitive
-        with pytest.raises(ValueError):
-            DiagonalQuadric((0, 1, 2), (-1, 2, -1))  # extra coefficient negative
-
     @given(config_strategy)
     def test_coefficients_primitive_with_positive_extra(self, cfg):
-        for q in diagonal_quadrics(cfg):
+        """The primitive quadrics are the config's rows over their content:
+        both scales give the same equations."""
+        for q, row in zip(diagonal_quadrics(cfg), cfg.cofactor_rows):
             assert q.coeffs[-1] > 0
+            assert math.gcd(*q.coeffs) == 1
+            assert q.coeffs == tuple(c // math.gcd(*row) for c in row)
 
     @given(config_strategy)
     def test_power_orthogonality(self, cfg):
@@ -252,13 +253,14 @@ class TestDiagonalQuadrics:
 class TestVarietyMembership:
     def test_base_point_always_on_variety(self):
         for cfg in small_configs():
-            assert on_quadric_variety(cfg, base_point(cfg))
+            assert power_point(cfg, 0) == ProjPoint((1,) * (cfg.n + 1))
+            assert on_quadric_variety(cfg, power_point(cfg, 0))
 
     def test_power_points_on_variety_up_to_half_degree(self):
         cfg = PointConfig((0, 1, 2, 3, 4), 2)
         for t in range(2):
             assert on_quadric_variety(cfg, power_point(cfg, t))
-        assert plane_basis(cfg) == (power_point(cfg, 0), power_point(cfg, 1))
+        assert power_point(cfg, 1) == ProjPoint((0, 1, 2, 3, 4))
 
     def test_certificate_membership_worked(self):
         cfg = PointConfig((0, 1, 2), 1)
