@@ -15,7 +15,10 @@ A method only chooses the node configuration:
   restricted to the original elements.
 
 A small exhaustive search over primitive integer polynomials doubles as
-an independent oracle for the construction routines.
+an independent oracle for the construction routines.  It fixes the upper
+coefficients and scans only the constant term, testing the first pair of
+the set before any other, and lists what it finds in the box order
+(degree, leading coefficient, then the lower coefficients).
 """
 
 from __future__ import annotations
@@ -434,14 +437,21 @@ def brute_force_search(
 
     Candidates are primitive ascending coefficient vectors with positive
     leading coefficient, exact degree at most max_degree, and all
-    coefficients bounded by max_height; enumeration order (degree, then
-    lexicographic) is deterministic and the found list preserves it.
-    Scaling a polynomial never changes whether products of its values
-    are squares, so primitive representatives lose nothing.  Boxes
-    larger than the ceiling are refused outright; the ceiling must be at
-    least 1.
+    coefficients bounded by max_height; found keeps the box order:
+    degree, leading coefficient, then the lower coefficients
+    lexicographically.  Scaling never changes whether products of values
+    are squares, so primitive representatives lose nothing.  Per upper
+    coefficients c_1..c_e (their gcd g and values computed once) only
+    c_0 is scanned: the first pair's product by sign and one isqrt,
+    primitivity as gcd(c_0, g) = 1, the other pairs for the survivors.
+    Boxes larger than the ceiling are refused outright; the box
+    arguments must be plain ints, and the ceiling at least 1.
     """
     elems = _validate_elements(elements, minimum=2)
+    box = {"max_degree": max_degree, "max_height": max_height, "ceiling": ceiling}
+    for name, value in box.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{name} must be a plain int, got {type(value).__name__}")
     if max_degree < 0:
         raise ValueError("max_degree must be non-negative")
     if max_height < 1:
@@ -452,24 +462,32 @@ def brute_force_search(
     if size > ceiling:
         raise SearchSpaceError(f"search box holds more than {ceiling} candidates", size)
 
-    found = []
-    for e in range(max_degree + 1):
+    # degree 0: of the constants 1..max_height only 1 is primitive, and it verifies
+    found = [(1,)]
+    span = range(-max_height, max_height + 1)
+    later_pairs = list(combinations(range(len(elems)), 2))[1:]
+    for e in range(1, max_degree + 1):
         for lead in range(1, max_height + 1):
-            for rest in product(range(-max_height, max_height + 1), repeat=e):
-                coeffs = rest + (lead,)
-                if reduce(math.gcd, (abs(c) for c in coeffs)) != 1:
-                    continue
-                values = [eval_poly(coeffs, x) for x in elems]
-                if all(
-                    integer_sqrt(values[i] * values[j]) is not None
-                    for i, j in combinations(range(len(elems)), 2)
-                ):
-                    found.append(Polynomial(coeffs))
+            hits = []
+            for upper in product(span, repeat=e - 1):
+                high = upper + (lead,)
+                g = math.gcd(*high)
+                shifts = [x * eval_poly(high, x) for x in elems]
+                s0, s1 = shifts[0], shifts[1]
+                for c0 in span:
+                    p = (c0 + s0) * (c0 + s1)
+                    if p < 0 or math.isqrt(p) ** 2 != p or math.gcd(c0, g) != 1:
+                        continue
+                    values = [c0 + s for s in shifts]
+                    if all(integer_sqrt(values[i] * values[j]) is not None for i, j in later_pairs):
+                        hits.append((c0,) + high)
+            # c_0 is scanned innermost but ordered first: sort back to the box order
+            found.extend(sorted(hits))
     return SearchReport(
         elements=elems,
         max_degree=max_degree,
         max_height=max_height,
-        found=tuple(found),
+        found=tuple(Polynomial(c) for c in found),
         candidates=size,
         exhausted=True,
     )

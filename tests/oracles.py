@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
 from typing import NamedTuple
 
 from diopoly.variety import ProjPoint
@@ -206,3 +207,27 @@ def plane_residuals(w):
     out = [dt * (y[i] - eval_ascending(g, config.nodes[i])) for i in range(config.degree + 1)]
     assert all(r.denominator == 1 for r in out)
     return [int(r) for r in out]
+
+
+def search_by_enumeration(elements, max_degree, max_height):
+    """brute_force_search's box walked literally: degree, then leading
+    coefficient, then the lower coefficients in lexicographic order, each
+    vector tested for primitivity by a gcd over all of it and then on
+    every pair of values by isqrt.  Returns (found, candidates): the
+    ascending coefficient tuples that pass, in that order, and the number
+    of vectors enumerated."""
+    elems = sorted(elements)
+    found = []
+    candidates = 0
+    for e in range(max_degree + 1):
+        for lead in range(1, max_height + 1):
+            for rest in product(range(-max_height, max_height + 1), repeat=e):
+                candidates += 1
+                coeffs = rest + (lead,)
+                if reduce(math.gcd, (abs(c) for c in coeffs)) != 1:
+                    continue
+                values = [sum(c * x**t for t, c in enumerate(coeffs)) for x in elems]
+                products = [values[i] * values[j] for i, j in combinations(range(len(elems)), 2)]
+                if all(p >= 0 and math.isqrt(p) ** 2 == p for p in products):
+                    found.append(coeffs)
+    return found, candidates

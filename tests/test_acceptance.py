@@ -283,7 +283,7 @@ def test_criterion_09_search_oracle_agreement():
         result.exhausted
         and (1, 24) in found
         and not mismatches
-        and elapsed < 60
+        and elapsed < 5
     )
     report(9, "search-oracle-agreement", ok, f"{elapsed:.2f}s, {len(mismatches)} mismatches")
 

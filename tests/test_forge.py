@@ -25,7 +25,7 @@ from diopoly.forge import (
 )
 from diopoly.variety import ProjPoint
 
-from oracles import eval_ascending, is_perfect_square
+from oracles import eval_ascending, is_perfect_square, search_by_enumeration
 
 
 class TestPolynomial:
@@ -424,6 +424,61 @@ class TestBruteForceSearch:
     def test_tight_ceiling_refuses(self):
         with pytest.raises(SearchSpaceError):
             brute_force_search([1, 3], max_degree=1, max_height=2, ceiling=3)
+
+    def test_degree_zero_closed_form(self):
+        # a box of 10**8 constants is answered without walking it
+        report = brute_force_search([1, 3], max_degree=0, max_height=10**8)
+        assert tuple(p.coeffs for p in report.found) == ((1,),)
+        assert report.candidates == 10**8
+
+    @pytest.mark.parametrize("name", ["max_degree", "max_height", "ceiling"])
+    def test_box_arguments_must_be_plain_ints(self, name):
+        box = {"max_degree": 1, "max_height": 1, "ceiling": 10}
+        for bad in (True, 1.5, "1"):
+            with pytest.raises(TypeError, match=name):
+                brute_force_search([0, 1], **{**box, name: bad})
+
+
+def _assert_matches_enumeration(elements, max_degree, max_height):
+    report = brute_force_search(elements, max_degree, max_height)
+    found, candidates = search_by_enumeration(elements, max_degree, max_height)
+    assert [p.coeffs for p in report.found] == found
+    assert report.candidates == candidates
+    return found
+
+
+class TestSearchAgainstEnumeration:
+    """The constant-term scan against the literal walk of the box, order
+    included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(-12, 12), min_size=2, max_size=5, unique=True),
+        st.integers(0, 3),
+        st.data(),
+    )
+    def test_matches_enumeration(self, elements, max_degree, data):
+        max_height = data.draw(st.integers(1, (7, 5, 4, 2)[max_degree]), label="max_height")
+        _assert_matches_enumeration(elements, max_degree, max_height)
+
+    def test_two_elements_first_pair_only(self):
+        # -1 + 3x makes 2 * 8 = 16 and 1 + 3x makes 4 * 10 = 40
+        found = _assert_matches_enumeration([1, 3], 2, 4)
+        assert (-1, 3) in found and (1, 3) not in found
+
+    def test_zero_value_counts_as_square(self):
+        # f(x) = x on {0, 1, 4}: the values 0, 1, 4 make products 0, 0, 4
+        found = _assert_matches_enumeration([0, 1, 4], 1, 3)
+        assert (0, 1) in found
+
+    def test_equal_first_pair_values_pass_every_constant(self):
+        # c_0 + x^2 takes one value at -1 and 1, so every c_0 passes the pair
+        found = _assert_matches_enumeration([-1, 1], 2, 3)
+        assert [c for c in found if c[1:] == (0, 1)] == [(c0, 0, 1) for c0 in range(-3, 4)]
+
+    def test_negative_elements(self):
+        found = _assert_matches_enumeration([-9, -4, -1], 2, 5)
+        assert all(verify_witness([-9, -4, -1], c).ok for c in found)
 
 
 class TestEvalHornerInt:
