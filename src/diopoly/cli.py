@@ -55,6 +55,7 @@ CEILING_ENV_VAR = "DIOPOLY_SEARCH_CEILING"
 # and construct prints far shorter integers for sets of a few hundred elements
 INPUT_DIGITS_CAP = 100_000
 
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 _DECIMAL = {"type": "string", "pattern": "^-?[0-9]+$"}
 _RATIONAL = {"type": "string", "pattern": "^-?[0-9]+(/[1-9][0-9]*)?$"}
 
@@ -132,8 +133,29 @@ def _twist_block(points: TwistPointSet) -> dict:
     }
 
 
-def witness_document(witness: Witness, include_twist: bool = False) -> dict:
-    """Serializable document for one witness, in fixed key order."""
+class _Fragment(str):
+    """JSON text rendered in advance, which _json_object writes as is."""
+
+
+def _json_object(fields: dict) -> str:
+    """One compact JSON object in key order, the bytes json.dumps would
+    write with separators (",", ":"), except that _Fragment values are
+    copied verbatim.  The pieces are joined once, so a large fragment is
+    copied once."""
+    pieces = []
+    for key, value in fields.items():
+        text = value if isinstance(value, _Fragment) else _ENCODE(value)
+        pieces += (",", _ENCODE(key), ":", text)
+    pieces[0] = "{"
+    pieces.append("}")
+    return "".join(pieces)
+
+
+def _witness_line(witness: Witness, include_twist: bool = False) -> str:
+    """One witness document as a compact JSON line, in fixed key order.
+    The pair roots are written straight from the witness, one formatted
+    string per pair."""
+    roots = [f'{{"i":{i},"j":{j},"root":"{r}"}}' for i, j, r in sorted(witness.pair_roots)]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "set": [str(x) for x in witness.elements],
@@ -141,9 +163,7 @@ def witness_document(witness: Witness, include_twist: bool = False) -> dict:
         "method": witness.method,
         "parameter": [str(c) for c in witness.parameter.coords],
         "padding": [str(x) for x in witness.padding],
-        "pair_roots": [
-            {"i": i, "j": j, "root": str(r)} for i, j, r in sorted(witness.pair_roots)
-        ],
+        "pair_roots": _Fragment("[%s]" % ",".join(roots)),
         "flags": sorted(witness.flags),
     }
     if include_twist:
@@ -151,7 +171,13 @@ def witness_document(witness: Witness, include_twist: bool = False) -> dict:
             doc["twist"] = _twist_block(twist_points(witness.certificate))
         except DegenerateTwistError:
             doc["twist"] = None
-    return doc
+    return _json_object(doc)
+
+
+def witness_document(witness: Witness, include_twist: bool = False) -> dict:
+    """Serializable document for one witness, in fixed key order: the
+    line construct prints, read back."""
+    return json.loads(_witness_line(witness, include_twist))
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -216,29 +242,30 @@ def document_to_inputs(doc: dict) -> tuple[list[int], list[int]]:
     return _parse_decimal_list(doc["set"], "set"), _parse_decimal_list(doc["poly"], "poly")
 
 
-def _verify_report_document(report) -> dict:
-    return {
+def _verify_report_line(report) -> str:
+    """The verify report as one JSON line.  Its pairs are written straight
+    from report.pairs(), one formatted string per pair, with each
+    element's decimal string formatted once."""
+    elements = [str(x) for x in report.elements]
+    rows = []
+    for i, j, product, root in report.pairs():
+        shown = "null" if root is None else f'"{root}"'
+        rows.append(
+            f'{{"i":{i},"j":{j},"a":"{elements[i]}","b":"{elements[j]}",'
+            f'"product":"{product}","root":{shown}}}'
+        )
+    return _json_object({
         "schema_version": SCHEMA_VERSION,
-        "set": [str(x) for x in report.elements],
+        "set": elements,
         "poly": [str(c) for c in report.coeffs],
         "ok": report.ok,
         "zero_products": report.zero_products,
-        "pairs": [
-            {
-                "i": c.i,
-                "j": c.j,
-                "a": str(c.a),
-                "b": str(c.b),
-                "product": str(c.product),
-                "root": None if c.root is None else str(c.root),
-            }
-            for c in report.checks
-        ],
-    }
+        "pairs": _Fragment("[%s]" % ",".join(rows)),
+    })
 
 
-def _search_report_document(report) -> dict:
-    return {
+def _search_report_line(report) -> str:
+    return _ENCODE({
         "schema_version": SCHEMA_VERSION,
         "set": [str(x) for x in report.elements],
         "max_degree": report.max_degree,
@@ -246,7 +273,7 @@ def _search_report_document(report) -> dict:
         "candidates": str(report.candidates),
         "exhausted": report.exhausted,
         "found": [[str(c) for c in poly.coeffs] for poly in report.found],
-    }
+    })
 
 
 class _UsageError(Exception):
@@ -311,13 +338,13 @@ def _int_str_limit_lifted():
         setter(old)
 
 
-def _emit(build, *args, **kwargs) -> None:
-    """Build one output document and write it as one line.  The program's
+def _emit(render, *args, **kwargs) -> None:
+    """Render one output document and write it as one line.  The program's
     own integers can outgrow the digit limit (a product of two 3000-digit
     values has 6000), so they are formatted with the limit lifted."""
     with _int_str_limit_lifted():
-        doc = build(*args, **kwargs)
-    sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        line = render(*args, **kwargs)
+    sys.stdout.write(line + "\n")
 
 
 @cache  # built on the first main call, not at import
@@ -368,7 +395,7 @@ def _cmd_construct(args) -> int:
             max_attempts=args.max_attempts,
             param_bound=args.param_bound,
         )
-        _emit(witness_document, witness, include_twist=args.emit_twist)
+        _emit(_witness_line, witness, include_twist=args.emit_twist)
     return 0
 
 
@@ -401,7 +428,7 @@ def _verify_jobs(jobs) -> int:
     all_ok = True
     for elements, coeffs in jobs:
         report = verify_witness(elements, coeffs)
-        _emit(_verify_report_document, report)
+        _emit(_verify_report_line, report)
         all_ok = all_ok and report.ok
     return 0 if all_ok else 3
 
@@ -415,7 +442,7 @@ def _cmd_search(args) -> int:
         if ceiling < 1:
             raise _UsageError(f"{CEILING_ENV_VAR} must be at least 1, got {ceiling}")
     report = brute_force_search(elements, args.max_degree, args.max_height, ceiling=ceiling)
-    _emit(_search_report_document, report)
+    _emit(_search_report_line, report)
     return 0
 
 

@@ -6,7 +6,9 @@ power-span parametrization (k = n - d - 1) onto the quadric variety (a
 point Y) and pulls integer coefficients back through the reverse
 birational map, whose identity f(x) = +-L * Y_x^2 (L the lcm of the
 base Lagrange weights), checked once per node, gives every pair root
-as |L * Y_a * Y_b|; verify_witness re-checks them by integer square roots.
+as |L * Y_a * Y_b|.  verify_witness re-checks them from f alone by square
+classes: one integer square root per value against the first value of
+its class, so a passing set of n elements takes n - 1 of them.
 A method only chooses the node configuration:
 
 * quadric: nodes are the set itself, degree |S| - 2 (k = 0, a line);
@@ -28,7 +30,7 @@ import random
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactmath import eval_poly, integer_sqrt
 from .rationalmaps import (
@@ -217,18 +219,69 @@ class PairCheck:
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """The values of f on the sorted set, sorted into square classes.
+
+    Two nonzero values share a class when their product is a square.
+    classes[i] indexes bases, the first value of element i's class, and
+    is -1 where f vanishes; roots[i]^2 = bases[classes[i]] * values[i],
+    and roots[i] = 0 where f vanishes.  pairs() derives every pair from
+    these; checks, failures and roots_map read it.
+    """
+
     elements: tuple[int, ...]
     coeffs: tuple[int, ...]
-    checks: tuple[PairCheck, ...]
-    ok: bool
-    zero_products: int
+    values: tuple[int, ...]
+    classes: tuple[int, ...]
+    roots: tuple[int, ...]
+    bases: tuple[int, ...]
+
+    @property
+    def ok(self) -> bool:
+        return len(self.bases) <= 1
+
+    @property
+    def zero_products(self) -> int:
+        n = len(self.values)
+        nonzero = n - self.classes.count(-1)
+        return (n * (n - 1) - nonzero * (nonzero - 1)) // 2
+
+    def pairs(self) -> Iterator[tuple[int, int, int, int | None]]:
+        """(i, j, f(a) * f(b), root) for every pair i < j, in the order of
+        itertools.combinations.  A zero product has root 0, and a pair
+        across two classes has None.  A pair in the class of c has root
+        roots[i] * roots[j] / |c|, taken with no division per pair: write
+        c = s * m^2 with s squarefree; each value of the class is s * t^2
+        with root |s * m * t|, so the gcd G of the class's roots is a
+        multiple of |s| * m, w = G^2 / |c| is an integer, and the root is
+        (w * roots[i] / G) * (roots[j] / G)."""
+        values, classes, roots = self.values, self.classes, self.roots
+        gcds = [0] * len(self.bases)
+        for k, r in zip(classes, roots):
+            if k >= 0:
+                gcds[k] = math.gcd(gcds[k], r)
+        cols = [r // gcds[k] if k >= 0 else 0 for k, r in zip(classes, roots)]
+        weights = [g * g // abs(c) for g, c in zip(gcds, self.bases)]
+        n = len(values)
+        for i in range(n):
+            vi, ki = values[i], classes[i]
+            row = weights[ki] * cols[i] if ki >= 0 else 0
+            for j in range(i + 1, n):
+                kj = classes[j]
+                # a zero value has row and column 0, so its pairs get root 0
+                root = row * cols[j] if kj == ki or ki < 0 or kj < 0 else None
+                yield i, j, vi * values[j], root
+
+    @property
+    def checks(self) -> tuple[PairCheck, ...]:
+        e = self.elements
+        return tuple(PairCheck(i, j, e[i], e[j], p, r) for i, j, p, r in self.pairs())
 
     @property
     def failures(self) -> tuple[tuple[int, int], ...]:
-        return tuple((c.i, c.j) for c in self.checks if c.root is None)
+        return tuple((i, j) for i, j, _, r in self.pairs() if r is None)
 
     def roots_map(self) -> dict[tuple[int, int], int]:
-        return {(c.i, c.j): c.root for c in self.checks if c.root is not None}
+        return {(i, j): r for i, j, _, r in self.pairs() if r is not None}
 
 
 @dataclass(frozen=True)
@@ -392,26 +445,40 @@ def construct_witness(
 def verify_witness(elements: Iterable[int], coeffs: Polynomial | Sequence[int]) -> VerifyReport:
     """Check every distinct pair of the set against the polynomial.
 
-    A zero product counts as a perfect square (root 0) but is tallied
+    f is evaluated once per element, and its nonzero values are sorted
+    into square classes: a value v joins the first class whose first
+    value c makes c * v a square, with root isqrt(c * v), or opens a
+    class of its own.  Every pair product is a square exactly when at
+    most one class opens, so n values in one class take n - 1 integer
+    square roots, and no set takes more than one per pair.  A zero
+    product counts as a perfect square (root 0) but is tallied
     separately in zero_products so callers can see it happened.
     """
     elems = _validate_elements(elements, minimum=2)
     poly = coeffs if isinstance(coeffs, Polynomial) else Polynomial(tuple(coeffs))
-    values = [poly(x) for x in elems]
-    checks = []
-    zero_products = 0
-    for (i, a), (j, b) in combinations(enumerate(elems), 2):
-        p = values[i] * values[j]
-        if p == 0:
-            zero_products += 1
-        checks.append(PairCheck(i=i, j=j, a=a, b=b, product=p, root=integer_sqrt(p)))
-    ok = all(c.root is not None for c in checks)
+    values = tuple(poly(x) for x in elems)
+    classes, roots, bases = [], [], []
+    for v in values:
+        if v == 0:
+            classes.append(-1)
+            roots.append(0)
+            continue
+        for k, c in enumerate(bases):
+            r = integer_sqrt(c * v)
+            if r is not None:
+                break
+        else:
+            k, r = len(bases), abs(v)
+            bases.append(v)
+        classes.append(k)
+        roots.append(r)
     return VerifyReport(
         elements=elems,
         coeffs=poly.coeffs,
-        checks=tuple(checks),
-        ok=ok,
-        zero_products=zero_products,
+        values=values,
+        classes=tuple(classes),
+        roots=tuple(roots),
+        bases=tuple(bases),
     )
 
 

@@ -231,3 +231,19 @@ def search_by_enumeration(elements, max_degree, max_height):
                 if all(p >= 0 and math.isqrt(p) ** 2 == p for p in products):
                     found.append(coeffs)
     return found, candidates
+
+
+def verify_pairwise(elements, coeffs):
+    """verify_witness pair by pair: every product of two values, evaluated
+    by power sums, and its root by math.isqrt, one per pair.  Returns
+    (ok, zero_products, rows), rows holding (i, j, a, b, product, root or
+    None) for each pair i < j of the sorted set."""
+    elems = sorted(elements)
+    values = [int(eval_ascending(coeffs, x)) for x in elems]
+    rows = []
+    for (i, a), (j, b) in combinations(enumerate(elems), 2):
+        p = values[i] * values[j]
+        r = math.isqrt(p) if p >= 0 else None
+        rows.append((i, j, a, b, p, r if r is not None and r * r == p else None))
+    ok = all(row[5] is not None for row in rows)
+    return ok, sum(1 for row in rows if row[4] == 0), rows

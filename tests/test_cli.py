@@ -360,6 +360,41 @@ class TestVerifyCommand:
         assert pair["root"] == "9" * 3000
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
+    @pytest.mark.parametrize(
+        "method, moved, code, digest",
+        [
+            ("quadric", 0, 0, "c4a3276a1157120012246eda95f2644e3e63ae599e1f0b4bfdf7e4a955a6ec1d"),
+            ("plane", 0, 0, "42bfa31966879a518199a56d6569e0241aa362a64cfd584a522b69ca909c5a17"),
+            ("quadric", 1, 3, "eb3aaf7caaca5e09b2776f2a847d43db3c8870504d946366c8e24b5546f1dae9"),
+        ],
+    )
+    def test_report_bytes_on_0_to_29(self, method, moved, code, digest):
+        # digests of the pairwise verifier's reports (one isqrt per pair);
+        # moving f_1 by 1 puts every value in a square class of its own
+        elements = ",".join(str(x) for x in range(30))
+        _, doc, _ = run_cli("construct", "--set", elements, "--method", method, "--seed", "1")
+        fields = json.loads(doc)
+        fields["poly"][1] = str(int(fields["poly"][1]) + moved)
+        got = run_cli("verify", "--from-json", "-", stdin=json.dumps(fields))
+        assert got[0] == code and got[2] == ""
+        assert hashlib.sha256(got[1].encode()).hexdigest() == digest
+
+    def test_report_line_with_zero_and_mixed_classes(self):
+        # f = x: f vanishes at 0, and -1, 1 and {2, 8} are three square classes
+        code, out, _ = run_cli("verify", "--set", "-1,0,1,2,8", "--poly", "0,1")
+        pair = '{{"i":{},"j":{},"a":"{}","b":"{}","product":"{}","root":{}}}'.format
+        rows = [
+            pair(0, 1, -1, 0, 0, '"0"'), pair(0, 2, -1, 1, -1, "null"),
+            pair(0, 3, -1, 2, -2, "null"), pair(0, 4, -1, 8, -8, "null"),
+            pair(1, 2, 0, 1, 0, '"0"'), pair(1, 3, 0, 2, 0, '"0"'), pair(1, 4, 0, 8, 0, '"0"'),
+            pair(2, 3, 1, 2, 2, "null"), pair(2, 4, 1, 8, 8, "null"), pair(3, 4, 2, 8, 16, '"4"'),
+        ]
+        assert code == 3
+        assert out == (
+            '{"schema_version":"1","set":["-1","0","1","2","8"],"poly":["0","1"],'
+            f'"ok":false,"zero_products":4,"pairs":[{",".join(rows)}]}}\n'
+        )
+
     @pytest.mark.parametrize("method", ["quadric", "plane"])
     def test_reads_its_own_output_on_0_to_89(self, method):
         # with the Vandermonde product as scale, the quadric witness had

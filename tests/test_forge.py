@@ -1,6 +1,7 @@
 """Witness construction, exact verification, triviality classification, and
 the brute-force search oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -25,7 +26,13 @@ from diopoly.forge import (
 )
 from diopoly.variety import ProjPoint
 
-from oracles import eval_ascending, is_perfect_square, search_by_enumeration
+from oracles import (
+    eval_ascending,
+    is_perfect_square,
+    search_by_enumeration,
+    solve_interpolation,
+    verify_pairwise,
+)
 
 
 class TestPolynomial:
@@ -268,7 +275,8 @@ def parameter_length(size, method):
 
 class TestCertificateRoots:
     """Construction reads every pair root off the reverse-map identity
-    f(x) = +-D * Y_x^2; verify_witness re-derives them by integer square roots."""
+    f(x) = +-L * Y_x^2; verify_witness re-derives them from f alone, by
+    one integer square root per element of a square class after its first."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -302,7 +310,18 @@ class TestCertificateRoots:
         construct_witness([0, 1, 2, 3, 4], "plane", parameter=(1, 2, 0))
         assert calls == []
         verify_witness([0, 1, 2], [1, 24])
-        assert len(calls) == 3  # the counter is live
+        assert calls == [25, 49]  # the counter is live: n - 1 roots against f(0) = 1
+
+    @pytest.mark.parametrize("method", ["quadric", "plane"])
+    def test_verify_takes_one_square_root_per_element_after_the_first(self, monkeypatch, method):
+        w = construct_witness(range(30), method, seed=1)
+        calls = []
+        real = forge.integer_sqrt
+        monkeypatch.setattr(forge, "integer_sqrt", lambda n: calls.append(n) or real(n))
+        report = verify_witness(range(30), w.poly)
+        assert report.ok and report.zero_products == 0
+        assert len(calls) == 29
+        assert report.roots_map() == w.roots_map()
 
     def test_one_node_table_per_construction(self, monkeypatch):
         """Cofactors, system matrix, variety check, reverse map and root
@@ -388,6 +407,84 @@ class TestVerify:
                 assert is_perfect_square(abs(check.product)) or check.product > 10**6
             else:
                 assert not report.ok
+
+
+def integer_interpolant(elems, values):
+    """Integer coefficients of D times the interpolant through the values,
+    D > 0 the lcm of its denominators: every value is scaled by D, which
+    keeps the zeros, the signs and the partition into square classes."""
+    coeffs = solve_interpolation(list(zip(elems, values)))
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return [int(c * scale) for c in coeffs]
+
+
+@st.composite
+def class_documents(draw):
+    """A set with a value c * u^2 at each element, c drawn from one to
+    three square classes (negative ones too) and u from 0..9, so that some
+    values vanish; returns (set, coefficients)."""
+    elems = draw(st.lists(st.integers(-30, 30), min_size=2, max_size=7, unique=True))
+    free = st.sampled_from((1, -1, 2, -2, 3, -3, 5, -6, 10))
+    classes = draw(st.lists(free, min_size=1, max_size=3, unique=True))
+    values = [draw(st.sampled_from(classes)) * draw(st.integers(0, 9)) ** 2 for _ in elems]
+    assume(any(values))
+    return elems, integer_interpolant(elems, values)
+
+
+@st.composite
+def moved_witnesses(draw):
+    """A sampled witness with one coefficient moved by -1, 0 or +1."""
+    elems = draw(st.lists(st.integers(-40, 40), min_size=3, max_size=10, unique=True))
+    method = draw(st.sampled_from(("quadric", "plane")))
+    try:
+        w = construct_witness(elems, method, seed=draw(st.integers(0, 2**32)))
+    except ConstructionError:
+        assume(False)
+    coeffs = list(w.poly.coeffs)
+    coeffs[draw(st.integers(0, len(coeffs) - 1))] += draw(st.sampled_from((-1, 0, 1)))
+    assume(any(coeffs))
+    return elems, coeffs
+
+
+class TestSquareClasses:
+    """verify_witness against the pairwise oracle: the verdict, the zero
+    count and every pair row agree, and the integer square roots number
+    one per value of a class after its first, never more than one per pair."""
+
+    def check(self, elems, coeffs):
+        calls = []
+        real = forge.integer_sqrt
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forge, "integer_sqrt", lambda n: calls.append(n) or real(n))
+            report = verify_witness(elems, coeffs)
+        ok, zero_products, rows = verify_pairwise(elems, coeffs)
+        assert (report.ok, report.zero_products) == (ok, zero_products)
+        assert [(c.i, c.j, c.a, c.b, c.product, c.root) for c in report.checks] == rows
+        assert report.failures == tuple((i, j) for i, j, *_, r in rows if r is None)
+        assert report.roots_map() == {(i, j): r for i, j, *_, r in rows if r is not None}
+        n = len(elems)
+        assert len(calls) <= n * (n - 1) // 2
+        if ok:
+            nonzero = sum(1 for v in report.values if v)
+            assert len(calls) == max(nonzero - 1, 0)
+        return report, calls
+
+    @settings(max_examples=150, deadline=None)
+    @given(class_documents())
+    def test_drawn_square_classes(self, document):
+        self.check(*document)
+
+    @settings(max_examples=40, deadline=None)
+    @given(moved_witnesses())
+    def test_moved_witnesses(self, document):
+        self.check(*document)
+
+    def test_every_value_in_its_own_class(self):
+        # f = x on 2, 3, 5, 7: no product is a square, and each value
+        # is tried against every class before it, one root per pair
+        report, calls = self.check([2, 3, 5, 7], [0, 1])
+        assert report.classes == (0, 1, 2, 3) and report.bases == (2, 3, 5, 7)
+        assert len(report.failures) == len(calls) == 6
 
 
 class TestBruteForceSearch:
