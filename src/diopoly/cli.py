@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .forge import (
     DEFAULT_MAX_ATTEMPTS,
-    DEFAULT_PARAM_BOUND,
+    DEFAULT_PARAM_BOUNDS,
     DEFAULT_SEARCH_CEILING,
     ConstructionError,
     SearchSpaceError,
@@ -359,7 +359,13 @@ def _build_parser() -> _Parser:
     c.add_argument("--seed", type=_int_option, default=None)
     c.add_argument("--count", type=_int_option, default=1)
     c.add_argument("--max-attempts", type=_int_option, default=DEFAULT_MAX_ATTEMPTS)
-    c.add_argument("--param-bound", type=_int_option, default=DEFAULT_PARAM_BOUND)
+    bounds = ", ".join(f"{b} for {m}" for m, b in DEFAULT_PARAM_BOUNDS.items())
+    c.add_argument(
+        "--param-bound",
+        type=_int_option,
+        default=None,
+        help=f"largest sampled coordinate (default: {bounds})",
+    )
     c.add_argument("--emit-twist", action="store_true")
 
     v = sub.add_parser("verify", help="verify a polynomial against a set")

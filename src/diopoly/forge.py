@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
@@ -64,11 +64,27 @@ FLAG_DEGREE_DROPPED = "degree-dropped"
 FLAG_TRIVIAL_FAMILY = "trivial-family"
 FLAG_ZERO_VALUE = "zero-value"
 
-DEFAULT_PARAM_BOUND = 50
+# sampling bound per method: plane directions drawn from {-1, 0, 1} give
+# witnesses of far lower height than [-50, 50] (163-352 against 515-524
+# primitive digits on 0..59), and every later stage pays for height; the
+# quadric height barely moves with the bound (120-127 against 131-133),
+# and [-1, 1] would leave {0, 1, 2} one quadric witness
+DEFAULT_PARAM_BOUNDS = {"quadric": 50, "plane": 1}
 DEFAULT_MAX_ATTEMPTS = 20
 DEFAULT_SEARCH_CEILING = 10**8
 
 METHODS = ("quadric", "plane")
+# the keys of Witness.stats and ConstructionError.stats: attempts, then
+# the rejections by reason, in the order the sampling loop tests them
+STATS_KEYS = (
+    "attempts",
+    "degenerate-parameter",
+    "in-plane",
+    "degree-dropped",
+    "zero-value",
+    "base-node-zero",
+    FLAG_TRIVIAL_FAMILY,
+)
 
 
 class ConstructionError(RuntimeError):
@@ -188,7 +204,10 @@ class Witness:
     pair_roots holds (i, j, root) triples with i < j indexing the sorted
     elements, where root^2 = f(elements[i]) * f(elements[j]).  The
     underlying certificate point is carried along for downstream use
-    (it is what the twisted-curve emitter consumes).
+    (it is what the twisted-curve emitter consumes).  stats counts the
+    sampling attempts and the rejections by reason, with the keys of
+    ConstructionError.stats (one attempt and no rejection for an
+    explicit parameter); it takes no part in equality.
     """
 
     elements: tuple[int, ...]
@@ -199,6 +218,7 @@ class Witness:
     padding: tuple[int, ...]
     flags: frozenset[str]
     certificate: CertificatePoint
+    stats: dict[str, int] = field(default_factory=dict, compare=False)
 
     def roots_map(self) -> dict[tuple[int, int], int]:
         return {(i, j): r for i, j, r in self.pair_roots}
@@ -379,21 +399,29 @@ def construct_witness(
     seed: int | None = None,
     rng: random.Random | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    param_bound: int = DEFAULT_PARAM_BOUND,
+    param_bound: int | None = None,
 ) -> Witness:
     """Construct a certified witness polynomial for the given set.
 
     With an explicit parameter the single resulting witness is returned
     whatever its flags (a degenerate parameter raises
-    ConstructionError).  Without one, parameters are sampled uniformly
-    over [-param_bound, param_bound] coordinates from a seeded
-    generator, and degenerate or flagged outcomes (degree drop, zero
-    value, in-plane image, f vanishing at the base node)
-    are resampled up to max_attempts before giving up.
+    ConstructionError).  Without one, parameters are sampled from a
+    seeded generator, and degenerate or flagged outcomes (in-plane
+    image, degree drop, zero value, f vanishing at the base node,
+    trivial family) are resampled up to max_attempts before giving up.
+    A direction already tried is drawn again without counting as an
+    attempt.  Coordinates are uniform over [-param_bound, param_bound],
+    except at bound 1, where a direction is a sign vector with exactly
+    k + 2 nonzero coordinates (k = n - d - 1): the fewest that can give
+    a witness, and the lowest in height.  param_bound defaults to
+    DEFAULT_PARAM_BOUNDS[method]: 1 for plane, 50 for quadric.  The
+    returned witness's stats, like ConstructionError.stats, count the
+    attempts and the rejections by reason.
     """
     elems = _validate_elements(elements, minimum=3)
     config, padding = _method_setup(elems, method)
     plen = config.degree + 1
+    stats = dict.fromkeys(STATS_KEYS, 0)
 
     if parameter is not None:
         q = parameter if isinstance(parameter, ProjPoint) else ProjPoint(tuple(parameter))
@@ -403,21 +431,42 @@ def construct_witness(
             w = parametrize_plane(config, q)
         except DegenerateParameterError as exc:
             raise ConstructionError(f"parameter {q.coords} is degenerate: {exc}") from exc
-        return _build_witness(config, method, q, w, elems, padding)
+        stats["attempts"] = 1
+        return replace(_build_witness(config, method, q, w, elems, padding), stats=stats)
 
+    if param_bound is None:
+        param_bound = DEFAULT_PARAM_BOUNDS[method]
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
     if param_bound < 1:
         raise ValueError("param_bound must be at least 1")
     rng = rng if rng is not None else random.Random(seed)
-    counters = "attempts degenerate-parameter in-plane degree-dropped zero-value base-node-zero"
-    stats = dict.fromkeys(counters.split(), 0)
-    for _ in range(max_attempts):
+    # At bound 1 a direction is a sign vector, and its support decides
+    # the outcome: with at most k nonzero coordinates (k = n - d - 1) the
+    # system matrix drops rank, with k + 1 the witness is a trivial
+    # family, and every one beyond k + 2 adds height (about 15 digits
+    # each on 0..59).  So bound 1 draws exactly k + 2 signs.
+    support = config.n - config.degree + 1 if param_bound == 1 else None
+    # a draw whose direction was tried already is redrawn, not counted:
+    # at bound 1 a set of 3-5 elements has only 4 directions, of which a
+    # few give a witness, and repeats would exhaust max_attempts on such
+    # sets; sampling stops once every vector was drawn
+    if support is None:
+        vectors = (2 * param_bound + 1) ** plen - 1
+    else:
+        vectors = math.comb(plen, support) * 2**support
+    drawn: set[tuple[int, ...]] = set()
+    tried: set[ProjPoint] = set()
+    while stats["attempts"] < max_attempts and len(drawn) < vectors:
+        coords = _draw_coords(rng, plen, param_bound, support)
+        if not any(coords):
+            continue
+        drawn.add(coords)
+        q = ProjPoint(coords)
+        if q in tried:
+            continue
+        tried.add(q)
         stats["attempts"] += 1
-        coords = [rng.randint(-param_bound, param_bound) for _ in range(plen)]
-        while all(c == 0 for c in coords):
-            coords = [rng.randint(-param_bound, param_bound) for _ in range(plen)]
-        q = ProjPoint(tuple(coords))
         try:
             w = parametrize_plane(config, q)
         except DegenerateParameterError:
@@ -436,10 +485,26 @@ def construct_witness(
         if witness.certificate.degenerate:
             stats["base-node-zero"] += 1
             continue
-        return witness
+        if FLAG_TRIVIAL_FAMILY in witness.flags:
+            stats[FLAG_TRIVIAL_FAMILY] += 1
+            continue
+        return replace(witness, stats=stats)
     raise ConstructionError(
-        f"no acceptable witness within {max_attempts} attempts", stats
+        f"no acceptable witness within {stats['attempts']} attempts", stats
     )
+
+
+def _draw_coords(
+    rng: random.Random, plen: int, bound: int, support: int | None
+) -> tuple[int, ...]:
+    """plen coordinates uniform over [-bound, bound], or, with a support
+    size, random signs at that many random positions and zeros elsewhere."""
+    if support is None:
+        return tuple(rng.randint(-bound, bound) for _ in range(plen))
+    coords = [0] * plen
+    for i in rng.sample(range(plen), support):
+        coords[i] = rng.choice((-1, 1))
+    return tuple(coords)
 
 
 def verify_witness(elements: Iterable[int], coeffs: Polynomial | Sequence[int]) -> VerifyReport:

@@ -155,6 +155,20 @@ class TestConstructCommand:
         assert doc["twist"]["poly"] == ["1", "24"]
         assert doc["twist"]["genus_note"].startswith("degree <= 2")
 
+    @pytest.mark.parametrize("bound", [(), ("--param-bound", "50")])
+    def test_sampled_plane_witness_is_not_trivial(self, bound):
+        # at bound 50, seed 7 draws (9, 31, 0) first: f = 2 * (9 + 22x)^2
+        argv = ("construct", "--set", "0,1,2", "--method", "plane", "--seed", "7")
+        code, out, err = run_cli(*argv, *bound)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["flags"] == []
+
+    @pytest.mark.parametrize("method, bound", [("plane", "1"), ("quadric", "50")])
+    def test_param_bound_default_follows_method(self, method, bound):
+        argv = ("construct", "--set", "0,1,2,3,4,5", "--method", method, "--seed", "3", "--count", "3")
+        assert run_cli(*argv) == run_cli(*argv, "--param-bound", bound)
+        assert run_cli(*argv) != run_cli(*argv, "--param-bound", "2")
+
     def test_count_emits_one_document_per_line(self):
         code, out, _ = run_cli("construct", "--set", "0,1,2", "--seed", "5", "--count", "3")
         assert code == 0
@@ -168,18 +182,22 @@ class TestConstructCommand:
         b = run_cli("construct", "--set", "0,1,2", "--seed", "9", "--count", "2")
         assert a == b
 
+    SEEDED_BYTES = [
+        # plane sign directions with k + 2 nonzero coordinates, the plane default
+        ("plane", (), "31c5b7d7978cd9a3ffb9e2a17f63e2a8db7a625692f4abb6f260e645c571adae"),
+        # the bytes from before that default, which [-50, 50] still gives
+        ("plane", ("--param-bound", "50"), "bcc4d130d1e82d3cb4a2ae25fb3c5cc9074f7db4813da82912f77491b64188e6"),
+        ("quadric", (), "46dbe72bfbc6055a156ceb370d7f6701d97e170d3b3959ee7260bf8cc1cf26e1"),
+    ]
+
     @pytest.mark.parametrize(
-        "method, digest",
-        [
-            ("plane", "bcc4d130d1e82d3cb4a2ae25fb3c5cc9074f7db4813da82912f77491b64188e6"),
-            ("quadric", "46dbe72bfbc6055a156ceb370d7f6701d97e170d3b3959ee7260bf8cc1cf26e1"),
-        ],
+        "method, bound, digest", SEEDED_BYTES, ids=[f"{m}-{d}" for m, _, d in SEEDED_BYTES]
     )
-    def test_seeded_bytes_on_0_to_29(self, method, digest):
+    def test_seeded_bytes_on_0_to_29(self, method, bound, digest):
         # plane on 0..29 solves an 11 x 12 kernel system
         elements = ",".join(str(x) for x in range(30))
         argv = ("construct", "--set", elements, "--method", method, "--seed", "1", "--emit-twist")
-        code, out, _ = run_cli(*argv)
+        code, out, _ = run_cli(*argv, *bound)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -360,19 +378,24 @@ class TestVerifyCommand:
         assert pair["root"] == "9" * 3000
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
+    REPORT_BYTES = [
+        ("quadric", (), 0, 0, "c4a3276a1157120012246eda95f2644e3e63ae599e1f0b4bfdf7e4a955a6ec1d"),
+        ("plane", (), 0, 0, "1a42664d49b09fa45ecea742aa54644c4a26e1031a6727447521afdc782d4a9e"),
+        ("plane", ("--param-bound", "50"), 0, 0, "42bfa31966879a518199a56d6569e0241aa362a64cfd584a522b69ca909c5a17"),
+        ("quadric", (), 1, 3, "eb3aaf7caaca5e09b2776f2a847d43db3c8870504d946366c8e24b5546f1dae9"),
+    ]
+
     @pytest.mark.parametrize(
-        "method, moved, code, digest",
-        [
-            ("quadric", 0, 0, "c4a3276a1157120012246eda95f2644e3e63ae599e1f0b4bfdf7e4a955a6ec1d"),
-            ("plane", 0, 0, "42bfa31966879a518199a56d6569e0241aa362a64cfd584a522b69ca909c5a17"),
-            ("quadric", 1, 3, "eb3aaf7caaca5e09b2776f2a847d43db3c8870504d946366c8e24b5546f1dae9"),
-        ],
+        "method, bound, moved, code, digest",
+        REPORT_BYTES,
+        ids=[f"{m}-{moved}-{c}-{d}" for m, _, moved, c, d in REPORT_BYTES],
     )
-    def test_report_bytes_on_0_to_29(self, method, moved, code, digest):
+    def test_report_bytes_on_0_to_29(self, method, bound, moved, code, digest):
         # digests of the pairwise verifier's reports (one isqrt per pair);
         # moving f_1 by 1 puts every value in a square class of its own
         elements = ",".join(str(x) for x in range(30))
-        _, doc, _ = run_cli("construct", "--set", elements, "--method", method, "--seed", "1")
+        argv = ("construct", "--set", elements, "--method", method, "--seed", "1")
+        _, doc, _ = run_cli(*argv, *bound)
         fields = json.loads(doc)
         fields["poly"][1] = str(int(fields["poly"][1]) + moved)
         got = run_cli("verify", "--from-json", "-", stdin=json.dumps(fields))

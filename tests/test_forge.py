@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from diopoly import exactmath, forge, rationalmaps, variety
+from diopoly import cli, exactmath, forge, rationalmaps, variety
 from diopoly.exactmath import eval_poly
 from diopoly.forge import (
     DEFAULT_SEARCH_CEILING,
@@ -239,6 +239,7 @@ class TestSampledConstruction:
             construct_witness([0, 1, 2], "quadric", seed=63, max_attempts=1)
         assert exc.value.stats["attempts"] == 1
         assert exc.value.stats["degree-dropped"] == 1
+        assert exc.value.stats["trivial-family"] == 0
 
     def test_polar_direction_counted_in_plane(self):
         # (2, 1) is on the polar of {0, 1, 2}: the image is the base point,
@@ -254,6 +255,103 @@ class TestSampledConstruction:
         assert exc.value.stats["attempts"] == 1
         assert exc.value.stats["in-plane"] == 1
         assert "base-point" not in exc.value.stats
+
+    def test_trivial_family_resampled_and_counted(self):
+        # seed 7's first plane draw on {0, 1, 2} at bound 50 is (9, 31, 0),
+        # which gives f = 2 * (9 + 22x)^2
+        with pytest.raises(ConstructionError) as exc:
+            construct_witness([0, 1, 2], "plane", seed=7, param_bound=50, max_attempts=1)
+        assert exc.value.stats["attempts"] == 1
+        assert exc.value.stats["trivial-family"] == 1
+        w = construct_witness([0, 1, 2], "plane", seed=7, param_bound=50)
+        assert w.flags == frozenset()
+        assert w.stats["attempts"] == 2 and w.stats["trivial-family"] == 1
+
+    def test_tried_directions_are_redrawn_not_counted(self):
+        # a repeat of (9, 31, 0) and its negative are the same direction
+        class Stub:
+            draws = iter([9, 31, 0, 9, 31, 0, -9, -31, 0, 1, -1, -1])
+
+            def randint(self, lo, hi):
+                return next(self.draws)
+
+        w = construct_witness([0, 1, 2], "plane", rng=Stub(), param_bound=50)
+        assert w.parameter == ProjPoint((1, -1, -1))
+        assert w.stats["attempts"] == 2 and w.stats["trivial-family"] == 1
+
+    @pytest.mark.parametrize(
+        "method, bound, directions",
+        # [-2, 2]^2 holds 24 nonzero vectors in 8 directions; at bound 1 the
+        # plane config of {0, 1, 2} (k = 1) draws 3 signs: 8 vectors, 4 directions
+        [("quadric", 2, 8), ("plane", 1, 4)],
+    )
+    def test_sampling_stops_once_every_direction_was_tried(self, monkeypatch, method, bound, directions):
+        def degenerate(config, q):
+            raise rationalmaps.DegenerateParameterError("every direction")
+
+        monkeypatch.setattr(forge, "parametrize_plane", degenerate)
+        with pytest.raises(ConstructionError, match=f"within {directions} attempts") as exc:
+            construct_witness([0, 1, 2], method, seed=1, param_bound=bound, max_attempts=20)
+        assert exc.value.stats["attempts"] == exc.value.stats["degenerate-parameter"] == directions
+
+    @pytest.mark.parametrize("method, size", [("plane", 12), ("plane", 30), ("quadric", 8)])
+    def test_sign_directions_have_k_plus_2_nonzero_coordinates(self, method, size):
+        config, _ = forge._method_setup(tuple(range(size)), method)
+        k = config.n - config.degree - 1
+        rnd = random.Random(f"support, {method}, {size}")
+
+        def signs(support):
+            coords = [0] * (config.degree + 1)
+            for i in rnd.sample(range(len(coords)), support):
+                coords[i] = rnd.choice((-1, 1))
+            return coords
+
+        # fewer never give a witness: k or less drop the system's rank, and
+        # k + 1 give a trivial family
+        for _ in range(5):
+            if k:
+                with pytest.raises(ConstructionError, match="degenerate"):
+                    construct_witness(range(size), method, parameter=signs(k))
+            w = construct_witness(range(size), method, parameter=signs(k + 1))
+            assert FLAG_TRIVIAL_FAMILY in w.flags
+        for seed in range(5):
+            w = construct_witness(range(size), method, seed=seed, param_bound=1)
+            assert sum(1 for c in w.parameter if c) == k + 2
+            assert set(w.parameter) <= {-1, 0, 1}
+
+    def test_stats_on_success(self):
+        sampled = construct_witness([0, 1, 2], "plane", seed=7, param_bound=50)
+        pinned = construct_witness([0, 1, 2], "plane", parameter=sampled.parameter)
+        assert list(sampled.stats) == list(forge.STATS_KEYS)
+        assert pinned.stats == {**dict.fromkeys(forge.STATS_KEYS, 0), "attempts": 1}
+        # stats stay out of equality, hashing and the printed document
+        assert sampled == pinned and hash(sampled) == hash(pinned)
+        assert sampled.stats != pinned.stats
+        assert "stats" not in cli.witness_document(sampled)
+
+    @pytest.mark.parametrize("method", ["quadric", "plane"])
+    def test_sampled_witnesses_carry_no_flags(self, method):
+        rnd = random.Random(f"no flags, {method}")
+        for size in range(3, 13):
+            for _ in range(6):
+                elems = rnd.sample(range(-40, 40), size)
+                for seed in range(5):
+                    w = construct_witness(elems, method, seed=seed)
+                    assert w.flags == frozenset()
+                    assert w.stats["attempts"] == 1 + sum(
+                        n for key, n in w.stats.items() if key != "attempts"
+                    )
+                    assert verify_witness(elems, w.poly).ok
+
+    def test_plane_height_on_0_to_59(self):
+        # primitive digits: 515-524 with directions from [-50, 50], and
+        # 163-352 from all of {-1, 0, 1}^21, where the height follows the
+        # number of nonzero coordinates; with exactly k + 2 = 12 of them,
+        # 119-144 over these seeds
+        polys = [construct_witness(range(60), "plane", seed=s).poly.primitive_part() for s in range(8)]
+        heights = [max(len(str(abs(c))) for c in f.coeffs) for f in polys]
+        assert max(heights) <= 200
+        assert max(heights) - min(heights) <= 40
 
     def test_param_bound_validation(self):
         with pytest.raises(ValueError):
