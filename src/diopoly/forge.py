@@ -441,11 +441,14 @@ def construct_witness(
     if param_bound < 1:
         raise ValueError("param_bound must be at least 1")
     rng = rng if rng is not None else random.Random(seed)
-    # At bound 1 a direction is a sign vector, and its support decides
-    # the outcome: with at most k nonzero coordinates (k = n - d - 1) the
-    # system matrix drops rank, with k + 1 the witness is a trivial
-    # family, and every one beyond k + 2 adds height (about 15 digits
-    # each on 0..59).  So bound 1 draws exactly k + 2 signs.
+    # At bound 1 a direction is a sign vector, and its support J decides
+    # the outcome: the reduced system of parametrize_plane has
+    # |J| - k - 1 rows (k = n - d - 1).  At most k nonzero coordinates
+    # give it a negative size, so the image is underdetermined and the
+    # system matrix drops rank; k + 1 give it size zero, so S = 0 and f
+    # is a constant times M^2, a trivial family; and every one beyond
+    # k + 2 adds height (about 15 digits each on 0..59).  So bound 1
+    # draws exactly k + 2 signs, whose single row has a closed form.
     support = config.n - config.degree + 1 if param_bound == 1 else None
     # a draw whose direction was tried already is redrawn, not counted:
     # at bound 1 a set of 3-5 elements has only 4 directions, of which a

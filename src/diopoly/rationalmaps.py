@@ -27,6 +27,11 @@ bracket evaluations, taken with the config's cofactor rows.  A line
 config (n = d + 1) is the case k = 0: T_0 is the all-ones base point,
 so the image is the second intersection of the single quadric with the
 line through it in direction q_hat.
+The system reduces to |J| - k - 1 rows, J the support of q.  A direction
+with exactly k + 2 nonzero coordinates, which is every default plane
+draw, leaves one row, and its image is solved in closed form from
+products of node differences; every other direction takes the kernel of
+the full system by exactmath.integer_kernel (parametrize_plane).
 The inverse and the plane test read the residuals L_tail * Y_i - G(x_i),
 where G / L_tail interpolates the tail coordinates from the same kind of
 Lagrange table as the reverse map, L_tail the lcm of the tail weights.
@@ -119,7 +124,7 @@ class QuadricPoint:
     def in_plane(self) -> bool:
         """Whether the point lies in the span of the power points T_0..T_k,
         k = n - d - 1; for a line config (k = 0) that is the base point.
-        Images of parametrize_plane carry it, read off their kernel."""
+        Images of parametrize_plane carry it, read off lambda = mu_{k+1}."""
         return not any(_plane_residuals(self))
 
 
@@ -219,36 +224,107 @@ def plane_system_matrix(config: PointConfig, direction: ProjPoint) -> list[list[
 def parametrize_plane(config: PointConfig, direction: ProjPoint) -> QuadricPoint:
     """Residual intersection point sum(mu_t * T_t) + mu_{k+1} * q_hat.
 
-    The mu are any integer kernel vector of the system matrix: the image
-    is linear in mu, so every nonzero multiple gives the same canonical
-    point, and dividing each row by its content leaves the kernel as it
-    is.  Directions whose system matrix drops rank (all mu zero) raise
+    Write M = sum(mu_t * x^t), of degree <= k, and lambda = mu_{k+1}: the
+    image is Y = M + lambda * q_hat on the base nodes and Y = M on the tail
+    nodes.  The system holds exactly when
+    q_j * (2 * M(x_j) + lambda * q_j) = N(x_j) * S(x_j) at every base node
+    for some S of degree <= d - k - 1, N = prod_tail (x - x_m), and then
+    f is proportional to M^2 + lambda * N * S.  A zero q_l forces
+    S(x_l) = 0, so with J the support of q, S is a multiple of
+    P = prod_{q_l = 0} (x - x_l) with |J| - k - 1 free coefficients, and
+    M must pass through the |J| values it takes on J: the reduced system
+    has |J| - k - 1 rows.
+
+    A direction with exactly k + 2 nonzero coordinates (every default
+    plane draw, and quadric draws on two coordinates) has a single row,
+    solved in closed form by _plane_image_on_k2_support.  Every other
+    direction takes the general path: mu is any integer kernel vector of
+    the system matrix, the image is linear in mu, so every nonzero
+    multiple gives the same canonical point, and dividing each row by its
+    content leaves the kernel as it is.  Both paths give the same point
+    and the same flag.
+
+    Directions whose system matrix drops rank (all mu zero) raise
     DegenerateParameterError.  When mu_{k+1} = 0 the image lies inside
     the spanned plane itself (for k = 0: the base point, when q is on the
     polar); it is still returned, with QuadricPoint.in_plane set from
-    the kernel: the tail coordinates are the values of sum(mu_t * x^t),
-    of degree <= k, at k+1 nodes, and q is nonzero, so the image lies in
-    the plane exactly when mu_{k+1} = 0.
+    lambda: the tail coordinates are the values of M at k+1 nodes, and q
+    is nonzero, so the image lies in the plane exactly when lambda = 0.
     """
     k = _plane_k(config)
     d = config.degree
-    rows = []
-    for row in plane_system_matrix(config, direction):
-        g = math.gcd(*row)
-        rows.append([c // g for c in row] if g > 1 else row)
-    mus = integer_kernel(rows)
-    if mus is None:
-        raise DegenerateParameterError("system matrix has deficient rank for this direction")
+    if len(direction) != d + 1:
+        raise ValueError(f"direction needs {d + 1} coordinates, got {len(direction)}")
     q = direction.coords
-    image = []
-    for i in range(config.n + 1):
-        val = sum(mus[t] * config.nodes[i] ** t for t in range(k + 1))
-        if i <= d:
-            val += mus[k + 1] * q[i]
-        image.append(val)
+    if sum(1 for c in q if c) == k + 2:
+        image, in_plane = _plane_image_on_k2_support(config, q, k)
+    else:
+        rows = []
+        for row in plane_system_matrix(config, direction):
+            g = math.gcd(*row)
+            rows.append([c // g for c in row] if g > 1 else row)
+        mus = integer_kernel(rows)
+        if mus is None:
+            raise DegenerateParameterError("system matrix has deficient rank for this direction")
+        image = []
+        for i in range(config.n + 1):
+            val = sum(mus[t] * config.nodes[i] ** t for t in range(k + 1))
+            if i <= d:
+                val += mus[k + 1] * q[i]
+            image.append(val)
+        in_plane = mus[k + 1] == 0
     w = QuadricPoint(config, ProjPoint(tuple(image)))
-    vars(w)["in_plane"] = mus[k + 1] == 0
+    vars(w)["in_plane"] = in_plane
     return w
+
+
+def _plane_image_on_k2_support(
+    config: PointConfig, q: Sequence[int], k: int
+) -> tuple[list[int], bool]:
+    """Image of a direction with exactly k + 2 nonzero coordinates, as an
+    integer multiple, and whether it lies in the plane.
+
+    With |J| = k + 2 the multiple S = c * P has one free coefficient c, and
+    M, of degree <= k, passes through the k + 2 values
+    v_j = (N_j * P_j * c - lambda * q_j^2) / (2 * q_j), j in J, exactly
+    when their divided difference sum_J v_j / W_j vanishes, with
+    W_j = prod_{l in J, l != j} (x_j - x_l).  So (c, lambda) is proportional
+    to (sum_J q_j / W_j, sum_J N_j * P_j / (q_j * W_j)), both taken times
+    E = lcm_J(q_j * W_j); when both vanish every (c, lambda) solves the
+    row, the system drops rank, and DegenerateParameterError is raised.
+    Otherwise Y_j = M(x_j) + lambda * q_j = (N_j * P_j * c + lambda * q_j^2)
+    / (2 * q_j) on J, and Y_i = M(x_i) elsewhere.  As the divided
+    difference vanishes, M is also the interpolant of the v_j over all of
+    J: M(x) = sum_J v_j * prod_{l in J, l != j} (x - x_l) / W_j.  The whole
+    image is taken times 2 * E, a multiple of 2 * q_j * W_j for every j in
+    J, which makes every coordinate an integer.
+    """
+    d = config.degree
+    base, tail = config.nodes[: d + 1], config.nodes[d + 1 :]
+    zeros = [x for x, c in zip(base, q) if not c]
+    xs = [x for x, c in zip(base, q) if c]
+    qs = [c for c in q if c]
+    nps = [math.prod(x - t for t in tail) * math.prod(x - z for z in zeros) for x in xs]
+    ws = [math.prod(x - y for y in xs if y != x) for x in xs]
+    scale = math.lcm(*(qj * w for qj, w in zip(qs, ws)))
+    ts = [scale // (qj * w) for qj, w in zip(qs, ws)]
+    c = sum(qj * qj * t for qj, t in zip(qs, ts))
+    lam = sum(v * t for v, t in zip(nps, ts))
+    if c == 0 and lam == 0:
+        raise DegenerateParameterError("system matrix has deficient rank for this direction")
+    # 2 * E * v_j / W_j, and 2 * E * Y_j on J
+    terms = [(c * v - lam * qj * qj) * t for v, qj, t in zip(nps, qs, ts)]
+    on_support = {
+        x: (c * v + lam * qj * qj) * t * w for x, v, qj, t, w in zip(xs, nps, qs, ts, ws)
+    }
+    image = []
+    for x in config.nodes:
+        if x in on_support:
+            image.append(on_support[x])
+        else:
+            span = math.prod(x - y for y in xs)
+            image.append(sum(a * (span // (x - y)) for a, y in zip(terms, xs)))
+    return image, lam == 0
 
 
 def _plane_residuals(w: QuadricPoint) -> list[int]:

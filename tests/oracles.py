@@ -22,6 +22,8 @@ from functools import reduce
 from itertools import combinations, product
 from typing import NamedTuple
 
+from diopoly.exactmath import integer_kernel
+from diopoly.rationalmaps import plane_system_matrix
 from diopoly.variety import ProjPoint
 
 
@@ -120,6 +122,29 @@ def plane_system_by_powers(config, direction):
         row.append(squares)
         rows.append(row)
     return rows
+
+
+def plane_image_by_kernel(config, direction):
+    """rationalmaps.parametrize_plane by its general path for every
+    direction: the system rows divided by their gcds, a kernel vector mu by
+    exactmath.integer_kernel, and the image sum(mu_t * T_t) + mu_{k+1} *
+    q_hat.  Returns (point, in_plane), in_plane read as mu_{k+1} = 0, or
+    None where the system drops rank."""
+    d = config.degree
+    k = config.n - d - 1
+    rows = []
+    for row in plane_system_matrix(config, direction):
+        g = math.gcd(*row)
+        rows.append([c // g for c in row] if g > 1 else row)
+    mus = integer_kernel(rows)
+    if mus is None:
+        return None
+    q = direction.coords
+    image = [
+        sum(mus[t] * x**t for t in range(k + 1)) + (mus[k + 1] * q[i] if i <= d else 0)
+        for i, x in enumerate(config.nodes)
+    ]
+    return ProjPoint(tuple(image)), mus[k + 1] == 0
 
 
 def power_rows(xs, count):

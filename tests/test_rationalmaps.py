@@ -5,10 +5,12 @@ projective identities."""
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from diopoly import forge
 from diopoly.exactmath import eval_poly, integer_kernel
 from diopoly.rationalmaps import (
     CertificatePoint,
@@ -28,6 +30,7 @@ from oracles import (
     alternating_minors,
     bracket_cofactors,
     node_vandermonde,
+    plane_image_by_kernel,
     plane_residuals,
     plane_system_by_powers,
     power_point,
@@ -519,3 +522,65 @@ def test_power_span_image_and_inverse(case):
             parametrize_plane_inverse(w)
     else:
         assert parametrize_plane_inverse(w) == q
+
+
+def image_or_none(config, direction):
+    """(point, in_plane) of parametrize_plane, or None where it raises
+    DegenerateParameterError: the shape of plane_image_by_kernel."""
+    try:
+        w = parametrize_plane(config, direction)
+    except DegenerateParameterError:
+        return None
+    return w.point, w.in_plane
+
+
+@pytest.mark.parametrize(
+    "nodes, degree, directions, degenerate, in_plane",
+    [
+        (range(5), 2, 216, 2, 2),
+        (range(-2, 3), 2, 216, 2, 2),
+        (range(8), 4, 6480, 8, 18),
+        (range(-3, 5), 4, 6480, 8, 18),
+    ],
+)
+def test_k2_support_closed_form_matches_kernel_exhaustively(
+    nodes, degree, directions, degenerate, in_plane
+):
+    """Every direction in [-3, 3]^(d+1) with exactly k + 2 nonzero
+    coordinates takes the closed form; it gives the kernel path's image,
+    in-plane flag and degenerate locus."""
+    cfg = PointConfig(tuple(nodes), degree)
+    k = cfg.n - degree - 1
+    outcomes = []
+    for coords in product(range(-3, 4), repeat=degree + 1):
+        if sum(1 for c in coords if c) == k + 2:
+            q = ProjPoint(coords)
+            want = plane_image_by_kernel(cfg, q)
+            assert image_or_none(cfg, q) == want, coords
+            outcomes.append(want)
+    assert len(outcomes) == directions
+    assert outcomes.count(None) == degenerate
+    assert sum(1 for o in outcomes if o is not None and o[1]) == in_plane
+
+
+@st.composite
+def k2_support_cases(draw):
+    """A node set of 3-30 integers from [-300, 300) set up by either
+    method, and a direction with exactly k + 2 nonzero coordinates in
+    [-9, 9]."""
+    elems = draw(st.lists(st.integers(-300, 299), min_size=3, max_size=30, unique=True))
+    method = draw(st.sampled_from(forge.METHODS))
+    cfg, _ = forge._method_setup(tuple(sorted(elems)), method)
+    plen = cfg.degree + 1
+    support = draw(st.permutations(range(plen)))[: cfg.n - cfg.degree + 1]
+    coords = [0] * plen
+    for i in support:
+        coords[i] = draw(st.integers(-9, 9).filter(bool))
+    return cfg, ProjPoint(tuple(coords))
+
+
+@settings(max_examples=150, deadline=None)
+@given(k2_support_cases())
+def test_k2_support_closed_form_matches_kernel(case):
+    cfg, q = case
+    assert image_or_none(cfg, q) == plane_image_by_kernel(cfg, q)
