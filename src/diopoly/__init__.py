@@ -20,11 +20,8 @@ from .variety import (
 from .rationalmaps import (
     CertificatePoint,
     DegenerateParameterError,
-    IndeterminatePointError,
     QuadricPoint,
-    certificate_to_quadric,
     parametrize_plane,
-    parametrize_plane_inverse,
     plane_system_matrix,
     quadric_to_certificate,
 )
@@ -52,13 +49,10 @@ __all__ = [
     "on_certificate_variety",
     "CertificatePoint",
     "QuadricPoint",
-    "IndeterminatePointError",
     "DegenerateParameterError",
-    "certificate_to_quadric",
     "quadric_to_certificate",
     "plane_system_matrix",
     "parametrize_plane",
-    "parametrize_plane_inverse",
     "Polynomial",
     "Witness",
     "VerifyReport",

@@ -155,7 +155,7 @@ def _witness_line(witness: Witness, include_twist: bool = False) -> str:
     """One witness document as a compact JSON line, in fixed key order.
     The pair roots are written straight from the witness, one formatted
     string per pair."""
-    roots = [f'{{"i":{i},"j":{j},"root":"{r}"}}' for i, j, r in sorted(witness.pair_roots)]
+    roots = [f'{{"i":{i},"j":{j},"root":"{r}"}}' for i, j, r in witness.pair_roots]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "set": [str(x) for x in witness.elements],

@@ -4,16 +4,18 @@ whose value products over all distinct pairs are perfect squares.
 Every construction pushes a projective parameter through the one
 power-span parametrization (k = n - d - 1) onto the quadric variety (a
 point Y) and pulls integer coefficients back through the reverse
-birational map, whose identity f(x) = +-L * Y_x^2 (L the lcm of the
-base Lagrange weights), checked once per node, gives every pair root
-as |L * Y_a * Y_b|.  verify_witness re-checks them from f alone by square
-classes: one integer square root per value against the first value of
-its class, so a passing set of n elements takes n - 1 of them.
-A method only chooses the node configuration:
+birational map.  Its identity f(x) = +-L * Y_x^2 (L the lcm of the base
+Lagrange weights), checked once per node, is the whole proof: a witness
+stores only its node configuration and Y, and derives from them every
+pair root as |L * Y_a * Y_b|, its padding and its certificate point.
+verify_witness re-checks the roots from f alone by square classes: one
+integer square root per value against the first value of its class, so
+a passing set of n elements takes n - 1 of them.  A method only chooses
+the node configuration:
 
 * quadric: nodes are the set itself, degree |S| - 2 (k = 0, a line);
 * plane: the set is padded to size 3k+2 with the smallest fresh
-  non-negative integers (k minimal), degree 2k, and the certificate is
+  non-negative integers (k minimal), degree 2k, and the pair roots are
   restricted to the original elements.
 
 A small exhaustive search over primitive integer polynomials doubles as
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -36,8 +38,7 @@ from .exactmath import eval_poly, integer_sqrt
 from .rationalmaps import (
     CertificatePoint,
     DegenerateParameterError,
-    QuadricPoint,
-    parametrize_plane,
+    plane_image,
     quadric_to_certificate_lcm,
 )
 from .variety import PointConfig, ProjPoint
@@ -50,7 +51,6 @@ __all__ = [
     "SearchSpaceError",
     "Polynomial",
     "Witness",
-    "PairCheck",
     "VerifyReport",
     "SearchReport",
     "construct_witness",
@@ -201,40 +201,53 @@ def poly_square_root(coeffs: Sequence[int]) -> tuple[int, ...] | None:
 class Witness:
     """A certified construction result.
 
-    pair_roots holds (i, j, root) triples with i < j indexing the sorted
-    elements, where root^2 = f(elements[i]) * f(elements[j]).  The
-    underlying certificate point is carried along for downstream use
-    (it is what the twisted-curve emitter consumes).  stats counts the
-    sampling attempts and the rejections by reason, with the keys of
-    ConstructionError.stats (one attempt and no rejection for an
-    explicit parameter); it takes no part in equality.
+    It stores the node configuration and image, the canonical quadric
+    point (Y_0..Y_n) that the parameter maps to.  What certifies the
+    witness follows from these two through the identity
+    f(x) = +-L * Y_x^2 (L the lcm of the base Lagrange weights), which
+    construction checks at every node:
+
+    * pair_roots, (i, j, root) triples with i < j indexing the sorted
+      elements, in the order of itertools.combinations, where
+      root = |L * Y_a * Y_b|, so root^2 = f(elements[i]) * f(elements[j]);
+    * padding, the nodes of the config that are not elements;
+    * certificate, the certificate point with z_i = +-L * Y_0 * Y_i,
+      built and validated the first time it is read (it is what the
+      twisted-curve emitter consumes).
+
+    stats counts the sampling attempts and the rejections by reason,
+    with the keys of ConstructionError.stats (one attempt and no
+    rejection for an explicit parameter); it takes no part in equality.
     """
 
     elements: tuple[int, ...]
     poly: Polynomial
-    pair_roots: tuple[tuple[int, int, int], ...]
     method: str
     parameter: ProjPoint
-    padding: tuple[int, ...]
+    config: PointConfig
+    image: ProjPoint
     flags: frozenset[str]
-    certificate: CertificatePoint
     stats: dict[str, int] = field(default_factory=dict, compare=False)
+
+    @property
+    def pair_roots(self) -> tuple[tuple[int, int, int], ...]:
+        y = dict(zip(self.config.nodes, self.image.coords))
+        ys = [abs(y[x]) for x in self.elements]
+        lys = [self.config.base_lagrange[0] * v for v in ys]
+        return tuple((i, j, lys[i] * ys[j]) for i, j in combinations(range(len(ys)), 2))
+
+    @property
+    def padding(self) -> tuple[int, ...]:
+        elems = set(self.elements)
+        return tuple(x for x in self.config.nodes if x not in elems)
+
+    @cached_property
+    def certificate(self) -> CertificatePoint:
+        coeffs, certs = quadric_to_certificate_lcm(self.config, self.image.coords)
+        return CertificatePoint(self.config, ProjPoint(coeffs + certs))
 
     def roots_map(self) -> dict[tuple[int, int], int]:
         return {(i, j): r for i, j, r in self.pair_roots}
-
-
-@dataclass(frozen=True)
-class PairCheck:
-    """One verified pair: indices into the sorted set, the two elements,
-    the product of values, and its exact square root if it has one."""
-
-    i: int
-    j: int
-    a: int
-    b: int
-    product: int
-    root: int | None
 
 
 @dataclass(frozen=True)
@@ -245,7 +258,7 @@ class VerifyReport:
     classes[i] indexes bases, the first value of element i's class, and
     is -1 where f vanishes; roots[i]^2 = bases[classes[i]] * values[i],
     and roots[i] = 0 where f vanishes.  pairs() derives every pair from
-    these; checks, failures and roots_map read it.
+    these; failures and roots_map read it.
     """
 
     elements: tuple[int, ...]
@@ -292,11 +305,6 @@ class VerifyReport:
                 yield i, j, vi * values[j], root
 
     @property
-    def checks(self) -> tuple[PairCheck, ...]:
-        e = self.elements
-        return tuple(PairCheck(i, j, e[i], e[j], p, r) for i, j, p, r in self.pairs())
-
-    @property
     def failures(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, j) for i, j, _, r in self.pairs() if r is None)
 
@@ -339,15 +347,14 @@ def _plane_padding(elems: Sequence[int]) -> tuple[int, ...]:
     return tuple(padding)
 
 
-def _method_setup(elems: tuple[int, ...], method: str) -> tuple[PointConfig, tuple[int, ...]]:
-    """Returns (config, padding)."""
+def _method_setup(elems: tuple[int, ...], method: str) -> PointConfig:
+    """The node configuration of a method on the sorted elements."""
     if method == "quadric":
-        return PointConfig(elems, len(elems) - 2), ()
+        return PointConfig(elems, len(elems) - 2)
     if method == "plane":
-        padding = _plane_padding(elems)
-        nodes = tuple(sorted(set(elems) | set(padding)))
+        nodes = tuple(sorted(elems + _plane_padding(elems)))
         k = (len(nodes) - 2) // 3
-        return PointConfig(nodes, 2 * k), padding
+        return PointConfig(nodes, 2 * k)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 
@@ -355,39 +362,41 @@ def _build_witness(
     config: PointConfig,
     method: str,
     q: ProjPoint,
-    w: QuadricPoint,
+    image: ProjPoint,
     elems: tuple[int, ...],
-    padding: tuple[int, ...],
 ) -> Witness:
-    coeffs, certs = quadric_to_certificate_lcm(w)
-    # the reverse map pins f(x) = (-1)^d * L * Y_x^2 at every node, so
-    # f(a) * f(b) = (L * Y_a * Y_b)^2 whatever sign f is normalized to
+    """The witness of an image, after checking f(x) = +-L * Y_x^2 at every
+    node of the config.
+
+    That check is the one proof of the witness, and it implies both
+    variety checks, so construction runs neither.  The reverse map takes
+    f = +-L * I, I the interpolant of the Y_i^2 over the base nodes, so the
+    identity holds at the base nodes by construction, and at a tail node m
+    it says I(x_m) = Y_m^2: the bracket equation for m, so the image lies
+    on the quadric variety.  The certificates z_i = +-L * Y_0 * Y_i then
+    give z_i^2 = f(x_0) * f(x_i), the certificate equations, and every
+    pair has the root |L * Y_a * Y_b|, whatever sign f is normalized to.
+    """
+    coeffs, _ = quadric_to_certificate_lcm(config, image.coords)
     ll = config.base_lagrange[0]
     t = -ll if config.degree % 2 else ll
-    y = dict(zip(config.nodes, w.point.coords))
-    bad = [x for x in config.nodes if eval_poly(coeffs, x) != t * y[x] ** 2]
+    bad = [x for x, y in zip(config.nodes, image.coords) if eval_poly(coeffs, x) != t * y**2]
     if bad:
         raise ConstructionError(f"reverse map breaks f(x) = +-L * Y_x^2 at node {bad[0]}")
     poly = Polynomial(coeffs).sign_normalized()
-    certificate = CertificatePoint(config, ProjPoint(coeffs + certs))
 
     flags = set(classify_trivial(poly, elems))
     if poly.degree < config.degree:
         flags.add(FLAG_DEGREE_DROPPED)
 
-    ys = [abs(y[x]) for x in elems]
-    dys = [ll * v for v in ys]
-    roots = tuple((i, j, dys[i] * ys[j]) for i, j in combinations(range(len(elems)), 2))
-
     return Witness(
         elements=elems,
         poly=poly,
-        pair_roots=roots,
         method=method,
         parameter=q,
-        padding=padding,
+        config=config,
+        image=image,
         flags=frozenset(flags),
-        certificate=certificate,
     )
 
 
@@ -419,7 +428,7 @@ def construct_witness(
     attempts and the rejections by reason.
     """
     elems = _validate_elements(elements, minimum=3)
-    config, padding = _method_setup(elems, method)
+    config = _method_setup(elems, method)
     plen = config.degree + 1
     stats = dict.fromkeys(STATS_KEYS, 0)
 
@@ -428,11 +437,11 @@ def construct_witness(
         if len(q) != plen:
             raise ValueError(f"parameter needs {plen} coordinates, got {len(q)}")
         try:
-            w = parametrize_plane(config, q)
+            image, _ = plane_image(config, q)
         except DegenerateParameterError as exc:
             raise ConstructionError(f"parameter {q.coords} is degenerate: {exc}") from exc
         stats["attempts"] = 1
-        return replace(_build_witness(config, method, q, w, elems, padding), stats=stats)
+        return replace(_build_witness(config, method, q, image, elems), stats=stats)
 
     if param_bound is None:
         param_bound = DEFAULT_PARAM_BOUNDS[method]
@@ -442,7 +451,7 @@ def construct_witness(
         raise ValueError("param_bound must be at least 1")
     rng = rng if rng is not None else random.Random(seed)
     # At bound 1 a direction is a sign vector, and its support J decides
-    # the outcome: the reduced system of parametrize_plane has
+    # the outcome: the reduced system of plane_image has
     # |J| - k - 1 rows (k = n - d - 1).  At most k nonzero coordinates
     # give it a negative size, so the image is underdetermined and the
     # system matrix drops rank; k + 1 give it size zero, so S = 0 and f
@@ -471,21 +480,22 @@ def construct_witness(
         tried.add(q)
         stats["attempts"] += 1
         try:
-            w = parametrize_plane(config, q)
+            image, in_plane = plane_image(config, q)
         except DegenerateParameterError:
             stats["degenerate-parameter"] += 1
             continue
-        if w.in_plane:
+        if in_plane:
             stats["in-plane"] += 1
             continue
-        witness = _build_witness(config, method, q, w, elems, padding)
+        witness = _build_witness(config, method, q, image, elems)
         if FLAG_DEGREE_DROPPED in witness.flags:
             stats["degree-dropped"] += 1
             continue
         if FLAG_ZERO_VALUE in witness.flags:
             stats["zero-value"] += 1
             continue
-        if witness.certificate.degenerate:
+        # f(x_0) = +-L * Y_0^2 vanishes with Y_0
+        if image[0] == 0:
             stats["base-node-zero"] += 1
             continue
         if FLAG_TRIVIAL_FAMILY in witness.flags:

@@ -1,5 +1,5 @@
 """Birational correspondence between the two varieties, plus the rational
-parametrization of the quadric side with its exact inverse.
+parametrization of the quadric side.
 
 Forward map: a certificate point (f_0..f_d, z_1..z_n) with f(x_0) != 0
 goes to the value-side point (f(x_0), z_1, .., z_n).
@@ -31,10 +31,18 @@ The system reduces to |J| - k - 1 rows, J the support of q.  A direction
 with exactly k + 2 nonzero coordinates, which is every default plane
 draw, leaves one row, and its image is solved in closed form from
 products of node differences; every other direction takes the kernel of
-the full system by exactmath.integer_kernel (parametrize_plane).
-The inverse and the plane test read the residuals L_tail * Y_i - G(x_i),
-where G / L_tail interpolates the tail coordinates from the same kind of
-Lagrange table as the reverse map, L_tail the lcm of the tail weights.
+the full system by exactmath.integer_kernel.  plane_image is that
+solve, and returns the image with its in-plane flag.
+
+Which check proves what: the construction pipeline (forge) takes
+plane_image's point and checks f(x) = +-L * Y_x^2 at every node of the
+polynomial it builds, which proves the witness and implies both variety
+equations; CertificatePoint checks the certificate equations, which put
+the twist points on their curve; QuadricPoint checks the quadric
+equations of points that callers build, and parametrize_plane returns
+plane_image's point as one.  The forward map and the inverse of the
+parametrization are used only as cross-checks, and live with the test
+oracles.
 
 Nodes are integers, so everything is computed in exact integer
 arithmetic, and every point is returned in canonical projective form,
@@ -45,11 +53,10 @@ equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from .exactmath import eval_poly, integer_kernel, lagrange_table
+from .exactmath import eval_poly, integer_kernel
 from .variety import (
     PointConfig,
     ProjPoint,
@@ -58,21 +65,15 @@ from .variety import (
 )
 
 __all__ = [
-    "IndeterminatePointError",
     "DegenerateParameterError",
     "CertificatePoint",
     "QuadricPoint",
-    "certificate_to_quadric",
     "quadric_to_certificate",
     "quadric_to_certificate_lcm",
     "plane_system_matrix",
+    "plane_image",
     "parametrize_plane",
-    "parametrize_plane_inverse",
 ]
-
-
-class IndeterminatePointError(ValueError):
-    """A rational map was evaluated at a point where it is undefined."""
 
 
 class DegenerateParameterError(ValueError):
@@ -111,21 +112,21 @@ class CertificatePoint:
 
 @dataclass(frozen=True)
 class QuadricPoint:
-    """Validated point (Y_0..Y_n) on the quadric variety."""
+    """Validated point (Y_0..Y_n) on the quadric variety.
+
+    in_plane says whether the point lies in the span of the power points
+    T_0..T_k, k = n - d - 1 (for a line config, k = 0: the base point).
+    parametrize_plane fills it from plane_image's flag; a point built
+    from coordinates leaves it None.
+    """
 
     config: PointConfig
     point: ProjPoint
+    in_plane: bool | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not on_quadric_variety(self.config, self.point):
             raise ValueError("coordinates do not satisfy the quadric equations")
-
-    @cached_property
-    def in_plane(self) -> bool:
-        """Whether the point lies in the span of the power points T_0..T_k,
-        k = n - d - 1; for a line config (k = 0) that is the base point.
-        Images of parametrize_plane carry it, read off lambda = mu_{k+1}."""
-        return not any(_plane_residuals(self))
 
 
 def _lagrange_sum(
@@ -142,24 +143,20 @@ def _lagrange_sum(
     return g
 
 
-def certificate_to_quadric(v: CertificatePoint) -> QuadricPoint:
-    """Forward map (f_0..f_d, z_1..z_n) -> (f(x_0), z_1, .., z_n)."""
-    fx0 = v.poly_value(0)
-    if fx0 == 0:
-        raise IndeterminatePointError("forward map undefined where f(x_0) = 0")
-    return QuadricPoint(v.config, ProjPoint((fx0, *v.certificates)))
-
-
-def quadric_to_certificate_lcm(w: QuadricPoint) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reverse map before projective canonicalization, on the scale L.
+def quadric_to_certificate_lcm(
+    config: PointConfig, y: Sequence[int]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Reverse map of the coordinates y = (Y_0..Y_n) before projective
+    canonicalization, on the scale L.
 
     Returns (coefficients f_0..f_d, certificates z_1..z_n), L / D times the
     literal minor formulas: f = (-1)^d * sum_i (L / w_i) * Y_i^2 * b_i from
-    the config's table, so f(x_i) = (-1)^d * L * Y_i^2 at every node index
-    i, and z_i = (-1)^d * L * Y_0 * Y_i.
+    the config's table, so f(x_i) = (-1)^d * L * Y_i^2 at every base node
+    x_0..x_d, and at the tail nodes exactly when y lies on the quadric
+    variety; z_i = (-1)^d * L * Y_0 * Y_i.
     """
-    d, y = w.config.degree, w.point.coords
-    ll, weights = w.config.base_lagrange
+    d = config.degree
+    ll, weights = config.base_lagrange
     sign = -1 if d % 2 else 1
     coeffs = tuple(sign * c for c in _lagrange_sum(weights, [c**2 for c in y[: d + 1]]))
     scale = sign * ll * y[0]
@@ -173,7 +170,7 @@ def quadric_to_certificate(w: QuadricPoint) -> CertificatePoint:
     points whose polynomial vanishes at the base node (flagged through
     CertificatePoint.degenerate) rather than raising.
     """
-    coeffs, certs = quadric_to_certificate_lcm(w)
+    coeffs, certs = quadric_to_certificate_lcm(w.config, w.point.coords)
     return CertificatePoint(w.config, ProjPoint(coeffs + certs))
 
 
@@ -221,8 +218,9 @@ def plane_system_matrix(config: PointConfig, direction: ProjPoint) -> list[list[
     return rows
 
 
-def parametrize_plane(config: PointConfig, direction: ProjPoint) -> QuadricPoint:
-    """Residual intersection point sum(mu_t * T_t) + mu_{k+1} * q_hat.
+def plane_image(config: PointConfig, direction: ProjPoint) -> tuple[ProjPoint, bool]:
+    """Residual intersection point sum(mu_t * T_t) + mu_{k+1} * q_hat, in
+    canonical form, and whether it lies in the spanned plane.
 
     Write M = sum(mu_t * x^t), of degree <= k, and lambda = mu_{k+1}: the
     image is Y = M + lambda * q_hat on the base nodes and Y = M on the tail
@@ -247,9 +245,12 @@ def parametrize_plane(config: PointConfig, direction: ProjPoint) -> QuadricPoint
     Directions whose system matrix drops rank (all mu zero) raise
     DegenerateParameterError.  When mu_{k+1} = 0 the image lies inside
     the spanned plane itself (for k = 0: the base point, when q is on the
-    polar); it is still returned, with QuadricPoint.in_plane set from
-    lambda: the tail coordinates are the values of M at k+1 nodes, and q
-    is nonzero, so the image lies in the plane exactly when lambda = 0.
+    polar); it is still returned, with the flag read off lambda: the
+    tail coordinates are the values of M at k+1 nodes, and q is nonzero,
+    so the image lies in the plane exactly when lambda = 0.
+
+    The point is not checked against the variety here; parametrize_plane
+    does that.
     """
     k = _plane_k(config)
     d = config.degree
@@ -273,9 +274,13 @@ def parametrize_plane(config: PointConfig, direction: ProjPoint) -> QuadricPoint
                 val += mus[k + 1] * q[i]
             image.append(val)
         in_plane = mus[k + 1] == 0
-    w = QuadricPoint(config, ProjPoint(tuple(image)))
-    vars(w)["in_plane"] = in_plane
-    return w
+    return ProjPoint(tuple(image)), in_plane
+
+
+def parametrize_plane(config: PointConfig, direction: ProjPoint) -> QuadricPoint:
+    """plane_image as a validated QuadricPoint carrying its in_plane flag."""
+    point, in_plane = plane_image(config, direction)
+    return QuadricPoint(config, point, in_plane)
 
 
 def _plane_image_on_k2_support(
@@ -325,29 +330,3 @@ def _plane_image_on_k2_support(
             span = math.prod(x - y for y in xs)
             image.append(sum(a * (span // (x - y)) for a, y in zip(terms, xs)))
     return image, lam == 0
-
-
-def _plane_residuals(w: QuadricPoint) -> list[int]:
-    """L_tail * Y_i - G(x_i) for i = 0..d, where G / L_tail is the degree
-    <= k interpolant of the tail coordinates (x_m, Y_m), m = d+1..n, from
-    exactmath.lagrange_table over the tail nodes.  All vanish exactly when
-    the point lies in the span of T_0..T_k."""
-    config = w.config
-    _plane_k(config)
-    y = w.point.coords
-    tail = config.extra_indices
-    lt, weights = lagrange_table([config.nodes[m] for m in tail])
-    g = _lagrange_sum(weights, [y[m] for m in tail])
-    return [lt * y[i] - eval_poly(g, config.nodes[i]) for i in range(config.degree + 1)]
-
-
-def parametrize_plane_inverse(w: QuadricPoint) -> ProjPoint:
-    """Direction recovering a quadric-variety point under the plane map:
-    the residuals L_tail * (Y_i - g(x_i)), i = 0..d, with g the tail
-    interpolant.  Points inside the spanned plane make every residual
-    vanish and raise IndeterminatePointError.
-    """
-    diffs = _plane_residuals(w)
-    if not any(diffs):
-        raise IndeterminatePointError("inverse undefined on the power-point plane")
-    return ProjPoint(tuple(diffs))

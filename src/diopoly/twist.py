@@ -67,8 +67,11 @@ class TwistPointSet:
 def twist_points(v: CertificatePoint) -> TwistPointSet:
     """All node points on the twisted curve of a certificate point.
 
-    Raises DegenerateTwistError when f(x_0) = 0; every returned point is
-    checked against the curve equation, exactly.
+    Raises DegenerateTwistError when f(x_0) = 0.  The points need no check
+    of their own: a CertificatePoint is validated on construction, so
+    z_i^2 = c * f(x_i) with c = f(x_0), and c * (z_i / c)^2 = f(x_i) puts
+    the point (x_i, z_i / c) on the curve; the base node's (x_0, 1) is on
+    it by the definition of c.
     """
     scalar = v.poly_value(0)
     if scalar == 0:
@@ -78,7 +81,4 @@ def twist_points(v: CertificatePoint) -> TwistPointSet:
     pts = [(nodes[0], Fraction(1))]
     for i, z in enumerate(v.certificates, start=1):
         pts.append((nodes[i], Fraction(z) / scalar))
-    for x, y in pts:
-        if not curve.contains(x, y):
-            raise AssertionError("internal error: twist point fails the curve equation")
     return TwistPointSet(curve=curve, points=tuple(pts))

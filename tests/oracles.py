@@ -12,6 +12,11 @@ the reverse map as Laplace minors, the primitive diagonal quadrics, the
 power points, and the in-plane residuals over the tail's Vandermonde
 product.  The program keeps one scale, L, the lcm of the base Lagrange
 weights; tests compare it with these forms through the integer D / L.
+
+So do the maps the program never needs: the forward map from the
+certificate variety, the in-plane test of a point built from its
+coordinates, and the inverse of the power-span parametrization, both
+read off residuals on the scale of the tail's Lagrange weights.
 """
 
 from __future__ import annotations
@@ -22,9 +27,13 @@ from functools import reduce
 from itertools import combinations, product
 from typing import NamedTuple
 
-from diopoly.exactmath import integer_kernel
-from diopoly.rationalmaps import plane_system_matrix
+from diopoly.exactmath import integer_kernel, lagrange_table
+from diopoly.rationalmaps import QuadricPoint, plane_system_matrix
 from diopoly.variety import ProjPoint
+
+
+class IndeterminatePointError(ValueError):
+    """A rational map was evaluated at a point where it is undefined."""
 
 
 def laplace_det(rows):
@@ -232,6 +241,54 @@ def plane_residuals(w):
     out = [dt * (y[i] - eval_ascending(g, config.nodes[i])) for i in range(config.degree + 1)]
     assert all(r.denominator == 1 for r in out)
     return [int(r) for r in out]
+
+
+def certificate_to_quadric(v):
+    """Forward map (f_0..f_d, z_1..z_n) -> (f(x_0), z_1, .., z_n) of a
+    CertificatePoint, the inverse of the reverse map away from f(x_0) = 0."""
+    fx0 = v.poly_value(0)
+    if fx0 == 0:
+        raise IndeterminatePointError("forward map undefined where f(x_0) = 0")
+    return QuadricPoint(v.config, ProjPoint((fx0, *v.certificates)))
+
+
+def tail_residuals(w):
+    """L_tail * Y_i - G(x_i) for i = 0..d, where G / L_tail is the degree
+    <= k interpolant of the tail coordinates (x_m, Y_m), m = d+1..n, from
+    exactmath.lagrange_table over the tail nodes.  All vanish exactly when
+    the point lies in the span of T_0..T_k, k = n - d - 1; the power-span
+    map needs 2k <= d, and a ValueError says so."""
+    config, y = w.config, w.point.coords
+    d = config.degree
+    k = config.n - d - 1
+    if 2 * k > d:
+        raise ValueError(f"power-span construction needs 2k <= d; got k = {k}, d = {d}")
+    tail = range(d + 1, config.n + 1)
+    lt, weights = lagrange_table([config.nodes[m] for m in tail])
+    g = [0] * (k + 1)
+    for (s, basis), m in zip(weights, tail):
+        for t, c in enumerate(basis):
+            g[t] += s * y[m] * c
+    return [
+        lt * y[i] - sum(c * config.nodes[i] ** t for t, c in enumerate(g)) for i in range(d + 1)
+    ]
+
+
+def lies_in_plane(w):
+    """Whether a QuadricPoint lies in the span of the power points T_0..T_k;
+    for a line config (k = 0) that is the base point."""
+    return not any(tail_residuals(w))
+
+
+def parametrize_plane_inverse(w):
+    """Direction recovering a quadric-variety point under the plane map:
+    the residuals L_tail * (Y_i - g(x_i)), i = 0..d, with g the tail
+    interpolant.  Points inside the spanned plane make every residual
+    vanish and raise IndeterminatePointError."""
+    diffs = tail_residuals(w)
+    if not any(diffs):
+        raise IndeterminatePointError("inverse undefined on the power-point plane")
+    return ProjPoint(tuple(diffs))
 
 
 def search_by_enumeration(elements, max_degree, max_height):

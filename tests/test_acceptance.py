@@ -25,9 +25,7 @@ from diopoly.forge import (
 )
 from diopoly.rationalmaps import (
     DegenerateParameterError,
-    certificate_to_quadric,
     parametrize_plane,
-    parametrize_plane_inverse,
     plane_system_matrix,
     quadric_to_certificate,
     quadric_to_certificate_lcm,
@@ -37,8 +35,10 @@ from diopoly.variety import PointConfig, ProjPoint, on_quadric_variety
 
 from oracles import (
     alternating_minors,
+    certificate_to_quadric,
     diagonal_quadrics,
     node_vandermonde,
+    parametrize_plane_inverse,
     power_point,
     reverse_map_by_minors,
 )
@@ -199,7 +199,8 @@ def test_criterion_06_reverse_map_determinant_identity():
             sign = -1 if d % 2 else 1
             dd = node_vandermonde(cfg)
             ratio, rem = divmod(dd, cfg.base_lagrange[0])
-            if rem or coeffs != tuple(ratio * c for c in quadric_to_certificate_lcm(w)[0]):
+            lcm_coeffs, _ = quadric_to_certificate_lcm(cfg, w.point.coords)
+            if rem or coeffs != tuple(ratio * c for c in lcm_coeffs):
                 failures += 1
             y = w.point.coords
             for i, x in enumerate(cfg.nodes):

@@ -25,6 +25,7 @@ from diopoly.forge import (
     poly_square_root,
     verify_witness,
 )
+from diopoly.twist import twist_points
 from diopoly.variety import ProjPoint
 
 from oracles import (
@@ -300,14 +301,14 @@ class TestSampledConstruction:
         def degenerate(config, q):
             raise rationalmaps.DegenerateParameterError("every direction")
 
-        monkeypatch.setattr(forge, "parametrize_plane", degenerate)
+        monkeypatch.setattr(forge, "plane_image", degenerate)
         with pytest.raises(ConstructionError, match=f"within {directions} attempts") as exc:
             construct_witness([0, 1, 2], method, seed=1, param_bound=bound, max_attempts=20)
         assert exc.value.stats["attempts"] == exc.value.stats["degenerate-parameter"] == directions
 
     @pytest.mark.parametrize("method, size", [("plane", 12), ("plane", 30), ("quadric", 8)])
     def test_sign_directions_have_k_plus_2_nonzero_coordinates(self, method, size):
-        config, _ = forge._method_setup(tuple(range(size)), method)
+        config = forge._method_setup(tuple(range(size)), method)
         k = config.n - config.degree - 1
         rnd = random.Random(f"support, {method}, {size}")
 
@@ -335,7 +336,7 @@ class TestSampledConstruction:
         # every direction in [-2, 2]^(d+1): with at most k nonzero
         # coordinates the reduced system has negative size and the system
         # matrix drops rank; with k + 1 it has size zero and f = c * M^2
-        config, _ = forge._method_setup(tuple(range(size)), "plane")
+        config = forge._method_setup(tuple(range(size)), "plane")
         k = config.n - config.degree - 1
         below, at = set(), set()
         for coords in product(range(-2, 3), repeat=config.degree + 1):
@@ -426,7 +427,7 @@ class TestCertificateRoots:
             assume(False)  # degenerate parameter, or sampling exhausted
         report = verify_witness(elems, w.poly)
         assert report.ok
-        assert w.pair_roots == tuple((c.i, c.j, c.root) for c in report.checks)
+        assert w.pair_roots == tuple((i, j, r) for i, j, _, r in report.pairs())
 
     def test_construction_takes_no_square_roots(self, monkeypatch):
         calls = []
@@ -471,6 +472,46 @@ class TestCertificateRoots:
             assert not {"vandermonde", "lagrange_basis"} & set(vars(module))
         assert not hasattr(exactmath, "vandermonde")
 
+    @pytest.mark.parametrize("method", ["quadric", "plane"])
+    def test_node_identity_is_the_one_check(self, monkeypatch, method):
+        """Construction checks f(x) = +-L * Y_x^2 once per node and runs
+        neither variety check, which that identity implies; a plane
+        witness builds no cofactor rows.  Reading the certificate builds
+        and validates it once."""
+        calls = {"quadric": 0, "certificate": 0}
+        for name in calls:
+            real = getattr(rationalmaps, f"on_{name}_variety")
+
+            def counted(config, point, name=name, real=real):
+                calls[name] += 1
+                return real(config, point)
+
+            monkeypatch.setattr(rationalmaps, f"on_{name}_variety", counted)
+        w = construct_witness(range(30), method, seed=1)
+        assert calls == {"quadric": 0, "certificate": 0}
+        if method == "plane":
+            assert "cofactor_rows" not in vars(w.config)
+        twist_points(w.certificate)
+        twist_points(w.certificate)
+        assert calls == {"quadric": 0, "certificate": 1}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(-300, 299), min_size=3, max_size=30, unique=True),
+        st.sampled_from(forge.METHODS),
+        st.integers(0, 2**32),
+    )
+    def test_certificate_matches_validated_maps(self, elems, method, seed):
+        """The certificate derived from the stored config and image is the
+        one the validated parametrization and reverse map give."""
+        try:
+            w = construct_witness(elems, method, seed=seed)
+        except ConstructionError:
+            assume(False)
+        image = rationalmaps.parametrize_plane(w.config, w.parameter)
+        assert image.point == w.image
+        assert w.certificate == rationalmaps.quadric_to_certificate(image)
+
     @pytest.mark.parametrize(
         "elems,method,kwargs",
         [
@@ -483,8 +524,8 @@ class TestCertificateRoots:
     def test_tampered_reverse_map_raises(self, monkeypatch, elems, method, kwargs):
         real = forge.quadric_to_certificate_lcm
 
-        def bumped(w):
-            coeffs, certs = real(w)
+        def bumped(config, y):
+            coeffs, certs = real(config, y)
             return (coeffs[0] + 1, *coeffs[1:]), certs
 
         monkeypatch.setattr(forge, "quadric_to_certificate_lcm", bumped)
@@ -528,13 +569,12 @@ class TestVerify:
     )
     def test_report_arithmetic_is_exact(self, elems, coeffs):
         report = verify_witness(elems, coeffs)
-        for check in report.checks:
-            assert check.product == eval_poly(coeffs, check.a) * eval_poly(
-                coeffs, check.b
-            )
-            if check.root is not None:
-                assert check.root * check.root == check.product
-                assert is_perfect_square(abs(check.product)) or check.product > 10**6
+        e = report.elements
+        for i, j, product, root in report.pairs():
+            assert product == eval_poly(coeffs, e[i]) * eval_poly(coeffs, e[j])
+            if root is not None:
+                assert root * root == product
+                assert is_perfect_square(abs(product)) or product > 10**6
             else:
                 assert not report.ok
 
@@ -589,7 +629,8 @@ class TestSquareClasses:
             report = verify_witness(elems, coeffs)
         ok, zero_products, rows = verify_pairwise(elems, coeffs)
         assert (report.ok, report.zero_products) == (ok, zero_products)
-        assert [(c.i, c.j, c.a, c.b, c.product, c.root) for c in report.checks] == rows
+        e = report.elements
+        assert [(i, j, e[i], e[j], p, r) for i, j, p, r in report.pairs()] == rows
         assert report.failures == tuple((i, j) for i, j, *_, r in rows if r is None)
         assert report.roots_map() == {(i, j): r for i, j, *_, r in rows if r is not None}
         n = len(elems)

@@ -15,11 +15,8 @@ from diopoly.exactmath import eval_poly, integer_kernel
 from diopoly.rationalmaps import (
     CertificatePoint,
     DegenerateParameterError,
-    IndeterminatePointError,
     QuadricPoint,
-    certificate_to_quadric,
     parametrize_plane,
-    parametrize_plane_inverse,
     plane_system_matrix,
     quadric_to_certificate,
     quadric_to_certificate_lcm,
@@ -27,9 +24,13 @@ from diopoly.rationalmaps import (
 from diopoly.variety import PointConfig, ProjPoint, on_quadric_variety
 
 from oracles import (
+    IndeterminatePointError,
     alternating_minors,
     bracket_cofactors,
+    certificate_to_quadric,
+    lies_in_plane,
     node_vandermonde,
+    parametrize_plane_inverse,
     plane_image_by_kernel,
     plane_residuals,
     plane_system_by_powers,
@@ -75,7 +76,7 @@ def d_over_l(config):
 def literal_reverse_map(w):
     """quadric_to_certificate_lcm times D / L: the reverse map on the scale D."""
     ratio = d_over_l(w.config)
-    coeffs, certs = quadric_to_certificate_lcm(w)
+    coeffs, certs = quadric_to_certificate_lcm(w.config, w.point.coords)
     return tuple(ratio * c for c in coeffs), tuple(ratio * z for z in certs)
 
 
@@ -112,14 +113,14 @@ class TestWrappers:
     def test_base_point_flag(self):
         # on a line config (k = 0) the plane is the base point alone
         w = QuadricPoint(LINE_CFG, power_point(LINE_CFG, 0))
-        assert w.in_plane
-        assert not QuadricPoint(LINE_CFG, ProjPoint((1, 5, 7))).in_plane
+        assert lies_in_plane(w)
+        assert not lies_in_plane(QuadricPoint(LINE_CFG, ProjPoint((1, 5, 7))))
 
     def test_in_plane_needs_2k_at_most_d(self):
         cfg = PointConfig(tuple(range(6)), 2)  # k = 2 > d / 2
         w = QuadricPoint(cfg, power_point(cfg, 0))
         with pytest.raises(ValueError):
-            w.in_plane
+            lies_in_plane(w)
 
     def test_node_vandermonde_worked(self):
         assert node_vandermonde(LINE_CFG) == 1
@@ -329,7 +330,7 @@ class TestPlaneParametrization:
 
     def test_inverse_undefined_on_plane(self):
         w = QuadricPoint(PLANE_CFG, ProjPoint((1, 1, 1, 1, 1)))
-        assert w.in_plane
+        assert lies_in_plane(w)
         with pytest.raises(IndeterminatePointError):
             parametrize_plane_inverse(w)
 
@@ -450,7 +451,7 @@ def test_literal_forms_are_d_over_l_times_the_pipeline(case):
         w = parametrize_plane(cfg, q)
     except DegenerateParameterError:
         return
-    coeffs, certs = quadric_to_certificate_lcm(w)
+    coeffs, certs = quadric_to_certificate_lcm(cfg, w.point.coords)
     y = w.point.coords
     sign = (-1) ** d
     assert [eval_poly(coeffs, x) for x in cfg.nodes] == [sign * ll * c**2 for c in y]
@@ -474,7 +475,7 @@ def test_kernel_in_plane_test_agrees_with_residuals(case):
     except DegenerateParameterError:
         return
     assert "in_plane" in vars(w)
-    assert w.in_plane == QuadricPoint(cfg, w.point).in_plane
+    assert w.in_plane == lies_in_plane(QuadricPoint(cfg, w.point))
 
 
 @settings(max_examples=150, deadline=None)
@@ -482,7 +483,7 @@ def test_kernel_in_plane_test_agrees_with_residuals(case):
 # tail nodes 7..10: D_tail = 12 and L_tail = 6
 @example((PointConfig(tuple(range(11)), 6), ProjPoint((1, -2, 0, 3, 1, -1, 2))), [1, -1, 2, 1])
 def test_in_plane_and_inverse_match_d_scale_residuals(case, g):
-    """QuadricPoint.in_plane and parametrize_plane_inverse read residuals on
+    """lies_in_plane and parametrize_plane_inverse read residuals on
     the scale L_tail, the lcm of the tail's Lagrange weights; they agree
     with the residuals over the tail's Vandermonde product.  The points are
     the image of the direction and the values of a degree <= k polynomial,
@@ -498,8 +499,8 @@ def test_in_plane_and_inverse_match_d_scale_residuals(case, g):
     for point in points:
         w = QuadricPoint(cfg, point)
         residuals = plane_residuals(w)
-        assert w.in_plane == (not any(residuals))
-        if w.in_plane:
+        assert lies_in_plane(w) == (not any(residuals))
+        if lies_in_plane(w):
             with pytest.raises(IndeterminatePointError):
                 parametrize_plane_inverse(w)
         else:
@@ -570,7 +571,7 @@ def k2_support_cases(draw):
     [-9, 9]."""
     elems = draw(st.lists(st.integers(-300, 299), min_size=3, max_size=30, unique=True))
     method = draw(st.sampled_from(forge.METHODS))
-    cfg, _ = forge._method_setup(tuple(sorted(elems)), method)
+    cfg = forge._method_setup(tuple(sorted(elems)), method)
     plen = cfg.degree + 1
     support = draw(st.permutations(range(plen)))[: cfg.n - cfg.degree + 1]
     coords = [0] * plen
