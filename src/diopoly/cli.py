@@ -176,8 +176,11 @@ def _witness_line(witness: Witness, include_twist: bool = False) -> str:
 
 def witness_document(witness: Witness, include_twist: bool = False) -> dict:
     """Serializable document for one witness, in fixed key order: the
-    line construct prints, read back."""
-    return json.loads(_witness_line(witness, include_twist))
+    line construct prints, rendered as _emit renders it and read back
+    (its big integers are strings, so reading needs no lift)."""
+    with _int_str_limit_lifted():
+        line = _witness_line(witness, include_twist)
+    return json.loads(line)
 
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
@@ -215,11 +218,16 @@ def _parse_decimal_list(values, label: str) -> list[int]:
 
 def _load_document(text: str) -> dict:
     """One witness document's JSON, with its required fields and schema
-    checked; the integer lists are left to document_to_inputs."""
+    checked; the integer lists are left to document_to_inputs.  The digit
+    limit stays in force: no field verify reads holds a JSON number."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed JSON document: {exc}") from exc
+    except RecursionError:
+        raise ValueError("malformed JSON document: nested too deeply") from None
+    except ValueError:  # the digit limit, refusing a long JSON number
+        raise ValueError("malformed JSON document: a JSON number has too many digits") from None
     if not isinstance(doc, dict):
         raise ValueError("witness document must be a JSON object")
     for key in ("schema_version", "set", "poly"):

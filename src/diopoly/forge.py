@@ -6,7 +6,7 @@ power-span parametrization (k = n - d - 1) onto the quadric variety (a
 point Y) and pulls integer coefficients back through the reverse
 birational map.  Its identity f(x) = +-L * Y_x^2 (L the lcm of the base
 Lagrange weights), checked once per node, is the whole proof: a witness
-stores only its node configuration and Y, and derives from them every
+stores its node configuration, Y and f, and derives from them every
 pair root as |L * Y_a * Y_b|, its padding and its certificate point.
 verify_witness re-checks the roots from f alone by square classes: one
 integer square root per value against the first value of its class, so
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
@@ -211,9 +211,11 @@ class Witness:
       elements, in the order of itertools.combinations, where
       root = |L * Y_a * Y_b|, so root^2 = f(elements[i]) * f(elements[j]);
     * padding, the nodes of the config that are not elements;
-    * certificate, the certificate point with z_i = +-L * Y_0 * Y_i,
-      built and validated the first time it is read (it is what the
-      twisted-curve emitter consumes).
+    * certificate, the certificate point (poly, z_1..z_n) with
+      z_i = (poly(x_0) / Y_0) * Y_i (exact, as poly(x_0) = +-L * Y_0^2;
+      0 when Y_0 = 0): the reverse map's projective point, as poly = +-f,
+      built with no second reverse map and validated the first time it
+      is read (it is what the twisted-curve emitter consumes).
 
     stats counts the sampling attempts and the rejections by reason,
     with the keys of ConstructionError.stats (one attempt and no
@@ -243,8 +245,10 @@ class Witness:
 
     @cached_property
     def certificate(self) -> CertificatePoint:
-        coeffs, certs = quadric_to_certificate_lcm(self.config, self.image.coords)
-        return CertificatePoint(self.config, ProjPoint(coeffs + certs))
+        y = self.image.coords
+        scale = self.poly(self.config.nodes[0]) // y[0] if y[0] else 0
+        coeffs = self.poly.coeffs + (0,) * (self.config.degree + 1 - len(self.poly.coeffs))
+        return CertificatePoint(self.config, ProjPoint(coeffs + tuple(scale * c for c in y[1:])))
 
     def roots_map(self) -> dict[tuple[int, int], int]:
         return {(i, j): r for i, j, r in self.pair_roots}
@@ -364,9 +368,10 @@ def _build_witness(
     q: ProjPoint,
     image: ProjPoint,
     elems: tuple[int, ...],
+    stats: dict[str, int],
 ) -> Witness:
     """The witness of an image, after checking f(x) = +-L * Y_x^2 at every
-    node of the config.
+    node of the config, which evaluates f once per node.
 
     That check is the one proof of the witness, and it implies both
     variety checks, so construction runs neither.  The reverse map takes
@@ -376,6 +381,8 @@ def _build_witness(
     on the quadric variety.  The certificates z_i = +-L * Y_0 * Y_i then
     give z_i^2 = f(x_0) * f(x_i), the certificate equations, and every
     pair has the root |L * Y_a * Y_b|, whatever sign f is normalized to.
+    By the same identity f vanishes exactly where Y does, so only those
+    elements go to classify_trivial's zero-value test.
     """
     coeffs, _ = quadric_to_certificate_lcm(config, image.coords)
     ll = config.base_lagrange[0]
@@ -385,7 +392,8 @@ def _build_witness(
         raise ConstructionError(f"reverse map breaks f(x) = +-L * Y_x^2 at node {bad[0]}")
     poly = Polynomial(coeffs).sign_normalized()
 
-    flags = set(classify_trivial(poly, elems))
+    zeros = [x for x, y in zip(config.nodes, image.coords) if y == 0 and x in elems]
+    flags = set(classify_trivial(poly, zeros))
     if poly.degree < config.degree:
         flags.add(FLAG_DEGREE_DROPPED)
 
@@ -397,6 +405,7 @@ def _build_witness(
         config=config,
         image=image,
         flags=frozenset(flags),
+        stats=stats,
     )
 
 
@@ -441,7 +450,7 @@ def construct_witness(
         except DegenerateParameterError as exc:
             raise ConstructionError(f"parameter {q.coords} is degenerate: {exc}") from exc
         stats["attempts"] = 1
-        return replace(_build_witness(config, method, q, image, elems), stats=stats)
+        return _build_witness(config, method, q, image, elems, stats)
 
     if param_bound is None:
         param_bound = DEFAULT_PARAM_BOUNDS[method]
@@ -487,7 +496,7 @@ def construct_witness(
         if in_plane:
             stats["in-plane"] += 1
             continue
-        witness = _build_witness(config, method, q, image, elems)
+        witness = _build_witness(config, method, q, image, elems, stats)
         if FLAG_DEGREE_DROPPED in witness.flags:
             stats["degree-dropped"] += 1
             continue
@@ -501,7 +510,7 @@ def construct_witness(
         if FLAG_TRIVIAL_FAMILY in witness.flags:
             stats[FLAG_TRIVIAL_FAMILY] += 1
             continue
-        return replace(witness, stats=stats)
+        return witness
     raise ConstructionError(
         f"no acceptable witness within {stats['attempts']} attempts", stats
     )

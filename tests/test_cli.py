@@ -80,6 +80,22 @@ class TestDocuments:
         assert tuple(coeffs) == w.poly.coeffs
         assert tuple(elems) == w.elements
 
+    @needs_digit_limit
+    def test_document_past_the_digit_limit(self):
+        # the pair root of 1 and 10^2500 has 5002 digits, over the limit
+        limit = sys.get_int_max_str_digits()
+        w = construct_witness([0, 1, 10**2500], "quadric", parameter=(3, 1))
+        doc = witness_document(w)
+        assert max(len(p["root"]) for p in doc["pair_roots"]) == 5002
+        code, out, err = run_cli("construct", "--set", "0,1,1" + "0" * 2500, "--param", "3,1")
+        assert (code, err) == (0, "")
+        assert doc == json.loads(out)
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_parse_rejects_deep_nesting(self):
+        with pytest.raises(ValueError, match="malformed JSON document"):
+            parse_witness_document("[" * 200_000 + "]" * 200_000)
+
     def test_parse_rejects_unknown_version(self):
         w = construct_witness([0, 1, 2], "quadric", parameter=(3, 1))
         doc = witness_document(w)
@@ -330,6 +346,28 @@ class TestVerifyCommand:
     def test_from_json_conflicts_with_set(self):
         code, _, err = run_cli("verify", "--set", "0,1,2", "--from-json", "-", stdin="{}")
         assert code == 1 and "from-json" in err
+
+    def test_deeply_nested_document_exit_one(self, cli_env):
+        proc = subprocess.run(
+            [sys.executable, "-m", "diopoly", "verify", "--from-json", "-"],
+            input="[" * 200_000 + "]" * 200_000 + "\n",
+            capture_output=True,
+            text=True,
+            env=cli_env,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "malformed JSON document" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @needs_digit_limit
+    def test_over_long_json_number_exit_one(self):
+        # a 5000-digit JSON number in a field verify ignores: the digit
+        # limit still refuses it, and the message gives no advice to lift it
+        line = '{"schema_version":"1","set":["0","1","2"],"poly":["1"],"padding":[%s]}' % ("9" * 5000)
+        code, out, err = run_cli("verify", "--from-json", "-", stdin=line)
+        assert (code, out) == (1, "")
+        assert "malformed JSON document" in err
+        assert "set_int_max_str_digits" not in err
 
     def test_missing_file_exit_one(self):
         assert run_cli("verify", "--from-json", "/nonexistent/w.json")[0] == 1

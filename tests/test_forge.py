@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from diopoly import cli, exactmath, forge, rationalmaps, variety
 from diopoly.exactmath import eval_poly
@@ -474,12 +474,13 @@ class TestCertificateRoots:
 
     @pytest.mark.parametrize("method", ["quadric", "plane"])
     def test_node_identity_is_the_one_check(self, monkeypatch, method):
-        """Construction checks f(x) = +-L * Y_x^2 once per node and runs
-        neither variety check, which that identity implies; a plane
-        witness builds no cofactor rows.  Reading the certificate builds
-        and validates it once."""
-        calls = {"quadric": 0, "certificate": 0}
-        for name in calls:
+        """Construction runs the reverse map once, checks f(x) = +-L * Y_x^2
+        with one evaluation of f per node and runs neither variety check,
+        which that identity implies; a plane witness builds no cofactor
+        rows.  Reading the certificate builds and validates it once, with
+        no second reverse map."""
+        calls = {"quadric": 0, "certificate": 0, "reverse": 0, "eval": 0}
+        for name in ("quadric", "certificate"):
             real = getattr(rationalmaps, f"on_{name}_variety")
 
             def counted(config, point, name=name, real=real):
@@ -487,30 +488,55 @@ class TestCertificateRoots:
                 return real(config, point)
 
             monkeypatch.setattr(rationalmaps, f"on_{name}_variety", counted)
+        for name, attr in (("reverse", "quadric_to_certificate_lcm"), ("eval", "eval_poly")):
+            real = getattr(forge, attr)
+
+            def counted(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(forge, attr, counted)
         w = construct_witness(range(30), method, seed=1)
-        assert calls == {"quadric": 0, "certificate": 0}
+        assert w.stats["attempts"] == 1
+        nodes = {"quadric": 30, "plane": 32}[method]
+        assert len(w.config.nodes) == nodes
+        assert calls == {"quadric": 0, "certificate": 0, "reverse": 1, "eval": nodes}
         if method == "plane":
             assert "cofactor_rows" not in vars(w.config)
         twist_points(w.certificate)
         twist_points(w.certificate)
-        assert calls == {"quadric": 0, "certificate": 1}
+        assert (calls["quadric"], calls["certificate"], calls["reverse"]) == (0, 1, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.integers(-300, 299), min_size=3, max_size=30, unique=True),
         st.sampled_from(forge.METHODS),
-        st.integers(0, 2**32),
+        st.integers(0, 2**32).map(lambda seed: {"seed": seed}),
     )
-    def test_certificate_matches_validated_maps(self, elems, method, seed):
-        """The certificate derived from the stored config and image is the
-        one the validated parametrization and reverse map give."""
+    # sampling never yields a zero coordinate of Y or a degree drop, so
+    # explicit parameters do: Y = (0, 1, 0, 0, -2), so Y_0 = 0 and f
+    # vanishes at 0, 2 and 3 (zero-value); Y = (3, 2, -1, 0, 1) on 0..3
+    # padded with 4, so f = 2 * (x - 3)^2 (zero-value, trivial-family);
+    # and f = 1 on 0..2 (degree-dropped, trivial-family)
+    @example([0, 1, 2, 3, 4], "quadric", {"parameter": (-2, -3, -2, -2)})
+    @example([0, 1, 2, 3], "plane", {"parameter": (-3, -2, 0)})
+    @example([0, 1, 2], "quadric", {"parameter": (1, 0)})
+    def test_certificate_matches_validated_maps(self, elems, method, kwargs):
+        """The certificate read off poly and Y is the one the validated
+        parametrization and reverse map give, and the flags read off Y are
+        the ones classify_trivial and the degree test give on every
+        element."""
         try:
-            w = construct_witness(elems, method, seed=seed)
+            w = construct_witness(elems, method, **kwargs)
         except ConstructionError:
             assume(False)
         image = rationalmaps.parametrize_plane(w.config, w.parameter)
         assert image.point == w.image
         assert w.certificate == rationalmaps.quadric_to_certificate(image)
+        flags = set(classify_trivial(w.poly, w.elements))
+        if w.poly.degree < w.config.degree:
+            flags.add(FLAG_DEGREE_DROPPED)
+        assert w.flags == flags
 
     @pytest.mark.parametrize(
         "elems,method,kwargs",
