@@ -3,22 +3,25 @@
 Integers are Python ints and rationals are fractions.Fraction, both
 unbounded, so every equality test in this package is bit-exact.  No
 floating point enters any code path.  The construction works over
-integer nodes, where every determinant it needs has a closed form: a
-Lagrange basis on the scale of the lcm of its weights, or the kernel of
-an r x (r+1) matrix by forward elimination and back substitution.  All
-functions are pure, which makes everything here safe to call from
-concurrent code.
+integer nodes, where every determinant it needs has a closed form: an
+interpolant on the scale of the lcm of the Lagrange weights, read off the
+node polynomial and the power moments of the values with no basis
+polynomial, or the kernel of an r x (r+1) matrix by forward elimination
+and back substitution.  All functions are pure, which makes everything
+here safe to call from concurrent code.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
-    "lagrange_basis",
-    "lagrange_table",
+    "lagrange_weights",
+    "power_moments",
+    "lagrange_numerator",
     "integer_kernel",
     "eval_poly",
     "integer_sqrt",
@@ -27,41 +30,47 @@ __all__ = [
 Scalar = int | Fraction
 
 
-def lagrange_basis(xs: Sequence[Scalar]) -> list[tuple[Scalar, list[Scalar]]]:
-    """For each node x_i, the pair (w_i, b_i) with w_i = prod_{j != i} (x_i - x_j)
-    and b_i the ascending coefficients of prod_{j != i} (x - x_j).
+def lagrange_weights(xs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(L, (L / w_0, .., L / w_m)) over the integer nodes xs, with
+    w_i = prod_{j != i} (x_i - x_j) and L = lcm(|w_0|..|w_m|).
 
-    The Lagrange interpolant of values v_i is sum_i (v_i / w_i) * b_i.
-    Each b_i is the node polynomial prod_j (x - x_j) divided by (x - x_i)
-    synthetically, so the whole basis costs O(m^2) operations.
+    lagrange_numerator(xs, ((L / w_i) * v_i)_i) is L times the interpolant
+    of the values v_i.  L is the smallest scale that keeps it integral for
+    all integer values, as each prod_{j != i} (x - x_j) is monic, and it
+    divides the Vandermonde product of xs.
     """
-    node_poly = [1]
-    for x in xs:
-        # times (X - x): new[t] = old[t-1] - x * old[t]
-        node_poly = [a - x * b for a, b in zip([0] + node_poly, node_poly + [0])]
+    ws = [math.prod(xi - xj for j, xj in enumerate(xs) if j != i) for i, xi in enumerate(xs)]
+    ll = math.lcm(*ws)
+    return ll, tuple(ll // w for w in ws)
+
+
+def power_moments(xs: Sequence[int], a: Sequence[int], count: int) -> list[int]:
+    """The moments m_t = sum_i a_i * x_i^t for t = 0..count-1."""
     out = []
-    for i, xi in enumerate(xs):
-        basis = [0] * len(xs)
-        acc = 0
-        for t in range(len(xs), 0, -1):
-            acc = node_poly[t] + xi * acc
-            basis[t - 1] = acc
-        weight = math.prod(xi - xj for j, xj in enumerate(xs) if j != i)
-        out.append((weight, basis))
+    for _ in range(count):
+        out.append(sum(a))
+        a = list(map(operator.mul, a, xs))
     return out
 
 
-def lagrange_table(xs: Sequence[int]) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """(L, ((L / w_0, b_0), .., (L / w_m, b_m))) over the integer nodes xs,
-    with w_i, b_i from lagrange_basis and L = lcm(|w_0|..|w_m|).
+def lagrange_numerator(xs: Sequence[int], a: Sequence[int]) -> list[int]:
+    """Ascending coefficients of sum_i a_i * prod_{j != i} (x - x_j) over
+    the distinct integer nodes xs.
 
-    sum_i (L / w_i) * v_i * b_i is L times the interpolant of the values v_i.
-    L is the smallest scale that keeps it integral for all integer values,
-    as b_i is monic, and it divides the Vandermonde product of xs.
+    With N = prod_j (x - x_j) the node polynomial, prod_{j != i} (x - x_j)
+    is N / (x - x_i), whose coefficient t is sum_{s > t} N_s * x_i^(s-t-1).
+    So coefficient t of the sum is sum_{s > t} N_s * m_{s-t-1}, m the power
+    moments of the a_i, and no basis polynomial is ever formed.  Read from
+    the top, these are the first len(xs) terms of the power series
+    prod_j (1 - x_j * y) * sum_t m_t * y^t, which is taken one linear
+    factor at a time, so every product has a node as one factor.  At x_i
+    the sum takes a_i * w_i, w_i the Lagrange weight of lagrange_weights.
     """
-    basis = lagrange_basis(xs)
-    ll = math.lcm(*(w for w, _ in basis))
-    return ll, tuple((ll // w, tuple(b)) for w, b in basis)
+    out = power_moments(xs, a, len(xs))
+    for x in xs:
+        # times (1 - x * y), truncated: new[t] = old[t] - x * old[t-1]
+        out[1:] = [c - x * p for c, p in zip(out[1:], out)]
+    return out[::-1]
 
 
 def integer_kernel(rows: Sequence[Sequence[int]]) -> list[int] | None:

@@ -13,9 +13,10 @@ f(x_i) = (-1)^d * D * Y_i^2 at every node, which makes the certificate
 identities hold, as they do for any constant multiple.  This module
 takes L / D times both, L the lcm of the base Lagrange weights w_i: f is
 (-1)^d * L times the Lagrange interpolant of the Y_i^2 over x_0..x_d,
-built from the config's weights L / w_i (PointConfig.base_lagrange)
-with no determinant.  With the (-1)^d twist on the certificates, both
-composites are exact projective identities away from the f(x_0) = 0
+exactmath.lagrange_numerator of the values (L / w_i) * Y_i^2 with the
+config's weights (PointConfig.base_lagrange), so no determinant and no
+basis polynomial is formed.  With the (-1)^d twist on the certificates,
+both composites are exact projective identities away from the f(x_0) = 0
 locus, not merely identities up to coordinate signs.
 
 Parametrization of the quadric side (needs 2k <= d for k = n - d - 1):
@@ -56,7 +57,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .exactmath import eval_poly, integer_kernel
+from .exactmath import eval_poly, integer_kernel, lagrange_numerator, power_moments
 from .variety import (
     PointConfig,
     ProjPoint,
@@ -129,20 +130,6 @@ class QuadricPoint:
             raise ValueError("coordinates do not satisfy the quadric equations")
 
 
-def _lagrange_sum(
-    weights: Sequence[tuple[int, Sequence[int]]], values: Sequence[int]
-) -> list[int]:
-    """G = sum_i s_i * v_i * b_i over pairs (s_i, b_i) = (L / w_i, b_i) of
-    exactmath.lagrange_table, so G / L is the Lagrange interpolant of the
-    values."""
-    g = [0] * len(weights)
-    for (s, basis), value in zip(weights, values):
-        scale = s * value
-        for t, c in enumerate(basis):
-            g[t] += scale * c
-    return g
-
-
 def quadric_to_certificate_lcm(
     config: PointConfig, y: Sequence[int]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -150,15 +137,17 @@ def quadric_to_certificate_lcm(
     canonicalization, on the scale L.
 
     Returns (coefficients f_0..f_d, certificates z_1..z_n), L / D times the
-    literal minor formulas: f = (-1)^d * sum_i (L / w_i) * Y_i^2 * b_i from
-    the config's table, so f(x_i) = (-1)^d * L * Y_i^2 at every base node
-    x_0..x_d, and at the tail nodes exactly when y lies on the quadric
+    literal minor formulas: f = (-1)^d * sum_i (L / w_i) * Y_i^2 * b_i with
+    b_i = prod_{j != i} (x - x_j), taken by exactmath.lagrange_numerator
+    from the config's weights, so f(x_i) = (-1)^d * L * Y_i^2 at every base
+    node x_0..x_d, and at the tail nodes exactly when y lies on the quadric
     variety; z_i = (-1)^d * L * Y_0 * Y_i.
     """
     d = config.degree
     ll, weights = config.base_lagrange
     sign = -1 if d % 2 else 1
-    coeffs = tuple(sign * c for c in _lagrange_sum(weights, [c**2 for c in y[: d + 1]]))
+    values = [s * c * c for s, c in zip(weights, y[: d + 1])]
+    coeffs = tuple(sign * c for c in lagrange_numerator(config.nodes[: d + 1], values))
     scale = sign * ll * y[0]
     return coeffs, tuple(scale * c for c in y[1:])
 
@@ -204,8 +193,7 @@ def plane_system_matrix(config: PointConfig, direction: ProjPoint) -> list[list[
         raise ValueError(f"direction needs {d + 1} coordinates, got {len(direction)}")
     q = direction.coords
     xs = config.nodes[: d + 1]
-    weights = config.base_lagrange[1]
-    moments = [sum(s * qi * x**t for (s, _), qi, x in zip(weights, q, xs)) for t in range(k)]
+    moments = power_moments(xs, [s * qi for s, qi in zip(config.base_lagrange[1], q)], k)
     rows = []
     for xm, cof in zip(config.nodes[d + 1 :], config.cofactor_rows):
         a = [c * qi for c, qi in zip(cof, q)]
@@ -267,12 +255,9 @@ def plane_image(config: PointConfig, direction: ProjPoint) -> tuple[ProjPoint, b
         mus = integer_kernel(rows)
         if mus is None:
             raise DegenerateParameterError("system matrix has deficient rank for this direction")
-        image = []
-        for i in range(config.n + 1):
-            val = sum(mus[t] * config.nodes[i] ** t for t in range(k + 1))
-            if i <= d:
-                val += mus[k + 1] * q[i]
-            image.append(val)
+        image = [eval_poly(mus[: k + 1], x) for x in config.nodes]
+        for i, qi in enumerate(q):
+            image[i] += mus[k + 1] * qi
         in_plane = mus[k + 1] == 0
     return ProjPoint(tuple(image)), in_plane
 
@@ -300,9 +285,10 @@ def _plane_image_on_k2_support(
     Otherwise Y_j = M(x_j) + lambda * q_j = (N_j * P_j * c + lambda * q_j^2)
     / (2 * q_j) on J, and Y_i = M(x_i) elsewhere.  As the divided
     difference vanishes, M is also the interpolant of the v_j over all of
-    J: M(x) = sum_J v_j * prod_{l in J, l != j} (x - x_l) / W_j.  The whole
-    image is taken times 2 * E, a multiple of 2 * q_j * W_j for every j in
-    J, which makes every coordinate an integer.
+    J: M(x) = sum_J v_j * prod_{l in J, l != j} (x - x_l) / W_j, built once
+    by exactmath.lagrange_numerator and evaluated at the nodes off J.  The
+    whole image is taken times 2 * E, a multiple of 2 * q_j * W_j for every
+    j in J, which makes every coordinate an integer.
     """
     d = config.degree
     base, tail = config.nodes[: d + 1], config.nodes[d + 1 :]
@@ -322,11 +308,6 @@ def _plane_image_on_k2_support(
     on_support = {
         x: (c * v + lam * qj * qj) * t * w for x, v, qj, t, w in zip(xs, nps, qs, ts, ws)
     }
-    image = []
-    for x in config.nodes:
-        if x in on_support:
-            image.append(on_support[x])
-        else:
-            span = math.prod(x - y for y in xs)
-            image.append(sum(a * (span // (x - y)) for a, y in zip(terms, xs)))
+    m = lagrange_numerator(xs, terms)
+    image = [on_support[x] if x in on_support else eval_poly(m, x) for x in config.nodes]
     return image, lam == 0

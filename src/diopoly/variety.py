@@ -17,8 +17,8 @@ works on:
   products of d+1 of the d+2 chosen nodes, so no determinant is ever
   taken.  Only the ratios of one row matter, so a config keeps each row
   on the scale L, the lcm of the Lagrange weights w_j of the base nodes
-  x_0..x_d, and computes all of them once, on first use, together with
-  the weights L / w_j.
+  x_0..x_d, and computes all of them once, on first use, from the d + 1
+  integers L / w_j, which it keeps with L.
 
 Points are canonical primitive integer vectors (content one, first
 nonzero coordinate positive), so point equality is tuple equality and
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .exactmath import eval_poly, lagrange_table
+from .exactmath import eval_poly, lagrange_weights
 
 __all__ = [
     "ProjPoint",
@@ -114,11 +114,12 @@ class PointConfig:
         return range(self.degree + 1, self.n + 1)
 
     @cached_property
-    def base_lagrange(self) -> tuple[int, tuple[tuple[int, tuple[int, ...]], ...]]:
-        """exactmath.lagrange_table over the base nodes x_0..x_d:
-        (L, ((L / w_0, b_0), .., (L / w_d, b_d))), so
-        sum_j (L / w_j) * v_j * b_j is L times the interpolant of the v_j."""
-        return lagrange_table(self.nodes[: self.degree + 1])
+    def base_lagrange(self) -> tuple[int, tuple[int, ...]]:
+        """exactmath.lagrange_weights over the base nodes x_0..x_d:
+        (L, (L / w_0, .., L / w_d)), so
+        exactmath.lagrange_numerator(x_0..x_d, ((L / w_j) * v_j)_j) is L
+        times the interpolant of the v_j."""
+        return lagrange_weights(self.nodes[: self.degree + 1])
 
     @cached_property
     def cofactor_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -136,7 +137,7 @@ class PointConfig:
         rows = []
         for xm in self.nodes[self.degree + 1 :]:
             pm = math.prod(xm - xi for xi in base)
-            rows.append(tuple(-s * (pm // (xm - xj)) for (s, _), xj in zip(weights, base)) + (ll,))
+            rows.append(tuple(-s * (pm // (xm - xj)) for s, xj in zip(weights, base)) + (ll,))
         return tuple(rows)
 
 

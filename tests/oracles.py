@@ -3,8 +3,9 @@
 Everything here is deliberately written with a different algorithm than
 the production code: determinants by recursive cofactor expansion instead
 of fraction-free elimination, interpolation by solving the linear system
-instead of Lagrange bases, evaluation by summing powers instead of
-Horner's rule.  Slow but obviously correct on small inputs.
+or by summing a table of Lagrange basis polynomials instead of reading
+power moments, evaluation by summing powers instead of Horner's rule.
+Slow but obviously correct on small inputs.
 
 The literal forms of the construction live here too, on the scale D, the
 Vandermonde product of the base nodes x_0..x_d: the bracket cofactors and
@@ -27,7 +28,7 @@ from functools import reduce
 from itertools import combinations, product
 from typing import NamedTuple
 
-from diopoly.exactmath import integer_kernel, lagrange_table
+from diopoly.exactmath import integer_kernel
 from diopoly.rationalmaps import QuadricPoint, plane_system_matrix
 from diopoly.variety import ProjPoint
 
@@ -94,6 +95,40 @@ def solve_interpolation(points):
                 factor = rows[r][col]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return tuple(rows[t][n] for t in range(n))
+
+
+def lagrange_basis(xs):
+    """For each node x_i, the pair (w_i, b_i) with w_i = prod_{j != i} (x_i - x_j)
+    and b_i the ascending coefficients of prod_{j != i} (x - x_j).
+
+    The Lagrange interpolant of values v_i is sum_i (v_i / w_i) * b_i.
+    Each b_i is the node polynomial prod_j (x - x_j) divided by (x - x_i)
+    synthetically, so the whole basis costs O(m^2) operations.
+    """
+    node_poly = [1]
+    for x in xs:
+        # times (X - x): new[t] = old[t-1] - x * old[t]
+        node_poly = [a - x * b for a, b in zip([0] + node_poly, node_poly + [0])]
+    out = []
+    for i, xi in enumerate(xs):
+        basis = [0] * len(xs)
+        acc = 0
+        for t in range(len(xs), 0, -1):
+            acc = node_poly[t] + xi * acc
+            basis[t - 1] = acc
+        weight = math.prod(xi - xj for j, xj in enumerate(xs) if j != i)
+        out.append((weight, basis))
+    return out
+
+
+def basis_sum(xs, a):
+    """sum_i a_i * b_i over the basis table of lagrange_basis(xs), the
+    numerator exactmath.lagrange_numerator reads off power moments."""
+    g = [0] * len(xs)
+    for (_, basis), ai in zip(lagrange_basis(xs), a):
+        for t, c in enumerate(basis):
+            g[t] += ai * c
+    return g
 
 
 def eval_ascending(coeffs, x):
@@ -254,8 +289,9 @@ def certificate_to_quadric(v):
 
 def tail_residuals(w):
     """L_tail * Y_i - G(x_i) for i = 0..d, where G / L_tail is the degree
-    <= k interpolant of the tail coordinates (x_m, Y_m), m = d+1..n, from
-    exactmath.lagrange_table over the tail nodes.  All vanish exactly when
+    <= k interpolant of the tail coordinates (x_m, Y_m), m = d+1..n, and
+    L_tail the lcm of the tail nodes' Lagrange weights, from the basis
+    table of lagrange_basis.  All vanish exactly when
     the point lies in the span of T_0..T_k, k = n - d - 1; the power-span
     map needs 2k <= d, and a ValueError says so."""
     config, y = w.config, w.point.coords
@@ -264,11 +300,10 @@ def tail_residuals(w):
     if 2 * k > d:
         raise ValueError(f"power-span construction needs 2k <= d; got k = {k}, d = {d}")
     tail = range(d + 1, config.n + 1)
-    lt, weights = lagrange_table([config.nodes[m] for m in tail])
-    g = [0] * (k + 1)
-    for (s, basis), m in zip(weights, tail):
-        for t, c in enumerate(basis):
-            g[t] += s * y[m] * c
+    xs = [config.nodes[m] for m in tail]
+    ws = [w for w, _ in lagrange_basis(xs)]
+    lt = math.lcm(*ws)
+    g = basis_sum(xs, [lt // w * y[m] for w, m in zip(ws, tail)])
     return [
         lt * y[i] - sum(c * config.nodes[i] ** t for t, c in enumerate(g)) for i in range(d + 1)
     ]

@@ -8,14 +8,15 @@ from diopoly.exactmath import (
     eval_poly,
     integer_kernel,
     integer_sqrt,
-    lagrange_basis,
-    lagrange_table,
+    lagrange_numerator,
+    lagrange_weights,
 )
-from diopoly.rationalmaps import _lagrange_sum
 
 from oracles import (
     alternating_minors,
+    basis_sum,
     eval_ascending,
+    lagrange_basis,
     laplace_det,
     solve_interpolation,
     vandermonde_product,
@@ -216,8 +217,9 @@ class TestKernel:
 def scaled_interpolant(points):
     """(L, G) in the integer Lagrange form the program uses: L the lcm of
     the abscissae's Lagrange weights, G / L the interpolant."""
-    ll, weights = lagrange_table([x for x, _ in points])
-    return ll, _lagrange_sum(weights, [y for _, y in points])
+    xs = [x for x, _ in points]
+    ll, weights = lagrange_weights(xs)
+    return ll, lagrange_numerator(xs, [s * y for s, (_, y) in zip(weights, points)])
 
 
 def interpolant(points):
@@ -250,6 +252,24 @@ class TestInterpolate:
         assert interpolant(points) == solve_interpolation(points)
         for x, y in points:
             assert eval_poly(g, x) == v * y
+
+
+class TestLagrangeNumerator:
+    """The program's one interpolation primitive against the basis table it
+    replaced, which the oracles keep."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-60, 60), min_size=1, max_size=9, unique=True).flatmap(
+            lambda xs: st.tuples(
+                st.just(xs),
+                st.lists(st.integers(-10**12, 10**12), min_size=len(xs), max_size=len(xs)),
+            )
+        )
+    )
+    def test_equals_the_basis_table_sum(self, case):
+        xs, a = case
+        assert lagrange_numerator(xs, a) == basis_sum(xs, a)
 
 
 class TestEvalPoly:

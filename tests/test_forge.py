@@ -458,19 +458,30 @@ class TestCertificateRoots:
         the config's tables on the scale L, the plane image of a k + 2-sign
         direction takes only products of node differences, and the
         in-plane test reads lambda: a plane witness on 0..29 (21 base
-        nodes, 11 extra) takes one Lagrange basis, for the base nodes.  No
-        module keeps a Vandermonde product or a basis of its own."""
+        nodes, 11 extra) takes one table of Lagrange weights, for the base
+        nodes.  No module keeps a Vandermonde product, a basis or a table
+        of its own."""
         calls = []
-        real = exactmath.lagrange_basis
+        real = exactmath.lagrange_weights
+        # variety imports the table by name, so the count is taken there
         monkeypatch.setattr(
-            exactmath, "lagrange_basis", lambda xs: calls.append(len(xs)) or real(xs)
+            variety, "lagrange_weights", lambda xs: calls.append(len(xs)) or real(xs)
         )
         construct_witness(range(30), "plane", seed=1)
         assert calls == [21]
-        # every table is built in exactmath, where the count above sees it
-        for module in (variety, rationalmaps, forge):
-            assert not {"vandermonde", "lagrange_basis"} & set(vars(module))
-        assert not hasattr(exactmath, "vandermonde")
+        tables = {"vandermonde", "lagrange_basis", "lagrange_table"}
+        for module in (rationalmaps, forge):
+            assert not (tables | {"lagrange_weights"}) & set(vars(module))
+        for module in (variety, exactmath):
+            assert not tables & set(vars(module))
+
+    @pytest.mark.parametrize("method", ["quadric", "plane"])
+    def test_base_table_holds_the_scale_and_the_weights(self, method):
+        w = construct_witness(range(30), method, seed=1)
+        ll, weights = w.config.base_lagrange
+        assert isinstance(ll, int) and isinstance(weights, tuple)
+        assert len(weights) == w.config.degree + 1
+        assert all(type(s) is int for s in weights)
 
     @pytest.mark.parametrize("method", ["quadric", "plane"])
     def test_node_identity_is_the_one_check(self, monkeypatch, method):
