@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import re
@@ -54,6 +55,8 @@ CEILING_ENV_VAR = "DIOPOLY_SEARCH_CEILING"
 # longest integer input in digits: parsing is quadratic in the digit count,
 # and construct prints far shorter integers for sets of a few hundred elements
 INPUT_DIGITS_CAP = 100_000
+# an integer below 2^_CAP_BITS has at most INPUT_DIGITS_CAP digits
+_CAP_BITS = math.floor(INPUT_DIGITS_CAP * math.log2(10))
 
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 _DECIMAL = {"type": "string", "pattern": "^-?[0-9]+$"}
@@ -196,6 +199,13 @@ def _decimal(text: str, where: str) -> int:
     if (digits := len(field.lstrip("+-"))) > INPUT_DIGITS_CAP:
         raise ValueError(f"{where} has {digits} digits, over the input cap of {INPUT_DIGITS_CAP}")
     return int(field, 10)
+
+
+def _digit_count(n: int) -> int:
+    """Decimal digits of |n| > 0, from its bit length and one power of ten."""
+    n = abs(n)
+    d = int((n.bit_length() - 1) * math.log10(2)) + 1
+    return d + (n >= 10**d)
 
 
 def _parse_int(text: str, where: str) -> int:
@@ -409,6 +419,13 @@ def _cmd_construct(args) -> int:
             max_attempts=args.max_attempts,
             param_bound=args.param_bound,
         )
+        # verify reads back every coefficient construct prints
+        for i, c in enumerate(witness.poly.coeffs, 1):
+            if c.bit_length() > _CAP_BITS and (digits := _digit_count(c)) > INPUT_DIGITS_CAP:
+                raise ConstructionError(
+                    f"poly entry {i} has {digits} digits, over the input cap "
+                    f"INPUT_DIGITS_CAP = {INPUT_DIGITS_CAP} that verify reads"
+                )
         _emit(_witness_line, witness, include_twist=args.emit_twist)
     return 0
 

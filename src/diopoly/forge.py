@@ -31,7 +31,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import combinations, product
+from itertools import combinations, count, islice, product
 from typing import Iterable, Iterator, Sequence
 
 from .exactmath import eval_poly, integer_sqrt
@@ -337,28 +337,17 @@ def _validate_elements(elements: Iterable[int], minimum: int) -> tuple[int, ...]
     return tuple(sorted(elems))
 
 
-def _plane_padding(elems: Sequence[int]) -> tuple[int, ...]:
-    size = len(elems)
-    k = max(1, -(-(size - 2) // 3))
-    target = 3 * k + 2
-    have = set(elems)
-    padding = []
-    candidate = 0
-    while size + len(padding) < target:
-        if candidate not in have:
-            padding.append(candidate)
-        candidate += 1
-    return tuple(padding)
-
-
 def _method_setup(elems: tuple[int, ...], method: str) -> PointConfig:
-    """The node configuration of a method on the sorted elements."""
+    """The node configuration of a method on the sorted elements.  Plane
+    takes the least k >= 1 with 3k + 2 >= |S|, pads the set to 3k + 2 nodes
+    with the smallest fresh non-negative integers, and degree 2k."""
     if method == "quadric":
         return PointConfig(elems, len(elems) - 2)
     if method == "plane":
-        nodes = tuple(sorted(elems + _plane_padding(elems)))
-        k = (len(nodes) - 2) // 3
-        return PointConfig(nodes, 2 * k)
+        k = max(1, -(-(len(elems) - 2) // 3))
+        have = set(elems)
+        padding = islice((x for x in count() if x not in have), 3 * k + 2 - len(elems))
+        return PointConfig(tuple(sorted((*elems, *padding))), 2 * k)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 

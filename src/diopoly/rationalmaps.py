@@ -24,7 +24,7 @@ the variety contains the plane spanned by the power points T_0..T_k;
 for a direction q the residual intersection point is
 sum(mu_t * T_t) + mu_{k+1} * q_hat, where q_hat pads q with zeros and
 the mu span the kernel of a (k+1) x (k+2) integer system matrix of
-bracket evaluations, taken with the config's cofactor rows.  A line
+bracket evaluations, on the scale L of the config's weights.  A line
 config (n = d + 1) is the case k = 0: T_0 is the all-ones base point,
 so the image is the second intersection of the single quadric with the
 line through it in direction q_hat.
@@ -179,13 +179,15 @@ def plane_system_matrix(config: PointConfig, direction: ProjPoint) -> list[list[
     """The (k+1) x (k+2) integer system whose kernel gives the plane
     coefficients mu_0..mu_{k+1} (its alternating maximal minors).
 
-    Row m - (d+1) covers extra index m.  With a_j = c_j * q_j over the
-    config's cofactor row c (on the scale L, L / D times the literal minors),
-    entry t = 0..k is 2 * sum_j a_j * x_j^t, twice the bracket of q_i * x_i^t
-    padded with zero at m, and the last is sum_j a_j * q_j, the bracket of the
-    squared direction.  As a_j * (x_m - x_j) = -(L / w_j) * q_j * P_m with
-    P_m = prod_{i<=d} (x_m - x_i), entry t+1 = x_m * entry_t + 2 * P_m * s_t,
-    where the moments s_t = sum_j (L / w_j) * q_j * x_j^t are shared by all rows.
+    Row m - (d+1) covers extra index m.  With P_m = prod_{i<=d} (x_m - x_i),
+    the bracket's cofactor j <= d over (x_0..x_d, x_m), times L / D (D the
+    Vandermonde product of the base nodes), is the exact quotient
+    c_j = -(L / w_j) * P_m / (x_m - x_j).  With a_j = c_j * q_j, entry
+    t = 0..k is 2 * sum_j a_j * x_j^t, twice the bracket of q_i * x_i^t
+    padded with zero at m, and the last is sum_j a_j * q_j, the bracket of
+    the squared direction.  As a_j * (x_m - x_j) = -(L / w_j) * q_j * P_m,
+    entry t+1 = x_m * entry_t + 2 * P_m * s_t, where the moments
+    s_t = sum_j (L / w_j) * q_j * x_j^t are shared by all rows.
     """
     k = _plane_k(config)
     d = config.degree
@@ -193,11 +195,13 @@ def plane_system_matrix(config: PointConfig, direction: ProjPoint) -> list[list[
         raise ValueError(f"direction needs {d + 1} coordinates, got {len(direction)}")
     q = direction.coords
     xs = config.nodes[: d + 1]
-    moments = power_moments(xs, [s * qi for s, qi in zip(config.base_lagrange[1], q)], k)
+    lq = [s * qi for s, qi in zip(config.base_lagrange[1], q)]
+    moments = power_moments(xs, lq, k)
     rows = []
-    for xm, cof in zip(config.nodes[d + 1 :], config.cofactor_rows):
-        a = [c * qi for c, qi in zip(cof, q)]
-        twice_pm = 2 * math.prod(xm - x for x in xs)
+    for xm in config.nodes[d + 1 :]:
+        pm = math.prod(xm - x for x in xs)
+        a = [-v * (pm // (xm - xj)) for v, xj in zip(lq, xs)]
+        twice_pm = 2 * pm
         row = [2 * sum(a)]
         for s in moments:
             row.append(xm * row[-1] + twice_pm * s)

@@ -12,13 +12,13 @@ works on:
   i in d+1..n, the bracket determinant stacking the node power rows
   t = 0..d over the columns (x_0..x_d, x_i), with (Y_0^2..Y_d^2, Y_i^2)
   as the last row, must vanish.  Expanding along that last row shows
-  the equation is diagonal in the squares; the coefficients are the
-  signed maximal minors of the power block, i.e. Vandermonde
-  products of d+1 of the d+2 chosen nodes, so no determinant is ever
-  taken.  Only the ratios of one row matter, so a config keeps each row
-  on the scale L, the lcm of the Lagrange weights w_j of the base nodes
-  x_0..x_d, and computes all of them once, on first use, from the d + 1
-  integers L / w_j, which it keeps with L.
+  the equation is diagonal in the squares.  It vanishes exactly when
+  the d+2 squares lie on one polynomial of degree <= d, that is when
+  I(x_i) = Y_i^2, with I the Lagrange interpolant of Y_0^2..Y_d^2 over
+  the base nodes x_0..x_d, so no determinant is ever taken.  A config
+  keeps L, the lcm of the Lagrange weights w_j of the base nodes, with
+  the d + 1 integers L / w_j, computed once on first use, and the test
+  reads L * I off exactmath.lagrange_numerator, as the reverse map does.
 
 Points are canonical primitive integer vectors (content one, first
 nonzero coordinate positive), so point equality is tuple equality and
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .exactmath import eval_poly, lagrange_weights
+from .exactmath import eval_poly, lagrange_numerator, lagrange_weights
 
 __all__ = [
     "ProjPoint",
@@ -81,9 +81,8 @@ class PointConfig:
 
     Requires d >= 1 and n >= d + 1 (so there is at least one quadric).
     Nodes are plain ints, which keeps every bracket cofactor an integer.
-    The node tables (base_lagrange, cofactor_rows) are built on first
-    use and live as long as the config; they take no part in equality
-    or hashing.
+    The node table base_lagrange is built on first use and lives as long
+    as the config; it takes no part in equality or hashing.
     """
 
     nodes: tuple[int, ...]
@@ -121,35 +120,18 @@ class PointConfig:
         times the interpolant of the v_j."""
         return lagrange_weights(self.nodes[: self.degree + 1])
 
-    @cached_property
-    def cofactor_rows(self) -> tuple[tuple[int, ...], ...]:
-        """The bracket's last-row cofactors for the extra indices d+1..n, in
-        order, each row times L / D.
-
-        Over the d+2 nodes (x_0..x_d, x_m) literal cofactor j is V / w'_j, with
-        V = D * P_m their Vandermonde product (D that of the base nodes,
-        P_m = prod_{i<=d} (x_m - x_i)) and w'_j = w_j * (x_j - x_m) the weight
-        of node j <= d, so times L / D it is -(L / w_j) * (P_m / (x_m - x_j)),
-        and the last one is L; both quotients are exact.
-        """
-        ll, weights = self.base_lagrange
-        base = self.nodes[: self.degree + 1]
-        rows = []
-        for xm in self.nodes[self.degree + 1 :]:
-            pm = math.prod(xm - xi for xi in base)
-            rows.append(tuple(-s * (pm // (xm - xj)) for s, xj in zip(weights, base)) + (ll,))
-        return tuple(rows)
-
 
 def on_quadric_variety(config: PointConfig, point: ProjPoint) -> bool:
-    """Whether (Y_0..Y_n) satisfies every defining diagonal quadric."""
+    """Whether (Y_0..Y_n) satisfies every defining diagonal quadric: whether
+    L times the interpolant of the Y_j^2 over the base nodes takes
+    L * Y_m^2 at every tail node x_m."""
     if len(point) != config.n + 1:
         raise ValueError(f"point needs {config.n + 1} coordinates, got {len(point)}")
-    # the L-scaled brackets: a zero test does not depend on their scale
-    squares = [c * c for c in point.coords]
-    base = squares[: config.degree + 1]
-    rows = zip(config.cofactor_rows, squares[config.degree + 1 :])
-    return all(sum(c * v for c, v in zip(row, base + [s])) == 0 for row, s in rows)
+    d = config.degree
+    ll, weights = config.base_lagrange
+    y = point.coords
+    num = lagrange_numerator(config.nodes[: d + 1], [s * c * c for s, c in zip(weights, y)])
+    return all(eval_poly(num, x) == ll * c * c for x, c in zip(config.nodes[d + 1 :], y[d + 1 :]))
 
 
 def on_certificate_variety(config: PointConfig, point: ProjPoint) -> bool:

@@ -37,13 +37,13 @@ class IndeterminatePointError(ValueError):
     """A rational map was evaluated at a point where it is undefined."""
 
 
-def laplace_det(rows):
-    """Determinant by cofactor expansion along the first row, recursively,
-    exact for int and Fraction entries.  A minor is fixed by its column
-    set (its rows are the last ones), so each is expanded once per call:
-    n * 2^n steps instead of n!."""
+def _laplace_minors(rows):
+    """The minor of rows on a column set, taken from its last len(cols)
+    rows by cofactor expansion along the first of them, recursively, exact
+    for int and Fraction entries.  A minor is fixed by its column set, so
+    each is expanded once per table: n * 2^n steps instead of n!, shared by
+    every minor read from the same table."""
     n = len(rows)
-    assert n > 0 and all(len(r) == n for r in rows)
     minors = {}
 
     def expand(cols):
@@ -59,16 +59,24 @@ def laplace_det(rows):
                 )
         return minors[cols]
 
-    return expand(tuple(range(n)))
+    return expand
+
+
+def laplace_det(rows):
+    """Determinant by cofactor expansion along the first row, recursively."""
+    n = len(rows)
+    assert n > 0 and all(len(r) == n for r in rows)
+    return _laplace_minors(rows)(tuple(range(n)))
 
 
 def alternating_minors(rows):
     """(-1)^j times the determinant with column j deleted, j = 0..r, of an
-    r x (r+1) matrix: a vector spanning its kernel when the rank is r."""
-    return [
-        (-1) ** j * laplace_det([list(r[:j]) + list(r[j + 1 :]) for r in rows])
-        for j in range(len(rows) + 1)
-    ]
+    r x (r+1) matrix: a vector spanning its kernel when the rank is r.  All
+    r + 1 minors expand through one table."""
+    r = len(rows)
+    assert r > 0 and all(len(row) == r + 1 for row in rows)
+    expand = _laplace_minors(rows)
+    return [(-1) ** j * expand(tuple(c for c in range(r + 1) if c != j)) for j in range(r + 1)]
 
 
 def vandermonde_product(xs):
@@ -146,28 +154,6 @@ def is_perfect_square(n):
     return i * i == n
 
 
-def plane_system_by_powers(config, direction):
-    """rationalmaps.plane_system_matrix the direct way, without its moment
-    recurrence: over each cofactor row c of the config, a_j = c_j * q_j is
-    rescaled by x_j once per power t = 1..k, and every entry is a fresh sum
-    (2 * sum_j a_j * x_j^t for t = 0..k, then sum_j a_j * q_j)."""
-    d = config.degree
-    k = config.n - d - 1
-    q = direction.coords
-    xs = config.nodes[: d + 1]
-    rows = []
-    for cof in config.cofactor_rows:
-        a = [c * qi for c, qi in zip(cof, q)]
-        squares = sum(ai * qi for ai, qi in zip(a, q))
-        row = [2 * sum(a)]
-        for _ in range(k):
-            a = [ai * x for ai, x in zip(a, xs)]
-            row.append(2 * sum(a))
-        row.append(squares)
-        rows.append(row)
-    return rows
-
-
 def plane_image_by_kernel(config, direction):
     """rationalmaps.parametrize_plane by its general path for every
     direction: the system rows divided by their gcds, a kernel vector mu by
@@ -211,13 +197,57 @@ def bracket_rows(config, z, m):
 def bracket_cofactors(config, m):
     """Last-row cofactors of the bracket for extra index m, as Laplace minors:
     entry j is (-1)^(d+1+j) times the power block without column j, so the
-    bracket with last row z is their dot product with z."""
+    bracket with last row z is their dot product with z.  The last entry is
+    D, the Vandermonde product of the base nodes."""
     d = config.degree
     power = bracket_rows(config, [0] * (d + 2), m)[:-1]
-    return tuple(
-        (-1) ** (d + 1 + j) * laplace_det([r[:j] + r[j + 1 :] for r in power])
-        for j in range(d + 2)
-    )
+    return tuple((-1) ** (d + 1) * c for c in alternating_minors(power))
+
+
+def scaled_cofactors(config, m):
+    """bracket_cofactors(config, m) times L / D, the scale of the program:
+    L the lcm of the base Lagrange weights of lagrange_basis, and D the last
+    cofactor.  Every entry is an integer, and the last one is L."""
+    d = config.degree
+    cof = bracket_cofactors(config, m)
+    ll = math.lcm(*(w for w, _ in lagrange_basis(config.nodes[: d + 1])))
+    out = [divmod(c * ll, cof[-1]) for c in cof]
+    assert all(r == 0 for _, r in out)
+    return tuple(c for c, _ in out)
+
+
+def plane_system_by_powers(config, direction, cofactors=scaled_cofactors):
+    """rationalmaps.plane_system_matrix the direct way, without its moment
+    recurrence or its closed-form cofactors: over the Laplace cofactors c of
+    each extra index, on the program's scale L by default, a_j = c_j * q_j is
+    rescaled by x_j once per power t = 1..k, and every entry is a fresh sum
+    (2 * sum_j a_j * x_j^t for t = 0..k, then sum_j a_j * q_j).  With
+    cofactors=bracket_cofactors it is the literal system, on the scale D."""
+    d = config.degree
+    k = config.n - d - 1
+    q = direction.coords
+    xs = config.nodes[: d + 1]
+    rows = []
+    for m in config.extra_indices:
+        a = [c * qi for c, qi in zip(cofactors(config, m), q)]
+        squares = sum(ai * qi for ai, qi in zip(a, q))
+        row = [2 * sum(a)]
+        for _ in range(k):
+            a = [ai * x for ai, x in zip(a, xs)]
+            row.append(2 * sum(a))
+        row.append(squares)
+        rows.append(row)
+    return rows
+
+
+def system_cofactors(config):
+    """The cofactors j <= d, on the scale L, that rationalmaps.plane_system_matrix
+    reads, one tuple per extra index: the last entry of its row at the unit
+    direction e_j is the bracket of e_j^2, cofactor j.  Needs 2k <= d."""
+    d = config.degree
+    units = [ProjPoint(tuple(int(i == j) for i in range(d + 1))) for j in range(d + 1)]
+    cols = [[row[-1] for row in plane_system_matrix(config, e)] for e in units]
+    return [tuple(row) for row in zip(*cols)]
 
 
 class Quadric(NamedTuple):

@@ -29,7 +29,7 @@ from diopoly.cli import (
     parse_witness_document,
     witness_document,
 )
-from diopoly.forge import construct_witness
+from diopoly.forge import construct_witness, verify_witness
 
 
 def run_cli(*argv, stdin=None):
@@ -229,6 +229,35 @@ class TestConstructCommand:
         )
         assert code == 2
         assert "degenerate" in err
+
+    def test_witness_over_the_input_cap_refused(self):
+        # verify refuses a coefficient of more than INPUT_DIGITS_CAP digits,
+        # so construct prints none: here f has 240000 and 180001 digits
+        code, out, err = run_cli("construct", "--set", "0,1,2", "--param", "9" * 60000 + ",1")
+        assert (code, out) == (2, "")
+        assert "poly entry 1 has 240000 digits" in err
+        assert f"INPUT_DIGITS_CAP = {INPUT_DIGITS_CAP}" in err
+
+    def test_witness_at_the_input_cap_round_trips(self):
+        # the parameter (10^c - 1, 1) gives f a constant term of 4c digits
+        nines = "9" * (INPUT_DIGITS_CAP // 4)
+        code, out, _ = run_cli("construct", "--set", "0,1,2", "--param", nines + ",1")
+        assert code == 0
+        assert len(json.loads(out)["poly"][0].lstrip("-")) == INPUT_DIGITS_CAP
+        # what verify --from-json reads of the line, without printing its
+        # 200000-digit pair products
+        elements, coeffs = document_to_inputs(parse_witness_document(out))
+        assert verify_witness(elements, coeffs).ok
+
+    def test_count_run_keeps_the_documents_before_a_refused_one(self, monkeypatch):
+        small = construct_witness([0, 1, 2], parameter=(3, 1))
+        big = construct_witness([0, 1, 2], parameter=(10 ** (INPUT_DIGITS_CAP // 4 + 1) - 1, 1))
+        witnesses = iter([small, big, small])
+        monkeypatch.setattr(cli, "construct_witness", lambda *args, **kwargs: next(witnesses))
+        code, out, err = run_cli("construct", "--set", "0,1,2", "--seed", "1", "--count", "3")
+        assert code == 2
+        assert [json.loads(line)["poly"] for line in out.splitlines()] == [["1", "24"]]
+        assert f"poly entry 1 has {INPUT_DIGITS_CAP + 4} digits" in err
 
     def test_usage_errors_exit_one(self):
         assert run_cli("construct")[0] == 1

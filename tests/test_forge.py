@@ -487,9 +487,9 @@ class TestCertificateRoots:
     def test_node_identity_is_the_one_check(self, monkeypatch, method):
         """Construction runs the reverse map once, checks f(x) = +-L * Y_x^2
         with one evaluation of f per node and runs neither variety check,
-        which that identity implies; a plane witness builds no cofactor
-        rows.  Reading the certificate builds and validates it once, with
-        no second reverse map."""
+        which that identity implies; the config keeps no node table but
+        base_lagrange.  Reading the certificate builds and validates it
+        once, with no second reverse map."""
         calls = {"quadric": 0, "certificate": 0, "reverse": 0, "eval": 0}
         for name in ("quadric", "certificate"):
             real = getattr(rationalmaps, f"on_{name}_variety")
@@ -512,8 +512,8 @@ class TestCertificateRoots:
         nodes = {"quadric": 30, "plane": 32}[method]
         assert len(w.config.nodes) == nodes
         assert calls == {"quadric": 0, "certificate": 0, "reverse": 1, "eval": nodes}
-        if method == "plane":
-            assert "cofactor_rows" not in vars(w.config)
+        # the fields and the one node table: base_lagrange
+        assert set(vars(w.config)) <= {"nodes", "degree", "base_lagrange"}
         twist_points(w.certificate)
         twist_points(w.certificate)
         assert (calls["quadric"], calls["certificate"], calls["reverse"]) == (0, 1, 1)

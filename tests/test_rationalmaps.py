@@ -28,6 +28,7 @@ from oracles import (
     alternating_minors,
     bracket_cofactors,
     certificate_to_quadric,
+    diagonal_quadrics,
     lies_in_plane,
     node_vandermonde,
     parametrize_plane_inverse,
@@ -36,6 +37,7 @@ from oracles import (
     plane_system_by_powers,
     power_point,
     reverse_map_by_minors,
+    system_cofactors,
     vandermonde_product,
 )
 
@@ -393,17 +395,17 @@ def power_span_cases(draw, max_degree=6, min_k=0):
 )
 def test_closed_forms_match_laplace_minors(case):
     """The closed forms against determinants taken by the Laplace oracle:
-    the config's cofactor rows times D / L are the signed minors of the
-    power block, the node Vandermonde is the power block's determinant, the
-    plane kernel is proportional to the alternating maximal minors of the
-    system matrix, and the reverse map times D / L is the (d+1)-minor
-    formula."""
+    the cofactors plane_system_matrix reads, times D / L, are the signed
+    minors of the power block, the node Vandermonde is the power block's
+    determinant, the plane kernel is proportional to the alternating
+    maximal minors of the system matrix, an image lies on every Laplace
+    quadric, and the reverse map times D / L is the (d+1)-minor formula."""
     cfg, q = case
     d = cfg.degree
     assert node_vandermonde(cfg) == vandermonde_product(cfg.nodes[: d + 1])
     ratio = d_over_l(cfg)
-    for m, row in zip(cfg.extra_indices, cfg.cofactor_rows):
-        assert bracket_cofactors(cfg, m) == tuple(ratio * c for c in row)
+    for m, row in zip(cfg.extra_indices, system_cofactors(cfg)):
+        assert bracket_cofactors(cfg, m)[:-1] == tuple(ratio * c for c in row)
 
     a = plane_system_matrix(cfg, q)
     mus = alternating_minors(a)
@@ -415,6 +417,7 @@ def test_closed_forms_match_laplace_minors(case):
         return
     assert kernel is not None
     assert all(kernel[i] * mus[j] == kernel[j] * mus[i] for i in range(len(mus)) for j in range(i))
+    assert all(quad.squares_residual(w.point.coords) == 0 for quad in diagonal_quadrics(cfg))
     assert literal_reverse_map(w) == reverse_map_by_minors(w)
 
 
@@ -422,8 +425,9 @@ def test_closed_forms_match_laplace_minors(case):
 @given(power_span_cases(max_degree=10, min_k=1))
 @example((PointConfig((3, -7, 0, 11, -2, 5, -9), 4), ProjPoint((2, -1, 0, 3, 1))))
 def test_system_rows_follow_the_moment_recurrence(case):
-    """The system rows built by the moment recurrence equal the rows summed
-    power by power, bit for bit."""
+    """The system rows built by the moment recurrence from closed-form
+    cofactors equal the rows summed power by power over the Laplace
+    cofactors on the scale L, bit for bit."""
     cfg, q = case
     assert plane_system_matrix(cfg, q) == plane_system_by_powers(cfg, q)
 
@@ -433,10 +437,11 @@ def test_system_rows_follow_the_moment_recurrence(case):
 @example((PointConfig((3, -7, 0, 11, -2, 5, -9), 4), ProjPoint((2, -1, 0, 3, 1))))
 @example((PointConfig((9, -4, 2, -11, 0, 6), 3), ProjPoint((1, 0, -2, 1))))
 def test_literal_forms_are_d_over_l_times_the_pipeline(case):
-    """The config tables and the pipeline's reverse map sit on the scale L,
-    the lcm of the base Lagrange weights; the literal minors and the
-    literal reverse map are exactly D / L times them, D the Vandermonde
-    product of the base nodes, and reduce to the same projective point."""
+    """The plane system and the pipeline's reverse map sit on the scale L,
+    the lcm of the base Lagrange weights; the system over the literal
+    minors and the literal reverse map are exactly D / L times them, D the
+    Vandermonde product of the base nodes, and reduce to the same
+    projective point."""
     cfg, q = case
     d = cfg.degree
     base = cfg.nodes[: d + 1]
@@ -444,9 +449,8 @@ def test_literal_forms_are_d_over_l_times_the_pipeline(case):
     ratio = vandermonde_product(base) / ll
     assert ratio.denominator == 1 and cfg.base_lagrange[0] == ll
     ratio = int(ratio)
-    for m, row in zip(cfg.extra_indices, cfg.cofactor_rows):
-        assert row[-1] == ll
-        assert bracket_cofactors(cfg, m) == tuple(ratio * c for c in row)
+    literal = plane_system_by_powers(cfg, q, bracket_cofactors)
+    assert literal == [[ratio * c for c in row] for row in plane_system_matrix(cfg, q)]
     try:
         w = parametrize_plane(cfg, q)
     except DegenerateParameterError:

@@ -6,9 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from diopoly.exactmath import eval_poly
+from diopoly.rationalmaps import DegenerateParameterError, plane_image
 from diopoly.variety import (
     PointConfig,
     ProjPoint,
@@ -23,6 +24,8 @@ from oracles import (
     laplace_det,
     node_vandermonde,
     power_point,
+    scaled_cofactors,
+    system_cofactors,
     vandermonde_product,
 )
 
@@ -34,14 +37,6 @@ def small_configs():
     yield PointConfig((0, 1, 2, 3, 4), 2)
     yield PointConfig((-2, 0, 1, 3, 7), 2)
     yield PointConfig((0, 1, 2, 3, 4, 5, 6, 7), 4)
-
-
-def literal_rows(cfg):
-    """The config's cofactor rows times the integer D / L: the literal
-    bracket cofactors of the extra indices."""
-    ratio, rem = divmod(node_vandermonde(cfg), cfg.base_lagrange[0])
-    assert rem == 0
-    return [tuple(ratio * c for c in row) for row in cfg.cofactor_rows]
 
 
 config_strategy = st.builds(
@@ -124,16 +119,17 @@ class TestPointConfig:
             PointConfig((0, 1, 2), 2)  # needs at least degree+2 nodes
 
     def test_tables_leave_equality_and_hash_alone(self):
-        """The node tables are stored on the instance once built, yet a
-        config with them equals and hashes like one without."""
+        """The node table is stored on the instance once built, yet a
+        config with it equals and hashes like one without."""
         built, fresh = PointConfig((3, -1, 4, 0, 7), 2), PointConfig((3, -1, 4, 0, 7), 2)
         before = hash(built)
+        assert on_quadric_variety(built, power_point(built, 1))
         # base nodes (3, -1, 4): D = -20, L = lcm(4, 20, 5) = 20, so D / L = -1
-        assert literal_rows(built)[1] == tuple(-c for c in built.cofactor_rows[1])
-        assert bracket_cofactors(fresh, 4) == literal_rows(built)[1]
-        assert {"base_lagrange", "cofactor_rows"} <= set(vars(built))
-        assert not {"base_lagrange", "cofactor_rows"} & set(vars(fresh))
-        assert built.cofactor_rows is built.cofactor_rows
+        assert built.base_lagrange[0] == 20 and node_vandermonde(fresh) == -20
+        assert scaled_cofactors(fresh, 4) == tuple(-c for c in bracket_cofactors(fresh, 4))
+        assert set(vars(built)) == {"nodes", "degree", "base_lagrange"}
+        assert "base_lagrange" not in vars(fresh)
+        assert built.base_lagrange is built.base_lagrange
         assert built == fresh and hash(built) == before == hash(fresh)
         assert {fresh: "found"}[built] == "found"
 
@@ -144,7 +140,9 @@ class TestBrackets:
         rows = bracket_rows(cfg, (1, 1, 0), 2)
         assert len(rows) == 3 and all(len(r) == 3 for r in rows)
         assert laplace_det(rows) == -1
-        assert sum(c * z for c, z in zip(literal_rows(cfg)[0], (1, 1, 0))) == -1
+        assert sum(c * z for c, z in zip(bracket_cofactors(cfg, 2), (1, 1, 0))) == -1
+        # the squares (1, 1, 0) give a nonzero bracket: off the variety
+        assert not on_quadric_variety(cfg, ProjPoint((1, 1, 0)))
 
     def test_worked_values(self):
         cfg = PointConfig((0, 1, 2), 1)
@@ -154,23 +152,29 @@ class TestBrackets:
     def test_cofactors_worked(self):
         cfg = PointConfig((0, 1, 2), 1)
         assert bracket_cofactors(cfg, 2) == (1, -2, 1)
-        assert literal_rows(cfg) == [(1, -2, 1)]
+        # D = L on both configs: the plane system reads the literal cofactors
+        assert node_vandermonde(cfg) == cfg.base_lagrange[0] == 1
+        assert system_cofactors(cfg) == [(1, -2)]
         cfg5 = PointConfig((0, 1, 2, 3, 4), 2)
         assert bracket_cofactors(cfg5, 3) == (-2, 6, -6, 2)
         assert bracket_cofactors(cfg5, 4) == (-6, 16, -12, 2)
-        assert literal_rows(cfg5) == [(-2, 6, -6, 2), (-6, 16, -12, 2)]
+        assert node_vandermonde(cfg5) == cfg5.base_lagrange[0] == 2
+        assert system_cofactors(cfg5) == [(-2, 6, -6), (-6, 16, -12)]
 
     @given(config_strategy, st.data())
     def test_bracket_expands_through_cofactors(self, cfg, data):
         """The bracket of z equals the full determinant with z as last row,
-        and the config's rows are the Laplace cofactors over D / L."""
+        and, where the power-span map applies (2k <= d), the cofactors the
+        plane system reads are the Laplace cofactors times L / D."""
         m = data.draw(st.sampled_from(list(cfg.extra_indices)))
         z = data.draw(
             st.lists(st.integers(-9, 9), min_size=cfg.degree + 2, max_size=cfg.degree + 2)
         )
-        cof = literal_rows(cfg)[m - cfg.degree - 1]
-        assert cof == bracket_cofactors(cfg, m)
+        cof = bracket_cofactors(cfg, m)
         assert sum(c * v for c, v in zip(cof, z)) == laplace_det(bracket_rows(cfg, z, m))
+        if 2 * (cfg.n - cfg.degree - 1) <= cfg.degree:
+            row = system_cofactors(cfg)[m - cfg.degree - 1]
+            assert row == scaled_cofactors(cfg, m)[:-1]
 
     @given(config_strategy)
     def test_last_cofactor_is_node_vandermonde(self, cfg):
@@ -179,8 +183,8 @@ class TestBrackets:
         m = next(iter(cfg.extra_indices))
         cof = bracket_cofactors(cfg, m)
         assert cof[-1] == vandermonde_product(cfg.nodes[: cfg.degree + 1])
-        assert all(row[-1] == cfg.base_lagrange[0] for row in cfg.cofactor_rows)
-        assert literal_rows(cfg)[0][-1] == cof[-1]
+        # on the scale L it is L, the factor of Y_m^2 in on_quadric_variety
+        assert all(scaled_cofactors(cfg, i)[-1] == cfg.base_lagrange[0] for i in cfg.extra_indices)
 
 
 class TestDiagonalQuadrics:
@@ -203,9 +207,10 @@ class TestDiagonalQuadrics:
 
     @given(config_strategy)
     def test_coefficients_primitive_with_positive_extra(self, cfg):
-        """The primitive quadrics are the config's rows over their content:
-        both scales give the same equations."""
-        for q, row in zip(diagonal_quadrics(cfg), cfg.cofactor_rows):
+        """The primitive quadrics are the cofactors on the scale L over their
+        content: both scales give the same equations."""
+        for q, m in zip(diagonal_quadrics(cfg), cfg.extra_indices):
+            row = scaled_cofactors(cfg, m)
             assert q.coeffs[-1] > 0
             assert math.gcd(*q.coeffs) == 1
             assert q.coeffs == tuple(c // math.gcd(*row) for c in row)
@@ -248,6 +253,61 @@ class TestDiagonalQuadrics:
         if all(v == 0 for v in values):
             return
         assert on_quadric_variety(cfg, ProjPoint(tuple(values)))
+
+
+@st.composite
+def membership_cases(draw):
+    """A line (k = 0) or plane (2k <= d) config over nodes with a negative
+    one, and a point of one of three kinds: a power point T_t with 2t <= d,
+    a plane image, or random coordinates."""
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(0, d // 2))
+    nodes = draw(
+        st.lists(st.integers(-15, 15), min_size=d + k + 2, max_size=d + k + 2, unique=True).filter(
+            lambda xs: min(xs) < 0
+        )
+    )
+    cfg = PointConfig(tuple(nodes), d)
+    kind = draw(st.sampled_from(["power", "image", "random"]))
+    if kind == "power":
+        return cfg, kind, power_point(cfg, draw(st.integers(0, d // 2)))
+    if kind == "random":
+        coords = draw(st.lists(st.integers(-30, 30), min_size=cfg.n + 1, max_size=cfg.n + 1))
+        assume(any(coords))
+        return cfg, kind, ProjPoint(tuple(coords))
+    q = draw(st.lists(st.integers(-3, 3), min_size=d + 1, max_size=d + 1).filter(any))
+    try:
+        image, _ = plane_image(cfg, ProjPoint(tuple(q)))
+    except DegenerateParameterError:
+        assume(False)
+    return cfg, kind, image
+
+
+@settings(max_examples=150, deadline=None)
+@given(membership_cases())
+def test_membership_matches_the_laplace_quadrics(case):
+    """on_quadric_variety, which reads the interpolant of the squares, holds
+    exactly when every primitive Laplace quadric vanishes.  Power points and
+    images lie on the variety; moving one tail coordinate Y_m of an image by
+    1 moves only its own equation, (Y_m + 1)^2 != Y_m^2, so each such point
+    lies off it."""
+    cfg, kind, point = case
+    quadrics = diagonal_quadrics(cfg)
+
+    def agrees(p):
+        on = on_quadric_variety(cfg, p)
+        assert on == all(q.squares_residual(p.coords) == 0 for q in quadrics)
+        return on
+
+    on = agrees(point)
+    if kind == "random":
+        return
+    assert on
+    if kind == "image":
+        for m in cfg.extra_indices:
+            coords = list(point.coords)
+            coords[m] += 1
+            assert not agrees(ProjPoint(tuple(coords)))
 
 
 class TestVarietyMembership:
