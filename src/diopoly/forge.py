@@ -4,14 +4,16 @@ whose value products over all distinct pairs are perfect squares.
 Every construction pushes a projective parameter through the one
 power-span parametrization (k = n - d - 1) onto the quadric variety (a
 point Y) and pulls integer coefficients back through the reverse
-birational map.  Its identity f(x) = +-L * Y_x^2 (L the lcm of the base
-Lagrange weights), checked once per node, is the whole proof: a witness
-stores its node configuration, Y and f, and derives from them every
-pair root as |L * Y_a * Y_b|, its padding and its certificate point.
-verify_witness re-checks the roots from f alone by square classes: one
-integer square root per value against the first value of its class, so
-a passing set of n elements takes n - 1 of them.  A method only chooses
-the node configuration:
+birational map, on the scale L (the lcm of the base Lagrange weights).
+The witness polynomial f is their primitive part, the smallest witness
+of its class; the content g divided out divides L.  The identity
+g * f(x) = +-L * Y_x^2, checked once per node, is the whole proof: a
+witness stores its node configuration, Y and f, and derives from them
+every pair root as (L / g) * |Y_a * Y_b|, its padding and its
+certificate point.  verify_witness re-checks the roots from f alone by
+square classes: one integer square root per value against the first
+value of its class, so a passing set of n elements takes n - 1 of them.
+A method only chooses the node configuration:
 
 * quadric: nodes are the set itself, degree |S| - 2 (k = 0, a line);
 * plane: the set is padded to size 3k+2 with the smallest fresh
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations, count, islice, product
 from typing import Iterable, Iterator, Sequence
 
@@ -113,11 +115,9 @@ class Polynomial:
     """Integer polynomial with ascending coefficients.
 
     Trailing zero coefficients are trimmed on construction so degree is
-    exact; the zero polynomial is rejected.  Content is preserved: the
-    construction pipeline emits coefficients exactly as the reverse map
-    produces them on the scale L (only the overall sign is normalized),
-    because the certificate identities f(x) = +-L * Y_x^2 pin those
-    integers.  Use primitive_part for the content-free representative.
+    exact; the zero polynomial is rejected.  Content is preserved here;
+    construction stores primitive_part of the reverse map's coefficients,
+    since scaling f never changes whether f(a) * f(b) is a square.
     """
 
     coeffs: tuple[int, ...]
@@ -142,7 +142,7 @@ class Polynomial:
 
     @property
     def content(self) -> int:
-        return reduce(math.gcd, (abs(c) for c in self.coeffs))
+        return math.gcd(*self.coeffs)
 
     @property
     def is_constant(self) -> bool:
@@ -160,6 +160,8 @@ class Polynomial:
     def primitive_part(self) -> "Polynomial":
         """Content divided out, leading coefficient positive."""
         g = self.content
+        if g == 1 and self.leading > 0:
+            return self
         sign = 1 if self.leading > 0 else -1
         return Polynomial(tuple(sign * c // g for c in self.coeffs))
 
@@ -202,20 +204,25 @@ class Witness:
     """A certified construction result.
 
     It stores the node configuration and image, the canonical quadric
-    point (Y_0..Y_n) that the parameter maps to.  What certifies the
-    witness follows from these two through the identity
-    f(x) = +-L * Y_x^2 (L the lcm of the base Lagrange weights), which
-    construction checks at every node:
+    point (Y_0..Y_n) that the parameter maps to, and poly, the primitive
+    polynomial f with positive leading coefficient.  What certifies the
+    witness follows from these through the identity
+    g * f(x) = +-L * Y_x^2 (L the lcm of the base Lagrange weights, g the
+    content of the reverse map's coefficients), which construction checks
+    at every node.  g divides L: no prime divides every Y_x, so none can
+    divide g more often than L.  So L / g = |f(x)| / Y_x^2 at any node
+    with Y_x != 0, and the witness needs no field for it:
 
     * pair_roots, (i, j, root) triples with i < j indexing the sorted
       elements, in the order of itertools.combinations, where
-      root = |L * Y_a * Y_b|, so root^2 = f(elements[i]) * f(elements[j]);
+      root = (L / g) * |Y_a * Y_b|, so root^2 = f(elements[i]) * f(elements[j]);
     * padding, the nodes of the config that are not elements;
     * certificate, the certificate point (poly, z_1..z_n) with
-      z_i = (poly(x_0) / Y_0) * Y_i (exact, as poly(x_0) = +-L * Y_0^2;
-      0 when Y_0 = 0): the reverse map's projective point, as poly = +-f,
-      built with no second reverse map and validated the first time it
-      is read (it is what the twisted-curve emitter consumes).
+      z_i = (poly(x_0) / Y_0) * Y_i (exact, as poly(x_0) = +-(L / g) * Y_0^2;
+      0 when Y_0 = 0): the reverse map's projective point, whose
+      coordinates are g times these, built with no second reverse map
+      and validated the first time it is read (it is what the
+      twisted-curve emitter consumes).
 
     stats counts the sampling attempts and the rejections by reason,
     with the keys of ConstructionError.stats (one attempt and no
@@ -234,8 +241,10 @@ class Witness:
     @property
     def pair_roots(self) -> tuple[tuple[int, int, int], ...]:
         y = dict(zip(self.config.nodes, self.image.coords))
+        node, yx = next((x, v) for x, v in y.items() if v)
+        scale = abs(self.poly(node)) // (yx * yx)  # L / g
         ys = [abs(y[x]) for x in self.elements]
-        lys = [self.config.base_lagrange[0] * v for v in ys]
+        lys = [scale * v for v in ys]
         return tuple((i, j, lys[i] * ys[j]) for i, j in combinations(range(len(ys)), 2))
 
     @property
@@ -359,27 +368,34 @@ def _build_witness(
     elems: tuple[int, ...],
     stats: dict[str, int],
 ) -> Witness:
-    """The witness of an image, after checking f(x) = +-L * Y_x^2 at every
-    node of the config, which evaluates f once per node.
+    """The witness of an image: the primitive part f of the reverse map's
+    coefficients, after checking g * f(x) = +-L * Y_x^2 at every node of
+    the config (g the content divided out), which evaluates f once per
+    node.  The identity makes g divide L, since no prime divides every
+    Y_x of the primitive point Y, so it is checked as g | L and
+    f(x) = +-(L / g) * Y_x^2, on integers g times smaller than L.
 
     That check is the one proof of the witness, and it implies both
     variety checks, so construction runs neither.  The reverse map takes
-    f = +-L * I, I the interpolant of the Y_i^2 over the base nodes, so the
-    identity holds at the base nodes by construction, and at a tail node m
-    it says I(x_m) = Y_m^2: the bracket equation for m, so the image lies
-    on the quadric variety.  The certificates z_i = +-L * Y_0 * Y_i then
-    give z_i^2 = f(x_0) * f(x_i), the certificate equations, and every
-    pair has the root |L * Y_a * Y_b|, whatever sign f is normalized to.
-    By the same identity f vanishes exactly where Y does, so only those
-    elements go to classify_trivial's zero-value test.
+    g * f = +-L * I, I the interpolant of the Y_i^2 over the base nodes, so
+    the identity holds at the base nodes by construction, and at a tail
+    node m it says I(x_m) = Y_m^2: the bracket equation for m, so the
+    image lies on the quadric variety.  The certificates
+    z_i = +-(L / g) * Y_0 * Y_i then give z_i^2 = f(x_0) * f(x_i), the
+    certificate equations, and every pair has the root
+    (L / g) * |Y_a * Y_b|, whatever sign f is normalized to.  By the same
+    identity f vanishes exactly where Y does, so only those elements go
+    to classify_trivial's zero-value test.
     """
     coeffs, _ = quadric_to_certificate_lcm(config, image.coords)
+    scaled = Polynomial(coeffs)
+    poly = scaled.primitive_part()
     ll = config.base_lagrange[0]
-    t = -ll if config.degree % 2 else ll
-    bad = [x for x, y in zip(config.nodes, image.coords) if eval_poly(coeffs, x) != t * y**2]
+    # scaled = g * poly, with g carrying the sign of the normalization
+    scale, rem = divmod(-ll if config.degree % 2 else ll, scaled.leading // poly.leading)
+    bad = [x for x, y in zip(config.nodes, image.coords) if rem or poly(x) != scale * y * y]
     if bad:
-        raise ConstructionError(f"reverse map breaks f(x) = +-L * Y_x^2 at node {bad[0]}")
-    poly = Polynomial(coeffs).sign_normalized()
+        raise ConstructionError(f"reverse map breaks g * f(x) = +-L * Y_x^2 at node {bad[0]}")
 
     zeros = [x for x, y in zip(config.nodes, image.coords) if y == 0 and x in elems]
     flags = set(classify_trivial(poly, zeros))
@@ -492,7 +508,7 @@ def construct_witness(
         if FLAG_ZERO_VALUE in witness.flags:
             stats["zero-value"] += 1
             continue
-        # f(x_0) = +-L * Y_0^2 vanishes with Y_0
+        # g * f(x_0) = +-L * Y_0^2 vanishes with Y_0
         if image[0] == 0:
             stats["base-node-zero"] += 1
             continue

@@ -36,12 +36,13 @@ the full system by exactmath.integer_kernel.  plane_image is that
 solve, and returns the image with its in-plane flag.
 
 Which check proves what: the construction pipeline (forge) takes
-plane_image's point and checks f(x) = +-L * Y_x^2 at every node of the
-polynomial it builds, which proves the witness and implies both variety
-equations; CertificatePoint checks the certificate equations, which put
-the twist points on their curve; QuadricPoint checks the quadric
-equations of points that callers build, and parametrize_plane returns
-plane_image's point as one.  The forward map and the inverse of the
+plane_image's point and checks g * f(x) = +-L * Y_x^2 at every node of
+the primitive polynomial f it builds (g the content it divided out),
+which proves the witness and implies both variety equations;
+CertificatePoint checks the certificate equations, which put the twist
+points on their curve; QuadricPoint checks the quadric equations of
+points that callers build, and parametrize_plane returns plane_image's
+point as one.  The forward map and the inverse of the
 parametrization are used only as cross-checks, and live with the test
 oracles.
 

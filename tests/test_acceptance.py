@@ -116,7 +116,7 @@ def test_criterion_02_golden_plane_witness():
     ]
     elapsed = time.monotonic() - t0
     ok = (
-        w.poly.coeffs == (2, 4, 2)
+        w.poly.coeffs == (1, 2, 1)  # the primitive part of (2, 4, 2), on the scale L = 2
         and [m / lead for m in mus] == [1, 1, -2]  # proportional to (-1,-1,2)
         and integer_kernel(a) == mus
         and image.point.coords == (1, 2, -3, -4, -5)

@@ -3,6 +3,8 @@
 import hashlib
 import io
 import json
+import math
+import random
 import subprocess
 import sys
 import time
@@ -65,7 +67,7 @@ class TestDocuments:
         # parameter (3,4,5) drives the first coordinate of the image to
         # zero, so f vanishes at the base node and the twist is undefined
         w = construct_witness([0, 1, 2, 3], "quadric", parameter=(3, 4, 5))
-        assert w.poly.coeffs == (0, 0, 2)
+        assert w.poly.coeffs == (0, 0, 1)  # the primitive part of (0, 0, 2)
         assert w.certificate.degenerate
         doc = witness_document(w, include_twist=True)
         jsonschema.validate(doc, WITNESS_DOCUMENT_SCHEMA)
@@ -160,7 +162,7 @@ class TestConstructCommand:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["poly"] == ["2", "4", "2"]
+        assert doc["poly"] == ["1", "2", "1"]  # the primitive part of (2, 4, 2)
         assert doc["flags"] == ["trivial-family"]
 
     def test_emit_twist(self):
@@ -200,14 +202,16 @@ class TestConstructCommand:
 
     SEEDED_BYTES = [
         # plane sign directions with k + 2 nonzero coordinates, the plane default
-        ("plane", (), "31c5b7d7978cd9a3ffb9e2a17f63e2a8db7a625692f4abb6f260e645c571adae"),
-        # the bytes from before that default, which [-50, 50] still gives
-        ("plane", ("--param-bound", "50"), "bcc4d130d1e82d3cb4a2ae25fb3c5cc9074f7db4813da82912f77491b64188e6"),
-        ("quadric", (), "46dbe72bfbc6055a156ceb370d7f6701d97e170d3b3959ee7260bf8cc1cf26e1"),
+        ("plane", (), "8472c84b43d032a71bcbe9054215a4d73ea68096b81911a8954862d4346d70e4"),
+        # dense directions from [-50, 50]
+        ("plane", ("--param-bound", "50"), "9f877be2d9afe5de9f97cf9c5057e1d478d4983acd2169c8585379cf3dc0288a"),
+        ("quadric", (), "5411fb51b01d012c6b8cf13b820262d69a1b6d08aebb799fde6c5768075cff60"),
     ]
 
     @pytest.mark.parametrize(
-        "method, bound, digest", SEEDED_BYTES, ids=[f"{m}-{d}" for m, _, d in SEEDED_BYTES]
+        "method, bound, digest",
+        SEEDED_BYTES,
+        ids=["-".join((m, *(b.lstrip("-") for b in bound))) for m, bound, _ in SEEDED_BYTES],
     )
     def test_seeded_bytes_on_0_to_29(self, method, bound, digest):
         # plane on 0..29 solves an 11 x 12 kernel system
@@ -248,6 +252,19 @@ class TestConstructCommand:
         # 200000-digit pair products
         elements, coeffs = document_to_inputs(parse_witness_document(out))
         assert verify_witness(elements, coeffs).ok
+
+    def test_primitive_witness_under_a_lower_cap_round_trips(self, monkeypatch):
+        # on this set the plane witness has 467-digit coefficients, and 1216
+        # on the scale L, which a cap of 800 digits would refuse
+        wide = random.Random(3).sample(range(-(10**6), 10**6), 30)
+        monkeypatch.setattr(cli, "INPUT_DIGITS_CAP", 800)
+        monkeypatch.setattr(cli, "_CAP_BITS", math.floor(800 * math.log2(10)))
+        argv = ("construct", "--set=" + ",".join(map(str, wide)), "--method", "plane", "--seed", "1")
+        code, out, err = run_cli(*argv)
+        assert (code, err) == (0, "")
+        assert max(len(c.lstrip("-")) for c in json.loads(out)["poly"]) <= 800
+        code, report, err = run_cli("verify", "--from-json", "-", stdin=out)
+        assert (code, err) == (0, "") and json.loads(report)["ok"] is True
 
     def test_count_run_keeps_the_documents_before_a_refused_one(self, monkeypatch):
         small = construct_witness([0, 1, 2], parameter=(3, 1))
@@ -303,7 +320,8 @@ class TestConstructCommand:
     def test_plane_twist_points_include_padding(self):
         # set 5,9,13 is padded with 0 and 1 for the plane method; the twist
         # block has one point per node, padding included, and its poly is
-        # the certificate's canonical scaling of the witness polynomial
+        # the certificate's canonical scaling of the witness polynomial,
+        # which is primitive: the two are equal up to sign
         code, out, _ = run_cli(
             "construct", "--set", "5,9,13", "--method", "plane", "--seed", "1", "--emit-twist"
         )
@@ -313,8 +331,7 @@ class TestConstructCommand:
         assert [p["x"] for p in doc["twist"]["points"]] == ["0", "1", "5", "9", "13"]
         poly = [int(c) for c in doc["poly"]]
         twist_poly = [int(c) for c in doc["twist"]["poly"]]
-        assert twist_poly != poly
-        assert all(a * twist_poly[0] == b * poly[0] for a, b in zip(poly, twist_poly))
+        assert twist_poly in (poly, [-c for c in poly])
 
 
 class TestVerifyCommand:
@@ -446,16 +463,19 @@ class TestVerifyCommand:
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
     REPORT_BYTES = [
-        ("quadric", (), 0, 0, "c4a3276a1157120012246eda95f2644e3e63ae599e1f0b4bfdf7e4a955a6ec1d"),
-        ("plane", (), 0, 0, "1a42664d49b09fa45ecea742aa54644c4a26e1031a6727447521afdc782d4a9e"),
-        ("plane", ("--param-bound", "50"), 0, 0, "42bfa31966879a518199a56d6569e0241aa362a64cfd584a522b69ca909c5a17"),
-        ("quadric", (), 1, 3, "eb3aaf7caaca5e09b2776f2a847d43db3c8870504d946366c8e24b5546f1dae9"),
+        ("quadric", (), 0, 0, "ef186e9ce96220f75bc8635b27fc2cb89c5e8b748ec2207b2ef48ba3eec48f47"),
+        ("plane", (), 0, 0, "e707ff109a8da62136fd3462bf2b3e86710dca8fe24b1b6f3f317079adc78db7"),
+        ("plane", ("--param-bound", "50"), 0, 0, "98e92a9a0a0ca67a82bf0ad9d464695b09d5c6a492cd923cc6f710c92656ccbf"),
+        ("quadric", (), 1, 3, "96295c969a3dc6c81f6e14e1fca35c44f3910782056a0ec2512f77509897045f"),
     ]
 
     @pytest.mark.parametrize(
         "method, bound, moved, code, digest",
         REPORT_BYTES,
-        ids=[f"{m}-{moved}-{c}-{d}" for m, _, moved, c, d in REPORT_BYTES],
+        ids=[
+            "-".join((m, *(b.lstrip("-") for b in bound), f"moved-{moved}"))
+            for m, bound, moved, _, _ in REPORT_BYTES
+        ],
     )
     def test_report_bytes_on_0_to_29(self, method, bound, moved, code, digest):
         # digests of the pairwise verifier's reports (one isqrt per pair);

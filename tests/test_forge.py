@@ -31,6 +31,8 @@ from diopoly.variety import ProjPoint
 from oracles import (
     eval_ascending,
     is_perfect_square,
+    node_vandermonde,
+    reverse_map_by_minors,
     search_by_enumeration,
     solve_interpolation,
     verify_pairwise,
@@ -177,18 +179,21 @@ class TestConstructQuadric:
 
 class TestConstructPlane:
     def test_golden_witness(self):
+        # the reverse map gives (2, 4, 2) on the scale L = 2; the witness
+        # keeps its primitive part, and the roots halve with it
         w = construct_witness([0, 1, 2, 3, 4], "plane", parameter=(1, 2, 0))
-        assert w.poly.coeffs == (2, 4, 2)
+        assert w.poly.coeffs == (1, 2, 1)
         assert w.flags == {FLAG_TRIVIAL_FAMILY}
         assert w.padding == ()
-        assert w.roots_map()[(3, 4)] == 40
+        assert w.roots_map()[(3, 4)] == 20
 
     def test_golden_pair_roots_complete(self):
         w = construct_witness([0, 1, 2, 3, 4], "plane", parameter=(1, 2, 0))
+        # f = (1 + x)^2, so the root of f(a) * f(b) is (1 + a) * (1 + b)
         assert w.roots_map() == {
-            (0, 1): 4, (0, 2): 6, (0, 3): 8, (0, 4): 10,
-            (1, 2): 12, (1, 3): 16, (1, 4): 20,
-            (2, 3): 24, (2, 4): 30, (3, 4): 40,
+            (0, 1): 2, (0, 2): 3, (0, 3): 4, (0, 4): 5,
+            (1, 2): 6, (1, 3): 8, (1, 4): 10,
+            (2, 3): 12, (2, 4): 15, (3, 4): 20,
         }
 
     def test_padding_added_for_small_sets(self):
@@ -405,8 +410,47 @@ def parameter_length(size, method):
 
 class TestCertificateRoots:
     """Construction reads every pair root off the reverse-map identity
-    f(x) = +-L * Y_x^2; verify_witness re-derives them from f alone, by
+    g * f(x) = +-L * Y_x^2; verify_witness re-derives them from f alone, by
     one integer square root per element of a square class after its first."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda e: st.lists(st.integers(-(10**e), 10**e), min_size=3, max_size=8, unique=True)
+        ),
+        st.sampled_from(forge.METHODS),
+        st.integers(0, 2**32).map(lambda seed: {"seed": seed}),
+    )
+    # Y_0 = 0, so every certificate coordinate is 0; a degree drop, f = 1;
+    # and a plane config padded with 0 and 1
+    @example([0, 1, 2, 3], "quadric", {"parameter": (3, 4, 5)})
+    @example([0, 1, 2], "quadric", {"parameter": (1, 0)})
+    @example([5, 9, 13], "plane", {"seed": 1})
+    def test_primitive_witness_matches_the_minor_oracle(self, elems, method, kwargs):
+        """The witness is the primitive part of the reverse map taken by
+        Laplace minors on the scale D, its roots are the L-scaled roots
+        |L * Y_a * Y_b| divided by that map's content g on the scale L, and
+        its certificate is the L-scaled reverse map's projective point."""
+        try:
+            w = construct_witness(elems, method, **kwargs)
+        except ConstructionError:
+            assume(False)
+        assert w.poly.content == 1 and w.poly.leading > 0
+        coeffs, certs = reverse_map_by_minors(rationalmaps.QuadricPoint(w.config, w.image))
+        assert w.poly == Polynomial(coeffs).primitive_part()
+        # the same map on the scale L: D / L is an integer
+        ll = w.config.base_lagrange[0]
+        ratio = node_vandermonde(w.config) // ll
+        scaled = [c // ratio for c in coeffs + certs]
+        assert [c * ratio for c in scaled] == list(coeffs + certs)
+        g = math.gcd(*scaled[: len(coeffs)])
+        assert ll % g == 0
+        y = dict(zip(w.config.nodes, w.image.coords))
+        for i, j, r in w.pair_roots:
+            a, b = w.elements[i], w.elements[j]
+            assert r >= 0 and r * r == w.poly(a) * w.poly(b)
+            assert r * g == abs(ll * y[a] * y[b])
+        assert w.certificate.point == ProjPoint(tuple(scaled))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -485,7 +529,7 @@ class TestCertificateRoots:
 
     @pytest.mark.parametrize("method", ["quadric", "plane"])
     def test_node_identity_is_the_one_check(self, monkeypatch, method):
-        """Construction runs the reverse map once, checks f(x) = +-L * Y_x^2
+        """Construction runs the reverse map once, checks g * f(x) = +-L * Y_x^2
         with one evaluation of f per node and runs neither variety check,
         which that identity implies; the config keeps no node table but
         base_lagrange.  Reading the certificate builds and validates it

@@ -76,11 +76,11 @@ def test_genus_note_absent_for_higher_degree():
 
 def test_curve_follows_certificate_coordinates():
     # The curve keeps the certificate point's canonical integers verbatim
-    # (no division by the base value or leading coefficient).  Projective
-    # canonicalization can shrink the witness polynomial by its content;
-    # the two differ by a square factor, so the same points satisfy both.
+    # (no division by the base value or leading coefficient).  The witness
+    # polynomial is primitive, so projective canonicalization leaves it as
+    # it is up to sign: the curve's polynomial is the witness's, +-.
     w = construct_witness([0, 1, 2, 3, 4], "plane", parameter=(1, 2, 0))
-    assert w.poly.coeffs == (2, 4, 2)
+    assert w.poly.coeffs == (1, 2, 1)
     ps = twist_points(w.certificate)
-    assert ps.curve.coeffs == w.certificate.coefficients == (1, 2, 1)
+    assert ps.curve.coeffs == w.certificate.coefficients == w.poly.coeffs
     assert ps.points[2] == (Fraction(2), Fraction(-3))
