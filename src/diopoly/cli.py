@@ -122,8 +122,8 @@ WITNESS_DOCUMENT_SCHEMA = {
 }
 
 
-def _frac_str(x: Fraction) -> str:
-    x = Fraction(x)
+def _frac_str(x: int | Fraction) -> str:
+    # ints carry numerator and denominator too
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 

@@ -20,6 +20,11 @@ A method only chooses the node configuration:
   non-negative integers (k minimal), degree 2k, and the pair roots are
   restricted to the original elements.
 
+A config and its node table (the base Lagrange weights) depend only on
+the sorted set and the method, so the configs of the last few sets and
+methods stay in a bounded cache, and repeated constructions on one set
+share one table.
+
 A small exhaustive search over primitive integer polynomials doubles as
 an independent oracle for the construction routines.  It fixes the upper
 coefficients and scans only the constant term, testing the first pair of
@@ -32,7 +37,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, count, islice, product
 from typing import Iterable, Iterator, Sequence
 
@@ -150,12 +155,6 @@ class Polynomial:
 
     def __call__(self, x: int) -> int:
         return eval_poly(self.coeffs, x)
-
-    def sign_normalized(self) -> "Polynomial":
-        """Same polynomial up to sign, with positive leading coefficient."""
-        if self.leading > 0:
-            return self
-        return Polynomial(tuple(-c for c in self.coeffs))
 
     def primitive_part(self) -> "Polynomial":
         """Content divided out, leading coefficient positive."""
@@ -346,6 +345,9 @@ def _validate_elements(elements: Iterable[int], minimum: int) -> tuple[int, ...]
     return tuple(sorted(elems))
 
 
+# a few sets and methods in turn share their configs, node tables included;
+# a stream of fresh sets evicts them instead of growing the cache
+@lru_cache(maxsize=8)
 def _method_setup(elems: tuple[int, ...], method: str) -> PointConfig:
     """The node configuration of a method on the sorted elements.  Plane
     takes the least k >= 1 with 3k + 2 >= |S|, pads the set to 3k + 2 nodes
@@ -387,8 +389,7 @@ def _build_witness(
     identity f vanishes exactly where Y does, so only those elements go
     to classify_trivial's zero-value test.
     """
-    coeffs, _ = quadric_to_certificate_lcm(config, image.coords)
-    scaled = Polynomial(coeffs)
+    scaled = Polynomial(quadric_to_certificate_lcm(config, image.coords))
     poly = scaled.primitive_part()
     ll = config.base_lagrange[0]
     # scaled = g * poly, with g carrying the sign of the normalization

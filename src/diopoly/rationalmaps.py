@@ -131,37 +131,37 @@ class QuadricPoint:
             raise ValueError("coordinates do not satisfy the quadric equations")
 
 
-def quadric_to_certificate_lcm(
-    config: PointConfig, y: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Reverse map of the coordinates y = (Y_0..Y_n) before projective
-    canonicalization, on the scale L.
+def quadric_to_certificate_lcm(config: PointConfig, y: Sequence[int]) -> tuple[int, ...]:
+    """Coefficients f_0..f_d of the reverse map of the coordinates
+    y = (Y_0..Y_n) before projective canonicalization, on the scale L.
 
-    Returns (coefficients f_0..f_d, certificates z_1..z_n), L / D times the
-    literal minor formulas: f = (-1)^d * sum_i (L / w_i) * Y_i^2 * b_i with
+    They are L / D times the literal minor formulas:
+    f = (-1)^d * sum_i (L / w_i) * Y_i^2 * b_i with
     b_i = prod_{j != i} (x - x_j), taken by exactmath.lagrange_numerator
     from the config's weights, so f(x_i) = (-1)^d * L * Y_i^2 at every base
     node x_0..x_d, and at the tail nodes exactly when y lies on the quadric
-    variety; z_i = (-1)^d * L * Y_0 * Y_i.
+    variety.  The certificates on the same scale,
+    z_i = (-1)^d * L * Y_0 * Y_i, are formed by quadric_to_certificate.
     """
     d = config.degree
-    ll, weights = config.base_lagrange
     sign = -1 if d % 2 else 1
-    values = [s * c * c for s, c in zip(weights, y[: d + 1])]
-    coeffs = tuple(sign * c for c in lagrange_numerator(config.nodes[: d + 1], values))
-    scale = sign * ll * y[0]
-    return coeffs, tuple(scale * c for c in y[1:])
+    values = [s * c * c for s, c in zip(config.base_lagrange[1], y[: d + 1])]
+    return tuple(sign * c for c in lagrange_numerator(config.nodes[: d + 1], values))
 
 
 def quadric_to_certificate(w: QuadricPoint) -> CertificatePoint:
-    """Reverse map in canonical projective form.
+    """Reverse map in canonical projective form: the coefficients of
+    quadric_to_certificate_lcm and the certificates
+    z_i = (-1)^d * L * Y_0 * Y_i.
 
     Total on the quadric variety: points with Y_0 = 0 map to certificate
     points whose polynomial vanishes at the base node (flagged through
     CertificatePoint.degenerate) rather than raising.
     """
-    coeffs, certs = quadric_to_certificate_lcm(w.config, w.point.coords)
-    return CertificatePoint(w.config, ProjPoint(coeffs + certs))
+    config, y = w.config, w.point.coords
+    scale = (-1 if config.degree % 2 else 1) * config.base_lagrange[0] * y[0]
+    coeffs = quadric_to_certificate_lcm(config, y)
+    return CertificatePoint(config, ProjPoint(coeffs + tuple(scale * c for c in y[1:])))
 
 
 def _plane_k(config: PointConfig) -> int:

@@ -80,5 +80,5 @@ def twist_points(v: CertificatePoint) -> TwistPointSet:
     nodes = v.config.nodes
     pts = [(nodes[0], Fraction(1))]
     for i, z in enumerate(v.certificates, start=1):
-        pts.append((nodes[i], Fraction(z) / scalar))
+        pts.append((nodes[i], Fraction(z, scalar)))
     return TwistPointSet(curve=curve, points=tuple(pts))

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 from .exactmath import eval_poly, lagrange_numerator, lagrange_weights
 
@@ -60,10 +60,12 @@ class ProjPoint:
             raise TypeError("projective coordinates must be plain ints")
         if all(c == 0 for c in raw):
             raise ValueError("the zero vector is not a projective point")
-        g = reduce(math.gcd, (abs(c) for c in raw))
-        first = next(c for c in raw if c != 0)
-        sign = 1 if first > 0 else -1
-        object.__setattr__(self, "coords", tuple(sign * c // g for c in raw))
+        g = math.gcd(*raw)
+        if next(c for c in raw if c) < 0:
+            raw = tuple(-c // g for c in raw)
+        elif g > 1:
+            raw = tuple(c // g for c in raw)
+        object.__setattr__(self, "coords", raw)
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -82,7 +84,9 @@ class PointConfig:
     Requires d >= 1 and n >= d + 1 (so there is at least one quadric).
     Nodes are plain ints, which keeps every bracket cofactor an integer.
     The node table base_lagrange is built on first use and lives as long
-    as the config; it takes no part in equality or hashing.
+    as the config, so every construction that shares the config (forge
+    keeps the configs of its last few sets and methods in a bounded
+    cache) shares the table; it takes no part in equality or hashing.
     """
 
     nodes: tuple[int, ...]

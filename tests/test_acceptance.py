@@ -194,13 +194,15 @@ def test_criterion_06_reverse_map_determinant_identity():
     while checked < 200:
         for cfg, bound in SOURCES:
             (w,) = generic_points(cfg, 1, rnd, bound)
-            coeffs, _ = reverse_map_by_minors(w)
+            coeffs, certs = reverse_map_by_minors(w)
             d = cfg.degree
             sign = -1 if d % 2 else 1
             dd = node_vandermonde(cfg)
             ratio, rem = divmod(dd, cfg.base_lagrange[0])
-            lcm_coeffs, _ = quadric_to_certificate_lcm(cfg, w.point.coords)
+            lcm_coeffs = quadric_to_certificate_lcm(cfg, w.point.coords)
             if rem or coeffs != tuple(ratio * c for c in lcm_coeffs):
+                failures += 1
+            if quadric_to_certificate(w).point != ProjPoint(coeffs + certs):
                 failures += 1
             y = w.point.coords
             for i, x in enumerate(cfg.nodes):

@@ -63,10 +63,6 @@ class TestPolynomial:
     def test_call_with_fraction(self):
         assert Polynomial((1, 24))(Fraction(1, 2)) == 13
 
-    def test_sign_normalized(self):
-        assert Polynomial((1, -2)).sign_normalized().coeffs == (-1, 2)
-        assert Polynomial((-1, 2)).sign_normalized().coeffs == (-1, 2)
-
     def test_primitive_part(self):
         assert Polynomial((2, 4, 2)).primitive_part().coeffs == (1, 2, 1)
 
@@ -504,7 +500,10 @@ class TestCertificateRoots:
         in-plane test reads lambda: a plane witness on 0..29 (21 base
         nodes, 11 extra) takes one table of Lagrange weights, for the base
         nodes.  No module keeps a Vandermonde product, a basis or a table
-        of its own."""
+        of its own.  The config is cached, so a second plane construction on
+        the set takes no further table, and a quadric one (29 base nodes)
+        takes its own."""
+        forge._method_setup.cache_clear()
         calls = []
         real = exactmath.lagrange_weights
         # variety imports the table by name, so the count is taken there
@@ -513,11 +512,30 @@ class TestCertificateRoots:
         )
         construct_witness(range(30), "plane", seed=1)
         assert calls == [21]
+        construct_witness(range(30), "plane", seed=2)
+        assert calls == [21]
+        construct_witness(range(30), "quadric", seed=1)
+        assert calls == [21, 29]
         tables = {"vandermonde", "lagrange_basis", "lagrange_table"}
         for module in (rationalmaps, forge):
             assert not (tables | {"lagrange_weights"}) & set(vars(module))
         for module in (variety, exactmath):
             assert not tables & set(vars(module))
+
+    def test_config_cache_is_bounded(self):
+        """Constructions on more distinct sets than the cache holds leave it
+        full, not larger, and the oldest set's config is built again."""
+        setup = forge._method_setup
+        setup.cache_clear()
+        bound = setup.cache_info().maxsize
+        assert bound is not None
+        for shift in range(bound + 3):
+            construct_witness(range(shift, shift + 6), "quadric", seed=1)
+        assert setup.cache_info().currsize == bound
+        misses = setup.cache_info().misses
+        construct_witness(range(6), "quadric", seed=1)
+        assert setup.cache_info().misses == misses + 1
+        assert setup.cache_info().currsize == bound
 
     @pytest.mark.parametrize("method", ["quadric", "plane"])
     def test_base_table_holds_the_scale_and_the_weights(self, method):
@@ -606,8 +624,8 @@ class TestCertificateRoots:
         real = forge.quadric_to_certificate_lcm
 
         def bumped(config, y):
-            coeffs, certs = real(config, y)
-            return (coeffs[0] + 1, *coeffs[1:]), certs
+            coeffs = real(config, y)
+            return (coeffs[0] + 1, *coeffs[1:])
 
         monkeypatch.setattr(forge, "quadric_to_certificate_lcm", bumped)
         with pytest.raises(ConstructionError, match="reverse map breaks"):

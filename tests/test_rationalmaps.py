@@ -75,10 +75,24 @@ def d_over_l(config):
     return ratio
 
 
+def lcm_reverse_map(w):
+    """The reverse map on the scale L: the coefficients of
+    quadric_to_certificate_lcm, and the certificates of
+    quadric_to_certificate's canonical point times the one integer that
+    canonicalization divided out of the coefficients."""
+    coeffs = quadric_to_certificate_lcm(w.config, w.point.coords)
+    point = quadric_to_certificate(w).point.coords
+    d = w.config.degree
+    j = next(j for j, c in enumerate(coeffs) if c)
+    t, rem = divmod(coeffs[j], point[j])
+    assert rem == 0 and tuple(t * c for c in point[: d + 1]) == coeffs
+    return coeffs, tuple(t * z for z in point[d + 1 :])
+
+
 def literal_reverse_map(w):
-    """quadric_to_certificate_lcm times D / L: the reverse map on the scale D."""
+    """lcm_reverse_map times D / L: the reverse map on the scale D."""
     ratio = d_over_l(w.config)
-    coeffs, certs = quadric_to_certificate_lcm(w.config, w.point.coords)
+    coeffs, certs = lcm_reverse_map(w)
     return tuple(ratio * c for c in coeffs), tuple(ratio * z for z in certs)
 
 
@@ -455,7 +469,7 @@ def test_literal_forms_are_d_over_l_times_the_pipeline(case):
         w = parametrize_plane(cfg, q)
     except DegenerateParameterError:
         return
-    coeffs, certs = quadric_to_certificate_lcm(cfg, w.point.coords)
+    coeffs, certs = lcm_reverse_map(w)
     y = w.point.coords
     sign = (-1) ** d
     assert [eval_poly(coeffs, x) for x in cfg.nodes] == [sign * ll * c**2 for c in y]

@@ -1,11 +1,13 @@
 """Rational points on the twisted curves attached to witnesses."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from diopoly.forge import construct_witness
+from diopoly.forge import METHODS, ConstructionError, construct_witness
 from diopoly.rationalmaps import CertificatePoint
 from diopoly.twist import DegenerateTwistError, TwistCurve, TwistPointSet, twist_points
 from diopoly.variety import PointConfig, ProjPoint
@@ -84,3 +86,32 @@ def test_curve_follows_certificate_coordinates():
     ps = twist_points(w.certificate)
     assert ps.curve.coeffs == w.certificate.coefficients == w.poly.coeffs
     assert ps.points[2] == (Fraction(2), Fraction(-3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(-300, 299), min_size=3, max_size=30, unique=True),
+    st.sampled_from(METHODS),
+    st.integers(0, 2**32).map(lambda seed: {"seed": seed}),
+)
+@example([5, 9, 13], "plane", {"seed": 1})  # padded with 0 and 1
+@example([0, 1, 2, 3, 4, 5], "plane", {"seed": 1})  # padded with 6 and 7
+@example([0, 1, 2, 3, 4], "quadric", {"parameter": (-2, -3, -2, -2)})  # Y_0 = 0
+def test_ordinates_are_ratios_of_the_quadric_point(elems, method, kwargs):
+    """z_i = (f(x_0) / Y_0) * Y_i, so the ordinate z_i / f(x_0) at node i
+    is Y_i / Y_0 in lowest terms, at padding nodes too, and on the curve."""
+    try:
+        w = construct_witness(elems, method, **kwargs)
+    except ConstructionError:
+        assume(False)
+    y = w.image.coords
+    if y[0] == 0:
+        with pytest.raises(DegenerateTwistError):
+            twist_points(w.certificate)
+        return
+    ps = twist_points(w.certificate)
+    assert [x for x, _ in ps.points] == list(w.config.nodes)
+    for (x, t), yi in zip(ps.points, y):
+        assert t == Fraction(yi, y[0])
+        assert t.denominator > 0 and math.gcd(t.numerator, t.denominator) == 1
+        assert ps.curve.contains(x, t)
