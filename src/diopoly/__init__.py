@@ -11,20 +11,8 @@ line (cli).
 """
 
 from .exactmath import integer_sqrt
-from .variety import (
-    PointConfig,
-    ProjPoint,
-    on_certificate_variety,
-    on_quadric_variety,
-)
-from .rationalmaps import (
-    CertificatePoint,
-    DegenerateParameterError,
-    QuadricPoint,
-    parametrize_plane,
-    plane_system_matrix,
-    quadric_to_certificate,
-)
+from .variety import PointConfig, ProjPoint, on_certificate_variety
+from .rationalmaps import CertificatePoint, DegenerateParameterError, plane_system_matrix
 from .forge import (
     ConstructionError,
     Polynomial,
@@ -45,14 +33,10 @@ __all__ = [
     "integer_sqrt",
     "ProjPoint",
     "PointConfig",
-    "on_quadric_variety",
     "on_certificate_variety",
     "CertificatePoint",
-    "QuadricPoint",
     "DegenerateParameterError",
-    "quadric_to_certificate",
     "plane_system_matrix",
-    "parametrize_plane",
     "Polynomial",
     "Witness",
     "VerifyReport",

@@ -44,7 +44,6 @@ __all__ = [
     "INPUT_DIGITS_CAP",
     "WITNESS_DOCUMENT_SCHEMA",
     "witness_document",
-    "parse_witness_document",
     "document_to_inputs",
     "main",
     "entrypoint",
@@ -189,13 +188,18 @@ def witness_document(witness: Witness, include_twist: bool = False) -> dict:
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+def _echo(value) -> str:
+    """An input value for an error message: its repr, cut after 40 characters."""
+    shown = repr(value)
+    return shown if len(shown) <= 40 else f"{shown[:40]}..."
+
+
 def _decimal(text: str, where: str) -> int:
     """One decimal integer of at most INPUT_DIGITS_CAP digits, surrounding
     whitespace allowed.  A ValueError names the field, echoing <= 40 chars."""
     field = text.strip()
     if not _INTEGER.fullmatch(field):
-        shown = repr(field) if len(field) <= 40 else f"{field[:40]!r}..."
-        raise ValueError(f"{where} is not a decimal integer: {shown}")
+        raise ValueError(f"{where} is not a decimal integer: {_echo(field)}")
     if (digits := len(field.lstrip("+-"))) > INPUT_DIGITS_CAP:
         raise ValueError(f"{where} has {digits} digits, over the input cap of {INPUT_DIGITS_CAP}")
     return int(field, 10)
@@ -244,14 +248,7 @@ def _load_document(text: str) -> dict:
         if key not in doc:
             raise ValueError(f"witness document misses required field {key!r}")
     if doc["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {doc['schema_version']!r}")
-    return doc
-
-
-def parse_witness_document(text: str) -> dict:
-    """Parse and structurally validate one witness document."""
-    doc = _load_document(text)
-    document_to_inputs(doc)
+        raise ValueError(f"unsupported schema version {_echo(doc['schema_version'])}")
     return doc
 
 

@@ -378,7 +378,9 @@ def _build_witness(
     f(x) = +-(L / g) * Y_x^2, on integers g times smaller than L.
 
     That check is the one proof of the witness, and it implies both
-    variety checks, so construction runs neither.  The reverse map takes
+    variety equations, so construction tests neither: the quadric side has
+    no membership test in the package, and the certificate point is
+    validated only when Witness.certificate is read.  The reverse map takes
     g * f = +-L * I, I the interpolant of the Y_i^2 over the base nodes, so
     the identity holds at the base nodes by construction, and at a tail
     node m it says I(x_m) = Y_m^2: the bracket equation for m, so the

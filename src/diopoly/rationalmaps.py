@@ -11,13 +11,15 @@ certificates are z_i = (-1)^d * D * Y_0 * Y_i, where D is the
 Vandermonde product of the first d+1 nodes.  Then
 f(x_i) = (-1)^d * D * Y_i^2 at every node, which makes the certificate
 identities hold, as they do for any constant multiple.  This module
-takes L / D times both, L the lcm of the base Lagrange weights w_i: f is
-(-1)^d * L times the Lagrange interpolant of the Y_i^2 over x_0..x_d,
-exactmath.lagrange_numerator of the values (L / w_i) * Y_i^2 with the
-config's weights (PointConfig.base_lagrange), so no determinant and no
-basis polynomial is formed.  With the (-1)^d twist on the certificates,
-both composites are exact projective identities away from the f(x_0) = 0
-locus, not merely identities up to coordinate signs.
+takes L / D times the coefficients, L the lcm of the base Lagrange
+weights w_i: f is (-1)^d * L times the Lagrange interpolant of the Y_i^2
+over x_0..x_d, exactmath.lagrange_numerator of the values
+(L / w_i) * Y_i^2 with the config's weights (PointConfig.base_lagrange),
+so no determinant and no basis polynomial is formed.  The certificates
+are read off f and Y by forge's Witness.certificate.  With the (-1)^d
+twist on the certificates, both composites are exact projective
+identities away from the f(x_0) = 0 locus, not merely identities up to
+coordinate signs.
 
 Parametrization of the quadric side (needs 2k <= d for k = n - d - 1):
 the variety contains the plane spanned by the power points T_0..T_k;
@@ -40,11 +42,9 @@ plane_image's point and checks g * f(x) = +-L * Y_x^2 at every node of
 the primitive polynomial f it builds (g the content it divided out),
 which proves the witness and implies both variety equations;
 CertificatePoint checks the certificate equations, which put the twist
-points on their curve; QuadricPoint checks the quadric equations of
-points that callers build, and parametrize_plane returns plane_image's
-point as one.  The forward map and the inverse of the
-parametrization are used only as cross-checks, and live with the test
-oracles.
+points on their curve.  No other membership test runs: the quadric
+equations, the forward map and the inverse of the parametrization are
+used only as cross-checks, and live with the test oracles.
 
 Nodes are integers, so everything is computed in exact integer
 arithmetic, and every point is returned in canonical projective form,
@@ -55,26 +55,18 @@ equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .exactmath import eval_poly, integer_kernel, lagrange_numerator, power_moments
-from .variety import (
-    PointConfig,
-    ProjPoint,
-    on_certificate_variety,
-    on_quadric_variety,
-)
+from .variety import PointConfig, ProjPoint, on_certificate_variety
 
 __all__ = [
     "DegenerateParameterError",
     "CertificatePoint",
-    "QuadricPoint",
-    "quadric_to_certificate",
     "quadric_to_certificate_lcm",
     "plane_system_matrix",
     "plane_image",
-    "parametrize_plane",
 ]
 
 
@@ -105,31 +97,6 @@ class CertificatePoint:
         """f(x_i) for the stored integer coefficients."""
         return eval_poly(self.coefficients, self.config.nodes[node_index])
 
-    @property
-    def degenerate(self) -> bool:
-        """True when f vanishes at the base node, where the forward map
-        is indeterminate."""
-        return self.poly_value(0) == 0
-
-
-@dataclass(frozen=True)
-class QuadricPoint:
-    """Validated point (Y_0..Y_n) on the quadric variety.
-
-    in_plane says whether the point lies in the span of the power points
-    T_0..T_k, k = n - d - 1 (for a line config, k = 0: the base point).
-    parametrize_plane fills it from plane_image's flag; a point built
-    from coordinates leaves it None.
-    """
-
-    config: PointConfig
-    point: ProjPoint
-    in_plane: bool | None = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if not on_quadric_variety(self.config, self.point):
-            raise ValueError("coordinates do not satisfy the quadric equations")
-
 
 def quadric_to_certificate_lcm(config: PointConfig, y: Sequence[int]) -> tuple[int, ...]:
     """Coefficients f_0..f_d of the reverse map of the coordinates
@@ -140,28 +107,13 @@ def quadric_to_certificate_lcm(config: PointConfig, y: Sequence[int]) -> tuple[i
     b_i = prod_{j != i} (x - x_j), taken by exactmath.lagrange_numerator
     from the config's weights, so f(x_i) = (-1)^d * L * Y_i^2 at every base
     node x_0..x_d, and at the tail nodes exactly when y lies on the quadric
-    variety.  The certificates on the same scale,
-    z_i = (-1)^d * L * Y_0 * Y_i, are formed by quadric_to_certificate.
+    variety.  forge checks that identity at every node of the witness it
+    builds from them.
     """
     d = config.degree
     sign = -1 if d % 2 else 1
     values = [s * c * c for s, c in zip(config.base_lagrange[1], y[: d + 1])]
     return tuple(sign * c for c in lagrange_numerator(config.nodes[: d + 1], values))
-
-
-def quadric_to_certificate(w: QuadricPoint) -> CertificatePoint:
-    """Reverse map in canonical projective form: the coefficients of
-    quadric_to_certificate_lcm and the certificates
-    z_i = (-1)^d * L * Y_0 * Y_i.
-
-    Total on the quadric variety: points with Y_0 = 0 map to certificate
-    points whose polynomial vanishes at the base node (flagged through
-    CertificatePoint.degenerate) rather than raising.
-    """
-    config, y = w.config, w.point.coords
-    scale = (-1 if config.degree % 2 else 1) * config.base_lagrange[0] * y[0]
-    coeffs = quadric_to_certificate_lcm(config, y)
-    return CertificatePoint(config, ProjPoint(coeffs + tuple(scale * c for c in y[1:])))
 
 
 def _plane_k(config: PointConfig) -> int:
@@ -242,8 +194,8 @@ def plane_image(config: PointConfig, direction: ProjPoint) -> tuple[ProjPoint, b
     tail coordinates are the values of M at k+1 nodes, and q is nonzero,
     so the image lies in the plane exactly when lambda = 0.
 
-    The point is not checked against the variety here; parametrize_plane
-    does that.
+    The point is not checked against the variety here: forge checks the
+    node identity of the witness built from it, which puts it there.
     """
     k = _plane_k(config)
     d = config.degree
@@ -265,12 +217,6 @@ def plane_image(config: PointConfig, direction: ProjPoint) -> tuple[ProjPoint, b
             image[i] += mus[k + 1] * qi
         in_plane = mus[k + 1] == 0
     return ProjPoint(tuple(image)), in_plane
-
-
-def parametrize_plane(config: PointConfig, direction: ProjPoint) -> QuadricPoint:
-    """plane_image as a validated QuadricPoint carrying its in_plane flag."""
-    point, in_plane = plane_image(config, direction)
-    return QuadricPoint(config, point, in_plane)
 
 
 def _plane_image_on_k2_support(

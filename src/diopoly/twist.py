@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import eval_poly
 from .rationalmaps import CertificatePoint
 
 __all__ = ["DegenerateTwistError", "TwistCurve", "TwistPointSet", "twist_points"]
@@ -44,9 +43,6 @@ class TwistCurve:
         while d > 0 and self.coeffs[d] == 0:
             d -= 1
         return d
-
-    def contains(self, x: int | Fraction, y: Fraction) -> bool:
-        return self.twist_scalar * y**2 == eval_poly(self.coeffs, x)
 
 
 @dataclass(frozen=True)

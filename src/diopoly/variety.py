@@ -15,14 +15,15 @@ works on:
   the equation is diagonal in the squares.  It vanishes exactly when
   the d+2 squares lie on one polynomial of degree <= d, that is when
   I(x_i) = Y_i^2, with I the Lagrange interpolant of Y_0^2..Y_d^2 over
-  the base nodes x_0..x_d, so no determinant is ever taken.  A config
-  keeps L, the lcm of the Lagrange weights w_j of the base nodes, with
-  the d + 1 integers L / w_j, computed once on first use, and the test
-  reads L * I off exactmath.lagrange_numerator, as the reverse map does.
+  the base nodes x_0..x_d.  The reverse map builds f from L * I, L the
+  lcm of the Lagrange weights w_j of the base nodes, and construction
+  checks f at every node, which puts its point on this variety; no
+  membership test of its own runs.  A config keeps L with the d + 1
+  integers L / w_j, computed once on first use.
 
 Points are canonical primitive integer vectors (content one, first
 nonzero coordinate positive), so point equality is tuple equality and
-both membership tests are manifestly invariant under rescaling.
+the certificate membership test is manifestly invariant under rescaling.
 """
 
 from __future__ import annotations
@@ -31,12 +32,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exactmath import eval_poly, lagrange_numerator, lagrange_weights
+from .exactmath import eval_poly, lagrange_weights
 
 __all__ = [
     "ProjPoint",
     "PointConfig",
-    "on_quadric_variety",
     "on_certificate_variety",
 ]
 
@@ -111,11 +111,6 @@ class PointConfig:
         """Largest node index (the node count is n + 1)."""
         return len(self.nodes) - 1
 
-    @property
-    def extra_indices(self) -> range:
-        """Indices d+1..n, one diagonal quadric per index."""
-        return range(self.degree + 1, self.n + 1)
-
     @cached_property
     def base_lagrange(self) -> tuple[int, tuple[int, ...]]:
         """exactmath.lagrange_weights over the base nodes x_0..x_d:
@@ -123,19 +118,6 @@ class PointConfig:
         exactmath.lagrange_numerator(x_0..x_d, ((L / w_j) * v_j)_j) is L
         times the interpolant of the v_j."""
         return lagrange_weights(self.nodes[: self.degree + 1])
-
-
-def on_quadric_variety(config: PointConfig, point: ProjPoint) -> bool:
-    """Whether (Y_0..Y_n) satisfies every defining diagonal quadric: whether
-    L times the interpolant of the Y_j^2 over the base nodes takes
-    L * Y_m^2 at every tail node x_m."""
-    if len(point) != config.n + 1:
-        raise ValueError(f"point needs {config.n + 1} coordinates, got {len(point)}")
-    d = config.degree
-    ll, weights = config.base_lagrange
-    y = point.coords
-    num = lagrange_numerator(config.nodes[: d + 1], [s * c * c for s, c in zip(weights, y)])
-    return all(eval_poly(num, x) == ll * c * c for x, c in zip(config.nodes[d + 1 :], y[d + 1 :]))
 
 
 def on_certificate_variety(config: PointConfig, point: ProjPoint) -> bool:

@@ -17,7 +17,9 @@ weights; tests compare it with these forms through the integer D / L.
 So do the maps the program never needs: the forward map from the
 certificate variety, the in-plane test of a point built from its
 coordinates, and the inverse of the power-span parametrization, both
-read off residuals on the scale of the tail's Lagrange weights.
+read off residuals on the scale of the tail's Lagrange weights.  They
+take a quadric-side point as an unvalidated QuadricCoords; membership in
+the variety is checked through diagonal_quadrics.
 """
 
 from __future__ import annotations
@@ -29,12 +31,20 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from diopoly.exactmath import integer_kernel
-from diopoly.rationalmaps import QuadricPoint, plane_system_matrix
-from diopoly.variety import ProjPoint
+from diopoly.rationalmaps import CertificatePoint, plane_system_matrix
+from diopoly.variety import PointConfig, ProjPoint
 
 
 class IndeterminatePointError(ValueError):
     """A rational map was evaluated at a point where it is undefined."""
+
+
+class QuadricCoords(NamedTuple):
+    """Coordinates (Y_0..Y_n) over a node config, not checked against the
+    quadric variety."""
+
+    config: PointConfig
+    point: ProjPoint
 
 
 def _laplace_minors(rows):
@@ -155,7 +165,7 @@ def is_perfect_square(n):
 
 
 def plane_image_by_kernel(config, direction):
-    """rationalmaps.parametrize_plane by its general path for every
+    """rationalmaps.plane_image by its general path for every
     direction: the system rows divided by their gcds, a kernel vector mu by
     exactmath.integer_kernel, and the image sum(mu_t * T_t) + mu_{k+1} *
     q_hat.  Returns (point, in_plane), in_plane read as mu_{k+1} = 0, or
@@ -228,7 +238,7 @@ def plane_system_by_powers(config, direction, cofactors=scaled_cofactors):
     q = direction.coords
     xs = config.nodes[: d + 1]
     rows = []
-    for m in config.extra_indices:
+    for m in range(d + 1, config.n + 1):
         a = [c * qi for c, qi in zip(cofactors(config, m), q)]
         squares = sum(ai * qi for ai, qi in zip(a, q))
         row = [2 * sum(a)]
@@ -273,6 +283,12 @@ def diagonal_quadrics(config):
     return tuple(out)
 
 
+def on_quadrics(quadrics, point):
+    """Whether every quadric, as diagonal_quadrics gives them, vanishes at
+    the point: membership in the quadric variety."""
+    return all(q.squares_residual(point.coords) == 0 for q in quadrics)
+
+
 def power_point(config, t):
     """T_t = (x_0^t, .., x_n^t) in canonical form; T_0 is the all-ones base
     point, and T_t lies on the quadric variety when 2t <= d."""
@@ -282,16 +298,36 @@ def power_point(config, t):
 def reverse_map_by_minors(w):
     """The reverse map on the scale D: coefficient j is (-1)^j times the
     power rows of x_0..x_d without row j, stacked on the squares row
-    (Y_0^2..Y_d^2), and z_i = (-1)^d * D * Y_0 * Y_i."""
+    (Y_0^2..Y_d^2), and z_i = (-1)^d * D * Y_0 * Y_i.  The coefficients are
+    the alternating maximal minors of the transpose, one row per base node,
+    so all of them and D expand through one table."""
     config, y = w.config, w.point.coords
     d = config.degree
-    power = power_rows(config.nodes[: d + 1], d + 1)
-    squares = [c**2 for c in y[: d + 1]]
-    coeffs = tuple(
-        (-1) ** j * laplace_det(power[:j] + power[j + 1 :] + [squares]) for j in range(d + 1)
-    )
-    scale = (-1) ** d * node_vandermonde(config) * y[0]
-    return coeffs, tuple(scale * c for c in y[1:])
+    rows = [[x**t for t in range(d + 1)] + [c * c] for x, c in zip(config.nodes, y[: d + 1])]
+    *coeffs, last = alternating_minors(rows)
+    # the minor without the squares column is (-1)^(d+1) * D
+    scale = -last * y[0]
+    return tuple(coeffs), tuple(scale * c for c in y[1:])
+
+
+def reverse_map_point(w, reverse_map=reverse_map_by_minors):
+    """A reverse map's coordinates as a validated CertificatePoint, in
+    canonical projective form."""
+    coeffs, certs = reverse_map(w)
+    return CertificatePoint(w.config, ProjPoint(coeffs + certs))
+
+
+def reverse_map_by_basis(w):
+    """The reverse map on the scale L, for sizes where Laplace minors take
+    too long: f = (-1)^d * sum_i (L / w_i) * Y_i^2 * b_i over the basis table
+    of lagrange_basis, and z_i = (-1)^d * L * Y_0 * Y_i."""
+    config, y = w.config, w.point.coords
+    d = config.degree
+    xs = config.nodes[: d + 1]
+    ws = [wi for wi, _ in lagrange_basis(xs)]
+    ll, sign = math.lcm(*ws), (-1) ** d
+    coeffs = basis_sum(xs, [sign * (ll // wi) * c * c for wi, c in zip(ws, y)])
+    return tuple(coeffs), tuple(sign * ll * y[0] * c for c in y[1:])
 
 
 def plane_residuals(w):
@@ -314,7 +350,7 @@ def certificate_to_quadric(v):
     fx0 = v.poly_value(0)
     if fx0 == 0:
         raise IndeterminatePointError("forward map undefined where f(x_0) = 0")
-    return QuadricPoint(v.config, ProjPoint((fx0, *v.certificates)))
+    return QuadricCoords(v.config, ProjPoint((fx0, *v.certificates)))
 
 
 def tail_residuals(w):
@@ -340,7 +376,7 @@ def tail_residuals(w):
 
 
 def lies_in_plane(w):
-    """Whether a QuadricPoint lies in the span of the power points T_0..T_k;
+    """Whether a point lies in the span of the power points T_0..T_k;
     for a line config (k = 0) that is the base point."""
     return not any(tail_residuals(w))
 

@@ -25,22 +25,25 @@ from diopoly.forge import (
 )
 from diopoly.rationalmaps import (
     DegenerateParameterError,
-    parametrize_plane,
+    plane_image,
     plane_system_matrix,
-    quadric_to_certificate,
     quadric_to_certificate_lcm,
 )
 from diopoly.twist import twist_points
-from diopoly.variety import PointConfig, ProjPoint, on_quadric_variety
+from diopoly.variety import PointConfig, ProjPoint, on_certificate_variety
 
 from oracles import (
+    QuadricCoords,
     alternating_minors,
     certificate_to_quadric,
     diagonal_quadrics,
+    eval_ascending,
     node_vandermonde,
+    on_quadrics,
     parametrize_plane_inverse,
     power_point,
     reverse_map_by_minors,
+    reverse_map_point,
 )
 
 LINE_INSTANCES = [PointConfig(tuple(range(d + 2)), d) for d in (1, 2, 3, 4)]
@@ -68,12 +71,12 @@ def generic_points(config, count, rnd, bound=12):
     out = []
     while len(out) < count:
         try:
-            w = parametrize_plane(config, sample_direction(rnd, config.degree + 1, bound))
+            point, in_plane = plane_image(config, sample_direction(rnd, config.degree + 1, bound))
         except DegenerateParameterError:
             continue
-        if w.in_plane or w.point.coords[0] == 0:
+        if in_plane or point.coords[0] == 0:
             continue
-        out.append(w)
+        out.append(QuadricCoords(config, point))
     return out
 
 
@@ -110,16 +113,14 @@ def test_criterion_02_golden_plane_witness():
     a = plane_system_matrix(cfg, ProjPoint((1, 2, 0)))
     mus = alternating_minors(a)
     lead = mus[0]
-    image = parametrize_plane(cfg, ProjPoint((1, 2, 0)))
-    residuals = [
-        q.squares_residual(image.point.coords) for q in diagonal_quadrics(cfg)
-    ]
+    image, _ = plane_image(cfg, ProjPoint((1, 2, 0)))
+    residuals = [q.squares_residual(image.coords) for q in diagonal_quadrics(cfg)]
     elapsed = time.monotonic() - t0
     ok = (
         w.poly.coeffs == (1, 2, 1)  # the primitive part of (2, 4, 2), on the scale L = 2
         and [m / lead for m in mus] == [1, 1, -2]  # proportional to (-1,-1,2)
         and integer_kernel(a) == mus
-        and image.point.coords == (1, 2, -3, -4, -5)
+        and image.coords == (1, 2, -3, -4, -5)
         and len(residuals) == 2
         and all(r == 0 for r in residuals)
         and elapsed < 0.1
@@ -174,13 +175,13 @@ def test_criterion_05_birational_round_trips():
     for cfg, bound in SOURCES:
         for w in generic_points(cfg, 100, rnd, bound):
             q = parametrize_plane_inverse(w)
-            if parametrize_plane(cfg, q).point != w.point:
+            if plane_image(cfg, q)[0] != w.point:
                 failures += 1
-            v = quadric_to_certificate(w)
+            v = reverse_map_point(w)
             again = certificate_to_quadric(v)
             if again.point != w.point:
                 failures += 1
-            if quadric_to_certificate(again).point != v.point:
+            if reverse_map_point(again).point != v.point:
                 failures += 1
     elapsed = time.monotonic() - t0
     ok = failures == 0 and elapsed < 30
@@ -202,7 +203,7 @@ def test_criterion_06_reverse_map_determinant_identity():
             lcm_coeffs = quadric_to_certificate_lcm(cfg, w.point.coords)
             if rem or coeffs != tuple(ratio * c for c in lcm_coeffs):
                 failures += 1
-            if quadric_to_certificate(w).point != ProjPoint(coeffs + certs):
+            if not on_certificate_variety(cfg, ProjPoint(coeffs + certs)):
                 failures += 1
             y = w.point.coords
             for i, x in enumerate(cfg.nodes):
@@ -227,11 +228,12 @@ def test_criterion_07_structural_invariants():
                 )
                 if s != 0:
                     failures.append(("power-relation", cfg.nodes, q.support, t))
-        if not on_quadric_variety(cfg, power_point(cfg, 0)):
+        quadrics = diagonal_quadrics(cfg)
+        if not on_quadrics(quadrics, power_point(cfg, 0)):
             failures.append(("base-point", cfg.nodes))
         if cfg.degree % 2 == 0:
             for t in range(cfg.degree // 2 + 1):
-                if not on_quadric_variety(cfg, power_point(cfg, t)):
+                if not on_quadrics(quadrics, power_point(cfg, t)):
                     failures.append(("power-point", cfg.nodes, t))
     report(7, "structural-invariants", not failures, f"{len(failures)} violations")
 
@@ -241,7 +243,7 @@ def test_criterion_08_degenerate_loci():
     a = plane_system_matrix(cfg5, ProjPoint((1, 0, 0)))
     matrix_ok = a == [[-4, 0, -2], [-12, 0, -6]] and integer_kernel(a) is None
     try:
-        parametrize_plane(cfg5, ProjPoint((1, 0, 0)))
+        plane_image(cfg5, ProjPoint((1, 0, 0)))
         raised_param = False
     except DegenerateParameterError:
         raised_param = True
@@ -251,11 +253,9 @@ def test_criterion_08_degenerate_loci():
     except ConstructionError:
         raised_construct = True
     cfg3 = PointConfig((0, 1, 2), 1)
-    w = parametrize_plane(cfg3, ProjPoint((2, 1)))
+    point, in_plane = plane_image(cfg3, ProjPoint((2, 1)))
     witness = construct_witness([0, 1, 2], "quadric", parameter=(2, 1))
-    base_ok = (
-        w.point == power_point(cfg3, 0) and w.in_plane and FLAG_DEGREE_DROPPED in witness.flags
-    )
+    base_ok = point == power_point(cfg3, 0) and in_plane and FLAG_DEGREE_DROPPED in witness.flags
     ok = matrix_ok and raised_param and raised_construct and base_ok
     report(8, "degenerate-loci", ok)
 
@@ -303,7 +303,8 @@ def test_criterion_10_twist_points():
             failures.append(("count", elems))
         if ps.points[0] != (Fraction(min(elems)), Fraction(1)):
             failures.append(("base", elems))
-        if not all(ps.curve.contains(x, y) for x, y in ps.points):
+        curve = ps.curve
+        if any(curve.twist_scalar * y**2 != eval_ascending(curve.coeffs, x) for x, y in ps.points):
             failures.append(("equation", elems))
     report(10, "twist-points-50-witnesses", not failures, f"{len(failures)} violations")
 

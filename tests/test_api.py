@@ -1,12 +1,22 @@
 """The public API: every name an export list promises exists, so
-`from diopoly.<module> import *` succeeds for the package and each module."""
+`from diopoly.<module> import *` succeeds for the package and each module;
+every exported function of the package runs under the CLI commands and the
+README quick start, which runs as written."""
 
+import ast
 import importlib
+import inspect
+import io
+import json
 import pkgutil
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
 import diopoly
+from diopoly import cli
 
 # __main__ runs the command line when imported, and exports nothing
 MODULES = ["diopoly"] + [
@@ -37,3 +47,89 @@ def test_export_list_resolves(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def readme_quick_start():
+    """The code block under "Library quick start" in README.md."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def stated_value(comment):
+    """The Python literal a comment of the quick start opens with: its
+    longest prefix that parses as one."""
+    for end in range(len(comment), 0, -1):
+        try:
+            return ast.literal_eval(comment[:end])
+        except (SyntaxError, ValueError):
+            continue
+    raise AssertionError(f"no value stated in {comment!r}")
+
+
+def test_readme_quick_start_runs():
+    """The quick start runs as written, and every expression it comments on
+    has the value the comment states."""
+    block = readme_quick_start()
+    namespace = {}
+    exec(block, namespace)
+    stated = {}
+    for line in block.splitlines():
+        code, sep, comment = line.partition("# ")
+        if sep:
+            stated[code.strip()] = stated_value(comment.strip())
+            assert eval(code, namespace) == stated[code.strip()]
+    assert stated == {
+        "w.poly.coeffs": (1, 24),
+        "w.roots_map()": {(0, 1): 5, (0, 2): 7, (1, 2): 35},
+        "report.ok": True,
+        "ps.points": ((0, 1), (1, 5), (2, 7)),
+    }
+    assert namespace["report"].ok is True
+
+
+def test_every_export_runs():
+    """Every function in diopoly.__all__ runs, with sys.setprofile recording
+    the code of the package, under the calls the package serves: construct
+    with both methods, --emit-twist and --param-bound 2 (dense directions,
+    the kernel path through plane_system_matrix), verify on a passing and
+    a failing document, search, and the README quick start.  Only the
+    package-level __all__ is covered: the module lists also hold names such
+    as cli.witness_document, which serves the benchmark's setup rather than
+    a command."""
+    package = str(Path(diopoly.__file__).resolve().parent)
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            ran.add(frame.f_code)
+
+    def run(*argv, stdin=""):
+        out, old_stdin = io.StringIO(), sys.stdin
+        sys.stdin = io.StringIO(stdin)
+        try:
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                return cli.main(list(argv)), out.getvalue()
+        finally:
+            sys.stdin = old_stdin
+
+    old = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        construct = ("construct", "--set", "0,1,2,3,4,5,6,7", "--seed", "1", "--emit-twist")
+        code, quadric = run(*construct, "--method", "quadric")
+        assert code == 0
+        code, plane = run(*construct, "--method", "plane", "--param-bound", "2")
+        assert code == 0
+        assert run("verify", "--from-json", "-", stdin=quadric + plane)[0] == 0
+        doc = json.loads(plane)
+        doc["poly"][0] = str(int(doc["poly"][0]) + 1)
+        assert run("verify", "--from-json", "-", stdin=json.dumps(doc))[0] == 3
+        assert run("search", "--set", "0,1,2", "--max-degree", "1", "--max-height", "5")[0] == 0
+        exec(readme_quick_start(), {})
+    finally:
+        sys.setprofile(old)
+    functions = {name: getattr(diopoly, name) for name in diopoly.__all__}
+    functions = {name: f for name, f in functions.items() if inspect.isfunction(f)}
+    assert len(functions) >= 8
+    assert sorted(name for name, f in functions.items() if f.__code__ not in ran) == []

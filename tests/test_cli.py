@@ -28,10 +28,15 @@ from diopoly.cli import (
     _parse_ints,
     document_to_inputs,
     main,
-    parse_witness_document,
     witness_document,
 )
 from diopoly.forge import construct_witness, verify_witness
+
+
+def read_document(text):
+    """A witness document's (set, poly), read as verify --from-json reads
+    each line."""
+    return document_to_inputs(cli._load_document(text))
 
 
 def run_cli(*argv, stdin=None):
@@ -68,7 +73,7 @@ class TestDocuments:
         # zero, so f vanishes at the base node and the twist is undefined
         w = construct_witness([0, 1, 2, 3], "quadric", parameter=(3, 4, 5))
         assert w.poly.coeffs == (0, 0, 1)  # the primitive part of (0, 0, 2)
-        assert w.certificate.degenerate
+        assert w.certificate.poly_value(0) == 0
         doc = witness_document(w, include_twist=True)
         jsonschema.validate(doc, WITNESS_DOCUMENT_SCHEMA)
         assert doc["twist"] is None
@@ -77,8 +82,7 @@ class TestDocuments:
         w = construct_witness([0, 1, 2, 3, 4, 5, 6], "quadric", seed=4)
         doc = witness_document(w)
         text = json.dumps(doc)
-        back = parse_witness_document(text)
-        elems, coeffs = document_to_inputs(back)
+        elems, coeffs = read_document(text)
         assert tuple(coeffs) == w.poly.coeffs
         assert tuple(elems) == w.elements
 
@@ -96,14 +100,22 @@ class TestDocuments:
 
     def test_parse_rejects_deep_nesting(self):
         with pytest.raises(ValueError, match="malformed JSON document"):
-            parse_witness_document("[" * 200_000 + "]" * 200_000)
+            read_document("[" * 200_000 + "]" * 200_000)
 
     def test_parse_rejects_unknown_version(self):
         w = construct_witness([0, 1, 2], "quadric", parameter=(3, 1))
         doc = witness_document(w)
         doc["schema_version"] = "99"
         with pytest.raises(ValueError):
-            parse_witness_document(json.dumps(doc))
+            read_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("version", ["9" * 10**5, list(range(100))])
+    def test_unknown_version_is_echoed_in_at_most_40_characters(self, version):
+        doc = {"schema_version": version, "set": ["0", "1", "2"], "poly": ["1"]}
+        code, out, err = run_cli("verify", "--from-json", "-", stdin=json.dumps(doc))
+        assert (code, out) == (1, "")
+        shown = err.removeprefix("diopoly: error: unsupported schema version ").rstrip("\n")
+        assert shown != err and len(shown) == 43 and shown.endswith("...")
 
 
 _json_values = st.recursive(
@@ -125,10 +137,10 @@ class TestParserFuzz:
     @given(st.text() | _documents)
     def test_parse_witness_document(self, text):
         try:
-            doc = parse_witness_document(text)
+            elements, coeffs = read_document(text)
         except ValueError:
             return
-        assert isinstance(doc, dict)
+        assert all(type(x) is int for x in elements + coeffs)
 
     @given(st.lists(_decimal_texts | st.text(), max_size=6))
     def test_parse_ints(self, fields):
@@ -250,7 +262,7 @@ class TestConstructCommand:
         assert len(json.loads(out)["poly"][0].lstrip("-")) == INPUT_DIGITS_CAP
         # what verify --from-json reads of the line, without printing its
         # 200000-digit pair products
-        elements, coeffs = document_to_inputs(parse_witness_document(out))
+        elements, coeffs = read_document(out)
         assert verify_witness(elements, coeffs).ok
 
     def test_primitive_witness_under_a_lower_cap_round_trips(self, monkeypatch):

@@ -29,10 +29,13 @@ from diopoly.twist import twist_points
 from diopoly.variety import ProjPoint
 
 from oracles import (
+    QuadricCoords,
     eval_ascending,
     is_perfect_square,
     node_vandermonde,
+    reverse_map_by_basis,
     reverse_map_by_minors,
+    reverse_map_point,
     search_by_enumeration,
     solve_interpolation,
     verify_pairwise,
@@ -347,7 +350,7 @@ class TestSampledConstruction:
         assert (len(below), len(at)) == (degenerate, trivial)
         for q in below:
             with pytest.raises(rationalmaps.DegenerateParameterError):
-                rationalmaps.parametrize_plane(config, q)
+                rationalmaps.plane_image(config, q)
         for q in at:
             w = construct_witness(range(size), "plane", parameter=q)
             assert FLAG_TRIVIAL_FAMILY in w.flags
@@ -432,7 +435,7 @@ class TestCertificateRoots:
         except ConstructionError:
             assume(False)
         assert w.poly.content == 1 and w.poly.leading > 0
-        coeffs, certs = reverse_map_by_minors(rationalmaps.QuadricPoint(w.config, w.image))
+        coeffs, certs = reverse_map_by_minors(QuadricCoords(w.config, w.image))
         assert w.poly == Polynomial(coeffs).primitive_part()
         # the same map on the scale L: D / L is an integer
         ll = w.config.base_lagrange[0]
@@ -548,37 +551,33 @@ class TestCertificateRoots:
     @pytest.mark.parametrize("method", ["quadric", "plane"])
     def test_node_identity_is_the_one_check(self, monkeypatch, method):
         """Construction runs the reverse map once, checks g * f(x) = +-L * Y_x^2
-        with one evaluation of f per node and runs neither variety check,
+        with one evaluation of f per node and runs no certificate check,
         which that identity implies; the config keeps no node table but
         base_lagrange.  Reading the certificate builds and validates it
         once, with no second reverse map."""
-        calls = {"quadric": 0, "certificate": 0, "reverse": 0, "eval": 0}
-        for name in ("quadric", "certificate"):
-            real = getattr(rationalmaps, f"on_{name}_variety")
-
-            def counted(config, point, name=name, real=real):
-                calls[name] += 1
-                return real(config, point)
-
-            monkeypatch.setattr(rationalmaps, f"on_{name}_variety", counted)
-        for name, attr in (("reverse", "quadric_to_certificate_lcm"), ("eval", "eval_poly")):
-            real = getattr(forge, attr)
+        calls = {"certificate": 0, "reverse": 0, "eval": 0}
+        for module, attr, name in (
+            (rationalmaps, "on_certificate_variety", "certificate"),
+            (forge, "quadric_to_certificate_lcm", "reverse"),
+            (forge, "eval_poly", "eval"),
+        ):
+            real = getattr(module, attr)
 
             def counted(*args, name=name, real=real):
                 calls[name] += 1
                 return real(*args)
 
-            monkeypatch.setattr(forge, attr, counted)
+            monkeypatch.setattr(module, attr, counted)
         w = construct_witness(range(30), method, seed=1)
         assert w.stats["attempts"] == 1
         nodes = {"quadric": 30, "plane": 32}[method]
         assert len(w.config.nodes) == nodes
-        assert calls == {"quadric": 0, "certificate": 0, "reverse": 1, "eval": nodes}
+        assert calls == {"certificate": 0, "reverse": 1, "eval": nodes}
         # the fields and the one node table: base_lagrange
         assert set(vars(w.config)) <= {"nodes", "degree", "base_lagrange"}
         twist_points(w.certificate)
         twist_points(w.certificate)
-        assert (calls["quadric"], calls["certificate"], calls["reverse"]) == (0, 1, 1)
+        assert (calls["certificate"], calls["reverse"]) == (1, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -595,17 +594,20 @@ class TestCertificateRoots:
     @example([0, 1, 2, 3], "plane", {"parameter": (-3, -2, 0)})
     @example([0, 1, 2], "quadric", {"parameter": (1, 0)})
     def test_certificate_matches_validated_maps(self, elems, method, kwargs):
-        """The certificate read off poly and Y is the one the validated
-        parametrization and reverse map give, and the flags read off Y are
+        """The certificate read off poly and Y is the validated point that
+        plane_image and the reverse map by the basis table give, and the
+        flags read off Y are
         the ones classify_trivial and the degree test give on every
         element."""
         try:
             w = construct_witness(elems, method, **kwargs)
         except ConstructionError:
             assume(False)
-        image = rationalmaps.parametrize_plane(w.config, w.parameter)
-        assert image.point == w.image
-        assert w.certificate == rationalmaps.quadric_to_certificate(image)
+        image, _ = rationalmaps.plane_image(w.config, w.parameter)
+        assert image == w.image
+        # up to 30 elements: too many base nodes for the Laplace minors
+        point = reverse_map_point(QuadricCoords(w.config, image), reverse_map_by_basis)
+        assert w.certificate == point
         flags = set(classify_trivial(w.poly, w.elements))
         if w.poly.degree < w.config.degree:
             flags.add(FLAG_DEGREE_DROPPED)

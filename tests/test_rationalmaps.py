@@ -15,28 +15,29 @@ from diopoly.exactmath import eval_poly, integer_kernel
 from diopoly.rationalmaps import (
     CertificatePoint,
     DegenerateParameterError,
-    QuadricPoint,
-    parametrize_plane,
+    plane_image,
     plane_system_matrix,
-    quadric_to_certificate,
     quadric_to_certificate_lcm,
 )
-from diopoly.variety import PointConfig, ProjPoint, on_quadric_variety
+from diopoly.variety import PointConfig, ProjPoint
 
 from oracles import (
     IndeterminatePointError,
+    QuadricCoords,
     alternating_minors,
     bracket_cofactors,
     certificate_to_quadric,
     diagonal_quadrics,
     lies_in_plane,
     node_vandermonde,
+    on_quadrics,
     parametrize_plane_inverse,
     plane_image_by_kernel,
     plane_residuals,
     plane_system_by_powers,
     power_point,
     reverse_map_by_minors,
+    reverse_map_point,
     system_cofactors,
     vandermonde_product,
 )
@@ -75,35 +76,21 @@ def d_over_l(config):
     return ratio
 
 
-def lcm_reverse_map(w):
-    """The reverse map on the scale L: the coefficients of
-    quadric_to_certificate_lcm, and the certificates of
-    quadric_to_certificate's canonical point times the one integer that
-    canonicalization divided out of the coefficients."""
-    coeffs = quadric_to_certificate_lcm(w.config, w.point.coords)
-    point = quadric_to_certificate(w).point.coords
-    d = w.config.degree
-    j = next(j for j, c in enumerate(coeffs) if c)
-    t, rem = divmod(coeffs[j], point[j])
-    assert rem == 0 and tuple(t * c for c in point[: d + 1]) == coeffs
-    return coeffs, tuple(t * z for z in point[d + 1 :])
-
-
 def literal_reverse_map(w):
-    """lcm_reverse_map times D / L: the reverse map on the scale D."""
+    """The coefficients of quadric_to_certificate_lcm times D / L: the
+    reverse map's coefficients on the scale D."""
     ratio = d_over_l(w.config)
-    coeffs, certs = lcm_reverse_map(w)
-    return tuple(ratio * c for c in coeffs), tuple(ratio * z for z in certs)
+    return tuple(ratio * c for c in quadric_to_certificate_lcm(w.config, w.point.coords))
 
 
 def plane_point(config, direction):
-    """Parametrized point, or None on the degenerate locus or in the
+    """The image of a direction, or None on the degenerate locus or in the
     plane (for a line config: the base point)."""
     try:
-        w = parametrize_plane(config, direction)
+        point, in_plane = plane_image(config, direction)
     except DegenerateParameterError:
         return None
-    return None if w.in_plane else w
+    return None if in_plane else QuadricCoords(config, point)
 
 
 class TestWrappers:
@@ -111,30 +98,26 @@ class TestWrappers:
         with pytest.raises(ValueError):
             CertificatePoint(LINE_CFG, ProjPoint((1, 23, 5, 7)))
 
-    def test_quadric_point_validates(self):
-        with pytest.raises(ValueError):
-            QuadricPoint(LINE_CFG, ProjPoint((1, 5, 8)))
-
     def test_certificate_accessors(self):
         v = CertificatePoint(LINE_CFG, ProjPoint((1, 24, 5, 7)))
         assert v.coefficients == (1, 24)
         assert v.certificates == (5, 7)
         assert v.poly_value(2) == 49
-        assert not v.degenerate
+        assert v.poly_value(0) == 1
 
     def test_degenerate_when_base_node_is_root(self):
         v = CertificatePoint(LINE_CFG, ProjPoint((0, 1, 0, 0)))  # f = x
-        assert v.degenerate
+        assert v.poly_value(0) == 0
 
     def test_base_point_flag(self):
         # on a line config (k = 0) the plane is the base point alone
-        w = QuadricPoint(LINE_CFG, power_point(LINE_CFG, 0))
+        w = QuadricCoords(LINE_CFG, power_point(LINE_CFG, 0))
         assert lies_in_plane(w)
-        assert not lies_in_plane(QuadricPoint(LINE_CFG, ProjPoint((1, 5, 7))))
+        assert not lies_in_plane(QuadricCoords(LINE_CFG, ProjPoint((1, 5, 7))))
 
     def test_in_plane_needs_2k_at_most_d(self):
         cfg = PointConfig(tuple(range(6)), 2)  # k = 2 > d / 2
-        w = QuadricPoint(cfg, power_point(cfg, 0))
+        w = QuadricCoords(cfg, power_point(cfg, 0))
         with pytest.raises(ValueError):
             lies_in_plane(w)
 
@@ -162,30 +145,30 @@ class TestForwardMap:
 
 class TestReverseMap:
     def test_worked_example(self):
-        w = QuadricPoint(LINE_CFG, ProjPoint((1, 5, 7)))
-        v = quadric_to_certificate(w)
-        assert v.point.coords == (1, 24, 5, 7)
+        w = QuadricCoords(LINE_CFG, ProjPoint((1, 5, 7)))
+        assert quadric_to_certificate_lcm(LINE_CFG, w.point.coords) == (-1, -24)
+        assert reverse_map_point(w).point.coords == (1, 24, 5, 7)
 
     def test_worked_raw_values(self):
-        w = QuadricPoint(LINE_CFG, ProjPoint((1, 5, 7)))
+        w = QuadricCoords(LINE_CFG, ProjPoint((1, 5, 7)))
         coeffs, certs = reverse_map_by_minors(w)
         assert coeffs == (-1, -24)
         assert certs == (-5, -7)
-        assert literal_reverse_map(w) == (coeffs, certs)
+        assert literal_reverse_map(w) == coeffs
 
     def test_base_point_maps_to_constant(self):
-        w = QuadricPoint(LINE_CFG, power_point(LINE_CFG, 0))
-        v = quadric_to_certificate(w)
-        assert v.point.coords == (1, 0, 1, 1)
+        w = QuadricCoords(LINE_CFG, power_point(LINE_CFG, 0))
+        assert quadric_to_certificate_lcm(LINE_CFG, w.point.coords) == (-1, 0)
+        assert reverse_map_point(w).point.coords == (1, 0, 1, 1)
 
     def test_total_on_vanishing_first_coordinate(self):
         # A point with Y_0 = 0 still maps; the image is degenerate for the
         # forward direction rather than an error here.
         cfg = PointConfig((0, 1, 2, 3), 2)
-        w = parametrize_plane(cfg, ProjPoint((3, 4, 5)))
-        assert w.point.coords == (0, 1, 2, -3)
-        v = quadric_to_certificate(w)
-        assert v.degenerate
+        point, _ = plane_image(cfg, ProjPoint((3, 4, 5)))
+        assert point.coords == (0, 1, 2, -3)
+        v = reverse_map_point(QuadricCoords(cfg, point))
+        assert v.poly_value(0) == 0
         with pytest.raises(IndeterminatePointError):
             certificate_to_quadric(v)
 
@@ -199,7 +182,7 @@ class TestReverseMap:
                 w = plane_point(cfg, sample_direction(rnd, d + 1))
                 if w is None:
                     continue
-                coeffs, _ = literal_reverse_map(w)
+                coeffs = literal_reverse_map(w)
                 y = w.point.coords
                 for i, x in enumerate(cfg.nodes):
                     assert eval_poly(coeffs, x) == sign * dd * y[i] ** 2
@@ -213,7 +196,7 @@ class TestReverseMap:
                 w = plane_point(cfg, sample_direction(rnd, d + 1, 6))
                 if w is None:
                     continue
-                coeffs, _ = literal_reverse_map(w)
+                coeffs = literal_reverse_map(w)
                 y = w.point.coords
                 for i, x in enumerate(cfg.nodes):
                     assert eval_poly(coeffs, x) == dd * y[i] ** 2  # d even
@@ -227,7 +210,7 @@ class TestRoundTrips:
                 w = plane_point(cfg, sample_direction(rnd, cfg.degree + 1))
                 if w is None or w.point.coords[0] == 0:
                     continue
-                again = certificate_to_quadric(quadric_to_certificate(w))
+                again = certificate_to_quadric(reverse_map_point(w))
                 assert again.point == w.point
 
     def test_forward_then_reverse_is_identity(self):
@@ -237,8 +220,8 @@ class TestRoundTrips:
                 w = plane_point(cfg, sample_direction(rnd, cfg.degree + 1))
                 if w is None or w.point.coords[0] == 0:
                     continue
-                v = quadric_to_certificate(w)
-                back = quadric_to_certificate(certificate_to_quadric(v))
+                v = reverse_map_point(w)
+                back = reverse_map_point(certificate_to_quadric(v))
                 assert back.point == v.point
 
     def test_round_trips_through_plane_images(self):
@@ -248,45 +231,46 @@ class TestRoundTrips:
                 w = plane_point(cfg, sample_direction(rnd, cfg.degree + 1, 6))
                 if w is None or w.point.coords[0] == 0:
                     continue
-                v = quadric_to_certificate(w)
+                v = reverse_map_point(w)
                 assert certificate_to_quadric(v).point == w.point
-                assert quadric_to_certificate(certificate_to_quadric(v)).point == v.point
+                assert reverse_map_point(certificate_to_quadric(v)).point == v.point
 
 
 class TestLineParametrization:
     """Line configs (n = d + 1) through the power-span map with k = 0."""
 
     def test_worked_image(self):
-        w = parametrize_plane(LINE_CFG, ProjPoint((3, 1)))
-        assert w.point.coords == (1, 5, 7)
+        point, _ = plane_image(LINE_CFG, ProjPoint((3, 1)))
+        assert point.coords == (1, 5, 7)
 
     def test_polar_direction_gives_base_point(self):
-        w = parametrize_plane(LINE_CFG, ProjPoint((2, 1)))
-        assert w.point == power_point(LINE_CFG, 0)
-        assert w.in_plane
+        point, in_plane = plane_image(LINE_CFG, ProjPoint((2, 1)))
+        assert point == power_point(LINE_CFG, 0)
+        assert in_plane
 
     def test_worked_inverse(self):
-        w = QuadricPoint(LINE_CFG, ProjPoint((1, 5, 7)))
+        w = QuadricCoords(LINE_CFG, ProjPoint((1, 5, 7)))
         assert parametrize_plane_inverse(w).coords == (3, 1)
 
     def test_inverse_undefined_at_base_point(self):
-        w = QuadricPoint(LINE_CFG, power_point(LINE_CFG, 0))
+        w = QuadricCoords(LINE_CFG, power_point(LINE_CFG, 0))
         with pytest.raises(IndeterminatePointError):
             parametrize_plane_inverse(w)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValueError):
-            parametrize_plane(PointConfig(tuple(range(6)), 2), ProjPoint((1, 1, 1)))  # 2k > d
+            plane_image(PointConfig(tuple(range(6)), 2), ProjPoint((1, 1, 1)))  # 2k > d
         with pytest.raises(ValueError):
-            parametrize_plane(LINE_CFG, ProjPoint((1, 1, 1)))  # bad length
+            plane_image(LINE_CFG, ProjPoint((1, 1, 1)))  # bad length
 
     def test_images_lie_on_variety(self):
         rnd = random.Random(37)
         for cfg in line_configs():
+            quadrics = diagonal_quadrics(cfg)
             for _ in range(50):
                 w = plane_point(cfg, sample_direction(rnd, cfg.degree + 1))
                 if w is not None:
-                    assert on_quadric_variety(cfg, w.point)
+                    assert on_quadrics(quadrics, w.point)
 
     def test_round_trip_from_directions(self):
         rnd = random.Random(41)
@@ -322,12 +306,8 @@ class TestPlaneParametrization:
         ]
 
     def test_worked_images(self):
-        assert parametrize_plane(PLANE_CFG, ProjPoint((1, 1, 0))).point.coords == (
-            1, 1, -1, -1, -1,
-        )
-        assert parametrize_plane(PLANE_CFG, ProjPoint((1, 2, 0))).point.coords == (
-            1, 2, -3, -4, -5,
-        )
+        assert plane_image(PLANE_CFG, ProjPoint((1, 1, 0)))[0].coords == (1, 1, -1, -1, -1)
+        assert plane_image(PLANE_CFG, ProjPoint((1, 2, 0)))[0].coords == (1, 2, -3, -4, -5)
 
     def test_worked_plane_coefficients(self):
         a = plane_system_matrix(PLANE_CFG, ProjPoint((1, 2, 0)))
@@ -338,14 +318,14 @@ class TestPlaneParametrization:
 
     def test_degenerate_direction(self):
         with pytest.raises(DegenerateParameterError):
-            parametrize_plane(PLANE_CFG, ProjPoint((1, 0, 0)))
+            plane_image(PLANE_CFG, ProjPoint((1, 0, 0)))
 
     def test_worked_inverse(self):
-        w = QuadricPoint(PLANE_CFG, ProjPoint((1, 2, -3, -4, -5)))
+        w = QuadricCoords(PLANE_CFG, ProjPoint((1, 2, -3, -4, -5)))
         assert parametrize_plane_inverse(w).coords == (1, 2, 0)
 
     def test_inverse_undefined_on_plane(self):
-        w = QuadricPoint(PLANE_CFG, ProjPoint((1, 1, 1, 1, 1)))
+        w = QuadricCoords(PLANE_CFG, ProjPoint((1, 1, 1, 1, 1)))
         assert lies_in_plane(w)
         with pytest.raises(IndeterminatePointError):
             parametrize_plane_inverse(w)
@@ -353,25 +333,26 @@ class TestPlaneParametrization:
     def test_shape_validation(self):
         cfg = PointConfig(tuple(range(6)), 2)  # k = n - d - 1 = 2 > d / 2
         with pytest.raises(ValueError):
-            parametrize_plane(cfg, ProjPoint((1, 1, 1)))
+            plane_image(cfg, ProjPoint((1, 1, 1)))
         with pytest.raises(ValueError):
             plane_system_matrix(cfg, ProjPoint((1, 1, 1)))
         with pytest.raises(ValueError):
-            parametrize_plane_inverse(QuadricPoint(cfg, power_point(cfg, 0)))
+            parametrize_plane_inverse(QuadricCoords(cfg, power_point(cfg, 0)))
         with pytest.raises(ValueError):
-            parametrize_plane(PLANE_CFG, ProjPoint((1, 1)))  # bad length
+            plane_image(PLANE_CFG, ProjPoint((1, 1)))  # bad length
 
     def test_images_lie_on_variety_and_off_plane(self):
         rnd = random.Random(43)
         for cfg in plane_configs():
+            quadrics = diagonal_quadrics(cfg)
             seen = 0
             for _ in range(60):
                 w = plane_point(cfg, sample_direction(rnd, cfg.degree + 1, 6))
                 if w is None:
                     continue
                 seen += 1
-                assert on_quadric_variety(cfg, w.point)
-                assert not w.in_plane
+                assert on_quadrics(quadrics, w.point)
+                assert not lies_in_plane(w)
             assert seen > 10
 
     def test_round_trip_from_directions(self):
@@ -418,21 +399,22 @@ def test_closed_forms_match_laplace_minors(case):
     d = cfg.degree
     assert node_vandermonde(cfg) == vandermonde_product(cfg.nodes[: d + 1])
     ratio = d_over_l(cfg)
-    for m, row in zip(cfg.extra_indices, system_cofactors(cfg)):
+    for m, row in zip(range(d + 1, cfg.n + 1), system_cofactors(cfg)):
         assert bracket_cofactors(cfg, m)[:-1] == tuple(ratio * c for c in row)
 
     a = plane_system_matrix(cfg, q)
     mus = alternating_minors(a)
     kernel = integer_kernel(a)
     try:
-        w = parametrize_plane(cfg, q)
+        point, _ = plane_image(cfg, q)
     except DegenerateParameterError:
         assert all(m == 0 for m in mus) and kernel is None
         return
     assert kernel is not None
     assert all(kernel[i] * mus[j] == kernel[j] * mus[i] for i in range(len(mus)) for j in range(i))
-    assert all(quad.squares_residual(w.point.coords) == 0 for quad in diagonal_quadrics(cfg))
-    assert literal_reverse_map(w) == reverse_map_by_minors(w)
+    assert on_quadrics(diagonal_quadrics(cfg), point)
+    w = QuadricCoords(cfg, point)
+    assert literal_reverse_map(w) == reverse_map_by_minors(w)[0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -466,17 +448,16 @@ def test_literal_forms_are_d_over_l_times_the_pipeline(case):
     literal = plane_system_by_powers(cfg, q, bracket_cofactors)
     assert literal == [[ratio * c for c in row] for row in plane_system_matrix(cfg, q)]
     try:
-        w = parametrize_plane(cfg, q)
+        point, _ = plane_image(cfg, q)
     except DegenerateParameterError:
         return
-    coeffs, certs = lcm_reverse_map(w)
-    y = w.point.coords
+    y = point.coords
+    coeffs = quadric_to_certificate_lcm(cfg, y)
     sign = (-1) ** d
     assert [eval_poly(coeffs, x) for x in cfg.nodes] == [sign * ll * c**2 for c in y]
-    assert certs == tuple(sign * ll * y[0] * c for c in y[1:])
-    raw = reverse_map_by_minors(w)
-    assert raw == (tuple(ratio * c for c in coeffs), tuple(ratio * z for z in certs))
-    assert quadric_to_certificate(w).point == ProjPoint(raw[0] + raw[1])
+    raw = reverse_map_by_minors(QuadricCoords(cfg, point))
+    assert raw[0] == tuple(ratio * c for c in coeffs)
+    assert raw[1] == tuple(sign * ratio * ll * y[0] * c for c in y[1:])
 
 
 @settings(max_examples=150, deadline=None)
@@ -485,15 +466,14 @@ def test_literal_forms_are_d_over_l_times_the_pipeline(case):
 @example((PLANE_CFG, ProjPoint((2, 3, -1))))
 @example((PointConfig((3, -7, 0, 11, -2, 5, -9), 4), ProjPoint((-1, -3, -3, -3, -3))))
 def test_kernel_in_plane_test_agrees_with_residuals(case):
-    """parametrize_plane reads in_plane off its kernel (mu_{k+1} = 0); the
+    """plane_image reads in_plane off lambda = mu_{k+1} (lambda = 0); the
     same point rebuilt from its coordinates tests the tail residuals."""
     cfg, q = case
     try:
-        w = parametrize_plane(cfg, q)
+        point, in_plane = plane_image(cfg, q)
     except DegenerateParameterError:
         return
-    assert "in_plane" in vars(w)
-    assert w.in_plane == lies_in_plane(QuadricPoint(cfg, w.point))
+    assert in_plane == lies_in_plane(QuadricCoords(cfg, point))
 
 
 @settings(max_examples=150, deadline=None)
@@ -511,11 +491,11 @@ def test_in_plane_and_inverse_match_d_scale_residuals(case, g):
     values = tuple(eval_poly(g[: k + 1], x) for x in cfg.nodes)
     points = [ProjPoint(values)] if any(values) else []
     try:
-        points.append(parametrize_plane(cfg, q).point)
+        points.append(plane_image(cfg, q)[0])
     except DegenerateParameterError:
         pass
     for point in points:
-        w = QuadricPoint(cfg, point)
+        w = QuadricCoords(cfg, point)
         residuals = plane_residuals(w)
         assert lies_in_plane(w) == (not any(residuals))
         if lies_in_plane(w):
@@ -532,11 +512,12 @@ def test_power_span_image_and_inverse(case):
     the direction; images in the plane leave the inverse undefined."""
     cfg, q = case
     try:
-        w = parametrize_plane(cfg, q)
+        point, in_plane = plane_image(cfg, q)
     except DegenerateParameterError:
         return
-    assert on_quadric_variety(cfg, w.point)
-    if w.in_plane:
+    assert on_quadrics(diagonal_quadrics(cfg), point)
+    w = QuadricCoords(cfg, point)
+    if in_plane:
         with pytest.raises(IndeterminatePointError):
             parametrize_plane_inverse(w)
     else:
@@ -544,13 +525,12 @@ def test_power_span_image_and_inverse(case):
 
 
 def image_or_none(config, direction):
-    """(point, in_plane) of parametrize_plane, or None where it raises
+    """(point, in_plane) of plane_image, or None where it raises
     DegenerateParameterError: the shape of plane_image_by_kernel."""
     try:
-        w = parametrize_plane(config, direction)
+        return plane_image(config, direction)
     except DegenerateParameterError:
         return None
-    return w.point, w.in_plane
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,14 @@ from diopoly.rationalmaps import CertificatePoint
 from diopoly.twist import DegenerateTwistError, TwistCurve, TwistPointSet, twist_points
 from diopoly.variety import PointConfig, ProjPoint
 
+from oracles import eval_ascending
+
+
+def on_curve(curve, x, y):
+    """Whether (x, y) satisfies twist_scalar * y^2 = f(x), f evaluated by
+    power sums."""
+    return curve.twist_scalar * y**2 == eval_ascending(curve.coeffs, x)
+
 
 def test_curve_validation():
     with pytest.raises(ValueError):
@@ -20,9 +28,9 @@ def test_curve_validation():
 
 def test_curve_contains():
     curve = TwistCurve(Fraction(1), (1, 24))
-    assert curve.contains(Fraction(0), Fraction(1))
-    assert curve.contains(Fraction(1), Fraction(5))
-    assert not curve.contains(Fraction(1), Fraction(4))
+    assert on_curve(curve, Fraction(0), Fraction(1))
+    assert on_curve(curve, Fraction(1), Fraction(5))
+    assert not on_curve(curve, Fraction(1), Fraction(4))
 
 
 def test_worked_example():
@@ -49,7 +57,7 @@ def test_point_count_matches_set_size():
         ps = twist_points(w.certificate)
         assert len(ps.points) == size
         for x, y in ps.points:
-            assert ps.curve.contains(x, y)
+            assert on_curve(ps.curve, x, y)
 
 
 def test_fractional_ordinates_when_scalar_not_square():
@@ -59,7 +67,7 @@ def test_fractional_ordinates_when_scalar_not_square():
     ps = twist_points(v)
     assert ps.curve.twist_scalar == 49
     assert ps.points[1] == (Fraction(1), Fraction(35, 49))
-    assert ps.curve.contains(Fraction(1), Fraction(5, 7))
+    assert on_curve(ps.curve, Fraction(1), Fraction(5, 7))
 
 
 def test_degenerate_when_poly_vanishes_at_base_node():
@@ -114,4 +122,4 @@ def test_ordinates_are_ratios_of_the_quadric_point(elems, method, kwargs):
     for (x, t), yi in zip(ps.points, y):
         assert t == Fraction(yi, y[0])
         assert t.denominator > 0 and math.gcd(t.numerator, t.denominator) == 1
-        assert ps.curve.contains(x, t)
+        assert on_curve(ps.curve, x, t)
