@@ -11,14 +11,12 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from itertools import product
 
 from diopoly.cli import main
 from diopoly.exactmath import eval_poly, integer_kernel
 from diopoly.forge import (
     FLAG_DEGREE_DROPPED,
     ConstructionError,
-    Polynomial,
     brute_force_search,
     construct_witness,
     verify_witness,

@@ -246,6 +246,12 @@ class TestConstructCommand:
         assert code == 2
         assert "degenerate" in err
 
+    @pytest.mark.parametrize("param, message", [("0,0", "parameter: the zero vector"), ("3,1,1", "parameter needs 2")])
+    def test_bad_param_is_named(self, param, message):
+        code, out, err = run_cli("construct", "--set", "0,1,2", "--param", param)
+        assert (code, out) == (1, "")
+        assert message in err
+
     def test_witness_over_the_input_cap_refused(self):
         # verify refuses a coefficient of more than INPUT_DIGITS_CAP digits,
         # so construct prints none: here f has 240000 and 180001 digits

@@ -3,6 +3,8 @@ the brute-force search oracle."""
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -17,8 +19,8 @@ from diopoly.forge import (
     FLAG_TRIVIAL_FAMILY,
     ConstructionError,
     Polynomial,
+    SQUARE_MODULUS,
     SearchSpaceError,
-    Witness,
     brute_force_search,
     classify_trivial,
     construct_witness,
@@ -816,9 +818,32 @@ def _assert_matches_enumeration(elements, max_degree, max_height):
     return found
 
 
+class TestPairSquareTable:
+    """The residue pre-test may drop only constant terms whose first-pair
+    product u * (u + d) is no square."""
+
+    def test_marks_every_square_product_of_small_terms(self):
+        table, m = forge._pair_square_table(), SQUARE_MODULUS
+        squares = {k * k for k in range(math.isqrt(700 * 1400) + 1)}
+        span = range(-700, 701)
+        misses = [(u, d) for u in span for d in span if u * (u + d) in squares and not table[d % m][u % m]]
+        assert misses == []
+
+    @given(st.integers(-(10**30), 10**30).filter(bool), st.integers(0, 10**20), st.integers(0, 10**20))
+    def test_marks_large_square_products(self, s, a, b):
+        # u = s * a^2 and u + d = s * b^2 multiply to (s * a * b)^2
+        u, d = s * a * a, s * (b * b - a * a)
+        assert forge._pair_square_table()[d % SQUARE_MODULUS][u % SQUARE_MODULUS] == 1
+
+    def test_import_does_not_build_the_table(self, cli_env):
+        code = "from diopoly import forge; print(forge._pair_square_table.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+
+
 class TestSearchAgainstEnumeration:
-    """The constant-term scan against the literal walk of the box, order
-    included."""
+    """The constant-term scan and its residue pre-test against the literal
+    walk of the box, order included."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -848,6 +873,20 @@ class TestSearchAgainstEnumeration:
     def test_negative_elements(self):
         found = _assert_matches_enumeration([-9, -4, -1], 2, 5)
         assert all(verify_witness([-9, -4, -1], c).ok for c in found)
+
+    @pytest.mark.parametrize(
+        "elements, max_degree, max_height",
+        [
+            ([0, 1], 1, 130),  # 261 constant terms, wider than the modulus
+            ([0, 2, 8], 1, 300),  # 601 constant terms over 3 tiles
+            ([5, 1000003], 1, 40),  # shifts far past the modulus
+            ([0, 240], 1, 150),  # d = 240 * c_1 is 0 mod the modulus, and f(0) = 0 at c_0 = 0
+            ([-4, 0, 4, 236], 2, 5),  # f(0) = 0 at c_0 = 0; d = 4 * c_1 - 16 * c_2 is 0 at c_1 = 4 * c_2
+        ],
+    )
+    def test_wide_windows_wide_sets_and_zero_values(self, elements, max_degree, max_height):
+        found = _assert_matches_enumeration(elements, max_degree, max_height)
+        assert all(verify_witness(elements, c).ok for c in found)
 
 
 class TestEvalHornerInt:

@@ -4,7 +4,6 @@ projective identities."""
 
 import math
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from diopoly.forge import METHODS, ConstructionError, construct_witness
 from diopoly.rationalmaps import CertificatePoint
-from diopoly.twist import DegenerateTwistError, TwistCurve, TwistPointSet, twist_points
+from diopoly.twist import DegenerateTwistError, TwistCurve, twist_points
 from diopoly.variety import PointConfig, ProjPoint
 
 from oracles import eval_ascending
@@ -27,10 +27,11 @@ def test_curve_validation():
 
 
 def test_curve_contains():
-    curve = TwistCurve(Fraction(1), (1, 24))
-    assert on_curve(curve, Fraction(0), Fraction(1))
-    assert on_curve(curve, Fraction(1), Fraction(5))
-    assert not on_curve(curve, Fraction(1), Fraction(4))
+    # the worked example's points lie on y^2 = 1 + 24x, and (1, 4) does not
+    ps = twist_points(construct_witness([0, 1, 2], "quadric", parameter=(3, 1)).certificate)
+    assert len(ps.points) == 3
+    assert all(on_curve(ps.curve, x, y) for x, y in ps.points)
+    assert not on_curve(ps.curve, Fraction(1), Fraction(4))
 
 
 def test_worked_example():
