@@ -11,8 +11,8 @@ line (cli).
 """
 
 from .exactmath import integer_sqrt
-from .variety import PointConfig, ProjPoint, on_certificate_variety
-from .rationalmaps import CertificatePoint, DegenerateParameterError, plane_system_matrix
+from .variety import PointConfig, ProjPoint
+from .rationalmaps import DegenerateParameterError, plane_system_matrix
 from .forge import (
     ConstructionError,
     Polynomial,
@@ -33,8 +33,6 @@ __all__ = [
     "integer_sqrt",
     "ProjPoint",
     "PointConfig",
-    "on_certificate_variety",
-    "CertificatePoint",
     "DegenerateParameterError",
     "plane_system_matrix",
     "Polynomial",

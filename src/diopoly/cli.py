@@ -170,7 +170,7 @@ def _witness_line(witness: Witness, include_twist: bool = False) -> str:
     }
     if include_twist:
         try:
-            doc["twist"] = _twist_block(twist_points(witness.certificate))
+            doc["twist"] = _twist_block(twist_points(witness))
         except DegenerateTwistError:
             doc["twist"] = None
     return _json_object(doc)

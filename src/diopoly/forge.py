@@ -9,10 +9,11 @@ The witness polynomial f is their primitive part, the smallest witness
 of its class; the content g divided out divides L.  The identity
 g * f(x) = +-L * Y_x^2, checked once per node, is the whole proof: a
 witness stores its node configuration, Y and f, and derives from them
-every pair root as (L / g) * |Y_a * Y_b|, its padding and its
-certificate point.  verify_witness re-checks the roots from f alone by
-square classes: one integer square root per value against the first
-value of its class, so a passing set of n elements takes n - 1 of them.
+every pair root as (L / g) * |Y_a * Y_b| and its padding, and twist
+reads its curve points off the same data.  verify_witness re-checks the
+roots from f alone by square classes: one integer square root per value
+against the first value of its class, so a passing set of n elements
+takes n - 1 of them.
 A method only chooses the node configuration:
 
 * quadric: nodes are the set itself, degree |S| - 2 (k = 0, a line);
@@ -41,17 +42,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, compress, count, islice, product
 from typing import Iterable, Iterator, Sequence
 
 from .exactmath import eval_poly, integer_sqrt
-from .rationalmaps import (
-    CertificatePoint,
-    DegenerateParameterError,
-    plane_image,
-    quadric_to_certificate_lcm,
-)
+from .rationalmaps import DegenerateParameterError, plane_image, quadric_to_certificate_lcm
 from .variety import PointConfig, ProjPoint
 
 __all__ = [
@@ -223,13 +219,11 @@ class Witness:
     * pair_roots, (i, j, root) triples with i < j indexing the sorted
       elements, in the order of itertools.combinations, where
       root = (L / g) * |Y_a * Y_b|, so root^2 = f(elements[i]) * f(elements[j]);
-    * padding, the nodes of the config that are not elements;
-    * certificate, the certificate point (poly, z_1..z_n) with
-      z_i = (poly(x_0) / Y_0) * Y_i (exact, as poly(x_0) = +-(L / g) * Y_0^2;
-      0 when Y_0 = 0): the reverse map's projective point, whose
-      coordinates are g times these, built with no second reverse map
-      and validated the first time it is read (it is what the
-      twisted-curve emitter consumes).
+    * padding, the nodes of the config that are not elements.
+
+    The same identity puts the node points (x_i, Y_i / Y_0) on the twisted
+    curve f(x_0) * y^2 = f(x), which twist.twist_points reads off poly and
+    the image with one evaluation of f.
 
     stats counts the sampling attempts and the rejections by reason,
     with the keys of ConstructionError.stats (one attempt and no
@@ -258,13 +252,6 @@ class Witness:
     def padding(self) -> tuple[int, ...]:
         elems = set(self.elements)
         return tuple(x for x in self.config.nodes if x not in elems)
-
-    @cached_property
-    def certificate(self) -> CertificatePoint:
-        y = self.image.coords
-        scale = self.poly(self.config.nodes[0]) // y[0] if y[0] else 0
-        coeffs = self.poly.coeffs + (0,) * (self.config.degree + 1 - len(self.poly.coeffs))
-        return CertificatePoint(self.config, ProjPoint(coeffs + tuple(scale * c for c in y[1:])))
 
     def roots_map(self) -> dict[tuple[int, int], int]:
         return {(i, j): r for i, j, r in self.pair_roots}
@@ -386,18 +373,18 @@ def _build_witness(
     f(x) = +-(L / g) * Y_x^2, on integers g times smaller than L.
 
     That check is the one proof of the witness, and it implies both
-    variety equations, so construction tests neither: the quadric side has
-    no membership test in the package, and the certificate point is
-    validated only when Witness.certificate is read.  The reverse map takes
+    variety equations, so the package tests neither.  The reverse map takes
     g * f = +-L * I, I the interpolant of the Y_i^2 over the base nodes, so
     the identity holds at the base nodes by construction, and at a tail
     node m it says I(x_m) = Y_m^2: the bracket equation for m, so the
     image lies on the quadric variety.  The certificates
     z_i = +-(L / g) * Y_0 * Y_i then give z_i^2 = f(x_0) * f(x_i), the
     certificate equations, and every pair has the root
-    (L / g) * |Y_a * Y_b|, whatever sign f is normalized to.  By the same
-    identity f vanishes exactly where Y does, so only those elements go
-    to classify_trivial's zero-value test.
+    (L / g) * |Y_a * Y_b|, whatever sign f is normalized to.  Dividing
+    z_i^2 = f(x_0) * f(x_i) by f(x_0) puts (x_i, Y_i / Y_0) on the twisted
+    curve f(x_0) * y^2 = f(x) when Y_0 != 0, so twist needs no check of
+    its own.  By the same identity f vanishes exactly where Y does, so
+    only those elements go to classify_trivial's zero-value test.
     """
     scaled = Polynomial(quadric_to_certificate_lcm(config, image.coords))
     poly = scaled.primitive_part()

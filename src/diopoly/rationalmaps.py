@@ -15,11 +15,12 @@ takes L / D times the coefficients, L the lcm of the base Lagrange
 weights w_i: f is (-1)^d * L times the Lagrange interpolant of the Y_i^2
 over x_0..x_d, exactmath.lagrange_numerator of the values
 (L / w_i) * Y_i^2 with the config's weights (PointConfig.base_lagrange),
-so no determinant and no basis polynomial is formed.  The certificates
-are read off f and Y by forge's Witness.certificate.  With the (-1)^d
-twist on the certificates, both composites are exact projective
-identities away from the f(x_0) = 0 locus, not merely identities up to
-coordinate signs.
+so no determinant and no basis polynomial is formed, and no certificate
+either: the package never needs the z_i, since the node identity that
+forge checks implies the equations they satisfy.  With the (-1)^d twist
+on the certificates, both composites are exact projective identities
+away from the f(x_0) = 0 locus, not merely identities up to coordinate
+signs.
 
 Parametrization of the quadric side (needs 2k <= d for k = n - d - 1):
 the variety contains the plane spanned by the power points T_0..T_k;
@@ -40,11 +41,12 @@ solve, and returns the image with its in-plane flag.
 Which check proves what: the construction pipeline (forge) takes
 plane_image's point and checks g * f(x) = +-L * Y_x^2 at every node of
 the primitive polynomial f it builds (g the content it divided out),
-which proves the witness and implies both variety equations;
-CertificatePoint checks the certificate equations, which put the twist
-points on their curve.  No other membership test runs: the quadric
-equations, the forward map and the inverse of the parametrization are
-used only as cross-checks, and live with the test oracles.
+which proves the witness and implies both variety equations; the
+certificate equations it implies put the twist points (x_i, Y_i / Y_0)
+on their curve.  No other check runs: the quadric equations, the
+certificate equations, the forward map and the inverse of the
+parametrization are used only as cross-checks, and live with the test
+oracles.
 
 Nodes are integers, so everything is computed in exact integer
 arithmetic, and every point is returned in canonical projective form,
@@ -55,15 +57,13 @@ equality.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .exactmath import eval_poly, integer_kernel, lagrange_numerator, power_moments
-from .variety import PointConfig, ProjPoint, on_certificate_variety
+from .variety import PointConfig, ProjPoint
 
 __all__ = [
     "DegenerateParameterError",
-    "CertificatePoint",
     "quadric_to_certificate_lcm",
     "plane_system_matrix",
     "plane_image",
@@ -72,30 +72,6 @@ __all__ = [
 
 class DegenerateParameterError(ValueError):
     """A parametrization hit the degenerate locus of its parameter space."""
-
-
-@dataclass(frozen=True)
-class CertificatePoint:
-    """Validated point (f_0..f_d, z_1..z_n) on the certificate variety."""
-
-    config: PointConfig
-    point: ProjPoint
-
-    def __post_init__(self) -> None:
-        if not on_certificate_variety(self.config, self.point):
-            raise ValueError("coordinates do not satisfy the certificate equations")
-
-    @property
-    def coefficients(self) -> tuple[int, ...]:
-        return self.point.coords[: self.config.degree + 1]
-
-    @property
-    def certificates(self) -> tuple[int, ...]:
-        return self.point.coords[self.config.degree + 1 :]
-
-    def poly_value(self, node_index: int) -> int:
-        """f(x_i) for the stored integer coefficients."""
-        return eval_poly(self.coefficients, self.config.nodes[node_index])
 
 
 def quadric_to_certificate_lcm(config: PointConfig, y: Sequence[int]) -> tuple[int, ...]:

@@ -1,11 +1,12 @@
-"""Rational points on the twisted curve attached to a certificate point.
+"""Rational points on the twisted curve attached to a witness.
 
-A certificate point with integer polynomial f and nonzero base value
-c = f(x_0) gives the curve c * y^2 = f(x).  Every node of the
-configuration carries a rational point on it: the base node with
-ordinate 1, node i with ordinate z_i / c.  The integer data of the
-certificate point is used exactly as stored; no renormalization of f
-happens here, so the curve really is the one the certificates satisfy.
+A witness with primitive polynomial f and quadric point Y satisfies
+f(x) = +-(L / g) * Y_x^2 at every node, one sign for all of them (forge
+checks it at construction).  With h = sigma * f, sigma the sign of f's
+first nonzero coefficient, and c = h(x_0) nonzero, that identity gives
+c * (Y_i / Y_0)^2 = h(x_i), so every node carries the rational point
+(x_i, Y_i / Y_0) on the curve c * y^2 = h(x): the base node with
+ordinate 1, padding nodes included.  No further check runs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rationalmaps import CertificatePoint
+from .forge import Witness
 
 __all__ = ["DegenerateTwistError", "TwistCurve", "TwistPointSet", "twist_points"]
 
@@ -24,9 +25,9 @@ class DegenerateTwistError(ValueError):
 
 @dataclass(frozen=True)
 class TwistCurve:
-    """The curve twist_scalar * y^2 = f(x), coefficients ascending.
+    """The curve twist_scalar * y^2 = h(x), coefficients ascending.
 
-    twist_scalar equals f evaluated at the base node and is nonzero; it
+    twist_scalar equals h evaluated at the base node and is nonzero; it
     is an integer, because nodes and coefficients are.
     """
 
@@ -39,10 +40,7 @@ class TwistCurve:
 
     @property
     def degree(self) -> int:
-        d = len(self.coeffs) - 1
-        while d > 0 and self.coeffs[d] == 0:
-            d -= 1
-        return d
+        return len(self.coeffs) - 1
 
 
 @dataclass(frozen=True)
@@ -60,21 +58,21 @@ class TwistPointSet:
         return None
 
 
-def twist_points(v: CertificatePoint) -> TwistPointSet:
-    """All node points on the twisted curve of a certificate point.
+def twist_points(w: Witness) -> TwistPointSet:
+    """All node points on the twisted curve of a witness.
 
-    Raises DegenerateTwistError when f(x_0) = 0.  The points need no check
-    of their own: a CertificatePoint is validated on construction, so
-    z_i^2 = c * f(x_i) with c = f(x_0), and c * (z_i / c)^2 = f(x_i) puts
-    the point (x_i, z_i / c) on the curve; the base node's (x_0, 1) is on
-    it by the definition of c.
+    The curve is h(x_0) * y^2 = h(x) with h = sigma * f, sigma the sign of
+    f's first nonzero coefficient, and node i carries (x_i, Y_i / Y_0).
+    Raises DegenerateTwistError when Y_0 = 0, which by the node identity
+    is exactly when f(x_0) = 0.  Takes one evaluation of f.
     """
-    scalar = v.poly_value(0)
-    if scalar == 0:
+    y = w.image.coords
+    if y[0] == 0:
         raise DegenerateTwistError("polynomial vanishes at the base node")
-    curve = TwistCurve(twist_scalar=scalar, coeffs=v.coefficients)
-    nodes = v.config.nodes
-    pts = [(nodes[0], Fraction(1))]
-    for i, z in enumerate(v.certificates, start=1):
-        pts.append((nodes[i], Fraction(z, scalar)))
-    return TwistPointSet(curve=curve, points=tuple(pts))
+    nodes = w.config.nodes
+    sign = 1 if next(c for c in w.poly.coeffs if c) > 0 else -1
+    curve = TwistCurve(
+        twist_scalar=sign * w.poly(nodes[0]),
+        coeffs=tuple(sign * c for c in w.poly.coeffs),
+    )
+    return TwistPointSet(curve=curve, points=tuple(zip(nodes, (Fraction(c, y[0]) for c in y))))

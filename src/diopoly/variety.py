@@ -17,13 +17,13 @@ works on:
   I(x_i) = Y_i^2, with I the Lagrange interpolant of Y_0^2..Y_d^2 over
   the base nodes x_0..x_d.  The reverse map builds f from L * I, L the
   lcm of the Lagrange weights w_j of the base nodes, and construction
-  checks f at every node, which puts its point on this variety; no
-  membership test of its own runs.  A config keeps L with the d + 1
-  integers L / w_j, computed once on first use.
+  checks f at every node, which puts its point on this variety and the
+  certificate point on the other; the package has no membership test
+  for either.  A config keeps L with the d + 1 integers L / w_j,
+  computed once on first use.
 
 Points are canonical primitive integer vectors (content one, first
-nonzero coordinate positive), so point equality is tuple equality and
-the certificate membership test is manifestly invariant under rescaling.
+nonzero coordinate positive), so point equality is tuple equality.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exactmath import eval_poly, lagrange_weights
+from .exactmath import lagrange_weights
 
 __all__ = [
     "ProjPoint",
     "PointConfig",
-    "on_certificate_variety",
 ]
 
 
@@ -118,14 +117,3 @@ class PointConfig:
         exactmath.lagrange_numerator(x_0..x_d, ((L / w_j) * v_j)_j) is L
         times the interpolant of the v_j."""
         return lagrange_weights(self.nodes[: self.degree + 1])
-
-
-def on_certificate_variety(config: PointConfig, point: ProjPoint) -> bool:
-    """Whether (f_0..f_d, z_1..z_n) satisfies z_i^2 = f(x_0) f(x_i) for all i."""
-    d, n = config.degree, config.n
-    if len(point) != (d + 1) + n:
-        raise ValueError(f"point needs {(d + 1) + n} coordinates, got {len(point)}")
-    coeffs = point.coords[: d + 1]
-    certs = point.coords[d + 1 :]
-    values = [eval_poly(coeffs, x) for x in config.nodes]
-    return all(z**2 == values[0] * values[i + 1] for i, z in enumerate(certs))

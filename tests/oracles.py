@@ -14,12 +14,15 @@ power points, and the in-plane residuals over the tail's Vandermonde
 product.  The program keeps one scale, L, the lcm of the base Lagrange
 weights; tests compare it with these forms through the integer D / L.
 
-So do the maps the program never needs: the forward map from the
-certificate variety, the in-plane test of a point built from its
-coordinates, and the inverse of the power-span parametrization, both
-read off residuals on the scale of the tail's Lagrange weights.  They
-take a quadric-side point as an unvalidated QuadricCoords; membership in
-the variety is checked through diagonal_quadrics.
+So do the maps and checks the program never needs: the certificate
+equations, the forward map from the certificate variety, the twisted
+curve read off a certificate point, and two maps read off residuals on
+the scale of the tail's Lagrange weights, the in-plane test of a point
+built from its coordinates and the inverse of the power-span
+parametrization.  They take a point as an unvalidated QuadricCoords or
+CertificateCoords; membership in the quadric variety is checked through
+diagonal_quadrics, in the certificate variety by
+on_certificate_variety.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ from itertools import combinations, product
 from typing import NamedTuple
 
 from diopoly.exactmath import integer_kernel
-from diopoly.rationalmaps import CertificatePoint, plane_system_matrix
+from diopoly.rationalmaps import plane_system_matrix
+from diopoly.twist import TwistCurve, TwistPointSet
 from diopoly.variety import PointConfig, ProjPoint
 
 
@@ -45,6 +49,36 @@ class QuadricCoords(NamedTuple):
 
     config: PointConfig
     point: ProjPoint
+
+
+class CertificateCoords(NamedTuple):
+    """Coordinates (f_0..f_d, z_1..z_n) over a node config, not checked
+    against the certificate variety."""
+
+    config: PointConfig
+    point: ProjPoint
+
+    @property
+    def coefficients(self):
+        return self.point.coords[: self.config.degree + 1]
+
+    @property
+    def certificates(self):
+        return self.point.coords[self.config.degree + 1 :]
+
+    def poly_value(self, node_index):
+        """f(x_i), by power sums."""
+        x = self.config.nodes[node_index]
+        return sum(c * x**t for t, c in enumerate(self.coefficients))
+
+
+def on_certificate_variety(v):
+    """Whether z_i^2 = f(x_0) * f(x_i) at every node past the base node."""
+    size = v.config.degree + len(v.config.nodes)
+    if len(v.point) != size:
+        raise ValueError(f"point needs {size} coordinates, got {len(v.point)}")
+    f0 = v.poly_value(0)
+    return all(z * z == f0 * v.poly_value(i) for i, z in enumerate(v.certificates, 1))
 
 
 def _laplace_minors(rows):
@@ -311,10 +345,10 @@ def reverse_map_by_minors(w):
 
 
 def reverse_map_point(w, reverse_map=reverse_map_by_minors):
-    """A reverse map's coordinates as a validated CertificatePoint, in
-    canonical projective form."""
+    """A reverse map's coordinates as CertificateCoords, in canonical
+    projective form and not checked."""
     coeffs, certs = reverse_map(w)
-    return CertificatePoint(w.config, ProjPoint(coeffs + certs))
+    return CertificateCoords(w.config, ProjPoint(coeffs + certs))
 
 
 def reverse_map_by_basis(w):
@@ -345,12 +379,27 @@ def plane_residuals(w):
 
 
 def certificate_to_quadric(v):
-    """Forward map (f_0..f_d, z_1..z_n) -> (f(x_0), z_1, .., z_n) of a
-    CertificatePoint, the inverse of the reverse map away from f(x_0) = 0."""
+    """Forward map (f_0..f_d, z_1..z_n) -> (f(x_0), z_1, .., z_n) of
+    CertificateCoords, the inverse of the reverse map away from f(x_0) = 0."""
     fx0 = v.poly_value(0)
     if fx0 == 0:
         raise IndeterminatePointError("forward map undefined where f(x_0) = 0")
     return QuadricCoords(v.config, ProjPoint((fx0, *v.certificates)))
+
+
+def certificate_twist(v):
+    """The twisted curve c * y^2 = f(x) of a certificate point, c = f(x_0),
+    with the point (x_i, z_i / c) at node i and (x_0, 1) at the base node:
+    the curve keeps the point's canonical coefficients, trailing zeros
+    dropped.  None where f(x_0) = 0."""
+    c = v.poly_value(0)
+    if c == 0:
+        return None
+    coeffs = list(v.coefficients)
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    ordinates = [Fraction(1)] + [Fraction(z, c) for z in v.certificates]
+    return TwistPointSet(TwistCurve(c, tuple(coeffs)), tuple(zip(v.config.nodes, ordinates)))
 
 
 def tail_residuals(w):

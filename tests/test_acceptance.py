@@ -28,15 +28,17 @@ from diopoly.rationalmaps import (
     quadric_to_certificate_lcm,
 )
 from diopoly.twist import twist_points
-from diopoly.variety import PointConfig, ProjPoint, on_certificate_variety
+from diopoly.variety import PointConfig, ProjPoint
 
 from oracles import (
+    CertificateCoords,
     QuadricCoords,
     alternating_minors,
     certificate_to_quadric,
     diagonal_quadrics,
     eval_ascending,
     node_vandermonde,
+    on_certificate_variety,
     on_quadrics,
     parametrize_plane_inverse,
     power_point,
@@ -176,6 +178,8 @@ def test_criterion_05_birational_round_trips():
             if plane_image(cfg, q)[0] != w.point:
                 failures += 1
             v = reverse_map_point(w)
+            if not on_certificate_variety(v):
+                failures += 1
             again = certificate_to_quadric(v)
             if again.point != w.point:
                 failures += 1
@@ -201,7 +205,7 @@ def test_criterion_06_reverse_map_determinant_identity():
             lcm_coeffs = quadric_to_certificate_lcm(cfg, w.point.coords)
             if rem or coeffs != tuple(ratio * c for c in lcm_coeffs):
                 failures += 1
-            if not on_certificate_variety(cfg, ProjPoint(coeffs + certs)):
+            if not on_certificate_variety(CertificateCoords(cfg, ProjPoint(coeffs + certs))):
                 failures += 1
             y = w.point.coords
             for i, x in enumerate(cfg.nodes):
@@ -296,7 +300,7 @@ def test_criterion_10_twist_points():
         size = rnd.randint(3, 7)
         elems = rnd.sample(range(-15, 16), size)
         w = construct_witness(elems, "quadric", seed=i)
-        ps = twist_points(w.certificate)
+        ps = twist_points(w)
         if len(ps.points) != size:
             failures.append(("count", elems))
         if ps.points[0] != (Fraction(min(elems)), Fraction(1)):

@@ -73,7 +73,7 @@ class TestDocuments:
         # zero, so f vanishes at the base node and the twist is undefined
         w = construct_witness([0, 1, 2, 3], "quadric", parameter=(3, 4, 5))
         assert w.poly.coeffs == (0, 0, 1)  # the primitive part of (0, 0, 2)
-        assert w.certificate.poly_value(0) == 0
+        assert w.image[0] == 0 and w.poly(0) == 0
         doc = witness_document(w, include_twist=True)
         jsonschema.validate(doc, WITNESS_DOCUMENT_SCHEMA)
         assert doc["twist"] is None
@@ -184,6 +184,19 @@ class TestConstructCommand:
         doc = json.loads(out)
         assert doc["twist"]["poly"] == ["1", "24"]
         assert doc["twist"]["genus_note"].startswith("degree <= 2")
+
+    def test_degree_dropped_twist_poly_has_no_trailing_zeros(self):
+        # f = 1 on a degree-1 config: the twist poly is the top-level poly,
+        # not padded to the config degree
+        code, out, _ = run_cli("construct", "--set", "0,1,2", "--param", "1,0", "--emit-twist")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["poly"] == ["1"] and "degree-dropped" in doc["flags"]
+        assert out.split('"twist":', 1)[1] == (
+            '{"twist_scalar":"1","poly":["1"],'
+            '"points":[{"x":"0","y":"1"},{"x":"1","y":"-1"},{"x":"2","y":"-1"}],'
+            '"genus_note":"degree <= 2: conic or rational model, not a hyperelliptic curve"}}\n'
+        )
 
     @pytest.mark.parametrize("bound", [(), ("--param-bound", "50")])
     def test_sampled_plane_witness_is_not_trivial(self, bound):
@@ -338,8 +351,8 @@ class TestConstructCommand:
     def test_plane_twist_points_include_padding(self):
         # set 5,9,13 is padded with 0 and 1 for the plane method; the twist
         # block has one point per node, padding included, and its poly is
-        # the certificate's canonical scaling of the witness polynomial,
-        # which is primitive: the two are equal up to sign
+        # the witness polynomial times the sign of its first nonzero
+        # coefficient
         code, out, _ = run_cli(
             "construct", "--set", "5,9,13", "--method", "plane", "--seed", "1", "--emit-twist"
         )

@@ -27,14 +27,17 @@ from diopoly.forge import (
     poly_square_root,
     verify_witness,
 )
-from diopoly.twist import twist_points
+from diopoly.twist import DegenerateTwistError, twist_points
 from diopoly.variety import ProjPoint
 
 from oracles import (
+    CertificateCoords,
     QuadricCoords,
+    certificate_twist,
     eval_ascending,
     is_perfect_square,
     node_vandermonde,
+    on_certificate_variety,
     reverse_map_by_basis,
     reverse_map_by_minors,
     reverse_map_point,
@@ -409,6 +412,20 @@ def parameter_length(size, method):
     return size - 1 if method == "quadric" else 2 * max(1, -(-(size - 2) // 3)) + 1
 
 
+def assert_twist_read_off(w, v):
+    """The certificate point v of the witness w satisfies the certificate
+    equations, and twist_points(w) is the twist set read off v: scalar
+    f(x_0), v's coefficients and ordinates z_i / f(x_0), or
+    DegenerateTwistError where f(x_0) = 0."""
+    assert on_certificate_variety(v)
+    expected = certificate_twist(v)
+    if expected is None:
+        with pytest.raises(DegenerateTwistError):
+            twist_points(w)
+    else:
+        assert twist_points(w) == expected
+
+
 class TestCertificateRoots:
     """Construction reads every pair root off the reverse-map identity
     g * f(x) = +-L * Y_x^2; verify_witness re-derives them from f alone, by
@@ -431,7 +448,8 @@ class TestCertificateRoots:
         """The witness is the primitive part of the reverse map taken by
         Laplace minors on the scale D, its roots are the L-scaled roots
         |L * Y_a * Y_b| divided by that map's content g on the scale L, and
-        its certificate is the L-scaled reverse map's projective point."""
+        its twist set is the one read off the L-scaled reverse map's
+        certificate point."""
         try:
             w = construct_witness(elems, method, **kwargs)
         except ConstructionError:
@@ -451,7 +469,7 @@ class TestCertificateRoots:
             a, b = w.elements[i], w.elements[j]
             assert r >= 0 and r * r == w.poly(a) * w.poly(b)
             assert r * g == abs(ll * y[a] * y[b])
-        assert w.certificate.point == ProjPoint(tuple(scaled))
+        assert_twist_read_off(w, CertificateCoords(w.config, ProjPoint(tuple(scaled))))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -555,11 +573,11 @@ class TestCertificateRoots:
         """Construction runs the reverse map once, checks g * f(x) = +-L * Y_x^2
         with one evaluation of f per node and runs no certificate check,
         which that identity implies; the config keeps no node table but
-        base_lagrange.  Reading the certificate builds and validates it
-        once, with no second reverse map."""
-        calls = {"certificate": 0, "reverse": 0, "eval": 0}
+        base_lagrange.  Each twist_points call runs no reverse map and
+        evaluates f once, at the base node: a certificate check would
+        evaluate it at every node."""
+        calls = {"reverse": 0, "eval": 0}
         for module, attr, name in (
-            (rationalmaps, "on_certificate_variety", "certificate"),
             (forge, "quadric_to_certificate_lcm", "reverse"),
             (forge, "eval_poly", "eval"),
         ):
@@ -574,12 +592,12 @@ class TestCertificateRoots:
         assert w.stats["attempts"] == 1
         nodes = {"quadric": 30, "plane": 32}[method]
         assert len(w.config.nodes) == nodes
-        assert calls == {"certificate": 0, "reverse": 1, "eval": nodes}
+        assert calls == {"reverse": 1, "eval": nodes}
         # the fields and the one node table: base_lagrange
         assert set(vars(w.config)) <= {"nodes", "degree", "base_lagrange"}
-        twist_points(w.certificate)
-        twist_points(w.certificate)
-        assert (calls["certificate"], calls["reverse"]) == (1, 1)
+        for twists in (1, 2):
+            twist_points(w)
+            assert calls == {"reverse": 1, "eval": nodes + twists}
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -595,11 +613,12 @@ class TestCertificateRoots:
     @example([0, 1, 2, 3, 4], "quadric", {"parameter": (-2, -3, -2, -2)})
     @example([0, 1, 2, 3], "plane", {"parameter": (-3, -2, 0)})
     @example([0, 1, 2], "quadric", {"parameter": (1, 0)})
+    @example([0, 1, 2], "quadric", {"parameter": (3, 2)})  # f = 24x - 49: sign -1
     def test_certificate_matches_validated_maps(self, elems, method, kwargs):
-        """The certificate read off poly and Y is the validated point that
-        plane_image and the reverse map by the basis table give, and the
-        flags read off Y are
-        the ones classify_trivial and the degree test give on every
+        """The point that plane_image and the reverse map by the basis table
+        give satisfies the certificate equations, the twist set read off
+        poly and Y is the one read off that point, and the flags read off Y
+        are the ones classify_trivial and the degree test give on every
         element."""
         try:
             w = construct_witness(elems, method, **kwargs)
@@ -609,7 +628,7 @@ class TestCertificateRoots:
         assert image == w.image
         # up to 30 elements: too many base nodes for the Laplace minors
         point = reverse_map_point(QuadricCoords(w.config, image), reverse_map_by_basis)
-        assert w.certificate == point
+        assert_twist_read_off(w, point)
         flags = set(classify_trivial(w.poly, w.elements))
         if w.poly.degree < w.config.degree:
             flags.add(FLAG_DEGREE_DROPPED)

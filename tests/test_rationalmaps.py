@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 from diopoly import forge
 from diopoly.exactmath import eval_poly, integer_kernel
 from diopoly.rationalmaps import (
-    CertificatePoint,
     DegenerateParameterError,
     plane_image,
     plane_system_matrix,
@@ -21,6 +20,7 @@ from diopoly.rationalmaps import (
 from diopoly.variety import PointConfig, ProjPoint
 
 from oracles import (
+    CertificateCoords,
     IndeterminatePointError,
     QuadricCoords,
     alternating_minors,
@@ -29,6 +29,7 @@ from oracles import (
     diagonal_quadrics,
     lies_in_plane,
     node_vandermonde,
+    on_certificate_variety,
     on_quadrics,
     parametrize_plane_inverse,
     plane_image_by_kernel,
@@ -94,18 +95,20 @@ def plane_point(config, direction):
 
 class TestWrappers:
     def test_certificate_point_validates(self):
+        assert on_certificate_variety(CertificateCoords(LINE_CFG, ProjPoint((1, 24, 5, 7))))
+        assert not on_certificate_variety(CertificateCoords(LINE_CFG, ProjPoint((1, 23, 5, 7))))
         with pytest.raises(ValueError):
-            CertificatePoint(LINE_CFG, ProjPoint((1, 23, 5, 7)))
+            on_certificate_variety(CertificateCoords(LINE_CFG, ProjPoint((1, 24, 5))))
 
     def test_certificate_accessors(self):
-        v = CertificatePoint(LINE_CFG, ProjPoint((1, 24, 5, 7)))
+        v = CertificateCoords(LINE_CFG, ProjPoint((1, 24, 5, 7)))
         assert v.coefficients == (1, 24)
         assert v.certificates == (5, 7)
         assert v.poly_value(2) == 49
         assert v.poly_value(0) == 1
 
     def test_degenerate_when_base_node_is_root(self):
-        v = CertificatePoint(LINE_CFG, ProjPoint((0, 1, 0, 0)))  # f = x
+        v = CertificateCoords(LINE_CFG, ProjPoint((0, 1, 0, 0)))  # f = x
         assert v.poly_value(0) == 0
 
     def test_base_point_flag(self):
@@ -128,16 +131,16 @@ class TestWrappers:
 
 class TestForwardMap:
     def test_worked_example(self):
-        v = CertificatePoint(LINE_CFG, ProjPoint((1, 24, 5, 7)))
+        v = CertificateCoords(LINE_CFG, ProjPoint((1, 24, 5, 7)))
         assert certificate_to_quadric(v).point.coords == (1, 5, 7)
 
     def test_projective_input_scaling(self):
         # (-1,-24,5,7) and (1,24,-5,-7) are the same projective point
-        v = CertificatePoint(LINE_CFG, ProjPoint((-1, -24, 5, 7)))
+        v = CertificateCoords(LINE_CFG, ProjPoint((-1, -24, 5, 7)))
         assert certificate_to_quadric(v).point.coords == (1, -5, -7)
 
     def test_indeterminate_at_vanishing_base_value(self):
-        v = CertificatePoint(LINE_CFG, ProjPoint((0, 1, 0, 0)))
+        v = CertificateCoords(LINE_CFG, ProjPoint((0, 1, 0, 0)))
         with pytest.raises(IndeterminatePointError):
             certificate_to_quadric(v)
 
@@ -209,8 +212,9 @@ class TestRoundTrips:
                 w = plane_point(cfg, sample_direction(rnd, cfg.degree + 1))
                 if w is None or w.point.coords[0] == 0:
                     continue
-                again = certificate_to_quadric(reverse_map_point(w))
-                assert again.point == w.point
+                v = reverse_map_point(w)
+                assert on_certificate_variety(v)
+                assert certificate_to_quadric(v).point == w.point
 
     def test_forward_then_reverse_is_identity(self):
         rnd = random.Random(29)
@@ -221,6 +225,7 @@ class TestRoundTrips:
                     continue
                 v = reverse_map_point(w)
                 back = reverse_map_point(certificate_to_quadric(v))
+                assert on_certificate_variety(back)
                 assert back.point == v.point
 
     def test_round_trips_through_plane_images(self):
@@ -231,6 +236,7 @@ class TestRoundTrips:
                 if w is None or w.point.coords[0] == 0:
                     continue
                 v = reverse_map_point(w)
+                assert on_certificate_variety(v)
                 assert certificate_to_quadric(v).point == w.point
                 assert reverse_map_point(certificate_to_quadric(v)).point == v.point
 

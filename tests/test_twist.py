@@ -8,11 +8,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from diopoly.forge import METHODS, ConstructionError, construct_witness
-from diopoly.rationalmaps import CertificatePoint
 from diopoly.twist import DegenerateTwistError, TwistCurve, twist_points
-from diopoly.variety import PointConfig, ProjPoint
 
-from oracles import eval_ascending
+from oracles import QuadricCoords, certificate_twist, eval_ascending, reverse_map_point
 
 
 def on_curve(curve, x, y):
@@ -26,26 +24,21 @@ def test_curve_validation():
         TwistCurve(Fraction(0), (1, 24))
 
 
-def test_curve_contains():
-    # the worked example's points lie on y^2 = 1 + 24x, and (1, 4) does not
-    ps = twist_points(construct_witness([0, 1, 2], "quadric", parameter=(3, 1)).certificate)
-    assert len(ps.points) == 3
-    assert all(on_curve(ps.curve, x, y) for x, y in ps.points)
-    assert not on_curve(ps.curve, Fraction(1), Fraction(4))
-
-
 def test_worked_example():
+    # the points lie on y^2 = 1 + 24x, and (1, 4) does not
     w = construct_witness([0, 1, 2], "quadric", parameter=(3, 1))
-    ps = twist_points(w.certificate)
+    ps = twist_points(w)
     assert ps.curve.twist_scalar == 1
     assert ps.curve.coeffs == (1, 24)
     assert ps.points == ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(5)), (Fraction(2), Fraction(7)))
+    assert all(on_curve(ps.curve, x, y) for x, y in ps.points)
+    assert not on_curve(ps.curve, Fraction(1), Fraction(4))
     assert ps.genus_note == "degree <= 2: conic or rational model, not a hyperelliptic curve"
 
 
 def test_first_point_is_base_node_with_unit_y():
     w = construct_witness([3, 5, 8, 11], "quadric", seed=2)
-    ps = twist_points(w.certificate)
+    ps = twist_points(w)
     assert ps.points[0] == (Fraction(3), Fraction(1))
 
 
@@ -55,46 +48,55 @@ def test_point_count_matches_set_size():
         size = rnd.randint(3, 7)
         elems = rnd.sample(range(-12, 13), size)
         w = construct_witness(elems, "quadric", seed=rnd.randint(0, 10**6))
-        ps = twist_points(w.certificate)
+        ps = twist_points(w)
         assert len(ps.points) == size
         for x, y in ps.points:
             assert on_curve(ps.curve, x, y)
 
 
 def test_fractional_ordinates_when_scalar_not_square():
-    # f(x_0) = 49 - 24x at 0 is 49; scalar 49 gives y = z/49
-    cfg = PointConfig((0, 1, 2), 1)
-    v = CertificatePoint(cfg, ProjPoint((49, -24, 35, 7)))
-    ps = twist_points(v)
+    # Y = (7, 5, 1) and f = 24x - 49, whose first coefficient is negative,
+    # so h = 49 - 24x; h(x_0) = 49 gives the ordinates Y_i / 7
+    w = construct_witness([0, 1, 2], "quadric", parameter=(3, 2))
+    assert w.image.coords == (7, 5, 1) and w.poly.coeffs == (-49, 24)
+    ps = twist_points(w)
     assert ps.curve.twist_scalar == 49
-    assert ps.points[1] == (Fraction(1), Fraction(35, 49))
-    assert on_curve(ps.curve, Fraction(1), Fraction(5, 7))
+    assert ps.curve.coeffs == (49, -24)
+    assert ps.points == ((0, Fraction(1)), (1, Fraction(5, 7)), (2, Fraction(1, 7)))
+    assert all(on_curve(ps.curve, x, y) for x, y in ps.points)
 
 
 def test_degenerate_when_poly_vanishes_at_base_node():
-    cfg = PointConfig((0, 1, 2), 1)
-    v = CertificatePoint(cfg, ProjPoint((0, 1, 0, 0)))  # f = x
+    # Y_0 = 0, so f = x^2 vanishes at the base node 0
+    w = construct_witness([0, 1, 2, 3], "quadric", parameter=(3, 4, 5))
+    assert w.image[0] == 0 and w.poly(0) == 0
     with pytest.raises(DegenerateTwistError):
-        twist_points(v)
+        twist_points(w)
 
 
 def test_genus_note_absent_for_higher_degree():
     w = construct_witness([0, 1, 2, 3, 4], "quadric", seed=11)
-    ps = twist_points(w.certificate)
+    ps = twist_points(w)
     assert ps.curve.degree == 3
     assert ps.genus_note is None
 
 
 def test_curve_follows_certificate_coordinates():
-    # The curve keeps the certificate point's canonical integers verbatim
-    # (no division by the base value or leading coefficient).  The witness
-    # polynomial is primitive, so projective canonicalization leaves it as
-    # it is up to sign: the curve's polynomial is the witness's, +-.
-    w = construct_witness([0, 1, 2, 3, 4], "plane", parameter=(1, 2, 0))
-    assert w.poly.coeffs == (1, 2, 1)
-    ps = twist_points(w.certificate)
-    assert ps.curve.coeffs == w.certificate.coefficients == w.poly.coeffs
-    assert ps.points[2] == (Fraction(2), Fraction(-3))
+    # The curve is the one the reverse map's canonical certificate point
+    # gives (no division by the base value or leading coefficient).  The
+    # witness polynomial is primitive, so projective canonicalization
+    # leaves it as it is up to the sign of its first nonzero coefficient:
+    # the curve's polynomial is the witness's, +-.  The plane witness is
+    # (1 + x)^2, and the quadric one 24x - 49, of sign -1.
+    for elems, method, parameter in [
+        ([0, 1, 2, 3, 4], "plane", (1, 2, 0)),
+        ([0, 1, 2], "quadric", (3, 2)),
+    ]:
+        w = construct_witness(elems, method, parameter=parameter)
+        ps = twist_points(w)
+        assert ps == certificate_twist(reverse_map_point(QuadricCoords(w.config, w.image)))
+        sign = 1 if w.poly.coeffs[0] > 0 else -1
+        assert ps.curve.coeffs == tuple(sign * c for c in w.poly.coeffs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -107,8 +109,8 @@ def test_curve_follows_certificate_coordinates():
 @example([0, 1, 2, 3, 4, 5], "plane", {"seed": 1})  # padded with 6 and 7
 @example([0, 1, 2, 3, 4], "quadric", {"parameter": (-2, -3, -2, -2)})  # Y_0 = 0
 def test_ordinates_are_ratios_of_the_quadric_point(elems, method, kwargs):
-    """z_i = (f(x_0) / Y_0) * Y_i, so the ordinate z_i / f(x_0) at node i
-    is Y_i / Y_0 in lowest terms, at padding nodes too, and on the curve."""
+    """The ordinate at node i is Y_i / Y_0 in lowest terms, at padding
+    nodes too, and on the curve."""
     try:
         w = construct_witness(elems, method, **kwargs)
     except ConstructionError:
@@ -116,9 +118,9 @@ def test_ordinates_are_ratios_of_the_quadric_point(elems, method, kwargs):
     y = w.image.coords
     if y[0] == 0:
         with pytest.raises(DegenerateTwistError):
-            twist_points(w.certificate)
+            twist_points(w)
         return
-    ps = twist_points(w.certificate)
+    ps = twist_points(w)
     assert [x for x, _ in ps.points] == list(w.config.nodes)
     for (x, t), yi in zip(ps.points, y):
         assert t == Fraction(yi, y[0])

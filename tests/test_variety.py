@@ -10,14 +10,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from diopoly.exactmath import eval_poly
 from diopoly.rationalmaps import DegenerateParameterError, plane_image
-from diopoly.variety import PointConfig, ProjPoint, on_certificate_variety
+from diopoly.variety import PointConfig, ProjPoint
 
 from oracles import (
+    CertificateCoords,
     bracket_cofactors,
     bracket_rows,
     diagonal_quadrics,
     laplace_det,
     node_vandermonde,
+    on_certificate_variety,
     on_quadrics,
     power_point,
     scaled_cofactors,
@@ -307,10 +309,13 @@ class TestVarietyMembership:
 
     def test_certificate_membership_worked(self):
         cfg = PointConfig((0, 1, 2), 1)
-        assert on_certificate_variety(cfg, ProjPoint((1, 24, 5, 7)))
-        assert on_certificate_variety(cfg, ProjPoint((1, 24, -5, 7)))
-        assert not on_certificate_variety(cfg, ProjPoint((1, 23, 5, 7)))
-        assert not on_certificate_variety(cfg, ProjPoint((1, 24, 5, 8)))
+        for coords, on in [
+            ((1, 24, 5, 7), True),
+            ((1, 24, -5, 7), True),
+            ((1, 23, 5, 7), False),
+            ((1, 24, 5, 8), False),
+        ]:
+            assert on_certificate_variety(CertificateCoords(cfg, ProjPoint(coords))) is on
 
     def test_quadric_membership_worked(self):
         cfg = PointConfig((0, 1, 2), 1)
@@ -331,12 +336,12 @@ class TestVarietyMembership:
             prods = [values[0] * values[i] for i in (1, 2)]
             roots = []
             for p in prods:
-                r = __import__("math").isqrt(p) if p >= 0 else -1
+                r = math.isqrt(p) if p >= 0 else -1
                 if p >= 0 and r * r == p:
                     roots.append(r)
             if len(roots) != 2:
                 continue
             hits += 1
-            v = ProjPoint((f0, f1, *roots))
-            assert on_certificate_variety(cfg, v)
+            v = CertificateCoords(cfg, ProjPoint((f0, f1, *roots)))
+            assert on_certificate_variety(v)
         assert hits > 5  # sanity: the loop exercised the assertion
