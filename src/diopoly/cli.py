@@ -29,7 +29,6 @@ from typing import Sequence
 
 from .forge import (
     DEFAULT_MAX_ATTEMPTS,
-    DEFAULT_PARAM_BOUNDS,
     DEFAULT_SEARCH_CEILING,
     ConstructionError,
     SearchSpaceError,
@@ -374,13 +373,6 @@ def _build_parser() -> _Parser:
     c.add_argument("--seed", type=_int_option, default=None)
     c.add_argument("--count", type=_int_option, default=1)
     c.add_argument("--max-attempts", type=_int_option, default=DEFAULT_MAX_ATTEMPTS)
-    bounds = ", ".join(f"{b} for {m}" for m, b in DEFAULT_PARAM_BOUNDS.items())
-    c.add_argument(
-        "--param-bound",
-        type=_int_option,
-        default=None,
-        help=f"largest sampled coordinate (default: {bounds})",
-    )
     c.add_argument("--emit-twist", action="store_true")
 
     v = sub.add_parser("verify", help="verify a polynomial against a set")
@@ -414,7 +406,6 @@ def _cmd_construct(args) -> int:
             parameter=parameter,
             rng=rng,
             max_attempts=args.max_attempts,
-            param_bound=args.param_bound,
         )
         # verify reads back every coefficient construct prints
         for i, c in enumerate(witness.poly.coeffs, 1):

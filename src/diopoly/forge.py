@@ -71,12 +71,12 @@ FLAG_DEGREE_DROPPED = "degree-dropped"
 FLAG_TRIVIAL_FAMILY = "trivial-family"
 FLAG_ZERO_VALUE = "zero-value"
 
-# sampling bound per method: plane directions drawn from {-1, 0, 1} give
-# witnesses of far lower height than [-50, 50] (163-352 against 515-524
-# primitive digits on 0..59), and every later stage pays for height; the
-# quadric height barely moves with the bound (120-127 against 131-133),
-# and [-1, 1] would leave {0, 1, 2} one quadric witness
-DEFAULT_PARAM_BOUNDS = {"quadric": 50, "plane": 1}
+# k = 0 (quadric) draws every coordinate from [-DENSE_BOUND, DENSE_BOUND]:
+# its sign vectors would have k + 2 = 2 nonzero coordinates, which give
+# near-trivial witnesses (on 0..9, seed 3, f = -22500 at 8 of the 10
+# elements; on 0..59, seeds 0..9, f takes 3 distinct |f| values against
+# 40-49 from this box), and {0, 1, 2} would have a single witness
+DENSE_BOUND = 50
 DEFAULT_MAX_ATTEMPTS = 20
 DEFAULT_SEARCH_CEILING = 10**8
 # the search's residue pre-test: modulo 240 = 16 * 3 * 5, u * (u + d) is a
@@ -420,7 +420,6 @@ def construct_witness(
     seed: int | None = None,
     rng: random.Random | None = None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    param_bound: int | None = None,
 ) -> Witness:
     """Construct a certified witness polynomial for the given set.
 
@@ -431,13 +430,13 @@ def construct_witness(
     image, degree drop, zero value, f vanishing at the base node,
     trivial family) are resampled up to max_attempts before giving up.
     A direction already tried is drawn again without counting as an
-    attempt.  Coordinates are uniform over [-param_bound, param_bound],
-    except at bound 1, where a direction is a sign vector with exactly
-    k + 2 nonzero coordinates (k = n - d - 1): the fewest that can give
-    a witness, and the lowest in height.  param_bound defaults to
-    DEFAULT_PARAM_BOUNDS[method]: 1 for plane, 50 for quadric.  The
-    returned witness's stats, like ConstructionError.stats, count the
-    attempts and the rejections by reason.
+    attempt.  The config's k = n - d - 1 sets the draw: at k = 0
+    (quadric) coordinates are uniform over [-DENSE_BOUND, DENSE_BOUND];
+    at k >= 1 (plane) a direction is a sign vector with exactly k + 2
+    nonzero coordinates, the fewest that can give a witness, and the
+    lowest in height.  Any other direction is reached through an explicit
+    parameter.  The returned witness's stats, like ConstructionError.stats,
+    count the attempts and the rejections by reason.
     """
     elems = _validate_elements(elements, minimum=3)
     config = _method_setup(elems, method)
@@ -458,34 +457,27 @@ def construct_witness(
         stats["attempts"] = 1
         return _build_witness(config, method, q, image, elems, stats)
 
-    if param_bound is None:
-        param_bound = DEFAULT_PARAM_BOUNDS[method]
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
-    if param_bound < 1:
-        raise ValueError("param_bound must be at least 1")
     rng = rng if rng is not None else random.Random(seed)
-    # At bound 1 a direction is a sign vector, and its support J decides
-    # the outcome: the reduced system of plane_image has
-    # |J| - k - 1 rows (k = n - d - 1).  At most k nonzero coordinates
-    # give it a negative size, so the image is underdetermined and the
-    # system matrix drops rank; k + 1 give it size zero, so S = 0 and f
-    # is a constant times M^2, a trivial family; and every one beyond
-    # k + 2 adds height (about 15 digits each on 0..59).  So bound 1
-    # draws exactly k + 2 signs, whose single row has a closed form.
-    support = config.n - config.degree + 1 if param_bound == 1 else None
-    # a draw whose direction was tried already is redrawn, not counted:
-    # at bound 1 a set of 3-5 elements has only 4 directions, of which a
-    # few give a witness, and repeats would exhaust max_attempts on such
-    # sets; sampling stops once every vector was drawn
-    if support is None:
-        vectors = (2 * param_bound + 1) ** plen - 1
-    else:
-        vectors = math.comb(plen, support) * 2**support
+    k = config.n - config.degree - 1
+    # At k >= 1 a direction is a sign vector, and its support J decides
+    # the outcome: the reduced system of plane_image has |J| - k - 1 rows.
+    # At most k nonzero coordinates give it a negative size, so the image
+    # is underdetermined and the system matrix drops rank; k + 1 give it
+    # size zero, so S = 0 and f is a constant times M^2, a trivial family;
+    # and every one beyond k + 2 adds height (about 15 digits each on
+    # 0..59).  So k >= 1 draws exactly k + 2 signs, whose single row has a
+    # closed form.
+    # A draw whose direction was tried already is redrawn, not counted: a
+    # plane set of 3-5 elements has only 4 sign directions, of which a few
+    # give a witness, and repeats would exhaust max_attempts on such sets;
+    # sampling stops once every vector was drawn.
+    vectors = math.comb(plen, k + 2) * 2 ** (k + 2) if k else (2 * DENSE_BOUND + 1) ** plen - 1
     drawn: set[tuple[int, ...]] = set()
     tried: set[ProjPoint] = set()
     while stats["attempts"] < max_attempts and len(drawn) < vectors:
-        coords = _draw_coords(rng, plen, param_bound, support)
+        coords = _draw_coords(rng, plen, k)
         if not any(coords):
             continue
         drawn.add(coords)
@@ -522,15 +514,13 @@ def construct_witness(
     )
 
 
-def _draw_coords(
-    rng: random.Random, plen: int, bound: int, support: int | None
-) -> tuple[int, ...]:
-    """plen coordinates uniform over [-bound, bound], or, with a support
-    size, random signs at that many random positions and zeros elsewhere."""
-    if support is None:
-        return tuple(rng.randint(-bound, bound) for _ in range(plen))
+def _draw_coords(rng: random.Random, plen: int, k: int) -> tuple[int, ...]:
+    """At k = 0, plen coordinates uniform over [-DENSE_BOUND, DENSE_BOUND];
+    at k >= 1, random signs at k + 2 random positions and zeros elsewhere."""
+    if not k:
+        return tuple(rng.randint(-DENSE_BOUND, DENSE_BOUND) for _ in range(plen))
     coords = [0] * plen
-    for i in rng.sample(range(plen), support):
+    for i in rng.sample(range(plen), k + 2):
         coords[i] = rng.choice((-1, 1))
     return tuple(coords)
 

@@ -91,9 +91,10 @@ def test_readme_quick_start_runs():
 def test_every_export_runs():
     """Every function in diopoly.__all__ runs, with sys.setprofile recording
     the code of the package, under the calls the package serves: construct
-    with both methods, --emit-twist and --param-bound 2 (dense directions,
-    the kernel path through plane_system_matrix), verify on a passing and
-    a failing document, search, and the README quick start.  Only the
+    with both methods, --emit-twist and a dense plane --param (every
+    coordinate nonzero: the kernel path through plane_system_matrix),
+    verify on a passing and a failing document, search, and the README
+    quick start.  Only the
     package-level __all__ is covered: the module lists also hold names such
     as cli.witness_document, which serves the benchmark's setup rather than
     a command."""
@@ -119,7 +120,7 @@ def test_every_export_runs():
         construct = ("construct", "--set", "0,1,2,3,4,5,6,7", "--seed", "1", "--emit-twist")
         code, quadric = run(*construct, "--method", "quadric")
         assert code == 0
-        code, plane = run(*construct, "--method", "plane", "--param-bound", "2")
+        code, plane = run(*construct, "--method", "plane", "--param=1,-2,2,1,2")
         assert code == 0
         assert run("verify", "--from-json", "-", stdin=quadric + plane)[0] == 0
         doc = json.loads(plane)

@@ -32,6 +32,10 @@ from diopoly.cli import (
 )
 from diopoly.forge import construct_witness, verify_witness
 
+# a dense plane direction on 0..29: all 21 coordinates are nonzero, so
+# its image takes the kernel path
+DENSE_0_TO_29 = "--param=33,-22,-47,42,18,35,-13,-47,-7,-10,-33,2,-50,24,38,-12,47,1,-5,-27,-47"
+
 
 def read_document(text):
     """A witness document's (set, poly), read as verify --from-json reads
@@ -198,19 +202,15 @@ class TestConstructCommand:
             '"genus_note":"degree <= 2: conic or rational model, not a hyperelliptic curve"}}\n'
         )
 
-    @pytest.mark.parametrize("bound", [(), ("--param-bound", "50")])
+    # the sign vectors of the default draw, and a direction bounded by 50
+    # (the second draw of seed 7 from [-50, 50], after (9, 31, 0), which
+    # gives f = 2 * (9 + 22x)^2)
+    @pytest.mark.parametrize("bound", [(), ("--param=33,-44,-41",)])
     def test_sampled_plane_witness_is_not_trivial(self, bound):
-        # at bound 50, seed 7 draws (9, 31, 0) first: f = 2 * (9 + 22x)^2
         argv = ("construct", "--set", "0,1,2", "--method", "plane", "--seed", "7")
         code, out, err = run_cli(*argv, *bound)
         assert (code, err) == (0, "")
         assert json.loads(out)["flags"] == []
-
-    @pytest.mark.parametrize("method, bound", [("plane", "1"), ("quadric", "50")])
-    def test_param_bound_default_follows_method(self, method, bound):
-        argv = ("construct", "--set", "0,1,2,3,4,5", "--method", method, "--seed", "3", "--count", "3")
-        assert run_cli(*argv) == run_cli(*argv, "--param-bound", bound)
-        assert run_cli(*argv) != run_cli(*argv, "--param-bound", "2")
 
     def test_count_emits_one_document_per_line(self):
         code, out, _ = run_cli("construct", "--set", "0,1,2", "--seed", "5", "--count", "3")
@@ -228,21 +228,21 @@ class TestConstructCommand:
     SEEDED_BYTES = [
         # plane sign directions with k + 2 nonzero coordinates, the plane default
         ("plane", (), "8472c84b43d032a71bcbe9054215a4d73ea68096b81911a8954862d4346d70e4"),
-        # dense directions from [-50, 50]
-        ("plane", ("--param-bound", "50"), "9f877be2d9afe5de9f97cf9c5057e1d478d4983acd2169c8585379cf3dc0288a"),
+        # a dense direction, seed 1's first draw from [-50, 50]
+        ("plane", (DENSE_0_TO_29,), "9f877be2d9afe5de9f97cf9c5057e1d478d4983acd2169c8585379cf3dc0288a"),
         ("quadric", (), "5411fb51b01d012c6b8cf13b820262d69a1b6d08aebb799fde6c5768075cff60"),
     ]
 
     @pytest.mark.parametrize(
-        "method, bound, digest",
+        "method, pinned, digest",
         SEEDED_BYTES,
-        ids=["-".join((m, *(b.lstrip("-") for b in bound))) for m, bound, _ in SEEDED_BYTES],
+        ids=[m + ("-dense" if pinned else "") for m, pinned, _ in SEEDED_BYTES],
     )
-    def test_seeded_bytes_on_0_to_29(self, method, bound, digest):
+    def test_seeded_bytes_on_0_to_29(self, method, pinned, digest):
         # plane on 0..29 solves an 11 x 12 kernel system
         elements = ",".join(str(x) for x in range(30))
         argv = ("construct", "--set", elements, "--method", method, "--seed", "1", "--emit-twist")
-        code, out, _ = run_cli(*argv, *bound)
+        code, out, _ = run_cli(*argv, *pinned)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -312,6 +312,10 @@ class TestConstructCommand:
         assert run_cli("construct", "--set", "0,1")[0] == 1
         assert run_cli("construct", "--set", "0,1,2", "--method", "nope")[0] == 1
         assert run_cli("frobnicate")[0] == 1
+        # the draw follows from the method, so no option sets its bound
+        code, out, err = run_cli("construct", "--set", "0,1,2", "--param-bound", "2")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --param-bound 2" in err
 
     def test_malformed_set_exit_one(self):
         assert run_cli("construct", "--set", "0,1,x")[0] == 1
@@ -496,24 +500,24 @@ class TestVerifyCommand:
     REPORT_BYTES = [
         ("quadric", (), 0, 0, "ef186e9ce96220f75bc8635b27fc2cb89c5e8b748ec2207b2ef48ba3eec48f47"),
         ("plane", (), 0, 0, "e707ff109a8da62136fd3462bf2b3e86710dca8fe24b1b6f3f317079adc78db7"),
-        ("plane", ("--param-bound", "50"), 0, 0, "98e92a9a0a0ca67a82bf0ad9d464695b09d5c6a492cd923cc6f710c92656ccbf"),
+        ("plane", (DENSE_0_TO_29,), 0, 0, "98e92a9a0a0ca67a82bf0ad9d464695b09d5c6a492cd923cc6f710c92656ccbf"),
         ("quadric", (), 1, 3, "96295c969a3dc6c81f6e14e1fca35c44f3910782056a0ec2512f77509897045f"),
     ]
 
     @pytest.mark.parametrize(
-        "method, bound, moved, code, digest",
+        "method, pinned, moved, code, digest",
         REPORT_BYTES,
         ids=[
-            "-".join((m, *(b.lstrip("-") for b in bound), f"moved-{moved}"))
-            for m, bound, moved, _, _ in REPORT_BYTES
+            m + ("-dense" if pinned else "") + f"-moved-{moved}"
+            for m, pinned, moved, _, _ in REPORT_BYTES
         ],
     )
-    def test_report_bytes_on_0_to_29(self, method, bound, moved, code, digest):
+    def test_report_bytes_on_0_to_29(self, method, pinned, moved, code, digest):
         # digests of the pairwise verifier's reports (one isqrt per pair);
         # moving f_1 by 1 puts every value in a square class of its own
         elements = ",".join(str(x) for x in range(30))
         argv = ("construct", "--set", elements, "--method", method, "--seed", "1")
-        _, doc, _ = run_cli(*argv, *bound)
+        _, doc, _ = run_cli(*argv, *pinned)
         fields = json.loads(doc)
         fields["poly"][1] = str(int(fields["poly"][1]) + moved)
         got = run_cli("verify", "--from-json", "-", stdin=json.dumps(fields))

@@ -278,42 +278,67 @@ class TestSampledConstruction:
         assert "base-point" not in exc.value.stats
 
     def test_trivial_family_resampled_and_counted(self):
-        # seed 7's first plane draw on {0, 1, 2} at bound 50 is (9, 31, 0),
-        # which gives f = 2 * (9 + 22x)^2
+        # seed 76's first quadric draw on {0, 1, 2, 3} is (-3, 9, -1),
+        # which gives f = (13 - 2x)^2
         with pytest.raises(ConstructionError) as exc:
-            construct_witness([0, 1, 2], "plane", seed=7, param_bound=50, max_attempts=1)
+            construct_witness([0, 1, 2, 3], "quadric", seed=76, max_attempts=1)
         assert exc.value.stats["attempts"] == 1
         assert exc.value.stats["trivial-family"] == 1
-        w = construct_witness([0, 1, 2], "plane", seed=7, param_bound=50)
+        w = construct_witness([0, 1, 2, 3], "quadric", seed=76)
         assert w.flags == frozenset()
         assert w.stats["attempts"] == 2 and w.stats["trivial-family"] == 1
 
     def test_tried_directions_are_redrawn_not_counted(self):
-        # a repeat of (9, 31, 0) and its negative are the same direction
+        # a repeat of (-3, 9, -1) and its negative are the same direction
         class Stub:
-            draws = iter([9, 31, 0, 9, 31, 0, -9, -31, 0, 1, -1, -1])
+            draws = iter([-3, 9, -1, -3, 9, -1, 3, -9, 1, 25, 12, 44])
 
             def randint(self, lo, hi):
                 return next(self.draws)
 
-        w = construct_witness([0, 1, 2], "plane", rng=Stub(), param_bound=50)
-        assert w.parameter == ProjPoint((1, -1, -1))
+        w = construct_witness([0, 1, 2, 3], "quadric", rng=Stub())
+        assert w.parameter == ProjPoint((25, 12, 44))
         assert w.stats["attempts"] == 2 and w.stats["trivial-family"] == 1
 
     @pytest.mark.parametrize(
-        "method, bound, directions",
-        # [-2, 2]^2 holds 24 nonzero vectors in 8 directions; at bound 1 the
-        # plane config of {0, 1, 2} (k = 1) draws 3 signs: 8 vectors, 4 directions
-        [("quadric", 2, 8), ("plane", 1, 4)],
+        "method, k, directions",
+        # with the quadric box cut to [-2, 2], its 24 nonzero vectors on
+        # {0, 1, 2} (k = 0) lie in 8 directions; the plane config (k = 1)
+        # draws 3 signs: 8 vectors, 4 directions
+        [("quadric", 0, 8), ("plane", 1, 4)],
     )
-    def test_sampling_stops_once_every_direction_was_tried(self, monkeypatch, method, bound, directions):
+    def test_sampling_stops_once_every_direction_was_tried(self, monkeypatch, method, k, directions):
         def degenerate(config, q):
             raise rationalmaps.DegenerateParameterError("every direction")
 
         monkeypatch.setattr(forge, "plane_image", degenerate)
+        monkeypatch.setattr(forge, "DENSE_BOUND", 2)
+        config = forge._method_setup((0, 1, 2), method)
+        assert config.n - config.degree - 1 == k
         with pytest.raises(ConstructionError, match=f"within {directions} attempts") as exc:
-            construct_witness([0, 1, 2], method, seed=1, param_bound=bound, max_attempts=20)
+            construct_witness([0, 1, 2], method, seed=1, max_attempts=20)
         assert exc.value.stats["attempts"] == exc.value.stats["degenerate-parameter"] == directions
+
+    @pytest.mark.parametrize(
+        "elements, method, seed, reason",
+        [
+            ([0, 1, 2, 3, 4, 5], "plane", 54, "in-plane"),
+            ([0, 3, 8, 10], "quadric", 64, "zero-value"),
+            ([-4, 2, 3, 5], "plane", 19, "zero-value"),
+            # the plane config pads with 0, so x_0 is no element
+            ([1, 4, 8, 9, 10, 11, 13], "plane", 5, "base-node-zero"),
+            ([0, 1, 2, 3, 4, 5], "plane", 3, "trivial-family"),
+        ],
+    )
+    def test_first_draw_rejection_is_counted(self, elements, method, seed, reason):
+        # the reasons no test above reaches through a default draw; the
+        # degenerate direction comes only from the stubbed image
+        with pytest.raises(ConstructionError) as exc:
+            construct_witness(elements, method, seed=seed, max_attempts=1)
+        assert exc.value.stats == {**dict.fromkeys(forge.STATS_KEYS, 0), "attempts": 1, reason: 1}
+        w = construct_witness(elements, method, seed=seed)
+        assert w.flags == frozenset() and w.stats[reason] >= 1
+        assert verify_witness(elements, w.poly).ok
 
     @pytest.mark.parametrize("method, size", [("plane", 12), ("plane", 30), ("quadric", 8)])
     def test_sign_directions_have_k_plus_2_nonzero_coordinates(self, method, size):
@@ -335,10 +360,15 @@ class TestSampledConstruction:
                     construct_witness(range(size), method, parameter=signs(k))
             w = construct_witness(range(size), method, parameter=signs(k + 1))
             assert FLAG_TRIVIAL_FAMILY in w.flags
+        # the sampled draw: k + 2 signs at k >= 1, the dense box at k = 0
         for seed in range(5):
-            w = construct_witness(range(size), method, seed=seed, param_bound=1)
-            assert sum(1 for c in w.parameter if c) == k + 2
-            assert set(w.parameter) <= {-1, 0, 1}
+            w = construct_witness(range(size), method, seed=seed)
+            if k:
+                assert sum(1 for c in w.parameter if c) == k + 2
+                assert set(w.parameter) <= {-1, 0, 1}
+            else:
+                assert sum(1 for c in w.parameter if c) > k + 2
+                assert max(abs(c) for c in w.parameter) <= forge.DENSE_BOUND
 
     @pytest.mark.parametrize("size, degenerate, trivial", [(5, 3, 18), (8, 65, 280)])
     def test_supports_below_k_plus_2_never_give_a_witness(self, size, degenerate, trivial):
@@ -361,8 +391,8 @@ class TestSampledConstruction:
             assert FLAG_TRIVIAL_FAMILY in w.flags
 
     def test_stats_on_success(self):
-        sampled = construct_witness([0, 1, 2], "plane", seed=7, param_bound=50)
-        pinned = construct_witness([0, 1, 2], "plane", parameter=sampled.parameter)
+        sampled = construct_witness([0, 1, 2, 3], "quadric", seed=76)
+        pinned = construct_witness([0, 1, 2, 3], "quadric", parameter=sampled.parameter)
         assert list(sampled.stats) == list(forge.STATS_KEYS)
         assert pinned.stats == {**dict.fromkeys(forge.STATS_KEYS, 0), "attempts": 1}
         # stats stay out of equality, hashing and the printed document
@@ -394,11 +424,16 @@ class TestSampledConstruction:
         assert max(heights) <= 200
         assert max(heights) - min(heights) <= 40
 
-    def test_param_bound_validation(self):
-        with pytest.raises(ValueError):
-            construct_witness([0, 1, 2], "quadric", param_bound=0)
+    def test_max_attempts_validation(self):
         with pytest.raises(ValueError):
             construct_witness([0, 1, 2], "quadric", max_attempts=0)
+
+    def test_quadric_draws_are_not_near_trivial(self):
+        # 2 signs, the k + 2 of k = 0, gave f = -22500 at 8 of these 10
+        # elements; the dense box gives a witness of distinct values
+        w = construct_witness(range(10), "quadric", seed=3)
+        assert sum(1 for c in w.parameter if c) > 2
+        assert len({w.poly(x) for x in range(10)}) > 2
 
     def test_witness_pair_roots_square_to_products(self):
         w = construct_witness([3, 5, 8, 11], "quadric", seed=2)
