@@ -30,11 +30,14 @@ A small exhaustive search over primitive integer polynomials doubles as
 an independent oracle for the construction routines.  It fixes the upper
 coefficients and scans only the constant term, testing the first pair of
 the set before any other, and lists what it finds in the box order
-(degree, leading coefficient, then the lower coefficients).  The first
-pair's product u * (u + d) is a square only if it is one modulo
-SQUARE_MODULUS, so one slice of a residue table, read by
-itertools.compress, passes on the constant terms worth testing (18% of
-them on average over d), and only those get the exact tests.
+(degree, leading coefficient, then the lower coefficients).  With u the
+first value, the products u * (u + d) and u * (u + d_2) of the pairs
+(0, 1) and (0, 2) are squares only if they are squares modulo
+SQUARE_MODULUS, so the AND of two bit rows of a residue table, shifted
+to the span, passes on the constant terms worth testing (5% of them on
+average over d and d_2), and only those get the exact tests.  Along c_1
+u, d and d_2 move by constants, so no upper polynomial is evaluated per
+c_1.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
-from itertools import combinations, compress, count, islice, product
+from itertools import combinations, count, islice, product
 from typing import Iterable, Iterator, Sequence
 
 from .exactmath import eval_poly, integer_sqrt
@@ -79,9 +82,9 @@ FLAG_ZERO_VALUE = "zero-value"
 DENSE_BOUND = 50
 DEFAULT_MAX_ATTEMPTS = 20
 DEFAULT_SEARCH_CEILING = 10**8
-# the search's residue pre-test: modulo 240 = 16 * 3 * 5, u * (u + d) is a
-# square residue at 18% of the u on average over d; 144, 480 and 720
-# searched no faster
+# the search's residue pre-test: modulo 240 = 16 * 3 * 5, u * (u + d) and
+# u * (u + d_2) are both square residues at 5% of the u on average over d
+# and d_2 (18% for one pair); 144, 480 and 720 searched no faster
 SQUARE_MODULUS = 240
 
 METHODS = ("quadric", "plane")
@@ -577,14 +580,56 @@ def _search_size(max_degree: int, max_height: int, ceiling: int) -> int:
 
 
 @cache
-def _pair_square_table() -> tuple[bytes, ...]:
-    """Row d marks with 1 each residue u at which u * (u + d) is a square
-    modulo SQUARE_MODULUS.  Each row is stored twice over, so a slice of M
-    bytes from any offset reads M consecutive residues.  Built on the
-    first search, not at import."""
+def _pair_square_table() -> tuple[int, ...]:
+    """Bit u of row d is set when u * (u + d) is a square modulo
+    SQUARE_MODULUS.  Each row is stored twice over, so a shift by any
+    offset below SQUARE_MODULUS reads that many consecutive residues.
+    Built on the first search of degree 1 or more, not at import."""
     m = SQUARE_MODULUS
     squares = {u * u % m for u in range(m)}
-    return tuple(bytes(u * (u + d) % m in squares for u in range(m)) * 2 for d in range(m))
+    rows = (sum(1 << u for u in range(m) if u * (u + d) % m in squares) for d in range(m))
+    return tuple(row | row << m for row in rows)
+
+
+def _scan_box(elems: tuple[int, ...], max_degree: int, max_height: int) -> Iterator[tuple[int, ...]]:
+    """brute_force_search's found vectors of degree 1 to max_degree, in box order."""
+    x0, x1, x2 = (*elems, elems[1])[:3]
+    step1, step2 = x1 - x0, x2 - x0
+    later_pairs = list(combinations(range(len(elems)), 2))[1:]
+    rows, m = _pair_square_table(), SQUARE_MODULUS
+    span = range(-max_height, max_height + 1)
+    # one selection of SQUARE_MODULUS bits, times a 1 bit at each multiple
+    # of SQUARE_MODULUS, covers the whole span
+    low, full = (1 << m) - 1, (1 << len(span)) - 1
+    tiles = sum(1 << k * m for k in range(-(-len(span) // m)))
+    for e in range(1, max_degree + 1):
+        for lead in range(1, max_height + 1):
+            # degree 1 has the single upper vector (lead,): c_1 with no tail
+            c1s = span if e > 1 else (lead,)
+            tails = (mid + (lead,) for mid in product(span, repeat=e - 2)) if e > 1 else [()]
+            hits = []
+            for tail in tails:
+                # s_i = c_1 * x_i + x_i^2 * t(x_i) one c_1 before the first; each
+                # c_1 adds x_i, and bit j of sel stands for c_0 = j - max_height
+                s0, s1, s2 = (x * (c1s[0] - 1) + x * x * eval_poly(tail, x) for x in (x0, x1, x2))
+                d, d2 = s1 - s0, s2 - s0
+                for c1 in c1s:
+                    s0, d, d2 = s0 + x0, d + step1, d2 + step2
+                    base = s0 - max_height
+                    sel = ((rows[d % m] & rows[d2 % m]) >> base % m & low) * tiles & full
+                    while sel:
+                        j = sel.bit_length() - 1
+                        sel ^= 1 << j
+                        u = base + j
+                        p = u * (u + d)
+                        if p < 0 or math.isqrt(p) ** 2 != p or math.gcd(j - max_height, c1, *tail) != 1:
+                            continue
+                        coeffs = (j - max_height, c1) + tail
+                        values = [eval_poly(coeffs, x) for x in elems]
+                        if all(integer_sqrt(values[a] * values[b]) is not None for a, b in later_pairs):
+                            hits.append(coeffs)
+            # c_0 is scanned innermost but ordered first: sort back to the box order
+            yield from sorted(hits)
 
 
 def brute_force_search(
@@ -602,16 +647,19 @@ def brute_force_search(
     degree, leading coefficient, then the lower coefficients
     lexicographically.  Scaling never changes whether products of values
     are squares, so primitive representatives lose nothing.  Per upper
-    coefficients c_1..c_e = h only c_0 is scanned, and only the first
-    pair's shifts s_i = x_i * h(x_i) are computed.  With u = c_0 + s_0 and
-    d = s_1 - s_0 the first pair's product is u * (u + d), a square only
-    if it is one modulo SQUARE_MODULUS: the row of d in a residue table,
-    sliced at s_0 - max_height and tiled past SQUARE_MODULUS constant
-    terms, selects the c_0 worth testing.  Each of those gets the exact
-    tests: sign and one isqrt on the first pair, primitivity by gcd, then
-    every other pair on the values at all elements.  Boxes larger than
-    the ceiling are refused outright; the box arguments must be plain
-    ints, and the ceiling at least 1.
+    coefficients c_1..c_e = h only c_0 is scanned.  With u = c_0 + s_0,
+    s_i = x_i * h(x_i), d = s_1 - s_0 and d_2 = s_2 - s_0 (x_2 = x_1 on 2
+    elements), the pairs (0, 1) and (0, 2) make u * (u + d) and
+    u * (u + d_2), squares only if they are squares modulo SQUARE_MODULUS:
+    the AND of the bit rows of d and d_2 in a residue table, shifted by
+    s_0 - max_height and repeated past SQUARE_MODULUS constant terms,
+    selects the c_0 worth testing.  Each of those gets the exact tests:
+    sign and one isqrt on the first pair, primitivity by gcd, then every
+    other pair on the values at all elements.  As h = c_1 + x * t makes
+    s_i = c_1 * x_i + x_i^2 * t(x_i), t is evaluated once per c_2..c_e,
+    and s_0, d and d_2 step along c_1 by x_0, x_1 - x_0 and x_2 - x_0.
+    Boxes larger than the ceiling are refused outright; the box arguments
+    must be plain ints, and the ceiling at least 1.
     """
     elems = _validate_elements(elements, minimum=2)
     box = {"max_degree": max_degree, "max_height": max_height, "ceiling": ceiling}
@@ -628,32 +676,9 @@ def brute_force_search(
     if size > ceiling:
         raise SearchSpaceError(f"search box holds more than {ceiling} candidates", size)
 
-    # degree 0: of the constants 1..max_height only 1 is primitive, and it verifies
-    found = [(1,)]
-    span = range(-max_height, max_height + 1)
-    x0, x1 = elems[0], elems[1]
-    later_pairs = list(combinations(range(len(elems)), 2))[1:]
-    table, m = _pair_square_table(), SQUARE_MODULUS
-    tiles = -(-len(span) // m)
-    for e in range(1, max_degree + 1):
-        for lead in range(1, max_height + 1):
-            hits = []
-            for upper in product(span, repeat=e - 1):
-                high = upper + (lead,)
-                s0 = x0 * eval_poly(high, x0)
-                d = x1 * eval_poly(high, x1) - s0
-                start = (s0 - max_height) % m
-                for c0 in compress(span, table[d % m][start:start + m] * tiles):
-                    u = c0 + s0
-                    p = u * (u + d)
-                    if p < 0 or math.isqrt(p) ** 2 != p or math.gcd(c0, *high) != 1:
-                        continue
-                    coeffs = (c0,) + high
-                    values = [eval_poly(coeffs, x) for x in elems]
-                    if all(integer_sqrt(values[i] * values[j]) is not None for i, j in later_pairs):
-                        hits.append(coeffs)
-            # c_0 is scanned innermost but ordered first: sort back to the box order
-            found.extend(sorted(hits))
+    # degree 0: of the constants 1..max_height only 1 is primitive, and it
+    # verifies; only a higher degree builds the table and the span's masks
+    found = [(1,), *(_scan_box(elems, max_degree, max_height) if max_degree else ())]
     return SearchReport(
         elements=elems,
         max_degree=max_degree,

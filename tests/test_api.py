@@ -90,22 +90,24 @@ def test_readme_quick_start_runs():
 
 def test_every_export_runs():
     """Every function in diopoly.__all__ runs, with sys.setprofile recording
-    the code of the package, under the calls the package serves: construct
-    with both methods, --emit-twist and a dense plane --param (every
-    coordinate nonzero: the kernel path through plane_system_matrix),
-    verify on a passing and a failing document, search, and the README
-    quick start.  Only the
-    package-level __all__ is covered: the module lists also hold names such
-    as cli.witness_document, which serves the benchmark's setup rather than
-    a command."""
+    per call the code of the package it ran, under the calls the package
+    serves: construct with both methods, --emit-twist and a dense plane
+    --param, verify on a passing and a failing document, search, and the
+    README quick start.  The dense --param (every coordinate nonzero) must
+    itself run plane_system_matrix, the kernel path that closed-form
+    directions skip.  Only the package-level __all__ is covered: the
+    module lists also hold names such as cli.witness_document, which
+    serves the benchmark's setup rather than a command."""
     package = str(Path(diopoly.__file__).resolve().parent)
-    ran = set()
+    ran = {}  # label of a call -> the code objects of the package it ran
+    current = [set()]
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_filename.startswith(package):
-            ran.add(frame.f_code)
+            current[0].add(frame.f_code)
 
-    def run(*argv, stdin=""):
+    def run(label, *argv, stdin=""):
+        current[0] = ran[label] = set()
         out, old_stdin = io.StringIO(), sys.stdin
         sys.stdin = io.StringIO(stdin)
         try:
@@ -118,15 +120,16 @@ def test_every_export_runs():
     sys.setprofile(profile)
     try:
         construct = ("construct", "--set", "0,1,2,3,4,5,6,7", "--seed", "1", "--emit-twist")
-        code, quadric = run(*construct, "--method", "quadric")
+        code, quadric = run("quadric", *construct, "--method", "quadric")
         assert code == 0
-        code, plane = run(*construct, "--method", "plane", "--param=1,-2,2,1,2")
+        code, plane = run("plane --param", *construct, "--method", "plane", "--param=1,-2,2,1,2")
         assert code == 0
-        assert run("verify", "--from-json", "-", stdin=quadric + plane)[0] == 0
+        assert run("verify", "verify", "--from-json", "-", stdin=quadric + plane)[0] == 0
         doc = json.loads(plane)
         doc["poly"][0] = str(int(doc["poly"][0]) + 1)
-        assert run("verify", "--from-json", "-", stdin=json.dumps(doc))[0] == 3
-        assert run("search", "--set", "0,1,2", "--max-degree", "1", "--max-height", "5")[0] == 0
+        assert run("verify failing", "verify", "--from-json", "-", stdin=json.dumps(doc))[0] == 3
+        assert run("search", "search", "--set", "0,1,2", "--max-degree", "1", "--max-height", "5")[0] == 0
+        current[0] = ran["quick start"] = set()
         exec(readme_quick_start(), {})
     finally:
         sys.setprofile(old)
@@ -141,4 +144,6 @@ def test_every_export_runs():
         "twist_points",
         "verify_witness",
     ]
-    assert sorted(name for name, f in functions.items() if f.__code__ not in ran) == []
+    ran_by = {name: {label for label, codes in ran.items() if f.__code__ in codes} for name, f in functions.items()}
+    assert sorted(name for name, labels in ran_by.items() if not labels) == []
+    assert "plane --param" in ran_by["plane_system_matrix"]

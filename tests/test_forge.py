@@ -9,7 +9,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from diopoly import cli, exactmath, forge, rationalmaps, variety
 from diopoly.exactmath import eval_poly
@@ -872,27 +872,76 @@ def _assert_matches_enumeration(elements, max_degree, max_height):
     return found
 
 
+def _table_bit(d, u):
+    """Bit u mod SQUARE_MODULUS of the residue table's row d mod SQUARE_MODULUS."""
+    return forge._pair_square_table()[d % SQUARE_MODULUS] >> u % SQUARE_MODULUS & 1
+
+
 class TestPairSquareTable:
-    """The residue pre-test may drop only constant terms whose first-pair
-    product u * (u + d) is no square."""
+    """The residue pre-test may drop only constant terms whose pair product
+    u * (u + d) is no square."""
 
     def test_marks_every_square_product_of_small_terms(self):
-        table, m = forge._pair_square_table(), SQUARE_MODULUS
         squares = {k * k for k in range(math.isqrt(700 * 1400) + 1)}
         span = range(-700, 701)
-        misses = [(u, d) for u in span for d in span if u * (u + d) in squares and not table[d % m][u % m]]
+        misses = [(u, d) for u in span for d in span if u * (u + d) in squares and not _table_bit(d, u)]
         assert misses == []
 
     @given(st.integers(-(10**30), 10**30).filter(bool), st.integers(0, 10**20), st.integers(0, 10**20))
     def test_marks_large_square_products(self, s, a, b):
         # u = s * a^2 and u + d = s * b^2 multiply to (s * a * b)^2
         u, d = s * a * a, s * (b * b - a * a)
-        assert forge._pair_square_table()[d % SQUARE_MODULUS][u % SQUARE_MODULUS] == 1
+        assert _table_bit(d, u) == 1
+
+    @staticmethod
+    def _table_size_after(cli_env, code):
+        code += "; print(forge._pair_square_table.cache_info().currsize)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return int(proc.stdout)
 
     def test_import_does_not_build_the_table(self, cli_env):
-        code = "from diopoly import forge; print(forge._pair_square_table.cache_info().currsize)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env)
-        assert (proc.returncode, proc.stdout) == (0, "0\n")
+        assert self._table_size_after(cli_env, "from diopoly import forge") == 0
+
+    def test_degree_zero_search_does_not_build_the_table(self, cli_env):
+        # a box of 10**8 constants: a mask as wide as its span took a minute
+        code = "from diopoly import forge; forge.brute_force_search([1, 3], 0, 10**8)"
+        assert self._table_size_after(cli_env, code) == 0
+
+
+class TestSearchAtSmallModulus:
+    """Below the span's width, a small SQUARE_MODULUS makes the search shift
+    its window by every offset, repeat the selection across periods and
+    step c_1 over many of them, which at 240 happens only for heights of
+    120 and more; the found lists must still equal the literal walk."""
+
+    @pytest.fixture(params=[3, 8, 16])
+    def modulus(self, request, monkeypatch):
+        forge._pair_square_table.cache_clear()
+        monkeypatch.setattr(forge, "SQUARE_MODULUS", request.param)
+        yield request.param
+        forge._pair_square_table.cache_clear()
+
+    @pytest.mark.parametrize(
+        "elements, max_degree, height",
+        [
+            pytest.param([0, 1], 1, lambda m: 2 * m, id="two-elements-zero-value"),
+            pytest.param([-1, 1], 2, lambda m: m, id="equal-first-pair-values"),
+            pytest.param([-3, 0, 2, 5], 2, lambda m: m, id="zero-value"),
+            pytest.param([-2, 1, 4], 3, lambda m: m // 2 + 1, id="degree-3"),
+        ],
+    )
+    def test_boxes_wider_than_the_modulus(self, modulus, elements, max_degree, height):
+        assert 2 * height(modulus) + 1 > modulus
+        _assert_matches_enumeration(elements, max_degree, height(modulus))
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.integers(-8, 8), min_size=2, max_size=5, unique=True), st.data())
+    def test_matches_enumeration(self, modulus, elements, data):
+        max_degree = data.draw(st.integers(1, 3 if modulus < 16 else 2), label="max_degree")
+        low = modulus // 2 + 1
+        max_height = data.draw(st.integers(low, low + (4, 2, 0)[max_degree - 1]), label="max_height")
+        _assert_matches_enumeration(elements, max_degree, max_height)
 
 
 class TestSearchAgainstEnumeration:
