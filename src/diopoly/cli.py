@@ -9,6 +9,12 @@ Integer input is strict (optional sign, ASCII digits, no empty fields,
 at most INPUT_DIGITS_CAP digits); CPython's int<->str digit limit is
 lifted while integers are parsed and printed, so any output reads back.
 
+Every root and product of a pair is a product of two per-element
+factors, so it is printed as the exact Decimal product of the two: each
+factor is converted once, and str of a Decimal is linear in its digits,
+where str of an int is quadratic.  These fields are most of the output,
+n(n-1)/2 of them with thousands of digits each on a wide set.
+
 Exit codes: 0 success, 1 usage error (including a refused search box),
 2 construction failure, 3 verification failure.
 """
@@ -23,6 +29,7 @@ import random
 import re
 import sys
 from contextlib import contextmanager
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
 from fractions import Fraction
 from functools import cache
 from typing import Sequence
@@ -57,6 +64,9 @@ INPUT_DIGITS_CAP = 100_000
 _CAP_BITS = math.floor(INPUT_DIGITS_CAP * math.log2(10))
 
 _ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+# pair fields are printed as Decimal products, exact in this context: a
+# context that would round one raises instead of printing a wrong digit
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact, Rounded])
 _DECIMAL = {"type": "string", "pattern": "^-?[0-9]+$"}
 _RATIONAL = {"type": "string", "pattern": "^-?[0-9]+(/[1-9][0-9]*)?$"}
 
@@ -154,9 +164,17 @@ def _json_object(fields: dict) -> str:
 
 def _witness_line(witness: Witness, include_twist: bool = False) -> str:
     """One witness document as a compact JSON line, in fixed key order.
-    The pair roots are written straight from the witness, one formatted
-    string per pair."""
-    roots = [f'{{"i":{i},"j":{j},"root":"{r}"}}' for i, j, r in witness.pair_roots]
+    The root of the pair i < j is printed as the Decimal product of
+    (L / g) * |Y_i| and |Y_j|, from the witness's root factors, one
+    formatted string per pair."""
+    scale, ys = witness.root_factors
+    lead, cols = Decimal(scale), [Decimal(y) for y in ys]
+    with localcontext(_EXACT):
+        roots = [
+            f'{{"i":{i},"j":{j},"root":"{row * col!s}"}}'
+            for i, row in enumerate(lead * y for y in cols)
+            for j, col in enumerate(cols[i + 1 :], i + 1)
+        ]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "set": [str(x) for x in witness.elements],
@@ -257,17 +275,28 @@ def document_to_inputs(doc: dict) -> tuple[list[int], list[int]]:
 
 
 def _verify_report_line(report) -> str:
-    """The verify report as one JSON line.  Its pairs are written straight
-    from report.pairs(), one formatted string per pair, with each
-    element's decimal string formatted once."""
+    """The verify report as one JSON line, its pairs in the order of
+    report.pairs().  The product of the pair i < j is printed as the
+    Decimal product of the two values, and its root as the Decimal product
+    of the row and column factors of report.root_factors, or null across
+    two square classes, one formatted string per pair.  A zero times a
+    negative value is the Decimal -0, printed as 0."""
     elements = [str(x) for x in report.elements]
+    values = [Decimal(v) for v in report.values]
+    row_factors, cols = report.root_factors
+    cols = [Decimal(c) for c in cols]
+    classes = report.classes
     rows = []
-    for i, j, product, root in report.pairs():
-        shown = "null" if root is None else f'"{root}"'
-        rows.append(
-            f'{{"i":{i},"j":{j},"a":"{elements[i]}","b":"{elements[j]}",'
-            f'"product":"{product}","root":{shown}}}'
-        )
+    with localcontext(_EXACT):
+        for i, row in enumerate(map(Decimal, row_factors)):
+            a, vi, ki = elements[i], values[i], classes[i]
+            for j in range(i + 1, len(values)):
+                kj = classes[j]
+                shown = f'"{row * cols[j]!s}"' if kj == ki or ki < 0 or kj < 0 else "null"
+                rows.append(
+                    f'{{"i":{i},"j":{j},"a":"{a}","b":"{elements[j]}",'
+                    f'"product":"{vi * values[j] or 0!s}","root":{shown}}}'
+                )
     return _json_object({
         "schema_version": SCHEMA_VERSION,
         "set": elements,

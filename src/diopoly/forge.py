@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import combinations, count, islice, product
 from typing import Iterable, Iterator, Sequence
 
@@ -219,10 +219,16 @@ class Witness:
     divide g more often than L.  So L / g = |f(x)| / Y_x^2 at any node
     with Y_x != 0, and the witness needs no field for it:
 
+    * root_factors, L / g and |Y_a| for each sorted element a;
     * pair_roots, (i, j, root) triples with i < j indexing the sorted
       elements, in the order of itertools.combinations, where
       root = (L / g) * |Y_a * Y_b|, so root^2 = f(elements[i]) * f(elements[j]);
     * padding, the nodes of the config that are not elements.
+
+    A pair root is a product of two per-element factors, so the CLI prints
+    it as the Decimal product of (L / g) * |Y_a| and |Y_b|, each factor
+    converted once: str of a Decimal is linear in its digits, where str
+    of an int is quadratic, and the roots of a wide set have thousands.
 
     The same identity puts the node points (x_i, Y_i / Y_0) on the twisted
     curve f(x_0) * y^2 = f(x), which twist.twist_points reads off poly and
@@ -243,11 +249,17 @@ class Witness:
     stats: dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
-    def pair_roots(self) -> tuple[tuple[int, int, int], ...]:
+    def root_factors(self) -> tuple[int, tuple[int, ...]]:
+        """(L / g, |Y_a| for each sorted element a): the pair i < j has the
+        root (L / g) * ys[i] * ys[j].  L / g is read off the first node
+        where Y does not vanish."""
         y = dict(zip(self.config.nodes, self.image.coords))
         node, yx = next((x, v) for x, v in y.items() if v)
-        scale = abs(self.poly(node)) // (yx * yx)  # L / g
-        ys = [abs(y[x]) for x in self.elements]
+        return abs(self.poly(node)) // (yx * yx), tuple(abs(y[x]) for x in self.elements)
+
+    @property
+    def pair_roots(self) -> tuple[tuple[int, int, int], ...]:
+        scale, ys = self.root_factors
         lys = [scale * v for v in ys]
         return tuple((i, j, lys[i] * ys[j]) for i, j in combinations(range(len(ys)), 2))
 
@@ -267,8 +279,14 @@ class VerifyReport:
     Two nonzero values share a class when their product is a square.
     classes[i] indexes bases, the first value of element i's class, and
     is -1 where f vanishes; roots[i]^2 = bases[classes[i]] * values[i],
-    and roots[i] = 0 where f vanishes.  pairs() derives every pair from
-    these; failures and roots_map read it.
+    and roots[i] = 0 where f vanishes.  root_factors turns these into two
+    factors per element, computed once; pairs() derives every pair from
+    them, and failures and roots_map read it.
+
+    Every product and root of a pair is a product of two per-element
+    factors, so the CLI prints them as Decimal products of values and of
+    root_factors, each factor converted once: str of a Decimal is linear
+    in its digits, where str of an int is quadratic.
     """
 
     elements: tuple[int, ...]
@@ -288,29 +306,34 @@ class VerifyReport:
         nonzero = n - self.classes.count(-1)
         return (n * (n - 1) - nonzero * (nonzero - 1)) // 2
 
+    @cached_property
+    def root_factors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(rows, cols): a pair i < j in the class of c has the root
+        rows[i] * cols[j], roots[i] * roots[j] / |c| taken with no division
+        per pair.  Write c = s * m^2 with s squarefree; each value of the
+        class is s * t^2 with root |s * m * t|, so the gcd G of the class's
+        roots is a multiple of |s| * m, w = G^2 / |c| is an integer, and
+        rows[i] = w * roots[i] / G, cols[j] = roots[j] / G.  Both are 0
+        where f vanishes, so a zero product gets root 0."""
+        gcds = [0] * len(self.bases)
+        for k, r in zip(self.classes, self.roots):
+            if k >= 0:
+                gcds[k] = math.gcd(gcds[k], r)
+        cols = tuple(r // gcds[k] if k >= 0 else 0 for k, r in zip(self.classes, self.roots))
+        weights = [g * g // abs(c) for g, c in zip(gcds, self.bases)]
+        rows = tuple(weights[k] * col if k >= 0 else 0 for k, col in zip(self.classes, cols))
+        return rows, cols
+
     def pairs(self) -> Iterator[tuple[int, int, int, int | None]]:
         """(i, j, f(a) * f(b), root) for every pair i < j, in the order of
         itertools.combinations.  A zero product has root 0, and a pair
-        across two classes has None.  A pair in the class of c has root
-        roots[i] * roots[j] / |c|, taken with no division per pair: write
-        c = s * m^2 with s squarefree; each value of the class is s * t^2
-        with root |s * m * t|, so the gcd G of the class's roots is a
-        multiple of |s| * m, w = G^2 / |c| is an integer, and the root is
-        (w * roots[i] / G) * (roots[j] / G)."""
-        values, classes, roots = self.values, self.classes, self.roots
-        gcds = [0] * len(self.bases)
-        for k, r in zip(classes, roots):
-            if k >= 0:
-                gcds[k] = math.gcd(gcds[k], r)
-        cols = [r // gcds[k] if k >= 0 else 0 for k, r in zip(classes, roots)]
-        weights = [g * g // abs(c) for g, c in zip(gcds, self.bases)]
-        n = len(values)
-        for i in range(n):
-            vi, ki = values[i], classes[i]
-            row = weights[ki] * cols[i] if ki >= 0 else 0
-            for j in range(i + 1, n):
+        across two classes has None."""
+        rows, cols = self.root_factors
+        values, classes = self.values, self.classes
+        for i in range(len(values)):
+            vi, ki, row = values[i], classes[i], rows[i]
+            for j in range(i + 1, len(values)):
                 kj = classes[j]
-                # a zero value has row and column 0, so its pairs get root 0
                 root = row * cols[j] if kj == ki or ki < 0 or kj < 0 else None
                 yield i, j, vi * values[j], root
 

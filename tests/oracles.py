@@ -23,10 +23,15 @@ parametrization.  They take a point as an unvalidated QuadricCoords or
 CertificateCoords; membership in the quadric variety is checked through
 diagonal_quadrics, in the certificate variety by
 on_certificate_variety.
+
+The CLI prints pair roots and products as Decimal products of
+per-element factors; witness_line_by_ints and report_line_by_ints build
+the same lines from pair-by-pair integers printed by str(int).
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from functools import reduce
@@ -479,3 +484,51 @@ def verify_pairwise(elements, coeffs):
         rows.append((i, j, a, b, p, r if r is not None and r * r == p else None))
     ok = all(row[5] is not None for row in rows)
     return ok, sum(1 for row in rows if row[4] == 0), rows
+
+
+def _compact_json(doc):
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def witness_line_by_ints(w):
+    """The construct line of a witness, without a twist block, with every
+    pair root printed by str(int): math.isqrt of f(a) * f(b), the values
+    evaluated by power sums.  Roots past CPython's int<->str digit limit
+    need it lifted."""
+    values = [int(eval_ascending(w.poly.coeffs, x)) for x in w.elements]
+    roots = [
+        {"i": i, "j": j, "root": str(math.isqrt(values[i] * values[j]))}
+        for i, j in combinations(range(len(values)), 2)
+    ]
+    return _compact_json({
+        "schema_version": "1",
+        "set": [str(x) for x in w.elements],
+        "poly": [str(c) for c in w.poly.coeffs],
+        "method": w.method,
+        "parameter": [str(c) for c in w.parameter.coords],
+        "padding": [str(x) for x in w.padding],
+        "pair_roots": roots,
+        "flags": sorted(w.flags),
+    })
+
+
+def report_line_by_ints(elements, coeffs):
+    """The verify report line of verify_pairwise's rows, every product and
+    root printed by str(int).  Products past CPython's int<->str digit
+    limit need it lifted."""
+    ok, zero_products, rows = verify_pairwise(elements, coeffs)
+    coeffs = list(coeffs)
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    pairs = [
+        {"i": i, "j": j, "a": str(a), "b": str(b), "product": str(p), "root": None if r is None else str(r)}
+        for i, j, a, b, p, r in rows
+    ]
+    return _compact_json({
+        "schema_version": "1",
+        "set": [str(x) for x in sorted(elements)],
+        "poly": [str(c) for c in coeffs],
+        "ok": ok,
+        "zero_products": zero_products,
+        "pairs": pairs,
+    })

@@ -9,9 +9,10 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal, Inexact, Rounded
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -30,11 +31,16 @@ from diopoly.cli import (
     main,
     witness_document,
 )
-from diopoly.forge import construct_witness, verify_witness
+from diopoly.forge import ConstructionError, construct_witness, verify_witness
+from oracles import report_line_by_ints, witness_line_by_ints
 
 # a dense plane direction on 0..29: all 21 coordinates are nonzero, so
 # its image takes the kernel path
 DENSE_0_TO_29 = "--param=33,-22,-47,42,18,35,-13,-47,-7,-10,-33,2,-50,24,38,-12,47,1,-5,-27,-47"
+# 30 elements of [-10^6, 10^6), the set of the CI wide-set step: the
+# quadric roots have about 3 k digits and its products about 6 k, past
+# CPython's 4300-digit int<->str limit
+WIDE_SET = "--set=" + ",".join(map(str, random.Random(3).sample(range(-(10**6), 10**6), 30)))
 
 
 def read_document(text):
@@ -245,6 +251,35 @@ class TestConstructCommand:
         code, out, _ = run_cli(*argv, *pinned)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # construct --emit-twist digests, then the digests of verify's reports
+    # on the document as printed and with f_1 moved by 1
+    WIDE_BYTES = [
+        (
+            "quadric",
+            "202c4352203041ccc1126400344292318ec9cffbfdc8e04ee17d76455b1e2782",
+            "7631533acce88301236c2408a05edbbe7403ece73a6384eedc9eb23512fea3c1",
+            "1eb3aef6065aba0c4e559c9d7ca590eff17178bd5b667f0c67addfe1dbdfa78e",
+        ),
+        (
+            "plane",
+            "fb9b00d5fd165a313065e68404adaae06684eb8d2b0331625fdc37f8311a52cf",
+            "6081dd56071f26b72704680fe4fb92b4ffd71fb23eb62af8b3232b7bc9ddd498",
+            "c04cbcbb0bea6ad188bf601e4c5c754ec5028d7fdc7dd1e9bc0d7dccb13b5649",
+        ),
+    ]
+
+    @pytest.mark.parametrize("method, document, report, moved_report", WIDE_BYTES, ids=[r[0] for r in WIDE_BYTES])
+    def test_seeded_bytes_on_a_wide_set(self, method, document, report, moved_report):
+        code, out, _ = run_cli("construct", WIDE_SET, "--method", method, "--seed", "1", "--emit-twist")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == document
+        fields = json.loads(out)
+        for moved, want_code, digest in ((0, 0, report), (1, 3, moved_report)):
+            fields["poly"][1] = str(int(fields["poly"][1]) + moved)
+            got = run_cli("verify", "--from-json", "-", stdin=json.dumps(fields))
+            assert got[0] == want_code and got[2] == ""
+            assert hashlib.sha256(got[1].encode()).hexdigest() == digest
 
     def test_param_with_count_rejected(self):
         code, _, err = run_cli(
@@ -549,6 +584,95 @@ class TestVerifyCommand:
         assert code == 0
         code, report, err = run_cli("verify", "--from-json", "-", stdin=out)
         assert (code, err) == (0, "") and json.loads(report)["ok"] is True
+
+
+class TestDecimalRendering:
+    """Pair roots and products print as Decimal products of per-element
+    factors; each line must equal the line built pair by pair from
+    integers printed by str(int)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 7).flatmap(
+            lambda e: st.lists(st.integers(-(10**e), 10**e), min_size=3, max_size=12, unique=True)
+        ),
+        st.sampled_from(("quadric", "plane")),
+        st.integers(0, 2**32),
+    )
+    def test_construct_lines(self, elements, method, seed):
+        try:
+            w = construct_witness(elements, method, seed=seed)
+        except ConstructionError:
+            assume(False)
+        assert cli._witness_line(w) == witness_line_by_ints(w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(-30, 30), min_size=2, max_size=8, unique=True),
+        st.lists(st.integers(-20, 20), min_size=1, max_size=4).filter(any),
+    )
+    def test_report_lines(self, elements, coeffs):
+        assert cli._verify_report_line(verify_witness(elements, coeffs)) == report_line_by_ints(elements, coeffs)
+
+    @pytest.mark.parametrize(
+        "elements, coeffs",
+        [
+            ([-3, -2, 0, 5], [0, 1]),  # a negative value times a later zero
+            ([0, 3, 4], [0, -1]),  # a zero times later negative values
+            ([-12, -3, 0, 2, 8, 18, 25], [0, 1]),  # the square classes -3, 2 and 1
+        ],
+    )
+    def test_report_lines_with_zeros_and_classes(self, elements, coeffs):
+        code, out, _ = run_cli("verify", "--set=" + ",".join(map(str, elements)), "--poly=" + ",".join(map(str, coeffs)))
+        assert out == report_line_by_ints(elements, coeffs) + "\n"
+        assert '"-0"' not in out
+
+    def test_report_line_of_a_failing_document(self):
+        w = construct_witness(range(-6, 6), "quadric", seed=2)
+        coeffs = list(w.poly.coeffs)
+        coeffs[0] += 1
+        report = verify_witness(w.elements, coeffs)
+        assert not report.ok
+        assert cli._verify_report_line(report) == report_line_by_ints(w.elements, coeffs)
+
+    @needs_digit_limit
+    def test_pair_of_20k_digit_values(self):
+        # f(0) = 2u^2 and f(1) = 2v^2 have about 2 * 10^4 digits, past the
+        # base-case multiply of libmpdec; the roots of the report are
+        # 2uv, and both factors of each root have about 10^4 digits
+        rng = random.Random(11)
+        u, v = (rng.randrange(10**9999, 10**10000) for _ in range(2))
+        coeffs = [2 * u * u, 2 * v * v - 2 * u * u]
+        limit = sys.get_int_max_str_digits()
+        with cli._int_str_limit_lifted():
+            poly = ",".join(map(str, coeffs))
+            expected = report_line_by_ints([0, 1], coeffs)
+        code, out, err = run_cli("verify", "--set", "0,1", "--poly", poly)
+        assert sys.get_int_max_str_digits() == limit
+        assert (code, err) == (0, "")
+        assert out == expected + "\n"
+
+    @needs_digit_limit
+    def test_witness_with_20k_digit_root_factors(self):
+        # on 0, 1 and 10^20000 the witness's factors (L / g) * |Y_a| and
+        # |Y_b| of the outer pairs have about 2 * 10^4 digits
+        limit = sys.get_int_max_str_digits()
+        big = "1" + "0" * 20000
+        code, out, err = run_cli("construct", "--set", f"0,1,{big}", "--param", "3,1")
+        assert sys.get_int_max_str_digits() == limit
+        assert (code, err) == (0, "")
+        w = construct_witness([0, 1, 10**20000], "quadric", parameter=(3, 1))
+        scale, ys = w.root_factors
+        with cli._int_str_limit_lifted():
+            assert min(len(str(scale * ys[1])), len(str(ys[2]))) > 19000
+            assert out == witness_line_by_ints(w) + "\n"
+
+    def test_exact_context_traps_rounding(self):
+        assert cli._EXACT.traps[Inexact] and cli._EXACT.traps[Rounded]
+        narrow = cli._EXACT.copy()
+        narrow.prec = 10
+        with pytest.raises((Inexact, Rounded)):
+            narrow.multiply(Decimal(10**6 + 1), Decimal(10**6 + 3))
 
 
 class TestSearchCommand:
