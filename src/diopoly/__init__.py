@@ -3,16 +3,16 @@ given finite set multiply pairwise to perfect squares.
 
 The package is layered bottom-up: exact integer arithmetic in closed
 forms (exactmath), integer node configurations and their determinantal
-quadrics (variety), birational
-maps between the two varieties and their parametrization (rationalmaps), the
-construction / verification / search pipeline (forge), rational points
-on the associated twisted curves (twist), and a JSON-emitting command
-line (cli).
+quadrics (variety), the reverse birational map and the closed-form
+power-span parametrization (rationalmaps), the construction /
+verification / search pipeline (forge), rational points on the
+associated twisted curves (twist), and a JSON-emitting command line
+(cli).
 """
 
 from .exactmath import integer_sqrt
 from .variety import PointConfig, ProjPoint
-from .rationalmaps import DegenerateParameterError, plane_system_matrix
+from .rationalmaps import DegenerateParameterError
 from .forge import (
     ConstructionError,
     Polynomial,
@@ -34,7 +34,6 @@ __all__ = [
     "ProjPoint",
     "PointConfig",
     "DegenerateParameterError",
-    "plane_system_matrix",
     "Polynomial",
     "Witness",
     "VerifyReport",

@@ -6,9 +6,8 @@ floating point enters any code path.  The construction works over
 integer nodes, where every determinant it needs has a closed form: an
 interpolant on the scale of the lcm of the Lagrange weights, read off the
 node polynomial and the power moments of the values with no basis
-polynomial, or the kernel of an r x (r+1) matrix by forward elimination
-and back substitution.  All functions are pure, which makes everything
-here safe to call from concurrent code.
+polynomial.  No matrix is ever eliminated.  All functions are pure,
+which makes everything here safe to call from concurrent code.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "lagrange_weights",
     "power_moments",
     "lagrange_numerator",
-    "integer_kernel",
     "eval_poly",
     "integer_sqrt",
 ]
@@ -71,55 +69,6 @@ def lagrange_numerator(xs: Sequence[int], a: Sequence[int]) -> list[int]:
         # times (1 - x * y), truncated: new[t] = old[t] - x * old[t-1]
         out[1:] = [c - x * p for c, p in zip(out[1:], out)]
     return out[::-1]
-
-
-def integer_kernel(rows: Sequence[Sequence[int]]) -> list[int] | None:
-    """Kernel of an r x (r+1) integer matrix A by fraction-free forward
-    elimination and exact back substitution.
-
-    Returns the alternating maximal minors (-1)^j * det(A without column j),
-    j = 0..r, which span the kernel when A has rank r, or None when the rank
-    is below r (then every maximal minor vanishes).  Each forward update
-    divides by the previous pivot, exactly (Bareiss 1968, Math. Comp. 22):
-    every intermediate entry is a minor of A.  The last pivot fixes the
-    free entry, and back substitution divides exactly, as the minors are
-    the only kernel vector with that entry.
-    """
-    r = len(rows)
-    if r == 0 or any(len(row) != r + 1 for row in rows):
-        raise ValueError("kernel needs an r x (r+1) matrix with r >= 1")
-    if any(not isinstance(x, int) or isinstance(x, bool) for row in rows for x in row):
-        raise TypeError("kernel matrix entries must be plain ints")
-    a = [list(row) for row in rows]
-    pivots: list[int] = []
-    sign, prev = 1, 1
-    for col in range(r + 1):
-        if len(pivots) == r:
-            break
-        top = len(pivots)
-        p = next((i for i in range(top, r) if a[i][col]), None)
-        if p is None:
-            continue
-        if p != top:
-            a[top], a[p] = a[p], a[top]
-            sign = -sign
-        lead, tail = a[top][col], a[top][col + 1 :]
-        # only the rows below change, and none is read left of col + 1 again
-        for row in a[top + 1 :]:
-            f = row[col]
-            row[col + 1 :] = [(lead * x - f * y) // prev for x, y in zip(row[col + 1 :], tail)]
-        prev = lead
-        pivots.append(col)
-    if len(pivots) < r:
-        return None
-    # prev is the determinant of the row-permuted pivot columns, so the
-    # alternating minor at the free column is +-prev
-    free = next(c for c in range(r + 1) if c not in pivots)
-    out = [0] * (r + 1)
-    out[free] = (sign if free % 2 == 0 else -sign) * prev
-    for i, c in reversed(list(enumerate(pivots))):
-        out[c] = -sum(x * y for x, y in zip(a[i][c + 1 :], out[c + 1 :])) // a[i][c]
-    return out
 
 
 def eval_poly(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:

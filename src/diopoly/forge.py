@@ -460,9 +460,12 @@ def construct_witness(
     (quadric) coordinates are uniform over [-DENSE_BOUND, DENSE_BOUND];
     at k >= 1 (plane) a direction is a sign vector with exactly k + 2
     nonzero coordinates, the fewest that can give a witness, and the
-    lowest in height.  Any other direction is reached through an explicit
-    parameter.  The returned witness's stats, like ConstructionError.stats,
-    count the attempts and the rejections by reason.
+    lowest in height.  An explicit parameter reaches any direction at
+    k = 0, and at k >= 1 one with k + 1 or k + 2 nonzero coordinates; a
+    plane parameter with more raises ValueError, as plane_image solves
+    no such direction.  The returned witness's stats, like
+    ConstructionError.stats, count the attempts and the rejections by
+    reason.
     """
     elems = _validate_elements(elements, minimum=3)
     config = _method_setup(elems, method)
@@ -490,11 +493,12 @@ def construct_witness(
     # At k >= 1 a direction is a sign vector, and its support J decides
     # the outcome: the reduced system of plane_image has |J| - k - 1 rows.
     # At most k nonzero coordinates give it a negative size, so the image
-    # is underdetermined and the system matrix drops rank; k + 1 give it
-    # size zero, so S = 0 and f is a constant times M^2, a trivial family;
-    # and every one beyond k + 2 adds height (about 15 digits each on
-    # 0..59).  So k >= 1 draws exactly k + 2 signs, whose single row has a
-    # closed form.
+    # is underdetermined and the system drops rank; k + 1 give it size
+    # zero, so S = 0 and f is a constant times M^2, a trivial family; and
+    # plane_image refuses more than k + 2, each of which would add height
+    # (about 15 digits each on 0..59).  So k >= 1 draws exactly k + 2
+    # signs, whose single row has a closed form.  At k = 0 every direction
+    # has a closed form of its own.
     # A draw whose direction was tried already is redrawn, not counted: a
     # plane set of 3-5 elements has only 4 sign directions, of which a few
     # give a witness, and repeats would exhaust max_attempts on such sets;

@@ -24,6 +24,12 @@ CertificateCoords; membership in the quadric variety is checked through
 diagonal_quadrics, in the certificate variety by
 on_certificate_variety.
 
+The general solve of the power-span parametrization lives here too:
+the (k+1) x (k+2) system matrix of bracket evaluations, its kernel by
+fraction-free (Bareiss) elimination, and the image read off that kernel
+for every direction, including those the program refuses.  The program
+solves each direction it accepts in closed form.
+
 The CLI prints pair roots and products as Decimal products of
 per-element factors; witness_line_by_ints and report_line_by_ints build
 the same lines from pair-by-pair integers printed by str(int).
@@ -36,10 +42,11 @@ import math
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from diopoly.exactmath import integer_kernel
-from diopoly.rationalmaps import plane_system_matrix
+from diopoly.exactmath import power_moments
+from diopoly import forge
+from diopoly.rationalmaps import DegenerateParameterError, _plane_k, plane_image
 from diopoly.twist import TwistCurve, TwistPointSet
 from diopoly.variety import PointConfig, ProjPoint
 
@@ -203,11 +210,95 @@ def is_perfect_square(n):
     return i * i == n
 
 
+def integer_kernel(rows: Sequence[Sequence[int]]) -> list[int] | None:
+    """Kernel of an r x (r+1) integer matrix A by fraction-free forward
+    elimination and exact back substitution.
+
+    Returns the alternating maximal minors (-1)^j * det(A without column j),
+    j = 0..r, which span the kernel when A has rank r, or None when the rank
+    is below r (then every maximal minor vanishes).  Each forward update
+    divides by the previous pivot, exactly (Bareiss 1968, Math. Comp. 22):
+    every intermediate entry is a minor of A.  The last pivot fixes the
+    free entry, and back substitution divides exactly, as the minors are
+    the only kernel vector with that entry.
+    """
+    r = len(rows)
+    if r == 0 or any(len(row) != r + 1 for row in rows):
+        raise ValueError("kernel needs an r x (r+1) matrix with r >= 1")
+    if any(not isinstance(x, int) or isinstance(x, bool) for row in rows for x in row):
+        raise TypeError("kernel matrix entries must be plain ints")
+    a = [list(row) for row in rows]
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for col in range(r + 1):
+        if len(pivots) == r:
+            break
+        top = len(pivots)
+        p = next((i for i in range(top, r) if a[i][col]), None)
+        if p is None:
+            continue
+        if p != top:
+            a[top], a[p] = a[p], a[top]
+            sign = -sign
+        lead, tail = a[top][col], a[top][col + 1 :]
+        # only the rows below change, and none is read left of col + 1 again
+        for row in a[top + 1 :]:
+            f = row[col]
+            row[col + 1 :] = [(lead * x - f * y) // prev for x, y in zip(row[col + 1 :], tail)]
+        prev = lead
+        pivots.append(col)
+    if len(pivots) < r:
+        return None
+    # prev is the determinant of the row-permuted pivot columns, so the
+    # alternating minor at the free column is +-prev
+    free = next(c for c in range(r + 1) if c not in pivots)
+    out = [0] * (r + 1)
+    out[free] = (sign if free % 2 == 0 else -sign) * prev
+    for i, c in reversed(list(enumerate(pivots))):
+        out[c] = -sum(x * y for x, y in zip(a[i][c + 1 :], out[c + 1 :])) // a[i][c]
+    return out
+
+
+def plane_system_matrix(config: PointConfig, direction: ProjPoint) -> list[list[int]]:
+    """The (k+1) x (k+2) integer system whose kernel gives the plane
+    coefficients mu_0..mu_{k+1} (its alternating maximal minors).
+
+    Row m - (d+1) covers extra index m.  With P_m = prod_{i<=d} (x_m - x_i),
+    the bracket's cofactor j <= d over (x_0..x_d, x_m), times L / D (D the
+    Vandermonde product of the base nodes), is the exact quotient
+    c_j = -(L / w_j) * P_m / (x_m - x_j).  With a_j = c_j * q_j, entry
+    t = 0..k is 2 * sum_j a_j * x_j^t, twice the bracket of q_i * x_i^t
+    padded with zero at m, and the last is sum_j a_j * q_j, the bracket of
+    the squared direction.  As a_j * (x_m - x_j) = -(L / w_j) * q_j * P_m,
+    entry t+1 = x_m * entry_t + 2 * P_m * s_t, where the moments
+    s_t = sum_j (L / w_j) * q_j * x_j^t are shared by all rows.
+    """
+    k = _plane_k(config)
+    d = config.degree
+    if len(direction) != d + 1:
+        raise ValueError(f"direction needs {d + 1} coordinates, got {len(direction)}")
+    q = direction.coords
+    xs = config.nodes[: d + 1]
+    lq = [s * qi for s, qi in zip(config.base_lagrange[1], q)]
+    moments = power_moments(xs, lq, k)
+    rows = []
+    for xm in config.nodes[d + 1 :]:
+        pm = math.prod(xm - x for x in xs)
+        a = [-v * (pm // (xm - xj)) for v, xj in zip(lq, xs)]
+        twice_pm = 2 * pm
+        row = [2 * sum(a)]
+        for s in moments:
+            row.append(xm * row[-1] + twice_pm * s)
+        row.append(sum(ai * qi for ai, qi in zip(a, q)))
+        rows.append(row)
+    return rows
+
+
 def plane_image_by_kernel(config, direction):
-    """rationalmaps.plane_image by its general path for every
-    direction: the system rows divided by their gcds, a kernel vector mu by
-    exactmath.integer_kernel, and the image sum(mu_t * T_t) + mu_{k+1} *
-    q_hat.  Returns (point, in_plane), in_plane read as mu_{k+1} = 0, or
+    """rationalmaps.plane_image by the general path for every
+    direction: the rows of plane_system_matrix divided by their gcds, a
+    kernel vector mu by integer_kernel, and the image sum(mu_t * T_t) +
+    mu_{k+1} * q_hat.  It takes the directions the program refuses too.  Returns (point, in_plane), in_plane read as mu_{k+1} = 0, or
     None where the system drops rank."""
     d = config.degree
     k = config.n - d - 1
@@ -224,6 +315,37 @@ def plane_image_by_kernel(config, direction):
         for i, x in enumerate(config.nodes)
     ]
     return ProjPoint(tuple(image)), mus[k + 1] == 0
+
+
+def any_plane_image(config, direction):
+    """(point, in_plane) for every direction, or None where the system
+    drops rank: rationalmaps.plane_image where it takes the direction, and
+    plane_image_by_kernel on the plane directions with more than k + 2
+    nonzero coordinates, which it refuses.  The geometry of the
+    parametrization holds for all of them."""
+    k = config.n - config.degree - 1
+    if k and sum(1 for c in direction.coords if c) > k + 2:
+        return plane_image_by_kernel(config, direction)
+    try:
+        return plane_image(config, direction)
+    except DegenerateParameterError:
+        return None
+
+
+def witness_by_kernel(elements, method, coords):
+    """The witness construct_witness builds for the explicit parameter
+    coords, from plane_image_by_kernel's image instead: forge's config of
+    the method and its reverse map, checked at every node.  It takes the
+    directions construct_witness refuses; None where the system drops
+    rank."""
+    elems = tuple(sorted(elements))
+    config = forge._method_setup(elems, method)
+    q = ProjPoint(tuple(coords))
+    image = plane_image_by_kernel(config, q)
+    if image is None:
+        return None
+    stats = dict.fromkeys(forge.STATS_KEYS, 0) | {"attempts": 1}
+    return forge._build_witness(config, method, q, image[0], elems, stats)
 
 
 def power_rows(xs, count):
@@ -266,7 +388,7 @@ def scaled_cofactors(config, m):
 
 
 def plane_system_by_powers(config, direction, cofactors=scaled_cofactors):
-    """rationalmaps.plane_system_matrix the direct way, without its moment
+    """plane_system_matrix the direct way, without its moment
     recurrence or its closed-form cofactors: over the Laplace cofactors c of
     each extra index, on the program's scale L by default, a_j = c_j * q_j is
     rescaled by x_j once per power t = 1..k, and every entry is a fresh sum
@@ -290,7 +412,7 @@ def plane_system_by_powers(config, direction, cofactors=scaled_cofactors):
 
 
 def system_cofactors(config):
-    """The cofactors j <= d, on the scale L, that rationalmaps.plane_system_matrix
+    """The cofactors j <= d, on the scale L, that plane_system_matrix
     reads, one tuple per extra index: the last entry of its row at the unit
     direction e_j is the bracket of e_j^2, cofactor j.  Needs 2k <= d."""
     d = config.degree

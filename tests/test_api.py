@@ -91,11 +91,10 @@ def test_readme_quick_start_runs():
 def test_every_export_runs():
     """Every function in diopoly.__all__ runs, with sys.setprofile recording
     per call the code of the package it ran, under the calls the package
-    serves: construct with both methods, --emit-twist and a dense plane
-    --param, verify on a passing and a failing document, search, and the
-    README quick start.  The dense --param (every coordinate nonzero) must
-    itself run plane_system_matrix, the kernel path that closed-form
-    directions skip.  Only the package-level __all__ is covered: the
+    serves: construct with both methods, --emit-twist and a plane --param
+    with k + 2 nonzero coordinates, verify on a passing and a failing
+    document, search, and the README quick start.  Only the package-level
+    __all__ is covered: the
     module lists also hold names such as cli.witness_document, which
     serves the benchmark's setup rather than a command."""
     package = str(Path(diopoly.__file__).resolve().parent)
@@ -122,7 +121,7 @@ def test_every_export_runs():
         construct = ("construct", "--set", "0,1,2,3,4,5,6,7", "--seed", "1", "--emit-twist")
         code, quadric = run("quadric", *construct, "--method", "quadric")
         assert code == 0
-        code, plane = run("plane --param", *construct, "--method", "plane", "--param=1,-2,2,1,2")
+        code, plane = run("plane --param", *construct, "--method", "plane", "--param=1,-2,0,1,2")
         assert code == 0
         assert run("verify", "verify", "--from-json", "-", stdin=quadric + plane)[0] == 0
         doc = json.loads(plane)
@@ -140,10 +139,8 @@ def test_every_export_runs():
         "classify_trivial",
         "construct_witness",
         "integer_sqrt",
-        "plane_system_matrix",
         "twist_points",
         "verify_witness",
     ]
     ran_by = {name: {label for label, codes in ran.items() if f.__code__ in codes} for name, f in functions.items()}
     assert sorted(name for name, labels in ran_by.items() if not labels) == []
-    assert "plane --param" in ran_by["plane_system_matrix"]

@@ -32,15 +32,37 @@ from diopoly.cli import (
     witness_document,
 )
 from diopoly.forge import ConstructionError, construct_witness, verify_witness
-from oracles import report_line_by_ints, witness_line_by_ints
+from oracles import report_line_by_ints, witness_by_kernel, witness_line_by_ints
 
-# a dense plane direction on 0..29: all 21 coordinates are nonzero, so
-# its image takes the kernel path
+# a dense plane direction on 0..29: all 21 coordinates are nonzero, past
+# the k + 2 = 12 that construct takes, so it exits 1; its pinned document
+# is built from the kernel oracle's image
 DENSE_0_TO_29 = "--param=33,-22,-47,42,18,35,-13,-47,-7,-10,-33,2,-50,24,38,-12,47,1,-5,-27,-47"
 # 30 elements of [-10^6, 10^6), the set of the CI wide-set step: the
 # quadric roots have about 3 k digits and its products about 6 k, past
 # CPython's 4300-digit int<->str limit
 WIDE_SET = "--set=" + ",".join(map(str, random.Random(3).sample(range(-(10**6), 10**6), 30)))
+
+
+def construct_0_to_29(method, pinned, *flags):
+    """construct's stdout on 0..29 with --seed 1.  For DENSE_0_TO_29, which
+    construct refuses, the same line is rendered by the CLI's own renderer
+    from the witness of oracles.witness_by_kernel."""
+    if pinned != (DENSE_0_TO_29,):
+        elements = ",".join(str(x) for x in range(30))
+        argv = ("construct", "--set", elements, "--method", method, "--seed", "1", *flags)
+        code, out, _ = run_cli(*argv, *pinned)
+        assert code == 0
+        return out
+    coords = [int(c) for c in DENSE_0_TO_29.split("=")[1].split(",")]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit(
+            cli._witness_line,
+            witness_by_kernel(range(30), method, coords),
+            include_twist="--emit-twist" in flags,
+        )
+    return out.getvalue()
 
 
 def read_document(text):
@@ -245,12 +267,17 @@ class TestConstructCommand:
         ids=[m + ("-dense" if pinned else "") for m, pinned, _ in SEEDED_BYTES],
     )
     def test_seeded_bytes_on_0_to_29(self, method, pinned, digest):
-        # plane on 0..29 solves an 11 x 12 kernel system
-        elements = ",".join(str(x) for x in range(30))
-        argv = ("construct", "--set", elements, "--method", method, "--seed", "1", "--emit-twist")
-        code, out, _ = run_cli(*argv, *pinned)
-        assert code == 0
+        out = construct_0_to_29(method, pinned, "--emit-twist")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_dense_plane_parameter_refused(self):
+        elements = ",".join(str(x) for x in range(30))
+        code, out, err = run_cli("construct", "--set", elements, "--method", "plane", DENSE_0_TO_29)
+        assert (code, out) == (1, "")
+        assert err == (
+            "diopoly: error: a plane parameter needs k + 1 = 11 or k + 2 = 12 "
+            "nonzero coordinates, got 21\n"
+        )
 
     # construct --emit-twist digests, then the digests of verify's reports
     # on the document as printed and with f_1 moved by 1
@@ -550,10 +577,7 @@ class TestVerifyCommand:
     def test_report_bytes_on_0_to_29(self, method, pinned, moved, code, digest):
         # digests of the pairwise verifier's reports (one isqrt per pair);
         # moving f_1 by 1 puts every value in a square class of its own
-        elements = ",".join(str(x) for x in range(30))
-        argv = ("construct", "--set", elements, "--method", method, "--seed", "1")
-        _, doc, _ = run_cli(*argv, *pinned)
-        fields = json.loads(doc)
+        fields = json.loads(construct_0_to_29(method, pinned))
         fields["poly"][1] = str(int(fields["poly"][1]) + moved)
         got = run_cli("verify", "--from-json", "-", stdin=json.dumps(fields))
         assert got[0] == code and got[2] == ""

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from diopoly.exactmath import (
     eval_poly,
-    integer_kernel,
     integer_sqrt,
     lagrange_numerator,
     lagrange_weights,
@@ -16,6 +15,7 @@ from oracles import (
     alternating_minors,
     basis_sum,
     eval_ascending,
+    integer_kernel,
     lagrange_basis,
     laplace_det,
     solve_interpolation,

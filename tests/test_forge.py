@@ -44,6 +44,7 @@ from oracles import (
     search_by_enumeration,
     solve_interpolation,
     verify_pairwise,
+    witness_by_kernel,
 )
 
 
@@ -212,6 +213,18 @@ class TestConstructPlane:
     def test_degenerate_parameter_raises(self):
         with pytest.raises(ConstructionError):
             construct_witness([0, 1, 2, 3, 4], "plane", parameter=(1, 0, 0))
+
+    def test_distinct_support_parameters_give_distinct_witnesses(self):
+        # every finite set has infinitely many witnesses: on 0..7 the k + 2
+        # supports (1, t, -1, 2, 0) alone give a new verified, unflagged
+        # witness for every t
+        polys = set()
+        for t in range(1, 41):
+            w = construct_witness(range(8), "plane", parameter=(1, t, -1, 2, 0))
+            assert w.flags == frozenset()
+            assert verify_witness(range(8), w.poly).ok
+            polys.add(w.poly)
+        assert len(polys) == 40
 
     def test_construction_on_0_to_199_under_time_budget(self):
         # sampled directions have k + 2 nonzero coordinates, whose image
@@ -513,16 +526,25 @@ class TestCertificateRoots:
         st.data(),
     )
     def test_roots_equal_verify_roots(self, elems, method, data):
+        # construct_witness refuses a plane parameter with more than k + 2
+        # nonzero coordinates; its witness is built from the kernel's image
+        w = None
         if data.draw(st.booleans(), label="explicit parameter"):
             plen = parameter_length(len(elems), method)
             coords = data.draw(st.lists(st.integers(-3, 3), min_size=plen, max_size=plen).filter(any))
             kwargs = {"parameter": coords}
+            if method == "plane" and sum(1 for c in coords if c) > (plen - 1) // 2 + 2:
+                with pytest.raises(ValueError, match="nonzero coordinates"):
+                    construct_witness(elems, method, **kwargs)
+                w = witness_by_kernel(elems, method, coords)
+                assume(w is not None)
         else:
             kwargs = {"seed": data.draw(st.integers(0, 2**32))}
-        try:
-            w = construct_witness(elems, method, **kwargs)
-        except ConstructionError:
-            assume(False)  # degenerate parameter, or sampling exhausted
+        if w is None:
+            try:
+                w = construct_witness(elems, method, **kwargs)
+            except ConstructionError:
+                assume(False)  # degenerate parameter, or sampling exhausted
         report = verify_witness(elems, w.poly)
         assert report.ok
         assert w.pair_roots == tuple((i, j, r) for i, j, _, r in report.pairs())

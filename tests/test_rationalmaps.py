@@ -10,11 +10,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diopoly import forge
-from diopoly.exactmath import eval_poly, integer_kernel
+from diopoly.exactmath import eval_poly
 from diopoly.rationalmaps import (
     DegenerateParameterError,
     plane_image,
-    plane_system_matrix,
     quadric_to_certificate_lcm,
 )
 from diopoly.variety import PointConfig, ProjPoint
@@ -24,9 +23,11 @@ from oracles import (
     IndeterminatePointError,
     QuadricCoords,
     alternating_minors,
+    any_plane_image,
     bracket_cofactors,
     certificate_to_quadric,
     diagonal_quadrics,
+    integer_kernel,
     lies_in_plane,
     node_vandermonde,
     on_certificate_variety,
@@ -35,6 +36,7 @@ from oracles import (
     plane_image_by_kernel,
     plane_residuals,
     plane_system_by_powers,
+    plane_system_matrix,
     power_point,
     reverse_map_by_minors,
     reverse_map_point,
@@ -84,13 +86,13 @@ def literal_reverse_map(w):
 
 
 def plane_point(config, direction):
-    """The image of a direction, or None on the degenerate locus or in the
-    plane (for a line config: the base point)."""
-    try:
-        point, in_plane = plane_image(config, direction)
-    except DegenerateParameterError:
+    """The image of any direction, or None on the degenerate locus or in
+    the plane (for a line config: the base point); plane_image_by_kernel
+    supplies the images of the directions plane_image refuses."""
+    image = any_plane_image(config, direction)
+    if image is None or image[1]:
         return None
-    return None if in_plane else QuadricCoords(config, point)
+    return QuadricCoords(config, image[0])
 
 
 class TestWrappers:
@@ -253,6 +255,21 @@ class TestLineParametrization:
         assert point == power_point(LINE_CFG, 0)
         assert in_plane
 
+    # on 0..3, c_j = (L / w_j) * P_m / (x_m - x_j) = (2, -6, 6).  Over
+    # [-4, 4]^3, up to sign, B = sum c_j * q_j vanishes at 9 directions and
+    # A = sum c_j * q_j^2 with it at 2, (0, 1, 1) and (3, 2, 1).  Both cases
+    # below have every coordinate nonzero: (3, -1, -2) has A = 36
+    def test_worked_in_plane_direction(self):
+        cfg, q = PointConfig((0, 1, 2, 3), 2), ProjPoint((3, -1, -2))
+        assert plane_image(cfg, q) == (power_point(cfg, 0), True)
+        assert plane_image_by_kernel(cfg, q) == (power_point(cfg, 0), True)
+
+    def test_worked_degenerate_direction(self):
+        cfg, q = PointConfig((0, 1, 2, 3), 2), ProjPoint((3, 2, 1))
+        with pytest.raises(DegenerateParameterError):
+            plane_image(cfg, q)
+        assert plane_image_by_kernel(cfg, q) is None
+
     def test_worked_inverse(self):
         w = QuadricCoords(LINE_CFG, ProjPoint((1, 5, 7)))
         assert parametrize_plane_inverse(w).coords == (3, 1)
@@ -410,11 +427,11 @@ def test_closed_forms_match_laplace_minors(case):
     a = plane_system_matrix(cfg, q)
     mus = alternating_minors(a)
     kernel = integer_kernel(a)
-    try:
-        point, _ = plane_image(cfg, q)
-    except DegenerateParameterError:
+    image = any_plane_image(cfg, q)
+    if image is None:
         assert all(m == 0 for m in mus) and kernel is None
         return
+    point = image[0]
     assert kernel is not None
     assert all(kernel[i] * mus[j] == kernel[j] * mus[i] for i in range(len(mus)) for j in range(i))
     assert on_quadrics(diagonal_quadrics(cfg), point)
@@ -452,10 +469,10 @@ def test_literal_forms_are_d_over_l_times_the_pipeline(case):
     ratio = int(ratio)
     literal = plane_system_by_powers(cfg, q, bracket_cofactors)
     assert literal == [[ratio * c for c in row] for row in plane_system_matrix(cfg, q)]
-    try:
-        point, _ = plane_image(cfg, q)
-    except DegenerateParameterError:
+    image = any_plane_image(cfg, q)
+    if image is None:
         return
+    point = image[0]
     y = point.coords
     coeffs = quadric_to_certificate_lcm(cfg, y)
     sign = (-1) ** d
@@ -471,13 +488,14 @@ def test_literal_forms_are_d_over_l_times_the_pipeline(case):
 @example((PLANE_CFG, ProjPoint((2, 3, -1))))
 @example((PointConfig((3, -7, 0, 11, -2, 5, -9), 4), ProjPoint((-1, -3, -3, -3, -3))))
 def test_kernel_in_plane_test_agrees_with_residuals(case):
-    """plane_image reads in_plane off lambda = mu_{k+1} (lambda = 0); the
-    same point rebuilt from its coordinates tests the tail residuals."""
+    """plane_image reads in_plane off lambda = mu_{k+1} (lambda = 0), and
+    so does plane_image_by_kernel on the directions plane_image refuses;
+    the same point rebuilt from its coordinates tests the tail residuals."""
     cfg, q = case
-    try:
-        point, in_plane = plane_image(cfg, q)
-    except DegenerateParameterError:
+    image = any_plane_image(cfg, q)
+    if image is None:
         return
+    point, in_plane = image
     assert in_plane == lies_in_plane(QuadricCoords(cfg, point))
 
 
@@ -495,10 +513,9 @@ def test_in_plane_and_inverse_match_d_scale_residuals(case, g):
     k = cfg.n - cfg.degree - 1
     values = tuple(eval_poly(g[: k + 1], x) for x in cfg.nodes)
     points = [ProjPoint(values)] if any(values) else []
-    try:
-        points.append(plane_image(cfg, q)[0])
-    except DegenerateParameterError:
-        pass
+    image = any_plane_image(cfg, q)
+    if image is not None:
+        points.append(image[0])
     for point in points:
         w = QuadricCoords(cfg, point)
         residuals = plane_residuals(w)
@@ -516,10 +533,10 @@ def test_power_span_image_and_inverse(case):
     """The image lies on the variety and, off the plane, the inverse returns
     the direction; images in the plane leave the inverse undefined."""
     cfg, q = case
-    try:
-        point, in_plane = plane_image(cfg, q)
-    except DegenerateParameterError:
+    image = any_plane_image(cfg, q)
+    if image is None:
         return
+    point, in_plane = image
     assert on_quadrics(diagonal_quadrics(cfg), point)
     w = QuadricCoords(cfg, point)
     if in_plane:
@@ -536,6 +553,57 @@ def image_or_none(config, direction):
         return plane_image(config, direction)
     except DegenerateParameterError:
         return None
+
+
+@st.composite
+def support_size_cases(draw, line):
+    """A config with k = 0 (line) or k >= 1 (2k <= d), over unsorted nodes
+    that may be negative, and a direction with a drawn number of nonzero
+    coordinates, every size 1..d+1 (size 0 is no projective point)."""
+    d = draw(st.integers(1, 7) if line else st.integers(2, 8))
+    k = 0 if line else draw(st.integers(1, d // 2))
+    size = d + k + 2
+    nodes = draw(st.lists(st.integers(-12, 12), min_size=size, max_size=size, unique=True))
+    count = draw(st.integers(1, d + 1))
+    coords = [0] * (d + 1)
+    for i in draw(st.permutations(range(d + 1)))[:count]:
+        coords[i] = draw(st.integers(-5, 5).filter(bool))
+    return PointConfig(tuple(nodes), d), ProjPoint(tuple(coords))
+
+
+def assert_image_matches_kernel(cfg, q):
+    """plane_image gives the kernel path's point and flag, or is degenerate
+    where it is; at k >= 1 a direction with more than k + 2 nonzero
+    coordinates is refused by a plain ValueError naming the sizes."""
+    k = cfg.n - cfg.degree - 1
+    count = sum(1 for c in q.coords if c)
+    if k and count > k + 2:
+        with pytest.raises(ValueError) as info:
+            plane_image(cfg, q)
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            f"a plane parameter needs k + 1 = {k + 1} or k + 2 = {k + 2} "
+            f"nonzero coordinates, got {count}"
+        )
+    else:
+        assert image_or_none(cfg, q) == plane_image_by_kernel(cfg, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(support_size_cases(line=True))
+@example((LINE_CFG, ProjPoint((2, 1))))  # in the plane: the base point
+@example((PointConfig((0, 1, 2, 3), 2), ProjPoint((3, 2, 1))))  # A = B = 0
+def test_line_images_match_kernel_at_every_support_size(case):
+    assert_image_matches_kernel(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(support_size_cases(line=False))
+@example((PLANE_CFG, ProjPoint((1, 2, 0))))  # k + 1: criterion 02's image
+@example((PLANE_CFG, ProjPoint((1, 0, 0))))  # k: degenerate
+@example((PointConfig((3, -7, 0, 11, -2, 5, -9), 4), ProjPoint((2, -1, 0, 3, 1))))  # k + 3
+def test_plane_images_match_kernel_at_every_support_size(case):
+    assert_image_matches_kernel(*case)
 
 
 @pytest.mark.parametrize(
