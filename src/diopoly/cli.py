@@ -37,6 +37,7 @@ from typing import Sequence
 from .forge import (
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_SEARCH_CEILING,
+    METHODS,
     ConstructionError,
     SearchSpaceError,
     Witness,
@@ -87,7 +88,7 @@ WITNESS_DOCUMENT_SCHEMA = {
         "schema_version": {"const": SCHEMA_VERSION},
         "set": {"type": "array", "items": _DECIMAL, "minItems": 3},
         "poly": {"type": "array", "items": _DECIMAL, "minItems": 1},
-        "method": {"enum": ["quadric", "plane"]},
+        "method": {"enum": list(METHODS)},
         "parameter": {"type": "array", "items": _DECIMAL, "minItems": 2},
         "padding": {"type": "array", "items": _DECIMAL},
         "pair_roots": {
@@ -275,12 +276,12 @@ def document_to_inputs(doc: dict) -> tuple[list[int], list[int]]:
 
 
 def _verify_report_line(report) -> str:
-    """The verify report as one JSON line, its pairs in the order of
-    report.pairs().  The product of the pair i < j is printed as the
-    Decimal product of the two values, and its root as the Decimal product
-    of the row and column factors of report.root_factors, or null across
-    two square classes, one formatted string per pair.  A zero times a
-    negative value is the Decimal -0, printed as 0."""
+    """The verify report as one JSON line, its pairs i < j in the order of
+    itertools.combinations.  A pair's product is printed as the Decimal
+    product of the two values; it has a root exactly when both values share
+    a square class or one vanishes, printed as the Decimal product of the
+    row and column factors of report.root_factors, and null otherwise.  A
+    zero times a negative value is the Decimal -0, printed as 0."""
     elements = [str(x) for x in report.elements]
     values = [Decimal(v) for v in report.values]
     row_factors, cols = report.root_factors
@@ -397,7 +398,7 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("construct", help="construct a certified witness polynomial")
     c.add_argument("--set", required=True, help="comma-separated distinct integers")
-    c.add_argument("--method", choices=["quadric", "plane"], default="quadric")
+    c.add_argument("--method", choices=METHODS, default="quadric")
     c.add_argument("--param", help="explicit projective parameter, comma-separated")
     c.add_argument("--seed", type=_int_option, default=None)
     c.add_argument("--count", type=_int_option, default=1)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, count, islice, product
 from typing import Iterable, Iterator, Sequence
 
@@ -219,10 +219,11 @@ class Witness:
     divide g more often than L.  So L / g = |f(x)| / Y_x^2 at any node
     with Y_x != 0, and the witness needs no field for it:
 
-    * root_factors, L / g and |Y_a| for each sorted element a;
-    * pair_roots, (i, j, root) triples with i < j indexing the sorted
-      elements, in the order of itertools.combinations, where
-      root = (L / g) * |Y_a * Y_b|, so root^2 = f(elements[i]) * f(elements[j]);
+    * root_factors, L / g and |Y_a| for each sorted element a, so the
+      pair i < j of the sorted elements has the root
+      (L / g) * |Y_a * Y_b|, whose square is f(elements[i]) * f(elements[j]);
+    * roots_map(), that root keyed by (i, j), in the order of
+      itertools.combinations;
     * padding, the nodes of the config that are not elements.
 
     A pair root is a product of two per-element factors, so the CLI prints
@@ -258,18 +259,13 @@ class Witness:
         return abs(self.poly(node)) // (yx * yx), tuple(abs(y[x]) for x in self.elements)
 
     @property
-    def pair_roots(self) -> tuple[tuple[int, int, int], ...]:
-        scale, ys = self.root_factors
-        lys = [scale * v for v in ys]
-        return tuple((i, j, lys[i] * ys[j]) for i, j in combinations(range(len(ys)), 2))
-
-    @property
     def padding(self) -> tuple[int, ...]:
         elems = set(self.elements)
         return tuple(x for x in self.config.nodes if x not in elems)
 
     def roots_map(self) -> dict[tuple[int, int], int]:
-        return {(i, j): r for i, j, r in self.pair_roots}
+        scale, ys = self.root_factors
+        return {(i, j): scale * ys[i] * ys[j] for i, j in combinations(range(len(ys)), 2)}
 
 
 @dataclass(frozen=True)
@@ -280,8 +276,9 @@ class VerifyReport:
     classes[i] indexes bases, the first value of element i's class, and
     is -1 where f vanishes; roots[i]^2 = bases[classes[i]] * values[i],
     and roots[i] = 0 where f vanishes.  root_factors turns these into two
-    factors per element, computed once; pairs() derives every pair from
-    them, and failures and roots_map read it.
+    factors per element.  The report keeps no pair: the pair i < j has the
+    product values[i] * values[j], and a root exactly when both values
+    share a class or one of them vanishes.
 
     Every product and root of a pair is a product of two per-element
     factors, so the CLI prints them as Decimal products of values and of
@@ -306,7 +303,7 @@ class VerifyReport:
         nonzero = n - self.classes.count(-1)
         return (n * (n - 1) - nonzero * (nonzero - 1)) // 2
 
-    @cached_property
+    @property
     def root_factors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(rows, cols): a pair i < j in the class of c has the root
         rows[i] * cols[j], roots[i] * roots[j] / |c| taken with no division
@@ -323,26 +320,6 @@ class VerifyReport:
         weights = [g * g // abs(c) for g, c in zip(gcds, self.bases)]
         rows = tuple(weights[k] * col if k >= 0 else 0 for k, col in zip(self.classes, cols))
         return rows, cols
-
-    def pairs(self) -> Iterator[tuple[int, int, int, int | None]]:
-        """(i, j, f(a) * f(b), root) for every pair i < j, in the order of
-        itertools.combinations.  A zero product has root 0, and a pair
-        across two classes has None."""
-        rows, cols = self.root_factors
-        values, classes = self.values, self.classes
-        for i in range(len(values)):
-            vi, ki, row = values[i], classes[i], rows[i]
-            for j in range(i + 1, len(values)):
-                kj = classes[j]
-                root = row * cols[j] if kj == ki or ki < 0 or kj < 0 else None
-                yield i, j, vi * values[j], root
-
-    @property
-    def failures(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, j) for i, j, _, r in self.pairs() if r is None)
-
-    def roots_map(self) -> dict[tuple[int, int], int]:
-        return {(i, j): r for i, j, _, r in self.pairs() if r is not None}
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,10 @@ def plane_image(config: PointConfig, direction: ProjPoint) -> tuple[ProjPoint, b
     else:
         size = sum(1 for c in q if c)
         if size <= k:
-            raise DegenerateParameterError("system matrix has deficient rank for this direction")
+            raise DegenerateParameterError(
+                f"a plane parameter with at most k = {k} nonzero coordinates "
+                f"is degenerate, got {size}"
+            )
         if size > k + 2:
             raise ValueError(
                 f"a plane parameter needs k + 1 = {k + 1} or k + 2 = {k + 2} "
@@ -167,7 +170,9 @@ def _plane_image_on_line(config: PointConfig, q: Sequence[int]) -> tuple[list[in
     big_b = sum(a)
     g = math.gcd(big_a, big_b)
     if not g:
-        raise DegenerateParameterError("system matrix has deficient rank for this direction")
+        raise DegenerateParameterError(
+            "the line through the base point in this direction lies on the quadric"
+        )
     if g > 1:
         big_a, big_b = big_a // g, big_b // g
     twice_b = 2 * big_b
@@ -215,7 +220,7 @@ def _plane_image_on_support(config: PointConfig, q: Sequence[int]) -> tuple[list
         c = sum(qj * qj * t for qj, t in zip(qs, ts))
         lam = sum(v * t for v, t in zip(nps, ts))
         if c == 0 and lam == 0:
-            raise DegenerateParameterError("system matrix has deficient rank for this direction")
+            raise DegenerateParameterError("the direction's row vanishes, so its image is not unique")
     # 2 * E * v_j / W_j, and 2 * E * Y_j on J
     terms = [(c * v - lam * qj * qj) * t for v, qj, t in zip(nps, qs, ts)]
     on_support = {

@@ -72,9 +72,6 @@ class ProjPoint:
     def __getitem__(self, i: int) -> int:
         return self.coords[i]
 
-    def __iter__(self):
-        return iter(self.coords)
-
 
 @dataclass(frozen=True)
 class PointConfig:

@@ -88,25 +88,40 @@ def test_readme_quick_start_runs():
     assert namespace["report"].ok is True
 
 
-def test_every_export_runs():
-    """Every function in diopoly.__all__ runs, with sys.setprofile recording
-    per call the code of the package it ran, under the calls the package
-    serves: construct with both methods, --emit-twist and a plane --param
-    with k + 2 nonzero coordinates, verify on a passing and a failing
-    document, search, and the README quick start.  Only the package-level
-    __all__ is covered: the
-    module lists also hold names such as cli.witness_document, which
-    serves the benchmark's setup rather than a command."""
+class Profiled:
+    """Runs calls under sys.setprofile and records, per label, the code
+    objects of the package that each call ran.  Entering clears the
+    package's caches, so a parser, a config or a residue table that an
+    earlier test built is built again under the profile."""
+
     package = str(Path(diopoly.__file__).resolve().parent)
-    ran = {}  # label of a call -> the code objects of the package it ran
-    current = [set()]
 
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename.startswith(package):
-            current[0].add(frame.f_code)
+    def __init__(self):
+        self.ran = {}  # label of a call -> the code objects of the package it ran
+        self.current = set()
 
-    def run(label, *argv, stdin=""):
-        current[0] = ran[label] = set()
+    def profile(self, frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(self.package):
+            self.current.add(frame.f_code)
+
+    def __enter__(self):
+        for name in MODULES:
+            for value in vars(importlib.import_module(name)).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+        self.old = sys.getprofile()
+        sys.setprofile(self.profile)
+        return self
+
+    def __exit__(self, *exc):
+        sys.setprofile(self.old)
+
+    def label(self, label):
+        self.current = self.ran[label] = set()
+
+    def main(self, label, *argv, stdin=""):
+        """cli.main on argv with stdin; returns (exit code, stdout)."""
+        self.label(label)
         out, old_stdin = io.StringIO(), sys.stdin
         sys.stdin = io.StringIO(stdin)
         try:
@@ -115,23 +130,33 @@ def test_every_export_runs():
         finally:
             sys.stdin = old_stdin
 
-    old = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        construct = ("construct", "--set", "0,1,2,3,4,5,6,7", "--seed", "1", "--emit-twist")
-        code, quadric = run("quadric", *construct, "--method", "quadric")
-        assert code == 0
-        code, plane = run("plane --param", *construct, "--method", "plane", "--param=1,-2,0,1,2")
-        assert code == 0
-        assert run("verify", "verify", "--from-json", "-", stdin=quadric + plane)[0] == 0
-        doc = json.loads(plane)
-        doc["poly"][0] = str(int(doc["poly"][0]) + 1)
-        assert run("verify failing", "verify", "--from-json", "-", stdin=json.dumps(doc))[0] == 3
-        assert run("search", "search", "--set", "0,1,2", "--max-degree", "1", "--max-height", "5")[0] == 0
-        current[0] = ran["quick start"] = set()
-        exec(readme_quick_start(), {})
-    finally:
-        sys.setprofile(old)
+
+def run_commands(p):
+    """The calls the package serves: construct with both methods,
+    --emit-twist and a plane --param with k + 2 nonzero coordinates, verify
+    on a passing and a failing document, search, and the README quick
+    start."""
+    construct = ("construct", "--set", "0,1,2,3,4,5,6,7", "--seed", "1", "--emit-twist")
+    code, quadric = p.main("quadric", *construct, "--method", "quadric")
+    assert code == 0
+    code, plane = p.main("plane --param", *construct, "--method", "plane", "--param=1,-2,0,1,2")
+    assert code == 0
+    assert p.main("verify", "verify", "--from-json", "-", stdin=quadric + plane)[0] == 0
+    doc = json.loads(plane)
+    doc["poly"][0] = str(int(doc["poly"][0]) + 1)
+    assert p.main("verify failing", "verify", "--from-json", "-", stdin=json.dumps(doc))[0] == 3
+    assert p.main("search", "search", "--set", "0,1,2", "--max-degree", "1", "--max-height", "5")[0] == 0
+    p.label("quick start")
+    exec(readme_quick_start(), {})
+
+
+def test_every_export_runs():
+    """Every function in diopoly.__all__ runs, with sys.setprofile recording
+    per call the code of the package it ran, under the calls the package
+    serves (run_commands).  Only the package-level __all__ is covered here;
+    test_every_function_runs covers every function of the package."""
+    with Profiled() as p:
+        run_commands(p)
     functions = {name: getattr(diopoly, name) for name in diopoly.__all__}
     functions = {name: f for name, f in functions.items() if inspect.isfunction(f)}
     assert sorted(functions) == [
@@ -142,5 +167,55 @@ def test_every_export_runs():
         "twist_points",
         "verify_witness",
     ]
-    ran_by = {name: {label for label, codes in ran.items() if f.__code__ in codes} for name, f in functions.items()}
+    ran_by = {name: {label for label, codes in p.ran.items() if f.__code__ in codes} for name, f in functions.items()}
     assert sorted(name for name, labels in ran_by.items() if not labels) == []
+
+
+def defined_functions():
+    """(file name, name, first line) of every function, method and property
+    defined in the package's source files, read off their compiled code;
+    class bodies, comprehensions and generator expressions are not counted.
+    The name is co_name: co_qualname is new in Python 3.11."""
+    found = set()
+    for path in Path(Profiled.package).glob("*.py"):
+        stack = [compile(path.read_text(encoding="utf-8"), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            stack += [c for c in code.co_consts if inspect.iscode(c)]
+            if code.co_flags & inspect.CO_NEWLOCALS and not code.co_name.startswith("<"):
+                found.add((path.name, code.co_name, code.co_firstlineno))
+    return found
+
+
+# the only functions of the package that no call below runs
+UNRUN = {
+    # the console script `diopoly`: CI runs it, installed, from outside the checkout
+    ("cli.py", "entrypoint"),
+    # only a coefficient of more than INPUT_DIGITS_CAP digits reaches it
+    ("cli.py", "_digit_count"),
+}
+
+
+def test_every_function_runs():
+    """Every function, method and property defined in src/diopoly runs under
+    the calls the package serves (run_commands), the benchmark setup's
+    cli.witness_document, and one error path per exit code: a bad integer
+    field, an unknown option and a refused search box (1), sampling
+    exhaustion (2), and a trivial-family resample, the one path that reaches
+    forge._poly_mul.  A function that none of them runs is code no command
+    needs, except the two of UNRUN."""
+    with Profiled() as p:
+        run_commands(p)
+        p.label("witness_document")
+        w = diopoly.construct_witness(range(8), "plane", seed=1)
+        assert cli.witness_document(w, include_twist=True)["method"] == "plane"
+        assert p.main("bad integer", "construct", "--set", "0,x,2")[0] == 1
+        assert p.main("unknown option", "construct", "--set", "0,1,2", "--bogus")[0] == 1
+        assert p.main("refused box", "search", "--set", "0,1,2", "--max-degree", "9", "--max-height", "99")[0] == 1
+        # the one draw of seed 77 on 0..2 gives an image in the plane
+        exhausted = ("--set", "0,1,2", "--seed", "77", "--max-attempts", "1")
+        assert p.main("exhaustion", "construct", *exhausted)[0] == 2
+        assert p.main("trivial resample", "construct", "--set", "0,1,2,3", "--seed", "76")[0] == 0
+    ran = {(Path(c.co_filename).name, c.co_name, c.co_firstlineno) for codes in p.ran.values() for c in codes}
+    unrun = sorted(defined_functions() - ran)
+    assert [(path, name) for path, name, _ in unrun] == sorted(UNRUN), unrun

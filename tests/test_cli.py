@@ -279,6 +279,34 @@ class TestConstructCommand:
             "nonzero coordinates, got 21\n"
         )
 
+    # each cause of a degenerate parameter names itself: a plane support of
+    # at most k coordinates; on 0..3 the line through the base point in
+    # direction (3, 2, 1), where A = B = 0; and on 0..2 padded with 3 and 4
+    # a k + 2 support whose row has c = lambda = 0
+    @pytest.mark.parametrize(
+        "argv, cause",
+        [
+            (
+                ("--set", "0,1,2,3,4", "--method", "plane", "--param", "1,0,0"),
+                "a plane parameter with at most k = 1 nonzero coordinates is degenerate, got 1",
+            ),
+            (
+                ("--set", "0,1,2,3", "--param", "3,2,1"),
+                "the line through the base point in this direction lies on the quadric",
+            ),
+            (
+                ("--set", "0,1,2", "--method", "plane", "--param", "3,2,1"),
+                "the direction's row vanishes, so its image is not unique",
+            ),
+        ],
+        ids=["plane-support-at-most-k", "line-on-quadric", "plane-row-vanishes"],
+    )
+    def test_degenerate_parameter_names_its_cause(self, argv, cause):
+        code, out, err = run_cli("construct", *argv)
+        assert (code, out) == (2, "")
+        coords = argv[-1].replace(",", ", ")
+        assert err == f"diopoly: construction failed: parameter ({coords}) is degenerate: {cause}\n"
+
     # construct --emit-twist digests, then the digests of verify's reports
     # on the document as printed and with f_1 moved by 1
     WIDE_BYTES = [

@@ -1,6 +1,7 @@
 """Witness construction, exact verification, triviality classification, and
 the brute-force search oracle."""
 
+import json
 import math
 import random
 import subprocess
@@ -46,6 +47,32 @@ from oracles import (
     verify_pairwise,
     witness_by_kernel,
 )
+
+
+def report_line(report):
+    """The line verify prints for the report, read back."""
+    with cli._int_str_limit_lifted():
+        return json.loads(cli._verify_report_line(report))
+
+
+def report_rows(report):
+    """The pairs of the report's line as the rows of oracles.verify_pairwise:
+    (i, j, a, b, product, root or None), integers read back under the lifted
+    digit limit."""
+    with cli._int_str_limit_lifted():
+        return [
+            (p["i"], p["j"], int(p["a"]), int(p["b"]), int(p["product"]),
+             None if p["root"] is None else int(p["root"]))
+            for p in report_line(report)["pairs"]
+        ]
+
+
+def report_failures(rows):
+    return tuple((i, j) for i, j, *_, r in rows if r is None)
+
+
+def report_roots(rows):
+    return {(i, j): r for i, j, *_, r in rows if r is not None}
 
 
 class TestPolynomial:
@@ -513,7 +540,7 @@ class TestCertificateRoots:
         g = math.gcd(*scaled[: len(coeffs)])
         assert ll % g == 0
         y = dict(zip(w.config.nodes, w.image.coords))
-        for i, j, r in w.pair_roots:
+        for (i, j), r in w.roots_map().items():
             a, b = w.elements[i], w.elements[j]
             assert r >= 0 and r * r == w.poly(a) * w.poly(b)
             assert r * g == abs(ll * y[a] * y[b])
@@ -547,7 +574,7 @@ class TestCertificateRoots:
                 assume(False)  # degenerate parameter, or sampling exhausted
         report = verify_witness(elems, w.poly)
         assert report.ok
-        assert w.pair_roots == tuple((i, j, r) for i, j, _, r in report.pairs())
+        assert list(w.roots_map().items()) == [((i, j), r) for i, j, *_, r in report_rows(report)]
 
     def test_construction_takes_no_square_roots(self, monkeypatch):
         calls = []
@@ -571,7 +598,7 @@ class TestCertificateRoots:
         report = verify_witness(range(30), w.poly)
         assert report.ok and report.zero_products == 0
         assert len(calls) == 29
-        assert report.roots_map() == w.roots_map()
+        assert report_roots(report_rows(report)) == w.roots_map()
 
     def test_one_node_table_per_construction(self, monkeypatch):
         """Cofactors, variety check, reverse map and root identity all read
@@ -717,12 +744,12 @@ class TestVerify:
         report = verify_witness([2, 8, 18], [0, 1])
         assert report.ok
         assert report.zero_products == 0
-        assert report.roots_map() == {(0, 1): 4, (0, 2): 6, (1, 2): 12}
+        assert report_roots(report_rows(report)) == {(0, 1): 4, (0, 2): 6, (1, 2): 12}
 
     def test_worked_failing(self):
         report = verify_witness([1, 3], [0, 1])
         assert not report.ok
-        assert report.failures == ((0, 1),)
+        assert report_failures(report_rows(report)) == ((0, 1),)
 
     def test_accepts_polynomial_instances(self):
         assert verify_witness([2, 8, 18], Polynomial((0, 1))).ok
@@ -731,7 +758,7 @@ class TestVerify:
         report = verify_witness([0, 2, 8], [0, 1])  # f = x vanishes at 0
         assert report.ok
         assert report.zero_products == 2
-        assert report.roots_map() == {(0, 1): 0, (0, 2): 0, (1, 2): 4}
+        assert report_roots(report_rows(report)) == {(0, 1): 0, (0, 2): 0, (1, 2): 4}
 
     def test_minimum_two_elements(self):
         with pytest.raises(ValueError):
@@ -749,8 +776,9 @@ class TestVerify:
     def test_report_arithmetic_is_exact(self, elems, coeffs):
         report = verify_witness(elems, coeffs)
         e = report.elements
-        for i, j, product, root in report.pairs():
-            assert product == eval_poly(coeffs, e[i]) * eval_poly(coeffs, e[j])
+        for i, j, a, b, product, root in report_rows(report):
+            assert (a, b) == (e[i], e[j])
+            assert product == eval_poly(coeffs, a) * eval_poly(coeffs, b)
             if root is not None:
                 assert root * root == product
                 assert is_perfect_square(abs(product)) or product > 10**6
@@ -808,16 +836,17 @@ class TestSquareClasses:
             report = verify_witness(elems, coeffs)
         ok, zero_products, rows = verify_pairwise(elems, coeffs)
         assert (report.ok, report.zero_products) == (ok, zero_products)
-        e = report.elements
-        assert [(i, j, e[i], e[j], p, r) for i, j, p, r in report.pairs()] == rows
-        assert report.failures == tuple((i, j) for i, j, *_, r in rows if r is None)
-        assert report.roots_map() == {(i, j): r for i, j, *_, r in rows if r is not None}
+        line = report_line(report)
+        assert (line["ok"], line["zero_products"]) == (ok, zero_products)
+        # the printed rows, so also the failing pairs (root null) and the roots
+        shown = report_rows(report)
+        assert shown == rows
         n = len(elems)
         assert len(calls) <= n * (n - 1) // 2
         if ok:
             nonzero = sum(1 for v in report.values if v)
             assert len(calls) == max(nonzero - 1, 0)
-        return report, calls
+        return report, calls, shown
 
     @settings(max_examples=150, deadline=None)
     @given(class_documents())
@@ -832,9 +861,9 @@ class TestSquareClasses:
     def test_every_value_in_its_own_class(self):
         # f = x on 2, 3, 5, 7: no product is a square, and each value
         # is tried against every class before it, one root per pair
-        report, calls = self.check([2, 3, 5, 7], [0, 1])
+        report, calls, shown = self.check([2, 3, 5, 7], [0, 1])
         assert report.classes == (0, 1, 2, 3) and report.bases == (2, 3, 5, 7)
-        assert len(report.failures) == len(calls) == 6
+        assert len(report_failures(shown)) == len(calls) == 6
 
 
 class TestBruteForceSearch:
