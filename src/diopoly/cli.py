@@ -385,10 +385,13 @@ def _int_str_limit_lifted():
 def _emit(render, *args, **kwargs) -> None:
     """Render one output document and write it as one line.  The program's
     own integers can outgrow the digit limit (a product of two 3000-digit
-    values has 6000), so they are formatted with the limit lifted."""
+    values has 6000), so they are formatted with the limit lifted.  The
+    newline is written on its own: line + "\n" would copy a line that can
+    reach hundreds of MB."""
     with _int_str_limit_lifted():
         line = render(*args, **kwargs)
-    sys.stdout.write(line + "\n")
+    sys.stdout.write(line)
+    sys.stdout.write("\n")
 
 
 @cache  # built on the first main call, not at import

@@ -12,8 +12,10 @@ witness stores its node configuration, Y and f, and derives from them
 every pair root as (L / g) * |Y_a * Y_b| and its padding, and twist
 reads its curve points off the same data.  verify_witness re-checks the
 roots from f alone by square classes: one integer square root per value
-against the first value of its class, so a passing set of n elements
-takes n - 1 of them.
+against the first class, so a passing set of n elements takes n - 1 of
+them.  A value that fails there gets a residue key, its Legendre symbols
+modulo KEY_PRIMES, and one bit operation per later class rules out almost
+every class it does not share before any other square root is taken.
 A method only chooses the node configuration:
 
 * quadric: nodes are the set itself, degree |S| - 2 (k = 0, a line);
@@ -86,6 +88,15 @@ DEFAULT_SEARCH_CEILING = 10**8
 # u * (u + d_2) are both square residues at 5% of the u on average over d
 # and d_2 (18% for one pair); 144, 480 and 720 searched no faster
 SQUARE_MODULUS = 240
+# verify's residue keys: the 16 primes from 8191 up.  On 0..n-1 the scale
+# L / g is divisible by every prime below n, so a value moved by 1 is 1
+# modulo each of them, and residues modulo small primes cannot tell it
+# from a square; these primes divide no node difference of fewer than
+# 8191 consecutive nodes.  A non-square product c * v passes all 16
+# symbols at about 2^-16 of the pairs; their byte tables take 130 KB
+KEY_PRIMES = (8191, 8209, 8219, 8221, 8231, 8233, 8237, 8243,
+              8263, 8269, 8273, 8287, 8291, 8293, 8297, 8311)
+_KEY_MODULUS = math.prod(KEY_PRIMES)
 
 METHODS = ("quadric", "plane")
 # the keys of Witness.stats and ConstructionError.stats: attempts, then
@@ -275,8 +286,11 @@ class VerifyReport:
     Two nonzero values share a class when their product is a square.
     classes[i] indexes bases, the first value of element i's class, and
     is -1 where f vanishes; roots[i]^2 = bases[classes[i]] * values[i],
-    and roots[i] = 0 where f vanishes.  root_factors turns these into two
-    factors per element.  The report keeps no pair: the pair i < j has the
+    and roots[i] = 0 where f vanishes.  The residue keys by which
+    verify_witness passes over classes only save square roots: the report
+    is the one that testing every class by a root would give.
+    root_factors turns these into two factors per element.  The report
+    keeps no pair: the pair i < j has the
     product values[i] * values[j], and a root exactly when both values
     share a class or one of them vanishes.
 
@@ -532,6 +546,32 @@ def _draw_coords(rng: random.Random, plen: int, k: int) -> tuple[int, ...]:
     return tuple(coords)
 
 
+@cache
+def _residue_tables() -> tuple[tuple[int, bytes], ...]:
+    """(p, table) for each p in KEY_PRIMES: entry r of the table is 0 when p
+    divides r, 1 when r is a nonzero square modulo p and 3 when it is none.
+    Built on the first value that fails against its set's first class, not
+    at import."""
+    tables = []
+    for p in KEY_PRIMES:
+        table = bytearray(b"\3") * p
+        table[0] = 0
+        for u in range(1, p // 2 + 1):
+            table[u * u % p] = 1
+        tables.append((p, bytes(table)))
+    return tuple(tables)
+
+
+def _residue_key(v: int) -> int:
+    """Byte i holds the table entry of v modulo KEY_PRIMES[i], read off one
+    reduction of v modulo their product.  Bit 0 of a byte says that the
+    prime does not divide v, bit 1 that v is no square modulo it, so keys
+    a and b differ in a symbol where both are defined exactly when
+    (a ^ b) & (a & b) << 1 is nonzero, and then a * b is no square."""
+    w = v % _KEY_MODULUS
+    return int.from_bytes(bytes([table[w % p] for p, table in _residue_tables()]), "little")
+
+
 def verify_witness(elements: Iterable[int], coeffs: Polynomial | Sequence[int]) -> VerifyReport:
     """Check every distinct pair of the set against the polynomial.
 
@@ -540,26 +580,39 @@ def verify_witness(elements: Iterable[int], coeffs: Polynomial | Sequence[int]) 
     value c makes c * v a square, with root isqrt(c * v), or opens a
     class of its own.  Every pair product is a square exactly when at
     most one class opens, so n values in one class take n - 1 integer
-    square roots, and no set takes more than one per pair.  A zero
-    product counts as a perfect square (root 0) but is tallied
-    separately in zero_products so callers can see it happened.
+    square roots and no residue key.  A value that fails against the
+    first class gets its residue key, and a later class whose first
+    value's key differs from it in a Legendre symbol (_residue_key) is
+    passed over with no root; the classes that remain still get the
+    exact root, so the keys only save work and never decide a verdict.
+    A set thus takes one root per nonzero value after the first, plus
+    one per later class that a value's key does not rule out: its own,
+    and the rare collisions.  A zero product counts as a perfect square
+    (root 0) but is tallied separately in zero_products so callers can
+    see it happened.
     """
     elems = _validate_elements(elements, minimum=2)
     poly = coeffs if isinstance(coeffs, Polynomial) else Polynomial(tuple(coeffs))
     values = tuple(poly(x) for x in elems)
-    classes, roots, bases = [], [], []
+    # keys[k] is the residue key of bases[k]; the first class's is 0, which
+    # rules nothing out, and every later class opens with a value whose key
+    # was read when it failed against the first
+    classes, roots, bases, keys = [], [], [], []
     for v in values:
         if v == 0:
             classes.append(-1)
             roots.append(0)
             continue
-        for k, c in enumerate(bases):
-            r = integer_sqrt(c * v)
-            if r is not None:
+        key = 0
+        for k, ck in enumerate(keys):
+            if not (key ^ ck) & (key & ck) << 1 and (r := integer_sqrt(bases[k] * v)) is not None:
                 break
+            if not k:
+                key = _residue_key(v)
         else:
             k, r = len(bases), abs(v)
             bases.append(v)
+            keys.append(key)
         classes.append(k)
         roots.append(r)
     return VerifyReport(

@@ -137,7 +137,7 @@ def plane_image(config: PointConfig, direction: ProjPoint) -> tuple[ProjPoint, b
         if size <= k:
             raise DegenerateParameterError(
                 f"a plane parameter with at most k = {k} nonzero coordinates "
-                f"is degenerate, got {size}"
+                f"drops the rank of the plane system, got {size}"
             )
         if size > k + 2:
             raise ValueError(

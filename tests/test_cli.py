@@ -288,7 +288,7 @@ class TestConstructCommand:
         [
             (
                 ("--set", "0,1,2,3,4", "--method", "plane", "--param", "1,0,0"),
-                "a plane parameter with at most k = 1 nonzero coordinates is degenerate, got 1",
+                "a plane parameter with at most k = 1 nonzero coordinates drops the rank of the plane system, got 1",
             ),
             (
                 ("--set", "0,1,2,3", "--param", "3,2,1"),

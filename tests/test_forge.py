@@ -18,6 +18,7 @@ from diopoly.forge import (
     DEFAULT_SEARCH_CEILING,
     FLAG_DEGREE_DROPPED,
     FLAG_TRIVIAL_FAMILY,
+    KEY_PRIMES,
     ConstructionError,
     Polynomial,
     SQUARE_MODULUS,
@@ -809,6 +810,46 @@ def class_documents(draw):
 
 
 @st.composite
+def key_prime_documents(draw):
+    """A set with a value c * u^2 at each element, where c (of either sign)
+    and u are products of up to two of 2, 3 and three key primes, and u may
+    be 0, so that key primes divide some values and classes, and the keys
+    then compare only their other symbols; returns (set, coefficients)."""
+    elems = draw(st.lists(st.integers(-30, 30), min_size=2, max_size=7, unique=True))
+    factors = st.lists(st.sampled_from((2, 3, *KEY_PRIMES[:3])), max_size=2).map(math.prod)
+    free = st.builds(lambda sign, c: sign * c, st.sampled_from((1, -1)), factors)
+    classes = draw(st.lists(free, min_size=1, max_size=4, unique=True))
+    values = [draw(st.sampled_from(classes)) * draw(st.one_of(st.just(0), factors)) ** 2 for _ in elems]
+    assume(any(values))
+    return elems, integer_interpolant(elems, values)
+
+
+def euler_symbol(v, p):
+    """v^((p - 1) / 2) modulo p: 0 when p divides v, 1 when v is a nonzero
+    square modulo p, p - 1 otherwise (Euler's criterion)."""
+    return pow(v, (p - 1) // 2, p)
+
+
+def roots_taken(report):
+    """The integer square roots verify_witness takes for the report, counted
+    by Euler's criterion: none for the first nonzero value; one for each
+    later nonzero value against the first class; and, for a value that
+    fails there, one per later class before its own (its own included when
+    it joins one) whose first value agrees with it at every key prime that
+    divides neither, a key collision."""
+    taken, opened = 0, set()
+    for v, k in zip(report.values, report.classes):
+        if k < 0:
+            continue
+        if opened:
+            taken += 1
+            for c in report.bases[1:k + (k in opened)]:
+                taken += all(euler_symbol(v, p) == euler_symbol(c, p) for p in KEY_PRIMES if v % p and c % p)
+        opened.add(k)
+    return taken
+
+
+@st.composite
 def moved_witnesses(draw):
     """A sampled witness with one coefficient moved by -1, 0 or +1."""
     elems = draw(st.lists(st.integers(-40, 40), min_size=3, max_size=10, unique=True))
@@ -826,7 +867,7 @@ def moved_witnesses(draw):
 class TestSquareClasses:
     """verify_witness against the pairwise oracle: the verdict, the zero
     count and every pair row agree, and the integer square roots number
-    one per value of a class after its first, never more than one per pair."""
+    one per nonzero value after the first, plus the key collisions."""
 
     def check(self, elems, coeffs):
         calls = []
@@ -841,8 +882,7 @@ class TestSquareClasses:
         # the printed rows, so also the failing pairs (root null) and the roots
         shown = report_rows(report)
         assert shown == rows
-        n = len(elems)
-        assert len(calls) <= n * (n - 1) // 2
+        assert len(calls) == roots_taken(report)
         if ok:
             nonzero = sum(1 for v in report.values if v)
             assert len(calls) == max(nonzero - 1, 0)
@@ -853,6 +893,11 @@ class TestSquareClasses:
     def test_drawn_square_classes(self, document):
         self.check(*document)
 
+    @settings(max_examples=150, deadline=None)
+    @given(key_prime_documents())
+    def test_key_primes_dividing_values(self, document):
+        self.check(*document)
+
     @settings(max_examples=40, deadline=None)
     @given(moved_witnesses())
     def test_moved_witnesses(self, document):
@@ -860,10 +905,24 @@ class TestSquareClasses:
 
     def test_every_value_in_its_own_class(self):
         # f = x on 2, 3, 5, 7: no product is a square, and each value
-        # is tried against every class before it, one root per pair
+        # after the first takes one root against the first class; no two
+        # of them agree modulo all 16 key primes, so the keys rule out
+        # every later class without a root
         report, calls, shown = self.check([2, 3, 5, 7], [0, 1])
         assert report.classes == (0, 1, 2, 3) and report.bases == (2, 3, 5, 7)
-        assert len(report_failures(shown)) == len(calls) == 6
+        assert len(report_failures(shown)) == 6 and len(calls) == 3
+
+    def test_key_primes_dividing_a_class_and_a_value(self):
+        # values 1, 2 * p^2, 2, 3, 3 * p^2 with p = 8191: p divides the first
+        # value of the second class but not the third value, which joins
+        # it, and the fifth value but not the first of the third class,
+        # which it joins; the keys skip the symbol of p there.  Every value
+        # after the first takes a root against the first class, and the
+        # two that join a later class one more against it
+        p = KEY_PRIMES[0]
+        elems = [0, 1, 2, 3, 4]
+        report, calls, _ = self.check(elems, integer_interpolant(elems, [1, 2 * p * p, 2, 3, 3 * p * p]))
+        assert report.classes == (0, 1, 1, 2, 2) and len(calls) == 6
 
 
 class TestBruteForceSearch:
@@ -928,6 +987,15 @@ def _table_bit(d, u):
     return forge._pair_square_table()[d % SQUARE_MODULUS] >> u % SQUARE_MODULUS & 1
 
 
+def _cache_size_after(cli_env, code, table):
+    """The number of entries in the cache of forge.<table> after running
+    code in a fresh interpreter."""
+    code += f"; print(forge.{table}.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout)
+
+
 class TestPairSquareTable:
     """The residue pre-test may drop only constant terms whose pair product
     u * (u + d) is no square."""
@@ -944,20 +1012,41 @@ class TestPairSquareTable:
         u, d = s * a * a, s * (b * b - a * a)
         assert _table_bit(d, u) == 1
 
-    @staticmethod
-    def _table_size_after(cli_env, code):
-        code += "; print(forge._pair_square_table.cache_info().currsize)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=cli_env, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        return int(proc.stdout)
-
     def test_import_does_not_build_the_table(self, cli_env):
-        assert self._table_size_after(cli_env, "from diopoly import forge") == 0
+        assert _cache_size_after(cli_env, "from diopoly import forge", "_pair_square_table") == 0
 
     def test_degree_zero_search_does_not_build_the_table(self, cli_env):
         # a box of 10**8 constants: a mask as wide as its span took a minute
         code = "from diopoly import forge; forge.brute_force_search([1, 3], 0, 10**8)"
-        assert self._table_size_after(cli_env, code) == 0
+        assert _cache_size_after(cli_env, code, "_pair_square_table") == 0
+
+
+class TestResidueKeys:
+    """verify's keys may rule out only non-square products, so each table
+    must hold the Legendre symbols, and a key the table entries of its value."""
+
+    def test_tables_follow_eulers_criterion(self):
+        tables = forge._residue_tables()
+        assert tuple(p for p, _ in tables) == KEY_PRIMES
+        entry = {0: 0, 1: 1}
+        for p, table in tables:
+            assert len(table) == p
+            assert all(table[r] == entry.get(euler_symbol(r, p), 3) for r in range(p))
+
+    @given(st.integers(-(10**80), 10**80), st.lists(st.sampled_from(KEY_PRIMES), max_size=3))
+    def test_key_bytes_are_symbols_of_the_value(self, v, primes):
+        v *= math.prod(primes)
+        key = forge._residue_key(v).to_bytes(len(KEY_PRIMES), "little")
+        entry = {0: 0, 1: 1}
+        assert list(key) == [entry.get(euler_symbol(v, p), 3) for p in KEY_PRIMES]
+
+    def test_import_and_passing_verify_do_not_build_the_tables(self, cli_env):
+        assert _cache_size_after(cli_env, "from diopoly import forge", "_residue_tables") == 0
+        passing = "from diopoly import forge; assert forge.verify_witness(range(30), forge.construct_witness(range(30), 'plane', seed=1).poly).ok"
+        assert _cache_size_after(cli_env, passing, "_residue_tables") == 0
+        # the probe sees a build: f = x fails at its second nonzero value
+        failing = "from diopoly import forge; assert not forge.verify_witness([1, 2, 3], [0, 1]).ok"
+        assert _cache_size_after(cli_env, failing, "_residue_tables") == 1
 
 
 class TestSearchAtSmallModulus:
