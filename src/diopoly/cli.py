@@ -13,7 +13,11 @@ Every root and product of a pair is a product of two per-element
 factors, so it is printed as the exact Decimal product of the two: each
 factor is converted once, and str of a Decimal is linear in its digits,
 where str of an int is quadratic.  These fields are most of the output,
-n(n-1)/2 of them with thousands of digits each on a wide set.
+n(n-1)/2 of them with thousands of digits each on a wide set.  So a
+document is written to stdout as it is rendered, never held whole: the
+fields before the pair array, then the pairs of one element at a time,
+then the closing fields.  Whatever can raise runs before the first
+write, so a document that fails writes nothing.
 
 Exit codes: 0 success, 1 usage error (including a refused search box),
 2 construction failure, 3 verification failure.
@@ -145,61 +149,47 @@ def _twist_block(points: TwistPointSet) -> dict:
     }
 
 
-class _Fragment(str):
-    """JSON text rendered in advance, which _json_object writes as is."""
-
-
-def _json_object(fields: dict) -> str:
-    """One compact JSON object in key order, the bytes json.dumps would
-    write with separators (",", ":"), except that _Fragment values are
-    copied verbatim.  The pieces are joined once, so a large fragment is
-    copied once."""
-    pieces = []
-    for key, value in fields.items():
-        text = value if isinstance(value, _Fragment) else _ENCODE(value)
-        pieces += (",", _ENCODE(key), ":", text)
-    pieces[0] = "{"
-    pieces.append("}")
-    return "".join(pieces)
-
-
-def _witness_line(witness: Witness, include_twist: bool = False) -> str:
-    """One witness document as a compact JSON line, in fixed key order.
-    The root of the pair i < j is printed as the Decimal product of
-    (L / g) * |Y_i| and |Y_j|, from the witness's root factors, one
-    formatted string per pair."""
+def _witness_line(witness: Witness, include_twist: bool = False):
+    """One witness document's compact JSON line in fixed key order, in
+    pieces: the fields before pair_roots, then the pairs i < j of each
+    element i, then the flags and the twist block.  The root of the pair
+    i < j is printed as the Decimal product of (L / g) * |Y_i| and |Y_j|,
+    from the witness's root factors.  Everything that can raise runs
+    before the first piece."""
     scale, ys = witness.root_factors
     lead, cols = Decimal(scale), [Decimal(y) for y in ys]
-    with localcontext(_EXACT):
-        roots = [
-            f'{{"i":{i},"j":{j},"root":"{row * col!s}"}}'
-            for i, row in enumerate(lead * y for y in cols)
-            for j, col in enumerate(cols[i + 1 :], i + 1)
-        ]
-    doc = {
+    tail = {"flags": sorted(witness.flags)}
+    if include_twist:
+        try:
+            tail["twist"] = _twist_block(twist_points(witness))
+        except DegenerateTwistError:
+            tail["twist"] = None
+    yield _ENCODE({
         "schema_version": SCHEMA_VERSION,
         "set": [str(x) for x in witness.elements],
         "poly": [str(c) for c in witness.poly.coeffs],
         "method": witness.method,
         "parameter": [str(c) for c in witness.parameter.coords],
         "padding": [str(x) for x in witness.padding],
-        "pair_roots": _Fragment("[%s]" % ",".join(roots)),
-        "flags": sorted(witness.flags),
-    }
-    if include_twist:
-        try:
-            doc["twist"] = _twist_block(twist_points(witness))
-        except DegenerateTwistError:
-            doc["twist"] = None
-    return _json_object(doc)
+    })[:-1] + ',"pair_roots":['
+    for i in range(len(cols) - 1):
+        # entered per element, never held across a yield, where the
+        # caller would run in it
+        with localcontext(_EXACT):
+            row = lead * cols[i]
+            piece = ("," if i else "") + ",".join([
+                f'{{"i":{i},"j":{j},"root":"{row * col!s}"}}' for j, col in enumerate(cols[i + 1 :], i + 1)
+            ])
+        yield piece
+    yield "]," + _ENCODE(tail)[1:]
 
 
 def witness_document(witness: Witness, include_twist: bool = False) -> dict:
     """Serializable document for one witness, in fixed key order: the
-    line construct prints, rendered as _emit renders it and read back
-    (its big integers are strings, so reading needs no lift)."""
+    pieces of the line construct prints, joined and read back (its big
+    integers are strings, so reading needs no lift)."""
     with _int_str_limit_lifted():
-        line = _witness_line(witness, include_twist)
+        line = "".join(_witness_line(witness, include_twist))
     return json.loads(line)
 
 
@@ -275,8 +265,9 @@ def document_to_inputs(doc: dict) -> tuple[list[int], list[int]]:
     return _parse_decimal_list(doc["set"], "set"), _parse_decimal_list(doc["poly"], "poly")
 
 
-def _verify_report_line(report) -> str:
-    """The verify report as one JSON line, its pairs i < j in the order of
+def _verify_report_line(report):
+    """The verify report's JSON line in pieces: the fields before pairs,
+    then the pairs i < j of each element i, in the order of
     itertools.combinations.  A pair's product is printed as the Decimal
     product of the two values; it has a root exactly when both values share
     a square class or one vanishes, printed as the Decimal product of the
@@ -287,10 +278,17 @@ def _verify_report_line(report) -> str:
     row_factors, cols = report.root_factors
     cols = [Decimal(c) for c in cols]
     classes = report.classes
-    rows = []
-    with localcontext(_EXACT):
-        for i, row in enumerate(map(Decimal, row_factors)):
-            a, vi, ki = elements[i], values[i], classes[i]
+    yield _ENCODE({
+        "schema_version": SCHEMA_VERSION,
+        "set": elements,
+        "poly": [str(c) for c in report.coeffs],
+        "ok": report.ok,
+        "zero_products": report.zero_products,
+    })[:-1] + ',"pairs":['
+    for i, row in enumerate(map(Decimal, row_factors[:-1])):
+        a, vi, ki = elements[i], values[i], classes[i]
+        rows = []
+        with localcontext(_EXACT):
             for j in range(i + 1, len(values)):
                 kj = classes[j]
                 shown = f'"{row * cols[j]!s}"' if kj == ki or ki < 0 or kj < 0 else "null"
@@ -298,14 +296,8 @@ def _verify_report_line(report) -> str:
                     f'{{"i":{i},"j":{j},"a":"{a}","b":"{elements[j]}",'
                     f'"product":"{vi * values[j] or 0!s}","root":{shown}}}'
                 )
-    return _json_object({
-        "schema_version": SCHEMA_VERSION,
-        "set": elements,
-        "poly": [str(c) for c in report.coeffs],
-        "ok": report.ok,
-        "zero_products": report.zero_products,
-        "pairs": _Fragment("[%s]" % ",".join(rows)),
-    })
+        yield ("," if i else "") + ",".join(rows)
+    yield "]}"
 
 
 def _search_report_line(report) -> str:
@@ -382,16 +374,18 @@ def _int_str_limit_lifted():
         setter(old)
 
 
-def _emit(render, *args, **kwargs) -> None:
-    """Render one output document and write it as one line.  The program's
-    own integers can outgrow the digit limit (a product of two 3000-digit
-    values has 6000), so they are formatted with the limit lifted.  The
-    newline is written on its own: line + "\n" would copy a line that can
-    reach hundreds of MB."""
+def _emit(pieces) -> None:
+    """Write one output document as one line, each piece as it is
+    rendered, so a document of n elements is never held whole: its pairs
+    are n(n-1)/2 fields of thousands of digits on a wide set.  The
+    program's own integers can outgrow the digit limit (a product of two
+    3000-digit values has 6000), so they are formatted with the limit
+    lifted."""
+    write = sys.stdout.write
     with _int_str_limit_lifted():
-        line = render(*args, **kwargs)
-    sys.stdout.write(line)
-    sys.stdout.write("\n")
+        for piece in pieces:
+            write(piece)
+    write("\n")
 
 
 @cache  # built on the first main call, not at import
@@ -447,7 +441,7 @@ def _cmd_construct(args) -> int:
                     f"poly entry {i} has {digits} digits, over the input cap "
                     f"INPUT_DIGITS_CAP = {INPUT_DIGITS_CAP} that verify reads"
                 )
-        _emit(_witness_line, witness, include_twist=args.emit_twist)
+        _emit(_witness_line(witness, args.emit_twist))
     return 0
 
 
@@ -480,7 +474,7 @@ def _verify_jobs(jobs) -> int:
     all_ok = True
     for elements, coeffs in jobs:
         report = verify_witness(elements, coeffs)
-        _emit(_verify_report_line, report)
+        _emit(_verify_report_line(report))
         all_ok = all_ok and report.ok
     return 0 if all_ok else 3
 
@@ -494,7 +488,7 @@ def _cmd_search(args) -> int:
         if ceiling < 1:
             raise _UsageError(f"{CEILING_ENV_VAR} must be at least 1, got {ceiling}")
     report = brute_force_search(elements, args.max_degree, args.max_height, ceiling=ceiling)
-    _emit(_search_report_line, report)
+    _emit((_search_report_line(report),))
     return 0
 
 

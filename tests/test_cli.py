@@ -57,11 +57,7 @@ def construct_0_to_29(method, pinned, *flags):
     coords = [int(c) for c in DENSE_0_TO_29.split("=")[1].split(",")]
     out = io.StringIO()
     with redirect_stdout(out):
-        cli._emit(
-            cli._witness_line,
-            witness_by_kernel(range(30), method, coords),
-            include_twist="--emit-twist" in flags,
-        )
+        cli._emit(cli._witness_line(witness_by_kernel(range(30), method, coords), "--emit-twist" in flags))
     return out.getvalue()
 
 
@@ -656,7 +652,7 @@ class TestDecimalRendering:
             w = construct_witness(elements, method, seed=seed)
         except ConstructionError:
             assume(False)
-        assert cli._witness_line(w) == witness_line_by_ints(w)
+        assert "".join(cli._witness_line(w)) == witness_line_by_ints(w)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -664,7 +660,8 @@ class TestDecimalRendering:
         st.lists(st.integers(-20, 20), min_size=1, max_size=4).filter(any),
     )
     def test_report_lines(self, elements, coeffs):
-        assert cli._verify_report_line(verify_witness(elements, coeffs)) == report_line_by_ints(elements, coeffs)
+        line = "".join(cli._verify_report_line(verify_witness(elements, coeffs)))
+        assert line == report_line_by_ints(elements, coeffs)
 
     @pytest.mark.parametrize(
         "elements, coeffs",
@@ -685,7 +682,7 @@ class TestDecimalRendering:
         coeffs[0] += 1
         report = verify_witness(w.elements, coeffs)
         assert not report.ok
-        assert cli._verify_report_line(report) == report_line_by_ints(w.elements, coeffs)
+        assert "".join(cli._verify_report_line(report)) == report_line_by_ints(w.elements, coeffs)
 
     @needs_digit_limit
     def test_pair_of_20k_digit_values(self):
@@ -725,6 +722,79 @@ class TestDecimalRendering:
         narrow.prec = 10
         with pytest.raises((Inexact, Rounded)):
             narrow.multiply(Decimal(10**6 + 1), Decimal(10**6 + 3))
+
+
+class _RecordedWrites(io.StringIO):
+    """A stdout stand-in that keeps each write apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return super().write(text)
+
+
+def longest_row(line, key):
+    """The longest piece of a line's pair array that holds the pairs of one
+    element i, with the comma before it for i > 0."""
+    rows = {}
+    for pair in json.loads(line)[key]:
+        rows.setdefault(pair["i"], []).append(json.dumps(pair, separators=(",", ":")))
+    return max(len(("," if i else "") + ",".join(row)) for i, row in rows.items())
+
+
+class TestStreaming:
+    """A document is written as it is rendered, one element's pairs at a
+    time, and a document that fails writes nothing."""
+
+    def assert_streamed(self, writes, expected, key):
+        assert len(writes) >= 59
+        assert max(map(len, writes)) <= longest_row(expected, key)
+        assert "".join(writes) == expected + "\n"
+
+    def test_construct_and_verify_write_one_element_at_a_time(self, monkeypatch):
+        elements = ",".join(str(x) for x in range(60))
+        out = _RecordedWrites()
+        with redirect_stdout(out):
+            assert main(["construct", "--set", elements, "--method", "plane", "--seed", "1"]) == 0
+        w = construct_witness(range(60), "plane", seed=1)
+        with cli._int_str_limit_lifted():
+            self.assert_streamed(out.writes, witness_line_by_ints(w), "pair_roots")
+            expected = report_line_by_ints(w.elements, w.poly.coeffs)
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO(out.getvalue()))
+        report = _RecordedWrites()
+        with redirect_stdout(report):
+            assert main(["verify", "--from-json", "-"]) == 0
+        with cli._int_str_limit_lifted():
+            self.assert_streamed(report.writes, expected, "pairs")
+
+    def test_failing_twist_writes_nothing(self, monkeypatch):
+        def fail(witness):
+            raise RuntimeError("twist")
+
+        monkeypatch.setattr(cli, "twist_points", fail)
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(RuntimeError, match="twist"):
+            main(["construct", "--set", "0,1,2", "--param", "3,1", "--emit-twist"])
+        assert out.getvalue() == ""
+
+    def test_failing_second_witness_leaves_one_line(self, monkeypatch):
+        calls = []
+
+        def second_fails(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ConstructionError("second witness")
+            return construct_witness(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "construct_witness", second_fails)
+        code, out, err = run_cli("construct", "--set", "0,1,2", "--seed", "5", "--count", "3")
+        assert code == 2 and "second witness" in err
+        first = run_cli("construct", "--set", "0,1,2", "--seed", "5")[1]
+        assert out == first and out.count("\n") == 1
 
 
 class TestSearchCommand:

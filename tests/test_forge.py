@@ -53,7 +53,7 @@ from oracles import (
 def report_line(report):
     """The line verify prints for the report, read back."""
     with cli._int_str_limit_lifted():
-        return json.loads(cli._verify_report_line(report))
+        return json.loads("".join(cli._verify_report_line(report)))
 
 
 def report_rows(report):
