@@ -5,8 +5,8 @@ The package is layered bottom-up: exact integer arithmetic in closed
 forms (exactmath), integer node configurations and their determinantal
 quadrics (variety), the reverse birational map and the closed-form
 power-span parametrization (rationalmaps), the construction /
-verification / search pipeline (forge), rational points on the
-associated twisted curves (twist), and a JSON-emitting command line
+verification / search pipeline (forge), the block of rational points on
+the associated twisted curves (twist), and a JSON-emitting command line
 (cli).
 """
 
@@ -25,7 +25,7 @@ from .forge import (
     construct_witness,
     verify_witness,
 )
-from .twist import DegenerateTwistError, TwistCurve, TwistPointSet, twist_points
+from .twist import twist_points
 
 __version__ = "0.1.0"
 
@@ -44,9 +44,6 @@ __all__ = [
     "verify_witness",
     "brute_force_search",
     "classify_trivial",
-    "TwistCurve",
-    "TwistPointSet",
-    "DegenerateTwistError",
     "twist_points",
     "__version__",
 ]

@@ -1,6 +1,7 @@
 """Command-line interface: construct, verify, search.
 
-All big integers in emitted JSON are decimal strings so nothing is ever
+All big integers in emitted JSON are decimal strings, and the twist
+block's rational ordinates are strings "p/q" of two, so nothing is ever
 squeezed through a binary float; small structural numbers (pair indices,
 degree bounds) stay JSON integers.  Output is byte-deterministic for a
 fixed seed: fixed key order, compact separators, one document per line.
@@ -34,7 +35,6 @@ import re
 import sys
 from contextlib import contextmanager
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
-from fractions import Fraction
 from functools import cache
 from typing import Sequence
 
@@ -49,7 +49,7 @@ from .forge import (
     construct_witness,
     verify_witness,
 )
-from .twist import DegenerateTwistError, TwistPointSet, twist_points
+from .twist import twist_points
 
 __all__ = [
     "INPUT_DIGITS_CAP",
@@ -117,7 +117,7 @@ WITNESS_DOCUMENT_SCHEMA = {
             "required": ["twist_scalar", "poly", "points", "genus_note"],
             "additionalProperties": False,
             "properties": {
-                "twist_scalar": _RATIONAL,
+                "twist_scalar": _DECIMAL,
                 "poly": {"type": "array", "items": _DECIMAL, "minItems": 1},
                 "points": {
                     "type": "array",
@@ -125,7 +125,7 @@ WITNESS_DOCUMENT_SCHEMA = {
                         "type": "object",
                         "required": ["x", "y"],
                         "additionalProperties": False,
-                        "properties": {"x": _RATIONAL, "y": _RATIONAL},
+                        "properties": {"x": _DECIMAL, "y": _RATIONAL},
                     },
                 },
                 "genus_note": {"type": ["string", "null"]},
@@ -133,20 +133,6 @@ WITNESS_DOCUMENT_SCHEMA = {
         },
     },
 }
-
-
-def _frac_str(x: int | Fraction) -> str:
-    # ints carry numerator and denominator too
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _twist_block(points: TwistPointSet) -> dict:
-    return {
-        "twist_scalar": _frac_str(points.curve.twist_scalar),
-        "poly": [str(c) for c in points.curve.coeffs],
-        "points": [{"x": _frac_str(x), "y": _frac_str(y)} for x, y in points.points],
-        "genus_note": points.genus_note,
-    }
 
 
 def _witness_line(witness: Witness, include_twist: bool = False):
@@ -160,10 +146,7 @@ def _witness_line(witness: Witness, include_twist: bool = False):
     lead, cols = Decimal(scale), [Decimal(y) for y in ys]
     tail = {"flags": sorted(witness.flags)}
     if include_twist:
-        try:
-            tail["twist"] = _twist_block(twist_points(witness))
-        except DegenerateTwistError:
-            tail["twist"] = None
+        tail["twist"] = twist_points(witness)
     yield _ENCODE({
         "schema_version": SCHEMA_VERSION,
         "set": [str(x) for x in witness.elements],
@@ -395,12 +378,16 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("construct", help="construct a certified witness polynomial")
     c.add_argument("--set", required=True, help="comma-separated distinct integers")
-    c.add_argument("--method", choices=METHODS, default="quadric")
+    c.add_argument("--method", choices=METHODS, default="quadric", help="nodes: the set; plane pads to 3k + 2")
     c.add_argument("--param", help="explicit projective parameter, comma-separated")
-    c.add_argument("--seed", type=_int_option, default=None)
-    c.add_argument("--count", type=_int_option, default=1)
-    c.add_argument("--max-attempts", type=_int_option, default=DEFAULT_MAX_ATTEMPTS)
-    c.add_argument("--emit-twist", action="store_true")
+    c.add_argument("--seed", type=_int_option, default=None, help="seed of the parameter draws")
+    c.add_argument("--count", type=_int_option, default=1, help="number of witnesses, one document per line")
+    c.add_argument(
+        "--max-attempts", type=_int_option, default=DEFAULT_MAX_ATTEMPTS, help="draws per witness before exit 2"
+    )
+    c.add_argument(
+        "--emit-twist", action="store_true", help="add points on f(x_0) * y^2 = f(x); null when f(x_0) = 0"
+    )
 
     v = sub.add_parser("verify", help="verify a polynomial against a set")
     v.add_argument("--set", help="comma-separated distinct integers")
@@ -413,8 +400,8 @@ def _build_parser() -> _Parser:
 
     s = sub.add_parser("search", help="exhaustive search over a coefficient box")
     s.add_argument("--set", required=True, help="comma-separated distinct integers")
-    s.add_argument("--max-degree", type=_int_option, required=True)
-    s.add_argument("--max-height", type=_int_option, required=True)
+    s.add_argument("--max-degree", type=_int_option, required=True, help="largest polynomial degree in the box")
+    s.add_argument("--max-height", type=_int_option, required=True, help="largest |coefficient| in the box")
     return parser
 
 

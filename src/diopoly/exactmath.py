@@ -1,20 +1,18 @@
 """Exact integer arithmetic for the construction, in closed forms.
 
-Integers are Python ints and rationals are fractions.Fraction, both
-unbounded, so every equality test in this package is bit-exact.  No
-floating point enters any code path.  The construction works over
-integer nodes, where every determinant it needs has a closed form: an
-interpolant on the scale of the lcm of the Lagrange weights, read off the
-node polynomial and the power moments of the values with no basis
-polynomial.  No matrix is ever eliminated.  All functions are pure,
-which makes everything here safe to call from concurrent code.
+Every number is a Python int, unbounded, so every equality test here is
+bit-exact.  The construction works over integer nodes, where every
+determinant it needs has a closed form: an interpolant on the scale of
+the lcm of the Lagrange weights, read off the node polynomial and the
+power moments of the values with no basis polynomial.  No matrix is
+ever eliminated.  All functions are pure, which makes everything here
+safe to call from concurrent code.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from typing import Sequence
 
 __all__ = [
@@ -24,8 +22,6 @@ __all__ = [
     "eval_poly",
     "integer_sqrt",
 ]
-
-Scalar = int | Fraction
 
 
 def lagrange_weights(xs: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -71,12 +67,8 @@ def lagrange_numerator(xs: Sequence[int], a: Sequence[int]) -> list[int]:
     return out[::-1]
 
 
-def eval_poly(coeffs: Sequence[Scalar], x: Scalar) -> Scalar:
-    """Evaluate ascending coefficients at x by Horner's rule, exactly.
-
-    Integer coefficients at an integer x give an int; any Fraction among
-    them gives a Fraction.
-    """
+def eval_poly(coeffs: Sequence[int], x: int) -> int:
+    """Evaluate ascending coefficients at x by Horner's rule, exactly."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c

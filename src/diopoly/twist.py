@@ -1,4 +1,4 @@
-"""Rational points on the twisted curve attached to a witness.
+"""The twist block of a witness: rational points on a twisted curve.
 
 A witness with primitive polynomial f and quadric point Y satisfies
 f(x) = +-(L / g) * Y_x^2 at every node, one sign for all of them (forge
@@ -11,68 +11,40 @@ ordinate 1, padding nodes included.  No further check runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import math
 
 from .forge import Witness
 
-__all__ = ["DegenerateTwistError", "TwistCurve", "TwistPointSet", "twist_points"]
+__all__ = ["twist_points"]
+
+_LOW_DEGREE_NOTE = "degree <= 2: conic or rational model, not a hyperelliptic curve"
 
 
-class DegenerateTwistError(ValueError):
-    """The polynomial vanishes at the base node, so no curve exists."""
+def twist_points(w: Witness) -> dict | None:
+    """The twist block of w as construct --emit-twist prints it, or None
+    when Y_0 = 0, which by the node identity is exactly when f(x_0) = 0.
 
-
-@dataclass(frozen=True)
-class TwistCurve:
-    """The curve twist_scalar * y^2 = h(x), coefficients ascending.
-
-    twist_scalar equals h evaluated at the base node and is nonzero; it
-    is an integer, because nodes and coefficients are.
-    """
-
-    twist_scalar: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.twist_scalar == 0:
-            raise ValueError("twist scalar must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-@dataclass(frozen=True)
-class TwistPointSet:
-    """A twisted curve together with one rational point per node."""
-
-    curve: TwistCurve
-    points: tuple[tuple[int, Fraction], ...]
-
-    @property
-    def genus_note(self) -> str | None:
-        """Caveat for low-degree models, which are not hyperelliptic."""
-        if self.curve.degree <= 2:
-            return "degree <= 2: conic or rational model, not a hyperelliptic curve"
-        return None
-
-
-def twist_points(w: Witness) -> TwistPointSet:
-    """All node points on the twisted curve of a witness.
-
-    The curve is h(x_0) * y^2 = h(x) with h = sigma * f, sigma the sign of
-    f's first nonzero coefficient, and node i carries (x_i, Y_i / Y_0).
-    Raises DegenerateTwistError when Y_0 = 0, which by the node identity
-    is exactly when f(x_0) = 0.  Takes one evaluation of f.
+    Its strings are twist_scalar, the integer h(x_0); poly, h ascending;
+    points, each node x_i with the ordinate Y_i / Y_0 in lowest terms as
+    "p/q", or "p" when q = 1 (Y_0 > 0, as ProjPoint makes the first nonzero
+    coordinate positive); and genus_note, a caveat for degree <= 2, else
+    None.  Takes one evaluation of f.  str of an int raises past the
+    int/str digit limit, which the CLI lifts.
     """
     y = w.image.coords
     if y[0] == 0:
-        raise DegenerateTwistError("polynomial vanishes at the base node")
+        return None
     nodes = w.config.nodes
-    sign = 1 if next(c for c in w.poly.coeffs if c) > 0 else -1
-    curve = TwistCurve(
-        twist_scalar=sign * w.poly(nodes[0]),
-        coeffs=tuple(sign * c for c in w.poly.coeffs),
-    )
-    return TwistPointSet(curve=curve, points=tuple(zip(nodes, (Fraction(c, y[0]) for c in y))))
+    coeffs = w.poly.coeffs
+    sign = 1 if next(c for c in coeffs if c) > 0 else -1
+    points = []
+    for x, yi in zip(nodes, y):
+        g = math.gcd(yi, y[0])
+        den = y[0] // g
+        points.append({"x": str(x), "y": f"{yi // g}/{den}" if den > 1 else str(yi // g)})
+    return {
+        "twist_scalar": str(sign * w.poly(nodes[0])),
+        "poly": [str(sign * c) for c in coeffs],
+        "points": points,
+        "genus_note": _LOW_DEGREE_NOTE if len(coeffs) <= 3 else None,
+    }

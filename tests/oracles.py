@@ -47,8 +47,10 @@ from typing import NamedTuple, Sequence
 from diopoly.exactmath import power_moments
 from diopoly import forge
 from diopoly.rationalmaps import DegenerateParameterError, _plane_k, plane_image
-from diopoly.twist import TwistCurve, TwistPointSet
 from diopoly.variety import PointConfig, ProjPoint
+
+
+GENUS_NOTE = "degree <= 2: conic or rational model, not a hyperelliptic curve"
 
 
 class IndeterminatePointError(ValueError):
@@ -515,10 +517,12 @@ def certificate_to_quadric(v):
 
 
 def certificate_twist(v):
-    """The twisted curve c * y^2 = f(x) of a certificate point, c = f(x_0),
-    with the point (x_i, z_i / c) at node i and (x_0, 1) at the base node:
-    the curve keeps the point's canonical coefficients, trailing zeros
-    dropped.  None where f(x_0) = 0."""
+    """The twist block of a certificate point, in the form construct
+    --emit-twist prints: the curve c * y^2 = f(x), c = f(x_0), with the
+    point (x_i, z_i / c) at node i and (x_0, 1) at the base node, each
+    ordinate printed by str(Fraction).  The curve keeps the point's
+    canonical coefficients, trailing zeros dropped.  None where
+    f(x_0) = 0."""
     c = v.poly_value(0)
     if c == 0:
         return None
@@ -526,7 +530,22 @@ def certificate_twist(v):
     while coeffs[-1] == 0:
         coeffs.pop()
     ordinates = [Fraction(1)] + [Fraction(z, c) for z in v.certificates]
-    return TwistPointSet(TwistCurve(c, tuple(coeffs)), tuple(zip(v.config.nodes, ordinates)))
+    return {
+        "twist_scalar": str(c),
+        "poly": [str(a) for a in coeffs],
+        "points": [{"x": str(x), "y": str(y)} for x, y in zip(v.config.nodes, ordinates)],
+        "genus_note": GENUS_NOTE if len(coeffs) <= 3 else None,
+    }
+
+
+def parse_twist(block):
+    """(twist_scalar, poly, points) of a twist block as numbers: ints, and
+    each ordinate read by Fraction."""
+    return (
+        int(block["twist_scalar"]),
+        tuple(int(c) for c in block["poly"]),
+        tuple((int(p["x"]), Fraction(p["y"])) for p in block["points"]),
+    )
 
 
 def tail_residuals(w):

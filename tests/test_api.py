@@ -49,6 +49,23 @@ def test_export_list_resolves(name):
     assert set(exported) <= set(namespace)
 
 
+def test_no_module_imports_fractions():
+    """Every number the package computes is an int: no module imports
+    fractions, the twist block's ordinates included."""
+    importers = []
+    for path in sorted(Path(diopoly.__file__).resolve().parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "fractions" for name in names):
+                importers.append(path.name)
+    assert importers == []
+
+
 def readme_quick_start():
     """The code block under "Library quick start" in README.md."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -83,7 +100,7 @@ def test_readme_quick_start_runs():
         "w.poly.coeffs": (1, 24),
         "w.roots_map()": {(0, 1): 5, (0, 2): 7, (1, 2): 35},
         "report.ok": True,
-        "ps.points": ((0, 1), (1, 5), (2, 7)),
+        'twist_points(w)["points"]': [{"x": "0", "y": "1"}, {"x": "1", "y": "5"}, {"x": "2", "y": "7"}],
     }
     assert namespace["report"].ok is True
 

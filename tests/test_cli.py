@@ -1,5 +1,6 @@
 """Command-line interface: document shapes, exit codes, determinism."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -31,7 +32,7 @@ from diopoly.cli import (
     main,
     witness_document,
 )
-from diopoly.forge import ConstructionError, construct_witness, verify_witness
+from diopoly.forge import METHODS, ConstructionError, construct_witness, verify_witness
 from oracles import report_line_by_ints, witness_by_kernel, witness_line_by_ints
 
 # a dense plane direction on 0..29: all 21 coordinates are nonzero, past
@@ -106,6 +107,29 @@ class TestDocuments:
         jsonschema.validate(doc, WITNESS_DOCUMENT_SCHEMA)
         assert doc["twist"] is None
 
+    def test_twist_schema_types_scalar_and_abscissae_as_integers(self):
+        # twist_scalar is h(x_0) and each x a node, both integers; only an
+        # ordinate y = Y_i / Y_0 may be a fraction.  The documents are the
+        # worked example, fractional ordinates, a null twist, a padded
+        # plane set and 0..29 with each method.
+        witnesses = [
+            construct_witness([0, 1, 2], "quadric", parameter=(3, 1)),
+            construct_witness([0, 1, 2], "quadric", parameter=(3, 2)),
+            construct_witness([0, 1, 2, 3], "quadric", parameter=(3, 4, 5)),
+            construct_witness([5, 9, 13], "plane", seed=1),
+            *(construct_witness(range(30), method, seed=1) for method in METHODS),
+        ]
+        for w in witnesses:
+            jsonschema.validate(witness_document(w, include_twist=True), WITNESS_DOCUMENT_SCHEMA)
+        doc = witness_document(witnesses[1], include_twist=True)
+        assert doc["twist"]["points"][1]["y"] == "5/7"
+        bad_scalar, bad_x = json.loads(json.dumps(doc)), json.loads(json.dumps(doc))
+        bad_scalar["twist"]["twist_scalar"] = "1/2"
+        bad_x["twist"]["points"][1]["x"] = "1/2"
+        for bad in (bad_scalar, bad_x):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bad, WITNESS_DOCUMENT_SCHEMA)
+
     def test_big_integers_survive_round_trip(self):
         w = construct_witness([0, 1, 2, 3, 4, 5, 6], "quadric", seed=4)
         doc = witness_document(w)
@@ -157,6 +181,15 @@ _documents = st.fixed_dictionaries(
     {},
     optional={"schema_version": st.just("1") | _json_values, "set": _fields, "poly": _fields},
 ).map(json.dumps)
+
+
+def test_every_option_has_help():
+    """Each option of construct, verify and search says what it does in
+    --help."""
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(commands.choices) == ["construct", "search", "verify"]
+    silent = [(name, a.dest) for name, sub in commands.choices.items() for a in sub._actions if not a.help]
+    assert silent == []
 
 
 class TestParserFuzz:

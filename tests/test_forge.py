@@ -29,7 +29,7 @@ from diopoly.forge import (
     poly_square_root,
     verify_witness,
 )
-from diopoly.twist import DegenerateTwistError, twist_points
+from diopoly.twist import twist_points
 from diopoly.variety import ProjPoint
 
 from oracles import (
@@ -490,16 +490,11 @@ def parameter_length(size, method):
 
 def assert_twist_read_off(w, v):
     """The certificate point v of the witness w satisfies the certificate
-    equations, and twist_points(w) is the twist set read off v: scalar
-    f(x_0), v's coefficients and ordinates z_i / f(x_0), or
-    DegenerateTwistError where f(x_0) = 0."""
+    equations, and twist_points(w) is the twist block read off v: scalar
+    f(x_0), v's coefficients and ordinates z_i / f(x_0), or None where
+    f(x_0) = 0."""
     assert on_certificate_variety(v)
-    expected = certificate_twist(v)
-    if expected is None:
-        with pytest.raises(DegenerateTwistError):
-            twist_points(w)
-    else:
-        assert twist_points(w) == expected
+    assert twist_points(w) == certificate_twist(v)
 
 
 class TestCertificateRoots:

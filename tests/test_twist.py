@@ -1,45 +1,40 @@
 """Rational points on the twisted curves attached to witnesses."""
 
-import math
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from diopoly.forge import METHODS, ConstructionError, construct_witness
-from diopoly.twist import DegenerateTwistError, TwistCurve, twist_points
+from diopoly.twist import twist_points
 
-from oracles import QuadricCoords, certificate_twist, eval_ascending, reverse_map_point
-
-
-def on_curve(curve, x, y):
-    """Whether (x, y) satisfies twist_scalar * y^2 = f(x), f evaluated by
-    power sums."""
-    return curve.twist_scalar * y**2 == eval_ascending(curve.coeffs, x)
+from oracles import GENUS_NOTE, QuadricCoords, certificate_twist, eval_ascending, parse_twist, reverse_map_point
 
 
-def test_curve_validation():
-    with pytest.raises(ValueError):
-        TwistCurve(Fraction(0), (1, 24))
+def on_curve(scalar, coeffs, x, y):
+    """Whether (x, y) satisfies scalar * y^2 = f(x), f evaluated by power
+    sums."""
+    return scalar * y**2 == eval_ascending(coeffs, x)
 
 
 def test_worked_example():
     # the points lie on y^2 = 1 + 24x, and (1, 4) does not
     w = construct_witness([0, 1, 2], "quadric", parameter=(3, 1))
-    ps = twist_points(w)
-    assert ps.curve.twist_scalar == 1
-    assert ps.curve.coeffs == (1, 24)
-    assert ps.points == ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(5)), (Fraction(2), Fraction(7)))
-    assert all(on_curve(ps.curve, x, y) for x, y in ps.points)
-    assert not on_curve(ps.curve, Fraction(1), Fraction(4))
-    assert ps.genus_note == "degree <= 2: conic or rational model, not a hyperelliptic curve"
+    block = twist_points(w)
+    assert block == {
+        "twist_scalar": "1",
+        "poly": ["1", "24"],
+        "points": [{"x": "0", "y": "1"}, {"x": "1", "y": "5"}, {"x": "2", "y": "7"}],
+        "genus_note": GENUS_NOTE,
+    }
+    scalar, coeffs, points = parse_twist(block)
+    assert all(on_curve(scalar, coeffs, x, y) for x, y in points)
+    assert not on_curve(scalar, coeffs, 1, 4)
 
 
 def test_first_point_is_base_node_with_unit_y():
     w = construct_witness([3, 5, 8, 11], "quadric", seed=2)
-    ps = twist_points(w)
-    assert ps.points[0] == (Fraction(3), Fraction(1))
+    assert twist_points(w)["points"][0] == {"x": "3", "y": "1"}
 
 
 def test_point_count_matches_set_size():
@@ -48,10 +43,10 @@ def test_point_count_matches_set_size():
         size = rnd.randint(3, 7)
         elems = rnd.sample(range(-12, 13), size)
         w = construct_witness(elems, "quadric", seed=rnd.randint(0, 10**6))
-        ps = twist_points(w)
-        assert len(ps.points) == size
-        for x, y in ps.points:
-            assert on_curve(ps.curve, x, y)
+        scalar, coeffs, points = parse_twist(twist_points(w))
+        assert len(points) == size
+        for x, y in points:
+            assert on_curve(scalar, coeffs, x, y)
 
 
 def test_fractional_ordinates_when_scalar_not_square():
@@ -59,26 +54,26 @@ def test_fractional_ordinates_when_scalar_not_square():
     # so h = 49 - 24x; h(x_0) = 49 gives the ordinates Y_i / 7
     w = construct_witness([0, 1, 2], "quadric", parameter=(3, 2))
     assert w.image.coords == (7, 5, 1) and w.poly.coeffs == (-49, 24)
-    ps = twist_points(w)
-    assert ps.curve.twist_scalar == 49
-    assert ps.curve.coeffs == (49, -24)
-    assert ps.points == ((0, Fraction(1)), (1, Fraction(5, 7)), (2, Fraction(1, 7)))
-    assert all(on_curve(ps.curve, x, y) for x, y in ps.points)
+    block = twist_points(w)
+    assert block["twist_scalar"] == "49"
+    assert block["poly"] == ["49", "-24"]
+    assert block["points"] == [{"x": "0", "y": "1"}, {"x": "1", "y": "5/7"}, {"x": "2", "y": "1/7"}]
+    scalar, coeffs, points = parse_twist(block)
+    assert all(on_curve(scalar, coeffs, x, y) for x, y in points)
 
 
 def test_degenerate_when_poly_vanishes_at_base_node():
     # Y_0 = 0, so f = x^2 vanishes at the base node 0
     w = construct_witness([0, 1, 2, 3], "quadric", parameter=(3, 4, 5))
     assert w.image[0] == 0 and w.poly(0) == 0
-    with pytest.raises(DegenerateTwistError):
-        twist_points(w)
+    assert twist_points(w) is None
 
 
 def test_genus_note_absent_for_higher_degree():
     w = construct_witness([0, 1, 2, 3, 4], "quadric", seed=11)
-    ps = twist_points(w)
-    assert ps.curve.degree == 3
-    assert ps.genus_note is None
+    block = twist_points(w)
+    assert len(block["poly"]) - 1 == 3
+    assert block["genus_note"] is None
 
 
 def test_curve_follows_certificate_coordinates():
@@ -93,10 +88,10 @@ def test_curve_follows_certificate_coordinates():
         ([0, 1, 2], "quadric", (3, 2)),
     ]:
         w = construct_witness(elems, method, parameter=parameter)
-        ps = twist_points(w)
-        assert ps == certificate_twist(reverse_map_point(QuadricCoords(w.config, w.image)))
+        block = twist_points(w)
+        assert block == certificate_twist(reverse_map_point(QuadricCoords(w.config, w.image)))
         sign = 1 if w.poly.coeffs[0] > 0 else -1
-        assert ps.curve.coeffs == tuple(sign * c for c in w.poly.coeffs)
+        assert block["poly"] == [str(sign * c) for c in w.poly.coeffs]
 
 
 @settings(max_examples=60, deadline=None)
@@ -110,19 +105,21 @@ def test_curve_follows_certificate_coordinates():
 @example([0, 1, 2, 3, 4], "quadric", {"parameter": (-2, -3, -2, -2)})  # Y_0 = 0
 def test_ordinates_are_ratios_of_the_quadric_point(elems, method, kwargs):
     """The ordinate at node i is Y_i / Y_0 in lowest terms, at padding
-    nodes too, and on the curve."""
+    nodes too, with a positive denominator that is never printed as /1,
+    and on the curve."""
     try:
         w = construct_witness(elems, method, **kwargs)
     except ConstructionError:
         assume(False)
     y = w.image.coords
+    block = twist_points(w)
     if y[0] == 0:
-        with pytest.raises(DegenerateTwistError):
-            twist_points(w)
+        assert block is None
         return
-    ps = twist_points(w)
-    assert [x for x, _ in ps.points] == list(w.config.nodes)
-    for (x, t), yi in zip(ps.points, y):
+    scalar, coeffs, points = parse_twist(block)
+    assert [x for x, _ in points] == list(w.config.nodes)
+    for p, (x, t), yi in zip(block["points"], points, y):
         assert t == Fraction(yi, y[0])
-        assert t.denominator > 0 and math.gcd(t.numerator, t.denominator) == 1
-        assert on_curve(ps.curve, x, t)
+        # str of a Fraction: lowest terms, denominator positive, no "/1"
+        assert p["y"] == str(t)
+        assert on_curve(scalar, coeffs, x, t)
