@@ -18,7 +18,10 @@ n(n-1)/2 of them with thousands of digits each on a wide set.  So a
 document is written to stdout as it is rendered, never held whole: the
 fields before the pair array, then the pairs of one element at a time,
 then the closing fields.  Whatever can raise runs before the first
-write, so a document that fails writes nothing.
+write, so a document that fails writes nothing.  The exact Decimal
+context is switched per row: one copy per document is made current
+around each element's products and the caller's context is restored
+before the row is written, so no caller code runs in it.
 
 Exit codes: 0 success, 1 usage error (including a refused search box),
 2 construction failure, 3 verification failure.
@@ -34,8 +37,9 @@ import random
 import re
 import sys
 from contextlib import contextmanager
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, getcontext, setcontext
 from functools import cache
+from operator import add
 from typing import Sequence
 
 from .forge import (
@@ -140,8 +144,10 @@ def _witness_line(witness: Witness, include_twist: bool = False):
     pieces: the fields before pair_roots, then the pairs i < j of each
     element i, then the flags and the twist block.  The root of the pair
     i < j is printed as the Decimal product of (L / g) * |Y_i| and |Y_j|,
-    from the witness's root factors.  Everything that can raise runs
-    before the first piece."""
+    from the witness's root factors; a row's products are taken and
+    printed in an exact context, switched in per row and never current
+    across a yield.  Everything that can raise runs before the first
+    piece."""
     scale, ys = witness.root_factors
     lead, cols = Decimal(scale), [Decimal(y) for y in ys]
     tail = {"flags": sorted(witness.flags)}
@@ -155,15 +161,22 @@ def _witness_line(witness: Witness, include_twist: bool = False):
         "parameter": [str(c) for c in witness.parameter.coords],
         "padding": [str(x) for x in witness.padding],
     })[:-1] + ',"pair_roots":['
+    # a row is joined from these prefixes and its roots, so no bytecode
+    # runs per pair
+    prefixes = [f'"j":{j},"root":"' for j in range(len(cols))]
+    # a current context collects flags, so each document takes its own
+    # copy rather than sharing _EXACT with every other caller
+    exact = _EXACT.copy()
     for i in range(len(cols) - 1):
-        # entered per element, never held across a yield, where the
-        # caller would run in it
-        with localcontext(_EXACT):
+        caller = getcontext()
+        setcontext(exact)
+        try:
             row = lead * cols[i]
-            piece = ("," if i else "") + ",".join([
-                f'{{"i":{i},"j":{j},"root":"{row * col!s}"}}' for j, col in enumerate(cols[i + 1 :], i + 1)
-            ])
-        yield piece
+            roots = map(str, map(row.__mul__, cols[i + 1 :]))
+            pairs = f'"}},{{"i":{i},'.join(map(add, prefixes[i + 1 :], roots))
+        finally:
+            setcontext(caller)
+        yield f'{"," if i else ""}{{"i":{i},{pairs}"}}'
     yield "]," + _ENCODE(tail)[1:]
 
 
@@ -239,7 +252,9 @@ def _load_document(text: str) -> dict:
         if key not in doc:
             raise ValueError(f"witness document misses required field {key!r}")
     if doc["schema_version"] != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {_echo(doc['schema_version'])}")
+        raise ValueError(
+            f"unsupported schema version {_echo(doc['schema_version'])}; expected the string \"{SCHEMA_VERSION}\""
+        )
     return doc
 
 
@@ -255,12 +270,15 @@ def _verify_report_line(report):
     product of the two values; it has a root exactly when both values share
     a square class or one vanishes, printed as the Decimal product of the
     row and column factors of report.root_factors, and null otherwise.  A
-    zero times a negative value is the Decimal -0, printed as 0."""
+    zero times a negative value is the Decimal -0, printed as 0.  A row's
+    products are taken in an exact context, switched in per row and never
+    current across a yield."""
     elements = [str(x) for x in report.elements]
     values = [Decimal(v) for v in report.values]
     row_factors, cols = report.root_factors
     cols = [Decimal(c) for c in cols]
     classes = report.classes
+    exact = _EXACT.copy()
     yield _ENCODE({
         "schema_version": SCHEMA_VERSION,
         "set": elements,
@@ -271,7 +289,9 @@ def _verify_report_line(report):
     for i, row in enumerate(map(Decimal, row_factors[:-1])):
         a, vi, ki = elements[i], values[i], classes[i]
         rows = []
-        with localcontext(_EXACT):
+        caller = getcontext()
+        setcontext(exact)
+        try:
             for j in range(i + 1, len(values)):
                 kj = classes[j]
                 shown = f'"{row * cols[j]!s}"' if kj == ki or ki < 0 or kj < 0 else "null"
@@ -279,6 +299,8 @@ def _verify_report_line(report):
                     f'{{"i":{i},"j":{j},"a":"{a}","b":"{elements[j]}",'
                     f'"product":"{vi * values[j] or 0!s}","root":{shown}}}'
                 )
+        finally:
+            setcontext(caller)
         yield ("," if i else "") + ",".join(rows)
     yield "]}"
 
@@ -343,18 +365,13 @@ def _attach_negative_lists(argv: Sequence[str]) -> list[str]:
 
 @contextmanager
 def _int_str_limit_lifted():
-    """Lift the int<->str digit limit for the duration, then restore it.
-    Python before 3.10.7 has no limit and no setter."""
-    setter = getattr(sys, "set_int_max_str_digits", None)
-    if setter is None:
-        yield
-        return
+    """Lift the int<->str digit limit for the duration, then restore it."""
     old = sys.get_int_max_str_digits()
-    setter(0)
+    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
-        setter(old)
+        sys.set_int_max_str_digits(old)
 
 
 def _emit(pieces) -> None:

@@ -10,16 +10,12 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from decimal import Decimal, Inexact, Rounded
+from decimal import Context, Decimal, Inexact, Rounded, getcontext, setcontext
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
-
-needs_digit_limit = pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="no int<->str digit limit before 3.10.7"
-)
 
 from diopoly import cli
 from diopoly.cli import (
@@ -138,7 +134,6 @@ class TestDocuments:
         assert tuple(coeffs) == w.poly.coeffs
         assert tuple(elems) == w.elements
 
-    @needs_digit_limit
     def test_document_past_the_digit_limit(self):
         # the pair root of 1 and 10^2500 has 5002 digits, over the limit
         limit = sys.get_int_max_str_digits()
@@ -167,7 +162,14 @@ class TestDocuments:
         code, out, err = run_cli("verify", "--from-json", "-", stdin=json.dumps(doc))
         assert (code, out) == (1, "")
         shown = err.removeprefix("diopoly: error: unsupported schema version ").rstrip("\n")
+        shown = shown.removesuffix('; expected the string "1"')
         assert shown != err and len(shown) == 43 and shown.endswith("...")
+
+    def test_version_as_a_json_number_names_the_string(self):
+        doc = {"schema_version": 1, "set": ["0", "1", "2"], "poly": ["1"]}
+        code, out, err = run_cli("verify", "--from-json", "-", stdin=json.dumps(doc))
+        assert (code, out) == (1, "")
+        assert err == 'diopoly: error: unsupported schema version 1; expected the string "1"\n'
 
 
 _json_values = st.recursive(
@@ -559,7 +561,6 @@ class TestVerifyCommand:
         assert "malformed JSON document" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @needs_digit_limit
     def test_over_long_json_number_exit_one(self):
         # a 5000-digit JSON number in a field verify ignores: the digit
         # limit still refuses it, and the message gives no advice to lift it
@@ -573,14 +574,14 @@ class TestVerifyCommand:
         assert run_cli("verify", "--from-json", "/nonexistent/w.json")[0] == 1
 
     def test_over_limit_input_names_the_limit(self):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        limit = sys.get_int_max_str_digits()
         big = "9" * (INPUT_DIGITS_CAP + 1)
         code, out, err = run_cli("verify", "--set", "0,1", "--poly", f"{big},0")
         assert (code, out) == (1, "")
         assert f"--poly field 1 has {INPUT_DIGITS_CAP + 1} digits" in err
         assert f"over the input cap of {INPUT_DIGITS_CAP}" in err
         assert len(err) < 200  # the input is not echoed
-        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        assert sys.get_int_max_str_digits() == limit
 
     def test_over_limit_document_entry_names_the_limit(self):
         doc = {
@@ -594,7 +595,6 @@ class TestVerifyCommand:
         assert f"over the input cap of {INPUT_DIGITS_CAP}" in err
         assert len(err) < 200
 
-    @needs_digit_limit
     def test_input_past_python_digit_limit(self):
         # 5000 digits is over CPython's default limit of 4300, under the cap
         limit = sys.get_int_max_str_digits()
@@ -607,14 +607,14 @@ class TestVerifyCommand:
 
     def test_output_past_the_digit_limit(self):
         # f = 10^3000 - 1 is valid input; f(0) * f(1) has 6000 digits
-        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        limit = sys.get_int_max_str_digits()
         code, out, err = run_cli("verify", "--set", "0,1", "--poly", "9" * 3000 + ",0")
         assert (code, err) == (0, "")
         (pair,) = json.loads(out)["pairs"]
         # (10^3000 - 1)^2 = 10^6000 - 2 * 10^3000 + 1
         assert pair["product"] == "9" * 2999 + "8" + "0" * 2999 + "1"
         assert pair["root"] == "9" * 3000
-        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        assert sys.get_int_max_str_digits() == limit
 
     REPORT_BYTES = [
         ("quadric", (), 0, 0, "ef186e9ce96220f75bc8635b27fc2cb89c5e8b748ec2207b2ef48ba3eec48f47"),
@@ -717,7 +717,6 @@ class TestDecimalRendering:
         assert not report.ok
         assert "".join(cli._verify_report_line(report)) == report_line_by_ints(w.elements, coeffs)
 
-    @needs_digit_limit
     def test_pair_of_20k_digit_values(self):
         # f(0) = 2u^2 and f(1) = 2v^2 have about 2 * 10^4 digits, past the
         # base-case multiply of libmpdec; the roots of the report are
@@ -734,7 +733,6 @@ class TestDecimalRendering:
         assert (code, err) == (0, "")
         assert out == expected + "\n"
 
-    @needs_digit_limit
     def test_witness_with_20k_digit_root_factors(self):
         # on 0, 1 and 10^20000 the witness's factors (L / g) * |Y_a| and
         # |Y_b| of the outer pairs have about 2 * 10^4 digits
@@ -755,6 +753,60 @@ class TestDecimalRendering:
         narrow.prec = 10
         with pytest.raises((Inexact, Rounded)):
             narrow.multiply(Decimal(10**6 + 1), Decimal(10**6 + 3))
+
+
+class TestCallerContext:
+    """The renderers make the exact Decimal context current around each
+    row's products only, and give the caller's context back, also when a
+    row raises."""
+
+    @staticmethod
+    def rendered():
+        elements = ",".join(str(x) for x in range(30))
+        outs = [run_cli("construct", "--set", elements, "--method", m, "--seed", "1", "--emit-twist") for m in METHODS]
+        moved = json.loads(outs[0][1])
+        moved["poly"][1] = str(int(moved["poly"][1]) + 1)
+        return outs + [run_cli("verify", "--from-json", "-", stdin=doc) for doc in (outs[0][1], json.dumps(moved))]
+
+    def test_same_bytes_under_a_narrow_context(self):
+        expected = self.rendered()
+        assert [code for code, _, _ in expected] == [0, 0, 0, 3]
+        caller, narrow = getcontext(), Context(prec=9)
+        setcontext(narrow)
+        try:
+            got = self.rendered()
+            current = getcontext()
+        finally:
+            setcontext(caller)
+        assert got == expected
+        assert current is narrow and narrow.prec == 9
+        assert not any(narrow.flags.values())
+
+    @pytest.mark.parametrize(
+        "argv, written",
+        [
+            # row 0 holds the products and roots of a zero, which fit in 10
+            # digits; row 1's product 4 * 10^12 does not
+            (("verify", "--set", "0,1000000,4000000", "--poly", "0,1"), 2),
+            (("construct", "--set", ",".join(str(x) for x in range(30)), "--seed", "1"), 1),
+        ],
+        ids=["verify", "construct"],
+    )
+    def test_a_raising_row_gives_the_context_back(self, monkeypatch, argv, written):
+        exact = cli._EXACT.copy()
+        exact.prec = 10
+        monkeypatch.setattr(cli, "_EXACT", exact)
+        out = _RecordedWrites()
+        caller, narrow = getcontext(), Context(prec=9)
+        setcontext(narrow)
+        try:
+            with redirect_stdout(out), pytest.raises((Inexact, Rounded)):
+                main(list(argv))
+            current = getcontext()
+        finally:
+            setcontext(caller)
+        assert len(out.writes) == written
+        assert current is narrow and not any(narrow.flags.values())
 
 
 class _RecordedWrites(io.StringIO):
