@@ -9,6 +9,8 @@ fixed seed: fixed key order, compact separators, one document per line.
 Integer input is strict (optional sign, ASCII digits, no empty fields,
 at most INPUT_DIGITS_CAP digits); CPython's int<->str digit limit is
 lifted while integers are parsed and printed, so any output reads back.
+The limit is one setting for the whole process, so a lift holds a lock.
+An error about a --from-json document names its input line.
 
 Every root and product of a pair is a product of two per-element
 factors, so it is printed as the exact Decimal product of the two: each
@@ -36,6 +38,7 @@ import os
 import random
 import re
 import sys
+import threading
 from contextlib import contextmanager
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, getcontext, setcontext
 from functools import cache
@@ -241,7 +244,10 @@ def _load_document(text: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed JSON document: {exc}") from exc
+        # a document is one line: an error at the end of the input is put
+        # just past the line's last character
+        column = min(exc.pos, len(text.rstrip())) + 1
+        raise ValueError(f"malformed JSON document: {exc.msg} at column {column}") from exc
     except RecursionError:
         raise ValueError("malformed JSON document: nested too deeply") from None
     except ValueError:  # the digit limit, refusing a long JSON number
@@ -363,15 +369,24 @@ def _attach_negative_lists(argv: Sequence[str]) -> list[str]:
     return out
 
 
+# the digit limit is one setting for the whole process: a thread that
+# restored it while another's lift was open would leave that one limited,
+# and the later restore would leave the process unlimited
+_LIFT_LOCK = threading.RLock()
+
+
 @contextmanager
 def _int_str_limit_lifted():
-    """Lift the int<->str digit limit for the duration, then restore it."""
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
+    """Lift the int<->str digit limit for the duration, then restore it.
+    The lift holds a reentrant lock, so lifts in other threads wait for it
+    and lifts nested in one thread pass."""
+    with _LIFT_LOCK:
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(old)
 
 
 def _emit(pieces) -> None:
@@ -449,15 +464,20 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _document_jobs(lines):
-    """(set, poly) of each non-blank line, parsed only when it is reached,
-    so the reports of earlier lines are out before a bad line stops the run."""
-    seen = False
-    for line in lines:
+def _document_reports(lines):
+    """The verify report of each non-blank line, parsed and checked only
+    when it is reached, so the reports of earlier lines are out before a
+    bad line stops the run.  An error names the line, counted from 1, and
+    a JSON error its column on that line."""
+    report = None
+    for number, line in enumerate(lines, 1):
         if line.strip():
-            seen = True
-            yield document_to_inputs(_load_document(line))
-    if not seen:
+            try:
+                report = verify_witness(*document_to_inputs(_load_document(line)))
+            except ValueError as exc:
+                raise ValueError(f"input line {number}: {exc}") from exc
+            yield report
+    if report is None:
         raise _UsageError("no witness documents on input")
 
 
@@ -465,19 +485,20 @@ def _cmd_verify(args) -> int:
     if args.from_json is None:
         if args.set is None or args.poly is None:
             raise _UsageError("verify needs --set and --poly, or --from-json")
-        return _verify_jobs([(_int_list(args.set, "set"), _int_list(args.poly, "poly"))])
+        return _verify_reports([verify_witness(_int_list(args.set, "set"), _int_list(args.poly, "poly"))])
     if args.set is not None or args.poly is not None:
         raise _UsageError("--from-json replaces --set/--poly")
     if args.from_json == "-":
-        return _verify_jobs(_document_jobs(sys.stdin))
-    with open(args.from_json, "r", encoding="utf-8") as fh:
-        return _verify_jobs(_document_jobs(fh))
+        return _verify_reports(_document_reports(sys.stdin))
+    # undecodable bytes become lone surrogates, so the error that names
+    # them names their line
+    with open(args.from_json, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        return _verify_reports(_document_reports(fh))
 
 
-def _verify_jobs(jobs) -> int:
+def _verify_reports(reports) -> int:
     all_ok = True
-    for elements, coeffs in jobs:
-        report = verify_witness(elements, coeffs)
+    for report in reports:
         _emit(_verify_report_line(report))
         all_ok = all_ok and report.ok
     return 0 if all_ok else 3

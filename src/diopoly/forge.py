@@ -7,15 +7,18 @@ point Y) and pulls integer coefficients back through the reverse
 birational map, on the scale L (the lcm of the base Lagrange weights).
 The witness polynomial f is their primitive part, the smallest witness
 of its class; the content g divided out divides L.  The identity
-g * f(x) = +-L * Y_x^2, checked once per node, is the whole proof: a
-witness stores its node configuration, Y and f, and derives from them
-every pair root as (L / g) * |Y_a * Y_b| and its padding, and twist
-reads its curve points off the same data.  verify_witness re-checks the
-roots from f alone by square classes: one integer square root per value
-against the first class, so a passing set of n elements takes n - 1 of
-them.  A value that fails there gets a residue key, its Legendre symbols
-modulo KEY_PRIMES, and one bit operation per later class rules out almost
-every class it does not share before any other square root is taken.
+g * f(x) = +-L * Y_x^2 is the whole proof.  The reverse map makes it
+exactmath.lagrange_numerator's defining property at the base nodes, so
+construction checks it at the k + 1 tail nodes, with one evaluation of
+f per tail node.  A witness stores its node configuration, Y and f, and
+derives from them every pair root as (L / g) * |Y_a * Y_b| and its
+padding, and twist reads its curve points off the same data.
+verify_witness re-checks the roots from f alone by square classes: one
+integer square root per value against the first class, so a passing set
+of n elements takes n - 1 of them.  A value that fails there gets a
+residue key, its Legendre symbols modulo KEY_PRIMES, and one bit
+operation per later class rules out almost every class it does not share
+before any other square root is taken.
 A method only chooses the node configuration:
 
 * quadric: nodes are the set itself, degree |S| - 2 (k = 0, a line);
@@ -225,10 +228,11 @@ class Witness:
     polynomial f with positive leading coefficient.  What certifies the
     witness follows from these through the identity
     g * f(x) = +-L * Y_x^2 (L the lcm of the base Lagrange weights, g the
-    content of the reverse map's coefficients), which construction checks
-    at every node.  g divides L: no prime divides every Y_x, so none can
-    divide g more often than L.  So L / g = |f(x)| / Y_x^2 at any node
-    with Y_x != 0, and the witness needs no field for it:
+    content of the reverse map's coefficients), which holds at every node:
+    construction checks it at the tail nodes, and at the base nodes it is
+    lagrange_numerator's.  g divides L: no prime divides every Y_x, so
+    none can divide g more often than L.  So L / g = |f(x)| / Y_x^2 at any
+    node with Y_x != 0, and the witness needs no field for it:
 
     * root_factors, L / g and |Y_a| for each sorted element a, so the
       pair i < j of the sorted elements has the root
@@ -383,17 +387,19 @@ def _build_witness(
     stats: dict[str, int],
 ) -> Witness:
     """The witness of an image: the primitive part f of the reverse map's
-    coefficients, after checking g * f(x) = +-L * Y_x^2 at every node of
-    the config (g the content divided out), which evaluates f once per
-    node.  The identity makes g divide L, since no prime divides every
-    Y_x of the primitive point Y, so it is checked as g | L and
+    coefficients, after checking g * f(x) = +-L * Y_x^2 at the k + 1 tail
+    nodes x_{d+1}..x_n (g the content divided out), which evaluates f once
+    per tail node.  The reverse map takes g * f = +-L * I, I the
+    interpolant of the Y_i^2 over the base nodes x_0..x_d, so at the base
+    nodes the identity is exactmath.lagrange_numerator's defining
+    property, a library contract the tests prove, and it is not evaluated
+    again here.  The identity makes g divide L, since no prime divides
+    every Y_x of the primitive point Y, so it is checked as g | L and
     f(x) = +-(L / g) * Y_x^2, on integers g times smaller than L.
 
     That check is the one proof of the witness, and it implies both
-    variety equations, so the package tests neither.  The reverse map takes
-    g * f = +-L * I, I the interpolant of the Y_i^2 over the base nodes, so
-    the identity holds at the base nodes by construction, and at a tail
-    node m it says I(x_m) = Y_m^2: the bracket equation for m, so the
+    variety equations, so the package tests neither.  At a tail node m the
+    identity says I(x_m) = Y_m^2: the bracket equation for m, so the
     image lies on the quadric variety.  The certificates
     z_i = +-(L / g) * Y_0 * Y_i then give z_i^2 = f(x_0) * f(x_i), the
     certificate equations, and every pair has the root
@@ -405,10 +411,10 @@ def _build_witness(
     """
     scaled = Polynomial(quadric_to_certificate_lcm(config, image.coords))
     poly = scaled.primitive_part()
-    ll = config.base_lagrange[0]
+    ll, tail = config.base_lagrange[0], config.degree + 1
     # scaled = g * poly, with g carrying the sign of the normalization
     scale, rem = divmod(-ll if config.degree % 2 else ll, scaled.leading // poly.leading)
-    bad = [x for x, y in zip(config.nodes, image.coords) if rem or poly(x) != scale * y * y]
+    bad = [x for x, y in zip(config.nodes[tail:], image.coords[tail:]) if rem or poly(x) != scale * y * y]
     if bad:
         raise ConstructionError(f"reverse map breaks g * f(x) = +-L * Y_x^2 at node {bad[0]}")
 

@@ -34,12 +34,14 @@ A plane direction with at most k nonzero coordinates is degenerate, and
 one with more than k + 2 is refused: it only adds height.
 
 Which check proves what: the construction pipeline (forge) takes
-plane_image's point and checks g * f(x) = +-L * Y_x^2 at every node of
-the primitive polynomial f it builds (g the content it divided out),
-which proves the witness and implies both variety equations.  The
-quadric equations, the certificate variety and its forward map, the
-system matrix with its kernel, and the inverse of the parametrization
-are used only as cross-checks, and live with the test oracles.
+plane_image's point and checks g * f(x) = +-L * Y_x^2 at the tail nodes
+for the primitive polynomial f it builds (g the content it divided
+out); at the base nodes the reverse map makes it hold by
+exactmath.lagrange_numerator's contract.  That proves the witness and
+implies both variety equations.  The quadric equations, the certificate
+variety and its forward map, the system matrix with its kernel, and the
+inverse of the parametrization are used only as cross-checks, and live
+with the test oracles.
 
 Nodes are integers, so everything is computed in exact integer
 arithmetic, and every point is returned in canonical projective form.
@@ -73,8 +75,8 @@ def quadric_to_certificate_lcm(config: PointConfig, y: Sequence[int]) -> tuple[i
     b_i = prod_{j != i} (x - x_j), taken by exactmath.lagrange_numerator
     from the config's weights, so f(x_i) = (-1)^d * L * Y_i^2 at every base
     node x_0..x_d, and at the tail nodes exactly when y lies on the quadric
-    variety.  forge checks that identity at every node of the witness it
-    builds from them.
+    variety.  forge checks that identity at the tail nodes of the witness
+    it builds from them; at the base nodes it is lagrange_numerator's.
     """
     d = config.degree
     sign = -1 if d % 2 else 1

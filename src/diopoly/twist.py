@@ -2,7 +2,8 @@
 
 A witness with primitive polynomial f and quadric point Y satisfies
 f(x) = +-(L / g) * Y_x^2 at every node, one sign for all of them (forge
-checks it at construction).  With h = sigma * f, sigma the sign of f's
+checks it at construction at the tail nodes; at the base nodes the
+reverse map makes it hold).  With h = sigma * f, sigma the sign of f's
 first nonzero coefficient, and c = h(x_0) nonzero, that identity gives
 c * (Y_i / Y_0)^2 = h(x_i), so every node carries the rational point
 (x_i, Y_i / Y_0) on the curve c * y^2 = h(x): the base node with

@@ -16,10 +16,11 @@ works on:
   the d+2 squares lie on one polynomial of degree <= d, that is when
   I(x_i) = Y_i^2, with I the Lagrange interpolant of Y_0^2..Y_d^2 over
   the base nodes x_0..x_d.  The reverse map builds f from L * I, L the
-  lcm of the Lagrange weights w_j of the base nodes, and construction
-  checks f at every node, which puts its point on this variety and the
-  certificate point on the other; the package has no membership test
-  for either.  A config keeps L with the d + 1 integers L / w_j,
+  lcm of the Lagrange weights w_j of the base nodes, so f matches the
+  squares at the base nodes by construction, and construction checks f
+  at the tail nodes x_{d+1}..x_n, which puts its point on this variety
+  and the certificate point on the other; the package has no membership
+  test for either.  A config keeps L with the d + 1 integers L / w_j,
   computed once on first use.
 
 Points are canonical primitive integer vectors (content one, first

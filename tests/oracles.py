@@ -30,6 +30,12 @@ fraction-free (Bareiss) elimination, and the image read off that kernel
 for every direction, including those the program refuses.  The program
 solves each direction it accepts in closed form.
 
+Construction checks the node identity g * f(x) = +-L * Y_x^2 only at the
+tail nodes, as the reverse map makes it exactmath.lagrange_numerator's
+defining property at the base nodes; node_identity_breaks checks it at
+every node, and tests/conftest.py runs it on every witness the tests
+build.
+
 The CLI prints pair roots and products as Decimal products of
 per-element factors; witness_line_by_ints and report_line_by_ints build
 the same lines from pair-by-pair integers printed by str(int).
@@ -337,9 +343,9 @@ def any_plane_image(config, direction):
 def witness_by_kernel(elements, method, coords):
     """The witness construct_witness builds for the explicit parameter
     coords, from plane_image_by_kernel's image instead: forge's config of
-    the method and its reverse map, checked at every node.  It takes the
-    directions construct_witness refuses; None where the system drops
-    rank."""
+    the method and its reverse map, checked at the tail nodes (and at
+    every node under tests/conftest.py).  It takes the directions
+    construct_witness refuses; None where the system drops rank."""
     elems = tuple(sorted(elements))
     config = forge._method_setup(elems, method)
     q = ProjPoint(tuple(coords))
@@ -348,6 +354,34 @@ def witness_by_kernel(elements, method, coords):
         return None
     stats = dict.fromkeys(forge.STATS_KEYS, 0) | {"attempts": 1}
     return forge._build_witness(config, method, q, image[0], elems, stats)
+
+
+def power_sum(coeffs, x):
+    """Integer ascending coefficients evaluated at an integer x as the sum
+    of c_t * x^t, one power of x after another, no Horner."""
+    total, power = 0, 1
+    for c in coeffs:
+        total += c * power
+        power *= x
+    return total
+
+
+def node_identity_breaks(w):
+    """The nodes of w's config, in order, where g * f(x) = +-L * Y_x^2
+    fails for f = w.poly, Y = w.image and L the lcm of the base Lagrange
+    weights; empty when it holds at every node, base nodes included.  The
+    ratio r = +-L / g is read off the first node where Y does not vanish,
+    as f(x) / Y_x^2, and when that is no divisor of L every node is
+    returned.  f is evaluated by power_sum.  forge._build_witness
+    evaluates f at the tail nodes only, since at the base nodes the
+    identity is exactmath.lagrange_numerator's own; this checks them all."""
+    config, ys = w.config, w.image.coords
+    values = [power_sum(w.poly.coeffs, x) for x in config.nodes]
+    fx, yx = next((v, y) for v, y in zip(values, ys) if y)
+    r, rem = divmod(fx, yx * yx)
+    if rem or not r or config.base_lagrange[0] % r:
+        return list(config.nodes)
+    return [x for x, v, y in zip(config.nodes, values, ys) if v != r * y * y]
 
 
 def power_rows(xs, count):

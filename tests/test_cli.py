@@ -8,6 +8,7 @@ import math
 import random
 import subprocess
 import sys
+import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Context, Decimal, Inexact, Rounded, getcontext, setcontext
@@ -161,7 +162,7 @@ class TestDocuments:
         doc = {"schema_version": version, "set": ["0", "1", "2"], "poly": ["1"]}
         code, out, err = run_cli("verify", "--from-json", "-", stdin=json.dumps(doc))
         assert (code, out) == (1, "")
-        shown = err.removeprefix("diopoly: error: unsupported schema version ").rstrip("\n")
+        shown = err.removeprefix("diopoly: error: input line 1: unsupported schema version ").rstrip("\n")
         shown = shown.removesuffix('; expected the string "1"')
         assert shown != err and len(shown) == 43 and shown.endswith("...")
 
@@ -169,7 +170,7 @@ class TestDocuments:
         doc = {"schema_version": 1, "set": ["0", "1", "2"], "poly": ["1"]}
         code, out, err = run_cli("verify", "--from-json", "-", stdin=json.dumps(doc))
         assert (code, out) == (1, "")
-        assert err == 'diopoly: error: unsupported schema version 1; expected the string "1"\n'
+        assert err == 'diopoly: error: input line 1: unsupported schema version 1; expected the string "1"\n'
 
 
 _json_values = st.recursive(
@@ -220,6 +221,40 @@ class TestParserFuzz:
         monkeypatch.setattr(cli, "_int_str_limit_lifted", lambda: lifts.append(1) or lifted())
         assert _parse_ints([str(x) for x in range(250)], "field") == list(range(250))
         assert len(lifts) == 1
+
+    def test_digit_limit_lift_is_thread_safe(self):
+        """The digit limit is one setting for the whole process.  Without a
+        lock, the first thread's restore would bring the limit back while
+        the second thread's lift is open, and the second restore would
+        then leave the process unlimited."""
+        limit = sys.get_int_max_str_digits()
+        first_in, second_trying, second_in, first_out = (threading.Event() for _ in range(4))
+        seen = []
+
+        def first():
+            with cli._int_str_limit_lifted():
+                first_in.set()
+                second_trying.wait()
+                # the second lift waits for this one, so this times out
+                second_in.wait(timeout=0.5)
+                seen.append(("first", sys.get_int_max_str_digits()))
+            first_out.set()
+
+        def second():
+            first_in.wait()
+            second_trying.set()
+            with cli._int_str_limit_lifted():
+                second_in.set()
+                first_out.wait(timeout=5)
+                seen.append(("second", sys.get_int_max_str_digits()))
+
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert seen == [("first", 0), ("second", 0)]
+        assert sys.get_int_max_str_digits() == limit != 0
 
 
 class TestConstructCommand:
@@ -535,6 +570,39 @@ class TestVerifyCommand:
         assert code == 1
         assert [json.loads(line)["poly"] for line in out.splitlines()] == [["1", "24"]]
         assert "malformed JSON document" in err
+
+    def test_from_json_error_names_a_truncated_third_line(self):
+        _, good, _ = run_cli("construct", "--set", "0,1,2", "--param", "3,1")
+        code, out, err = run_cli("verify", "--from-json", "-", stdin=good + good + good[:36] + "\n")
+        assert code == 1
+        assert [json.loads(line)["poly"] for line in out.splitlines()] == [["1", "24"]] * 2
+        assert err == "diopoly: error: input line 3: malformed JSON document: Expecting ',' delimiter at column 37\n"
+
+    def test_from_json_error_names_a_zero_poly_on_line_two(self):
+        _, good, _ = run_cli("construct", "--set", "0,1,2", "--param", "3,1")
+        zero = json.dumps(dict(json.loads(good), poly=["0"]))
+        code, out, err = run_cli("verify", "--from-json", "-", stdin=good + zero + "\n" + good)
+        assert code == 1
+        assert [json.loads(line)["poly"] for line in out.splitlines()] == [["1", "24"]]
+        assert err == "diopoly: error: input line 2: the zero polynomial is not allowed\n"
+
+    def test_from_json_lines_count_blank_lines(self, tmp_path):
+        f = tmp_path / "w.json"
+        f.write_text('\n  \n{"schema_version":"1","set":["0","1","2"],"poly":["1"]\n')
+        code, out, err = run_cli("verify", "--from-json", str(f))
+        assert (code, out) == (1, "")
+        assert err.startswith("diopoly: error: input line 3: malformed JSON document: Expecting ',' delimiter")
+
+    def test_from_json_file_names_the_line_of_an_undecodable_byte(self, tmp_path):
+        f = tmp_path / "w.json"
+        f.write_bytes(b'\n{"schema_version":"1","set":["0","1","2\xff"],"poly":["1"]}\n')
+        code, out, err = run_cli("verify", "--from-json", str(f))
+        assert (code, out) == (1, "")
+        assert err.startswith("diopoly: error: input line 2: document field 'set' entry 3 is not a decimal integer")
+
+    def test_set_and_poly_errors_name_no_line(self):
+        code, out, err = run_cli("verify", "--set", "0,1,2", "--poly", "0")
+        assert (code, out, err) == (1, "", "diopoly: error: the zero polynomial is not allowed\n")
 
     @pytest.mark.parametrize("value", ["1,24", "-1,-24"])
     def test_abbreviated_option_refused(self, value):

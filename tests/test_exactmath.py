@@ -271,6 +271,26 @@ class TestLagrangeNumerator:
         xs, a = case
         assert lagrange_numerator(xs, a) == basis_sum(xs, a)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(-10**12, 10**12), min_size=1, max_size=30, unique=True).flatmap(
+            lambda xs: st.tuples(
+                st.just(xs),
+                st.lists(st.integers(-10**12, 10**12), min_size=len(xs), max_size=len(xs)),
+            )
+        )
+    )
+    def test_takes_a_i_w_i_at_each_node(self, case):
+        """The contract construction relies on at the base nodes, where it
+        evaluates no witness: at x_i the sum takes a_i * w_i, w_i the
+        Lagrange weight prod_{j != i} (x_i - x_j)."""
+        xs, a = case
+        coeffs = lagrange_numerator(xs, a)
+        assert len(coeffs) == len(xs)
+        for i, (x, ai) in enumerate(zip(xs, a)):
+            w = math.prod(x - xj for j, xj in enumerate(xs) if j != i)
+            assert eval_poly(coeffs, x) == ai * w
+
 
 class TestEvalPoly:
     def test_horner_matches_power_sum(self):

@@ -651,7 +651,8 @@ class TestCertificateRoots:
     @pytest.mark.parametrize("method", ["quadric", "plane"])
     def test_node_identity_is_the_one_check(self, monkeypatch, method):
         """Construction runs the reverse map once, checks g * f(x) = +-L * Y_x^2
-        with one evaluation of f per node and runs no certificate check,
+        with one evaluation of f per tail node (at the base nodes the
+        identity is lagrange_numerator's) and runs no certificate check,
         which that identity implies; the config keeps no node table but
         base_lagrange.  Each twist_points call runs no reverse map and
         evaluates f once, at the base node: a certificate check would
@@ -670,14 +671,14 @@ class TestCertificateRoots:
             monkeypatch.setattr(module, attr, counted)
         w = construct_witness(range(30), method, seed=1)
         assert w.stats["attempts"] == 1
-        nodes = {"quadric": 30, "plane": 32}[method]
-        assert len(w.config.nodes) == nodes
-        assert calls == {"reverse": 1, "eval": nodes}
+        nodes, tail = {"quadric": (30, 1), "plane": (32, 11)}[method]
+        assert len(w.config.nodes) == nodes == w.config.degree + 1 + tail
+        assert calls == {"reverse": 1, "eval": tail}
         # the fields and the one node table: base_lagrange
         assert set(vars(w.config)) <= {"nodes", "degree", "base_lagrange"}
         for twists in (1, 2):
             twist_points(w)
-            assert calls == {"reverse": 1, "eval": nodes + twists}
+            assert calls == {"reverse": 1, "eval": tail + twists}
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -733,6 +734,27 @@ class TestCertificateRoots:
         monkeypatch.setattr(forge, "quadric_to_certificate_lcm", bumped)
         with pytest.raises(ConstructionError, match="reverse map breaks"):
             construct_witness(elems, method, **kwargs)
+
+    @pytest.mark.parametrize(
+        "elems,method,moved",
+        [
+            (range(6), "quadric", 0),  # k = 0: the one tail node
+            (range(6), "plane", 1),  # k = 2: the middle of three tail nodes
+            ([-7, 2, 5, 11, 30], "plane", 0),  # k = 1: the first of two tail nodes
+        ],
+    )
+    def test_moved_tail_coordinate_raises_at_its_node(self, elems, method, moved):
+        """The reverse map reads only the base coordinates, so a tail
+        coordinate moved by 1 leaves f as it was, and the tail check must
+        name that node."""
+        w = construct_witness(elems, method, seed=1)
+        m = w.config.degree + 1 + moved
+        coords = list(w.image.coords)
+        coords[m] += 1
+        image = ProjPoint(tuple(coords))
+        assert image.coords == tuple(coords)
+        with pytest.raises(ConstructionError, match=rf"reverse map breaks .* at node {w.config.nodes[m]}$"):
+            forge._build_witness(w.config, w.method, w.parameter, image, w.elements, dict(w.stats))
 
 
 class TestVerify:
