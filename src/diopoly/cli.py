@@ -26,7 +26,10 @@ around each element's products and the caller's context is restored
 before the row is written, so no caller code runs in it.
 
 Exit codes: 0 success, 1 usage error (including a refused search box),
-2 construction failure, 3 verification failure.
+2 construction failure, 3 verification failure.  They are decided in one
+place, main: a command returns 0 or 3 and raises every failure, and a
+usage error is a plain ValueError, from argparse (through _Parser.error)
+or from a command.
 """
 
 from __future__ import annotations
@@ -38,13 +41,12 @@ import os
 import random
 import re
 import sys
-import threading
-from contextlib import contextmanager
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, getcontext, setcontext
 from functools import cache
 from operator import add
 from typing import Sequence
 
+from .exactmath import _int_str_limit_lifted
 from .forge import (
     DEFAULT_MAX_ATTEMPTS,
     DEFAULT_SEARCH_CEILING,
@@ -323,26 +325,20 @@ def _search_report_line(report) -> str:
     })
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # no abbreviations (subcommand parsers are _Parser too), because
     # _attach_negative_lists knows each option by its full name
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
 
-    # argparse exits with code 2 on bad usage; the contract here is 1
+    # argparse exits with code 2 on bad usage; the contract here is 1,
+    # which main gives every ValueError
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _int_list(text: str, label: str) -> list[int]:
-    try:
-        return _parse_ints(text.split(","), f"--{label} field")
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    return _parse_ints(text.split(","), f"--{label} field")
 
 
 def _int_option(text: str) -> int:
@@ -367,26 +363,6 @@ def _attach_negative_lists(argv: Sequence[str]) -> list[str]:
         else:
             out.append(arg)
     return out
-
-
-# the digit limit is one setting for the whole process: a thread that
-# restored it while another's lift was open would leave that one limited,
-# and the later restore would leave the process unlimited
-_LIFT_LOCK = threading.RLock()
-
-
-@contextmanager
-def _int_str_limit_lifted():
-    """Lift the int<->str digit limit for the duration, then restore it.
-    The lift holds a reentrant lock, so lifts in other threads wait for it
-    and lifts nested in one thread pass."""
-    with _LIFT_LOCK:
-        old = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            yield
-        finally:
-            sys.set_int_max_str_digits(old)
 
 
 def _emit(pieces) -> None:
@@ -420,6 +396,7 @@ def _build_parser() -> _Parser:
     c.add_argument(
         "--emit-twist", action="store_true", help="add points on f(x_0) * y^2 = f(x); null when f(x_0) = 0"
     )
+    c.set_defaults(run=_cmd_construct)
 
     v = sub.add_parser("verify", help="verify a polynomial against a set")
     v.add_argument("--set", help="comma-separated distinct integers")
@@ -429,11 +406,13 @@ def _build_parser() -> _Parser:
         metavar="FILE",
         help="read witness documents (JSON lines) from FILE, or - for stdin",
     )
+    v.set_defaults(run=_cmd_verify)
 
     s = sub.add_parser("search", help="exhaustive search over a coefficient box")
     s.add_argument("--set", required=True, help="comma-separated distinct integers")
     s.add_argument("--max-degree", type=_int_option, required=True, help="largest polynomial degree in the box")
     s.add_argument("--max-height", type=_int_option, required=True, help="largest |coefficient| in the box")
+    s.set_defaults(run=_cmd_search)
     return parser
 
 
@@ -441,9 +420,9 @@ def _cmd_construct(args) -> int:
     elements = _int_list(args.set, "set")
     parameter = _int_list(args.param, "param") if args.param is not None else None
     if args.count < 1:
-        raise _UsageError("--count must be at least 1")
+        raise ValueError("--count must be at least 1")
     if parameter is not None and args.count != 1:
-        raise _UsageError("--param pins one witness; drop it or use --count 1")
+        raise ValueError("--param pins one witness; drop it or use --count 1")
     rng = random.Random(args.seed)
     for _ in range(args.count):
         witness = construct_witness(
@@ -478,16 +457,16 @@ def _document_reports(lines):
                 raise ValueError(f"input line {number}: {exc}") from exc
             yield report
     if report is None:
-        raise _UsageError("no witness documents on input")
+        raise ValueError("no witness documents on input")
 
 
 def _cmd_verify(args) -> int:
     if args.from_json is None:
         if args.set is None or args.poly is None:
-            raise _UsageError("verify needs --set and --poly, or --from-json")
+            raise ValueError("verify needs --set and --poly, or --from-json")
         return _verify_reports([verify_witness(_int_list(args.set, "set"), _int_list(args.poly, "poly"))])
     if args.set is not None or args.poly is not None:
-        raise _UsageError("--from-json replaces --set/--poly")
+        raise ValueError("--from-json replaces --set/--poly")
     if args.from_json == "-":
         return _verify_reports(_document_reports(sys.stdin))
     # undecodable bytes become lone surrogates, so the error that names
@@ -506,36 +485,24 @@ def _verify_reports(reports) -> int:
 
 def _cmd_search(args) -> int:
     elements = _int_list(args.set, "set")
-    ceiling = DEFAULT_SEARCH_CEILING
     override = os.environ.get(CEILING_ENV_VAR)
-    if override is not None:
-        ceiling = _parse_int(override, CEILING_ENV_VAR)
-        if ceiling < 1:
-            raise _UsageError(f"{CEILING_ENV_VAR} must be at least 1, got {ceiling}")
+    ceiling = DEFAULT_SEARCH_CEILING if override is None else _parse_int(override, CEILING_ENV_VAR)
+    if ceiling < 1:
+        raise ValueError(f"{CEILING_ENV_VAR} must be at least 1, got {ceiling}")
     report = brute_force_search(elements, args.max_degree, args.max_height, ceiling=ceiling)
     _emit((_search_report_line(report),))
     return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command and map its outcome to the exit code: the command's
+    own 0 or 3, or the code of the first handler below that takes what it
+    raised, each with its one stderr line."""
     try:
-        args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
-    except _UsageError as exc:
-        print(f"diopoly: error: {exc}", file=sys.stderr)
-        return 1
+        args = _build_parser().parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
+        return args.run(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-
-    try:
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        return _cmd_search(args)
-    except _UsageError as exc:
-        print(f"diopoly: error: {exc}", file=sys.stderr)
-        return 1
     except SearchSpaceError as exc:
         print(f"diopoly: error: {exc} (ceiling override: {CEILING_ENV_VAR})", file=sys.stderr)
         return 1

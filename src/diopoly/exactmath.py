@@ -6,13 +6,18 @@ determinant it needs has a closed form: an interpolant on the scale of
 the lcm of the Lagrange weights, read off the node polynomial and the
 power moments of the values with no basis polynomial.  No matrix is
 ever eliminated.  All functions are pure, which makes everything here
-safe to call from concurrent code.
+safe to call from concurrent code.  The one exception is the lift of
+CPython's int<->str digit limit, a setting of the whole process, which
+the printing layers (cli, twist) share and which holds a lock.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
+import threading
+from contextlib import contextmanager
 from typing import Sequence
 
 __all__ = [
@@ -85,3 +90,23 @@ def integer_sqrt(n: int) -> int | None:
         return None
     r = math.isqrt(n)
     return r if r * r == n else None
+
+
+# the digit limit is one setting for the whole process: a thread that
+# restored it while another's lift was open would leave that one limited,
+# and the later restore would leave the process unlimited
+_LIFT_LOCK = threading.RLock()
+
+
+@contextmanager
+def _int_str_limit_lifted():
+    """Lift the int<->str digit limit for the duration, then restore it.
+    The lift holds a reentrant lock, so lifts in other threads wait for it
+    and lifts nested in one thread pass."""
+    with _LIFT_LOCK:
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(old)

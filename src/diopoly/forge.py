@@ -170,10 +170,6 @@ class Polynomial:
     def content(self) -> int:
         return math.gcd(*self.coeffs)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.degree == 0
-
     def __call__(self, x: int) -> int:
         return eval_poly(self.coeffs, x)
 
@@ -184,14 +180,6 @@ class Polynomial:
             return self
         sign = 1 if self.leading > 0 else -1
         return Polynomial(tuple(sign * c // g for c in self.coeffs))
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
 
 
 def poly_square_root(coeffs: Sequence[int]) -> tuple[int, ...] | None:
@@ -206,17 +194,22 @@ def poly_square_root(coeffs: Sequence[int]) -> tuple[int, ...] | None:
     if len(coeffs) % 2 == 0 or coeffs[-1] < 0:
         return None
     m = len(coeffs) // 2
-    # floor root: when r^2 misses the leading coefficient, so does g^2 below
     r = math.isqrt(coeffs[-1])
+    if r * r != coeffs[-1]:
+        return None
     g = [0] * (m + 1)
     g[m] = r
+    # coefficient i + m of g^2 is 2 * r * g_i plus products of g_{i+1..m-1},
+    # so matching coefficients 2m-1 down to m fixes g_{m-1} down to g_0
     for i in range(m - 1, -1, -1):
         s = sum(g[a] * g[i + m - a] for a in range(i + 1, m))
         g[i], rem = divmod(coeffs[i + m] - s, 2 * r)
         if rem:
             return None
-    root = tuple(g)
-    return root if _poly_mul(root, root) == coeffs else None
+    # g is now fixed, and only coefficients 0..m-1 of g^2 are left to match
+    if any(sum(g[a] * g[t - a] for a in range(t + 1)) != coeffs[t] for t in range(m)):
+        return None
+    return tuple(g)
 
 
 @dataclass(frozen=True)
@@ -760,9 +753,8 @@ def classify_trivial(poly: Polynomial, elements: Iterable[int]) -> frozenset[str
     no matter the set).  zero-value: f vanishes at some set element.
     """
     flags = set()
-    if poly.is_constant:
-        flags.add(FLAG_TRIVIAL_FAMILY)
-    elif poly.degree % 2 == 0 and poly_square_root(poly.primitive_part().coeffs) is not None:
+    # a constant's primitive part is (1,), the square of (1,)
+    if poly.degree % 2 == 0 and poly_square_root(poly.primitive_part().coeffs) is not None:
         flags.add(FLAG_TRIVIAL_FAMILY)
     if any(poly(x) == 0 for x in elements):
         flags.add(FLAG_ZERO_VALUE)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 
+from .exactmath import _int_str_limit_lifted
 from .forge import Witness
 
 __all__ = ["twist_points"]
@@ -29,8 +30,9 @@ def twist_points(w: Witness) -> dict | None:
     points, each node x_i with the ordinate Y_i / Y_0 in lowest terms as
     "p/q", or "p" when q = 1 (Y_0 > 0, as ProjPoint makes the first nonzero
     coordinate positive); and genus_note, a caveat for degree <= 2, else
-    None.  Takes one evaluation of f.  str of an int raises past the
-    int/str digit limit, which the CLI lifts.
+    None.  Takes one evaluation of f.  The strings are formed with
+    CPython's int/str digit limit lifted, as the CLI prints them, so a
+    coefficient of any length is printed.
     """
     y = w.image.coords
     if y[0] == 0:
@@ -39,13 +41,14 @@ def twist_points(w: Witness) -> dict | None:
     coeffs = w.poly.coeffs
     sign = 1 if next(c for c in coeffs if c) > 0 else -1
     points = []
-    for x, yi in zip(nodes, y):
-        g = math.gcd(yi, y[0])
-        den = y[0] // g
-        points.append({"x": str(x), "y": f"{yi // g}/{den}" if den > 1 else str(yi // g)})
-    return {
-        "twist_scalar": str(sign * w.poly(nodes[0])),
-        "poly": [str(sign * c) for c in coeffs],
-        "points": points,
-        "genus_note": _LOW_DEGREE_NOTE if len(coeffs) <= 3 else None,
-    }
+    with _int_str_limit_lifted():
+        for x, yi in zip(nodes, y):
+            g = math.gcd(yi, y[0])
+            den = y[0] // g
+            points.append({"x": str(x), "y": f"{yi // g}/{den}" if den > 1 else str(yi // g)})
+        return {
+            "twist_scalar": str(sign * w.poly(nodes[0])),
+            "poly": [str(sign * c) for c in coeffs],
+            "points": points,
+            "genus_note": _LOW_DEGREE_NOTE if len(coeffs) <= 3 else None,
+        }

@@ -218,9 +218,9 @@ def test_every_function_runs():
     the calls the package serves (run_commands), the benchmark setup's
     cli.witness_document, and one error path per exit code: a bad integer
     field, an unknown option and a refused search box (1), sampling
-    exhaustion (2), and a trivial-family resample, the one path that reaches
-    forge._poly_mul.  A function that none of them runs is code no command
-    needs, except the two of UNRUN."""
+    exhaustion (2), and a trivial-family resample, on which
+    forge.poly_square_root finds a root.  A function that none of them runs
+    is code no command needs, except the two of UNRUN."""
     with Profiled() as p:
         run_commands(p)
         p.label("witness_document")

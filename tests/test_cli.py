@@ -992,6 +992,106 @@ class TestSearchCommand:
         assert f"DIOPOLY_SEARCH_CEILING must be at least 1, got {value}" in err
 
 
+PASSING_DOCUMENT = '{"schema_version":"1","set":["0","1","2"],"poly":["1","24"]}\n'
+
+
+def invalid_command_message(command):
+    """argparse's own message for an unknown subcommand, from a stock parser
+    with diopoly's subcommands: its wording (how the choices are quoted)
+    differs between Python versions, diopoly's prefix and exit code do not."""
+    stock = argparse.ArgumentParser(prog="diopoly", exit_on_error=False)
+    sub = stock.add_subparsers(dest="command", required=True)
+    for name in ("construct", "verify", "search"):
+        sub.add_parser(name)
+    with pytest.raises(argparse.ArgumentError) as caught:
+        stock.parse_args([command])
+    return str(caught.value)
+
+
+# (argv, stdin, environment, exit code, stderr) of each way main can end:
+# every failure writes one stderr line, --help and a verify run none; a
+# stderr of None is the unknown subcommand's, built by the test
+EXIT_PATHS = {
+    "unknown subcommand": (["bogus"], "", {}, 1, None),
+    "unknown option": (
+        ["construct", "--set", "0,1,2", "--bogus"],
+        "",
+        {},
+        1,
+        "diopoly: error: unrecognized arguments: --bogus\n",
+    ),
+    "non-integer option": (
+        ["construct", "--set", "0,1,2", "--seed", "x"],
+        "",
+        {},
+        1,
+        "diopoly: error: argument --seed: value is not a decimal integer: 'x'\n",
+    ),
+    "count zero": (["construct", "--set", "0,1,2", "--count", "0"], "", {}, 1, "diopoly: error: --count must be at least 1\n"),
+    "param with count": (
+        ["construct", "--set", "0,1,2", "--param", "3,1", "--count", "2"],
+        "",
+        {},
+        1,
+        "diopoly: error: --param pins one witness; drop it or use --count 1\n",
+    ),
+    "duplicate elements": (["construct", "--set", "0,1,1"], "", {}, 1, "diopoly: error: set elements must be distinct\n"),
+    "missing file": (
+        ["verify", "--from-json", "missing.json"],
+        "",
+        {},
+        1,
+        "diopoly: error: [Errno 2] No such file or directory: 'missing.json'\n",
+    ),
+    "empty input": (["verify", "--from-json", "-"], "", {}, 1, "diopoly: error: no witness documents on input\n"),
+    "bad third line": (
+        ["verify", "--from-json", "-"],
+        PASSING_DOCUMENT * 2 + "{}\n",
+        {},
+        1,
+        "diopoly: error: input line 3: witness document misses required field 'schema_version'\n",
+    ),
+    "bad ceiling": (
+        ["search", "--set", "0,1,2", "--max-degree", "1", "--max-height", "5"],
+        "",
+        {"DIOPOLY_SEARCH_CEILING": "x"},
+        1,
+        "diopoly: error: DIOPOLY_SEARCH_CEILING is not a decimal integer: 'x'\n",
+    ),
+    "refused box": (
+        ["search", "--set", "0,1,2", "--max-degree", "9", "--max-height", "99"],
+        "",
+        {},
+        1,
+        "diopoly: error: search box holds more than 100000000 candidates (ceiling override: DIOPOLY_SEARCH_CEILING)\n",
+    ),
+    "sampling exhausted": (
+        ["construct", "--set", "0,1,2", "--seed", "77", "--max-attempts", "1"],
+        "",
+        {},
+        2,
+        "diopoly: construction failed: no acceptable witness within 1 attempts {'attempts': 1, "
+        "'degenerate-parameter': 0, 'in-plane': 1, 'degree-dropped': 0, 'zero-value': 0, "
+        "'base-node-zero': 0, 'trivial-family': 0}\n",
+    ),
+    "failing verify": (["verify", "--from-json", "-"], PASSING_DOCUMENT.replace('"1","24"', '"2","24"'), {}, 3, ""),
+    "help": (["--help"], "", {}, 0, ""),
+}
+
+
+@pytest.mark.parametrize("argv, stdin, env, code, stderr", EXIT_PATHS.values(), ids=EXIT_PATHS)
+def test_exit_path(argv, stdin, env, code, stderr, tmp_path, monkeypatch):
+    """main's exit code and stderr, byte for byte, on each exit path.  The
+    missing file is looked up in an empty directory."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DIOPOLY_SEARCH_CEILING", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if stderr is None:
+        stderr = f"diopoly: error: {invalid_command_message(argv[0])}\n"
+    assert run_cli(*argv, stdin=stdin)[::2] == (code, stderr)
+
+
 class TestSubprocessPipe:
     def test_construct_verify_pipe(self, cli_env):
         construct = subprocess.run(

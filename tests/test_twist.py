@@ -1,10 +1,12 @@
 """Rational points on the twisted curves attached to witnesses."""
 
 import random
+import sys
 from fractions import Fraction
 
 from hypothesis import assume, example, given, settings, strategies as st
 
+from diopoly import cli
 from diopoly.forge import METHODS, ConstructionError, construct_witness
 from diopoly.twist import twist_points
 
@@ -74,6 +76,22 @@ def test_genus_note_absent_for_higher_degree():
     block = twist_points(w)
     assert len(block["poly"]) - 1 == 3
     assert block["genus_note"] is None
+
+
+def test_coefficients_past_the_digit_limit():
+    """On 60 elements of [-10^6, 10^6) the quadric witness has coefficients
+    of about 10 k digits, past CPython's 4300-digit int/str limit.  A library
+    call returns the strings construct --emit-twist prints, where the CLI
+    lifts the limit, and leaves the limit as it was."""
+    w = construct_witness(random.Random(3).sample(range(-(10**6), 10**6), 60), "quadric", seed=1)
+    limit = sys.get_int_max_str_digits()
+    block = twist_points(w)
+    assert sys.get_int_max_str_digits() == limit != 0
+    assert max(map(len, block["poly"])) > limit
+    with cli._int_str_limit_lifted():
+        assert block == twist_points(w)
+        scalar, coeffs, points = parse_twist(block)
+        assert all(on_curve(scalar, coeffs, x, y) for x, y in points)
 
 
 def test_curve_follows_certificate_coordinates():
