@@ -10,7 +10,9 @@ Integer input is strict (optional sign, ASCII digits, no empty fields,
 at most INPUT_DIGITS_CAP digits); CPython's int<->str digit limit is
 lifted while integers are parsed and printed, so any output reads back.
 The limit is one setting for the whole process, so a lift holds a lock.
-An error about a --from-json document names its input line.
+verify --from-json reads a file and stdin alike, as UTF-8 whatever the
+locale, so an error about a document, an undecodable byte included,
+names its input line.
 
 Every root and product of a pair is a product of two per-element
 factors, so it is printed as the exact Decimal product of the two: each
@@ -20,10 +22,11 @@ n(n-1)/2 of them with thousands of digits each on a wide set.  So a
 document is written to stdout as it is rendered, never held whole: the
 fields before the pair array, then the pairs of one element at a time,
 then the closing fields.  Whatever can raise runs before the first
-write, so a document that fails writes nothing.  The exact Decimal
-context is switched per row: one copy per document is made current
-around each element's products and the caller's context is restored
-before the row is written, so no caller code runs in it.
+write, so a document that fails writes nothing.  The renderers only
+render: the writer sets up printing, the digit limit lifted and a copy
+of the exact Decimal context current, around the whole document, and
+makes the caller's context current again around each write, so no
+caller code runs in the exact context.
 
 Exit codes: 0 success, 1 usage error (including a refused search box),
 2 construction failure, 3 verification failure.  They are decided in one
@@ -41,7 +44,9 @@ import os
 import random
 import re
 import sys
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded, getcontext, setcontext
+from contextlib import contextmanager
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, Rounded
+from decimal import getcontext, localcontext, setcontext
 from functools import cache
 from operator import add
 from typing import Sequence
@@ -144,14 +149,22 @@ WITNESS_DOCUMENT_SCHEMA = {
 }
 
 
+@contextmanager
+def _printing():
+    """Printing of the program's own numbers: the int<->str digit limit
+    lifted, and a copy of _EXACT current, as a context collects flags;
+    the copy is the value of the with statement."""
+    with _int_str_limit_lifted(), localcontext(_EXACT) as exact:
+        yield exact
+
+
 def _witness_line(witness: Witness, include_twist: bool = False):
     """One witness document's compact JSON line in fixed key order, in
     pieces: the fields before pair_roots, then the pairs i < j of each
     element i, then the flags and the twist block.  The root of the pair
     i < j is printed as the Decimal product of (L / g) * |Y_i| and |Y_j|,
-    from the witness's root factors; a row's products are taken and
-    printed in an exact context, switched in per row and never current
-    across a yield.  Everything that can raise runs before the first
+    from the witness's root factors, so the pieces are read inside
+    _printing().  Everything that can raise runs before the first
     piece."""
     scale, ys = witness.root_factors
     lead, cols = Decimal(scale), [Decimal(y) for y in ys]
@@ -169,18 +182,9 @@ def _witness_line(witness: Witness, include_twist: bool = False):
     # a row is joined from these prefixes and its roots, so no bytecode
     # runs per pair
     prefixes = [f'"j":{j},"root":"' for j in range(len(cols))]
-    # a current context collects flags, so each document takes its own
-    # copy rather than sharing _EXACT with every other caller
-    exact = _EXACT.copy()
     for i in range(len(cols) - 1):
-        caller = getcontext()
-        setcontext(exact)
-        try:
-            row = lead * cols[i]
-            roots = map(str, map(row.__mul__, cols[i + 1 :]))
-            pairs = f'"}},{{"i":{i},'.join(map(add, prefixes[i + 1 :], roots))
-        finally:
-            setcontext(caller)
+        roots = map(str, map((lead * cols[i]).__mul__, cols[i + 1 :]))
+        pairs = f'"}},{{"i":{i},'.join(map(add, prefixes[i + 1 :], roots))
         yield f'{"," if i else ""}{{"i":{i},{pairs}"}}'
     yield "]," + _ENCODE(tail)[1:]
 
@@ -189,7 +193,7 @@ def witness_document(witness: Witness, include_twist: bool = False) -> dict:
     """Serializable document for one witness, in fixed key order: the
     pieces of the line construct prints, joined and read back (its big
     integers are strings, so reading needs no lift)."""
-    with _int_str_limit_lifted():
+    with _printing():
         line = "".join(_witness_line(witness, include_twist))
     return json.loads(line)
 
@@ -278,15 +282,13 @@ def _verify_report_line(report):
     product of the two values; it has a root exactly when both values share
     a square class or one vanishes, printed as the Decimal product of the
     row and column factors of report.root_factors, and null otherwise.  A
-    zero times a negative value is the Decimal -0, printed as 0.  A row's
-    products are taken in an exact context, switched in per row and never
-    current across a yield."""
+    zero times a negative value is the Decimal -0, printed as 0.  The
+    pieces are read inside _printing()."""
     elements = [str(x) for x in report.elements]
     values = [Decimal(v) for v in report.values]
     row_factors, cols = report.root_factors
     cols = [Decimal(c) for c in cols]
     classes = report.classes
-    exact = _EXACT.copy()
     yield _ENCODE({
         "schema_version": SCHEMA_VERSION,
         "set": elements,
@@ -297,18 +299,13 @@ def _verify_report_line(report):
     for i, row in enumerate(map(Decimal, row_factors[:-1])):
         a, vi, ki = elements[i], values[i], classes[i]
         rows = []
-        caller = getcontext()
-        setcontext(exact)
-        try:
-            for j in range(i + 1, len(values)):
-                kj = classes[j]
-                shown = f'"{row * cols[j]!s}"' if kj == ki or ki < 0 or kj < 0 else "null"
-                rows.append(
-                    f'{{"i":{i},"j":{j},"a":"{a}","b":"{elements[j]}",'
-                    f'"product":"{vi * values[j] or 0!s}","root":{shown}}}'
-                )
-        finally:
-            setcontext(caller)
+        for j in range(i + 1, len(values)):
+            kj = classes[j]
+            shown = f'"{row * cols[j]!s}"' if kj == ki or ki < 0 or kj < 0 else "null"
+            rows.append(
+                f'{{"i":{i},"j":{j},"a":"{a}","b":"{elements[j]}",'
+                f'"product":"{vi * values[j] or 0!s}","root":{shown}}}'
+            )
         yield ("," if i else "") + ",".join(rows)
     yield "]}"
 
@@ -365,17 +362,28 @@ def _attach_negative_lists(argv: Sequence[str]) -> list[str]:
     return out
 
 
+def _standard(name: str):
+    """sys.stdin or sys.stdout, which Python sets to None when its
+    descriptor was closed at start."""
+    if (stream := getattr(sys, name)) is None:
+        raise OSError(f"{name} is closed")
+    return stream
+
+
 def _emit(pieces) -> None:
     """Write one output document as one line, each piece as it is
     rendered, so a document of n elements is never held whole: its pairs
-    are n(n-1)/2 fields of thousands of digits on a wide set.  The
-    program's own integers can outgrow the digit limit (a product of two
-    3000-digit values has 6000), so they are formatted with the limit
-    lifted."""
-    write = sys.stdout.write
-    with _int_str_limit_lifted():
+    are n(n-1)/2 fields of thousands of digits on a wide set.  The pieces
+    are rendered inside _printing(), as the program's own integers can
+    outgrow the digit limit (a product of two 3000-digit values has
+    6000), and each is written in the caller's Decimal context."""
+    write = _standard("stdout").write
+    caller = getcontext()
+    with _printing() as exact:
         for piece in pieces:
+            setcontext(caller)
             write(piece)
+            setcontext(exact)
     write("\n")
 
 
@@ -467,11 +475,11 @@ def _cmd_verify(args) -> int:
         return _verify_reports([verify_witness(_int_list(args.set, "set"), _int_list(args.poly, "poly"))])
     if args.set is not None or args.poly is not None:
         raise ValueError("--from-json replaces --set/--poly")
-    if args.from_json == "-":
-        return _verify_reports(_document_reports(sys.stdin))
-    # undecodable bytes become lone surrogates, so the error that names
-    # them names their line
-    with open(args.from_json, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    source = _standard("stdin").fileno() if args.from_json == "-" else args.from_json
+    # stdin's descriptor is opened as a path is, so both decode alike:
+    # undecodable bytes become lone surrogates, and the error that names
+    # them names their line; only a path is closed
+    with open(source, "r", encoding="utf-8", errors="surrogateescape", closefd=isinstance(source, str)) as fh:
         return _verify_reports(_document_reports(fh))
 
 

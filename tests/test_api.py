@@ -10,6 +10,7 @@ import io
 import json
 import pkgutil
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -140,11 +141,14 @@ class Profiled:
         """cli.main on argv with stdin; returns (exit code, stdout)."""
         self.label(label)
         out, old_stdin = io.StringIO(), sys.stdin
-        sys.stdin = io.StringIO(stdin)
+        sys.stdin = tempfile.TemporaryFile("w+", encoding="utf-8")
+        sys.stdin.write(stdin)
+        sys.stdin.seek(0)
         try:
             with redirect_stdout(out), redirect_stderr(io.StringIO()):
                 return cli.main(list(argv)), out.getvalue()
         finally:
+            sys.stdin.close()
             sys.stdin = old_stdin
 
 

@@ -8,6 +8,7 @@ import math
 import random
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -66,14 +67,20 @@ def read_document(text):
 
 
 def run_cli(*argv, stdin=None):
+    """main on argv, with stdin a file that holds the text stdin; verify
+    reads stdin from its descriptor, as it reads a file."""
     out, err = io.StringIO(), io.StringIO()
     old_stdin = sys.stdin
     if stdin is not None:
-        sys.stdin = io.StringIO(stdin)
+        sys.stdin = tempfile.TemporaryFile("w+", encoding="utf-8")
+        sys.stdin.write(stdin)
+        sys.stdin.seek(0)
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = main(list(argv))
     finally:
+        if stdin is not None:
+            sys.stdin.close()
         sys.stdin = old_stdin
     return code, out.getvalue(), err.getvalue()
 
@@ -753,7 +760,8 @@ class TestDecimalRendering:
             w = construct_witness(elements, method, seed=seed)
         except ConstructionError:
             assume(False)
-        assert "".join(cli._witness_line(w)) == witness_line_by_ints(w)
+        with cli._printing():
+            assert "".join(cli._witness_line(w)) == witness_line_by_ints(w)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -761,7 +769,8 @@ class TestDecimalRendering:
         st.lists(st.integers(-20, 20), min_size=1, max_size=4).filter(any),
     )
     def test_report_lines(self, elements, coeffs):
-        line = "".join(cli._verify_report_line(verify_witness(elements, coeffs)))
+        with cli._printing():
+            line = "".join(cli._verify_report_line(verify_witness(elements, coeffs)))
         assert line == report_line_by_ints(elements, coeffs)
 
     @pytest.mark.parametrize(
@@ -783,7 +792,8 @@ class TestDecimalRendering:
         coeffs[0] += 1
         report = verify_witness(w.elements, coeffs)
         assert not report.ok
-        assert "".join(cli._verify_report_line(report)) == report_line_by_ints(w.elements, coeffs)
+        with cli._printing():
+            assert "".join(cli._verify_report_line(report)) == report_line_by_ints(w.elements, coeffs)
 
     def test_pair_of_20k_digit_values(self):
         # f(0) = 2u^2 and f(1) = 2v^2 have about 2 * 10^4 digits, past the
@@ -824,8 +834,9 @@ class TestDecimalRendering:
 
 
 class TestCallerContext:
-    """The renderers make the exact Decimal context current around each
-    row's products only, and give the caller's context back, also when a
+    """The writer makes the exact Decimal context current while a document
+    is rendered, makes the caller's context current again around each
+    write, and gives it back when the document is written, also when a
     row raises."""
 
     @staticmethod
@@ -864,6 +875,7 @@ class TestCallerContext:
         exact = cli._EXACT.copy()
         exact.prec = 10
         monkeypatch.setattr(cli, "_EXACT", exact)
+        limit = sys.get_int_max_str_digits()
         out = _RecordedWrites()
         caller, narrow = getcontext(), Context(prec=9)
         setcontext(narrow)
@@ -875,6 +887,25 @@ class TestCallerContext:
             setcontext(caller)
         assert len(out.writes) == written
         assert current is narrow and not any(narrow.flags.values())
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_every_write_runs_in_the_callers_context(self):
+        elements = ",".join(str(x) for x in range(30))
+        calls = [
+            ("construct", "--set", elements, "--method", "plane", "--seed", "1", "--emit-twist"),
+            ("verify", "--set", elements, "--poly", "1,2,3"),
+        ]
+        caller, narrow = getcontext(), Context(prec=9)
+        setcontext(narrow)
+        try:
+            for argv in calls:
+                out = _RecordedContexts()
+                with redirect_stdout(out):
+                    assert main(list(argv)) in (0, 3)
+                assert len(out.contexts) >= 30
+                assert all(context is narrow for context in out.contexts)
+        finally:
+            setcontext(caller)
 
 
 class _RecordedWrites(io.StringIO):
@@ -886,6 +917,19 @@ class _RecordedWrites(io.StringIO):
 
     def write(self, text):
         self.writes.append(text)
+        return super().write(text)
+
+
+class _RecordedContexts(_RecordedWrites):
+    """A stdout stand-in that keeps the current Decimal context at each
+    write."""
+
+    def __init__(self):
+        super().__init__()
+        self.contexts = []
+
+    def write(self, text):
+        self.contexts.append(getcontext())
         return super().write(text)
 
 
@@ -917,9 +961,11 @@ class TestStreaming:
             self.assert_streamed(out.writes, witness_line_by_ints(w), "pair_roots")
             expected = report_line_by_ints(w.elements, w.poly.coeffs)
 
-        monkeypatch.setattr(sys, "stdin", io.StringIO(out.getvalue()))
         report = _RecordedWrites()
-        with redirect_stdout(report):
+        with tempfile.TemporaryFile("w+", encoding="utf-8") as stdin, redirect_stdout(report):
+            stdin.write(out.getvalue())
+            stdin.seek(0)
+            monkeypatch.setattr(sys, "stdin", stdin)
             assert main(["verify", "--from-json", "-"]) == 0
         with cli._int_str_limit_lifted():
             self.assert_streamed(report.writes, expected, "pairs")
@@ -1144,3 +1190,53 @@ class TestSubprocessPipe:
         ]
         assert [code for code, _ in together] == [1, 0, 0, 0, 0]
         assert together == [(proc.returncode, proc.stdout) for proc in alone]
+
+
+class TestStandardStreams:
+    """verify reads stdin as it reads a file, as UTF-8 whatever the locale,
+    and a closed standard stream exits 1 with one stderr line."""
+
+    @staticmethod
+    def verify(source, env, stdin=None):
+        return subprocess.run(
+            [sys.executable, "-m", "diopoly", "verify", "--from-json", source],
+            input=stdin,
+            capture_output=True,
+            env=env,
+        )
+
+    def test_strict_stdin_encoding_names_the_line_of_an_undecodable_byte(self, cli_env, tmp_path):
+        data = PASSING_DOCUMENT.encode() + b'{"schema_version":"1","set":["0","1","2"],"poly":["1","2\xff4"]}\n'
+        f = tmp_path / "w.json"
+        f.write_bytes(data)
+        env = dict(cli_env, PYTHONIOENCODING="utf-8:strict")
+        piped, read = self.verify("-", env, data), self.verify(str(f), env)
+        expected = run_cli("verify", "--from-json", "-", stdin=PASSING_DOCUMENT)[1]
+        assert (piped.returncode, piped.stdout.decode()) == (1, expected)
+        assert piped.stderr == read.stderr
+        assert piped.stderr.decode() == (
+            "diopoly: error: input line 2: document field 'poly' entry 2 is not a decimal integer: '2\\udcff4'\n"
+        )
+
+    def test_stdin_is_read_as_utf8_under_a_latin1_locale(self, cli_env, tmp_path):
+        data = '{"schema_version":"1","set":["0","1","2é"],"poly":["1"]}\n'.encode()
+        f = tmp_path / "w.json"
+        f.write_bytes(data)
+        env = dict(cli_env, PYTHONIOENCODING="latin-1")
+        piped, read = self.verify("-", env, data), self.verify(str(f), env)
+        assert (piped.returncode, piped.stdout) == (read.returncode, read.stdout) == (1, b"")
+        assert piped.stderr == read.stderr
+        message = "diopoly: error: input line 1: document field 'set' entry 3 is not a decimal integer: '2é'\n"
+        assert read.stderr == message.encode("latin-1")
+
+    @pytest.mark.parametrize(
+        "command, stream",
+        [
+            ('"$0" -m diopoly verify --from-json - <&-', "stdin"),
+            ('"$0" -m diopoly construct --set 0,1,2 --seed 1 >&-', "stdout"),
+        ],
+        ids=["stdin", "stdout"],
+    )
+    def test_closed_stream_exits_one(self, cli_env, command, stream):
+        proc = subprocess.run(["sh", "-c", command, sys.executable], capture_output=True, text=True, env=cli_env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"diopoly: error: {stream} is closed\n")

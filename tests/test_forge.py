@@ -52,7 +52,7 @@ from oracles import (
 
 def report_line(report):
     """The line verify prints for the report, read back."""
-    with cli._int_str_limit_lifted():
+    with cli._printing():
         return json.loads("".join(cli._verify_report_line(report)))
 
 
