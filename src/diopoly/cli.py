@@ -40,7 +40,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import random
 import re
 import sys
@@ -54,10 +53,8 @@ from typing import Sequence
 from .exactmath import _int_str_limit_lifted
 from .forge import (
     DEFAULT_MAX_ATTEMPTS,
-    DEFAULT_SEARCH_CEILING,
     METHODS,
     ConstructionError,
-    SearchSpaceError,
     Witness,
     brute_force_search,
     construct_witness,
@@ -75,7 +72,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "1"
-CEILING_ENV_VAR = "DIOPOLY_SEARCH_CEILING"
 # longest integer input in digits: parsing is quadratic in the digit count,
 # and construct prints far shorter integers for sets of a few hundred elements
 INPUT_DIGITS_CAP = 100_000
@@ -225,11 +221,6 @@ def _digit_count(n: int) -> int:
     return d + (n >= 10**d)
 
 
-def _parse_int(text: str, where: str) -> int:
-    with _int_str_limit_lifted():
-        return _decimal(text, where)
-
-
 def _parse_ints(fields, where: str) -> list[int]:
     """Decimal integers under one lift of the digit limit; the first bad
     field is named "<where> <position>"."""
@@ -340,7 +331,8 @@ def _int_list(text: str, label: str) -> list[int]:
 
 def _int_option(text: str) -> int:
     try:
-        return _parse_int(text, "value")
+        with _int_str_limit_lifted():
+            return _decimal(text, "value")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -493,11 +485,7 @@ def _verify_reports(reports) -> int:
 
 def _cmd_search(args) -> int:
     elements = _int_list(args.set, "set")
-    override = os.environ.get(CEILING_ENV_VAR)
-    ceiling = DEFAULT_SEARCH_CEILING if override is None else _parse_int(override, CEILING_ENV_VAR)
-    if ceiling < 1:
-        raise ValueError(f"{CEILING_ENV_VAR} must be at least 1, got {ceiling}")
-    report = brute_force_search(elements, args.max_degree, args.max_height, ceiling=ceiling)
+    report = brute_force_search(elements, args.max_degree, args.max_height)
     _emit((_search_report_line(report),))
     return 0
 
@@ -511,9 +499,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.run(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    except SearchSpaceError as exc:
-        print(f"diopoly: error: {exc} (ceiling override: {CEILING_ENV_VAR})", file=sys.stderr)
-        return 1
     except ConstructionError as exc:
         detail = f" {exc.stats}" if exc.stats else ""
         print(f"diopoly: construction failed: {exc}{detail}", file=sys.stderr)

@@ -34,15 +34,15 @@ share one table.
 A small exhaustive search over primitive integer polynomials doubles as
 an independent oracle for the construction routines.  It fixes the upper
 coefficients and scans only the constant term, testing the first pair of
-the set before any other, and lists what it finds in the box order
-(degree, leading coefficient, then the lower coefficients).  With u the
-first value, the products u * (u + d) and u * (u + d_2) of the pairs
-(0, 1) and (0, 2) are squares only if they are squares modulo
-SQUARE_MODULUS, so the AND of two bit rows of a residue table, shifted
-to the span, passes on the constant terms worth testing (5% of them on
-average over d and d_2), and only those get the exact tests.  Along c_1
-u, d and d_2 move by constants, so no upper polynomial is evaluated per
-c_1.
+the set before any other and then each later value against one base
+value, and lists what it finds in the box order (degree, leading
+coefficient, then the lower coefficients).  With u the first value, the
+products u * (u + d) and u * (u + d_2) of the pairs (0, 1) and (0, 2)
+are squares only if they are squares modulo SQUARE_MODULUS, so the AND
+of two bit rows of a residue table, shifted to the span, passes on the
+constant terms worth testing (5% of them on average over d and d_2), and
+only those get the exact tests.  Along c_1 u, d and d_2 move by
+constants, so no upper polynomial is evaluated per c_1.
 """
 
 from __future__ import annotations
@@ -472,7 +472,7 @@ def construct_witness(
         try:
             image, _ = plane_image(config, q)
         except DegenerateParameterError as exc:
-            raise ConstructionError(f"parameter {q.coords} is degenerate: {exc}") from exc
+            raise ConstructionError(f"the parameter is degenerate: {exc}") from exc
         stats["attempts"] = 1
         return _build_witness(config, method, q, image, elems, stats)
 
@@ -651,7 +651,6 @@ def _scan_box(elems: tuple[int, ...], max_degree: int, max_height: int) -> Itera
     """brute_force_search's found vectors of degree 1 to max_degree, in box order."""
     x0, x1, x2 = (*elems, elems[1])[:3]
     step1, step2 = x1 - x0, x2 - x0
-    later_pairs = list(combinations(range(len(elems)), 2))[1:]
     rows, m = _pair_square_table(), SQUARE_MODULUS
     span = range(-max_height, max_height + 1)
     # one selection of SQUARE_MODULUS bits, times a 1 bit at each multiple
@@ -682,7 +681,10 @@ def _scan_box(elems: tuple[int, ...], max_degree: int, max_height: int) -> Itera
                             continue
                         coeffs = (j - max_height, c1) + tail
                         values = [eval_poly(coeffs, x) for x in elems]
-                        if all(integer_sqrt(values[a] * values[b]) is not None for a, b in later_pairs):
+                        # b * v = r^2 and b * w = s^2 make v * w = (r * s / b)^2,
+                        # so one nonzero b tests every later value
+                        b = next(filter(None, values), 0)
+                        if all(integer_sqrt(b * v) is not None for v in values[2:]):
                             hits.append(coeffs)
             # c_0 is scanned innermost but ordered first: sort back to the box order
             yield from sorted(hits)
@@ -710,10 +712,13 @@ def brute_force_search(
     the AND of the bit rows of d and d_2 in a residue table, shifted by
     s_0 - max_height and repeated past SQUARE_MODULUS constant terms,
     selects the c_0 worth testing.  Each of those gets the exact tests:
-    sign and one isqrt on the first pair, primitivity by gcd, then every
-    other pair on the values at all elements.  As h = c_1 + x * t makes
-    s_i = c_1 * x_i + x_i^2 * t(x_i), t is evaluated once per c_2..c_e,
-    and s_0, d and d_2 step along c_1 by x_0, x_1 - x_0 and x_2 - x_0.
+    sign and one isqrt on the first pair, primitivity by gcd, then one
+    isqrt of b * v per value v from the third element on, where b is u,
+    or the first nonzero value when u = 0: b * v = r^2 and b * w = s^2
+    make v * w the square of the integer r * s / b, so every pair is a
+    square.  As h = c_1 + x * t makes s_i = c_1 * x_i + x_i^2 * t(x_i), t
+    is evaluated once per c_2..c_e, and s_0, d and d_2 step along c_1 by
+    x_0, x_1 - x_0 and x_2 - x_0.
     Boxes larger than the ceiling are refused outright; the box arguments
     must be plain ints, and the ceiling at least 1.
     """

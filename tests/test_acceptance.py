@@ -2,18 +2,14 @@
 each (run with -s to see them).  Every check is exact; the only tolerances
 are wall-clock budgets."""
 
-import io
 import json
 import math
 import random
 import subprocess
 import sys
-import tempfile
 import time
-from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
-from diopoly.cli import main
 from diopoly.exactmath import eval_poly
 from diopoly.forge import (
     FLAG_DEGREE_DROPPED,
@@ -30,6 +26,7 @@ from diopoly.rationalmaps import (
 from diopoly.twist import twist_points
 from diopoly.variety import PointConfig, ProjPoint
 
+from cli_driver import run_cli
 from oracles import (
     CertificateCoords,
     QuadricCoords,
@@ -81,25 +78,6 @@ def generic_points(config, count, rnd, bound=12):
             continue
         out.append(QuadricCoords(config, image[0]))
     return out
-
-
-def run_cli(*argv, stdin=None):
-    """main on argv, with stdin a file that holds the text stdin; verify
-    reads stdin from its descriptor, as it reads a file."""
-    out, err = io.StringIO(), io.StringIO()
-    old_stdin = sys.stdin
-    if stdin is not None:
-        sys.stdin = tempfile.TemporaryFile("w+", encoding="utf-8")
-        sys.stdin.write(stdin)
-        sys.stdin.seek(0)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(list(argv))
-    finally:
-        if stdin is not None:
-            sys.stdin.close()
-        sys.stdin = old_stdin
-    return code, out.getvalue(), err.getvalue()
 
 
 def test_criterion_01_golden_quadric_witness():

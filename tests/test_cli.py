@@ -11,7 +11,7 @@ import sys
 import tempfile
 import threading
 import time
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import redirect_stdout
 from decimal import Context, Decimal, Inexact, Rounded, getcontext, setcontext
 
 import pytest
@@ -31,6 +31,7 @@ from diopoly.cli import (
     witness_document,
 )
 from diopoly.forge import METHODS, ConstructionError, construct_witness, verify_witness
+from cli_driver import run_cli
 from oracles import report_line_by_ints, witness_by_kernel, witness_line_by_ints
 
 # a dense plane direction on 0..29: all 21 coordinates are nonzero, past
@@ -64,25 +65,6 @@ def read_document(text):
     """A witness document's (set, poly), read as verify --from-json reads
     each line."""
     return document_to_inputs(cli._load_document(text))
-
-
-def run_cli(*argv, stdin=None):
-    """main on argv, with stdin a file that holds the text stdin; verify
-    reads stdin from its descriptor, as it reads a file."""
-    out, err = io.StringIO(), io.StringIO()
-    old_stdin = sys.stdin
-    if stdin is not None:
-        sys.stdin = tempfile.TemporaryFile("w+", encoding="utf-8")
-        sys.stdin.write(stdin)
-        sys.stdin.seek(0)
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(list(argv))
-    finally:
-        if stdin is not None:
-            sys.stdin.close()
-        sys.stdin = old_stdin
-    return code, out.getvalue(), err.getvalue()
 
 
 class TestDocuments:
@@ -377,8 +359,30 @@ class TestConstructCommand:
     def test_degenerate_parameter_names_its_cause(self, argv, cause):
         code, out, err = run_cli("construct", *argv)
         assert (code, out) == (2, "")
-        coords = argv[-1].replace(",", ", ")
-        assert err == f"diopoly: construction failed: parameter ({coords}) is degenerate: {cause}\n"
+        assert err == f"diopoly: construction failed: the parameter is degenerate: {cause}\n"
+
+    def test_degenerate_parameter_past_the_digit_limit(self):
+        # on 0..4, (4a - 6b + 4c, a, b, c) is degenerate when
+        # (4a - 6b + 4c)^2 = 4a^2 - 6b^2 + 4c^2; this conic meets the line
+        # through (-3, -2, -1) in direction (1, 10^2300 + 7, 3) a second
+        # time at a point of 4602-digit coordinates, which the message must
+        # not print outside the lifted digit limit
+        def form(v):
+            a, b, c = v
+            return (4 * a - 6 * b + 4 * c) ** 2 - (4 * a * a - 6 * b * b + 4 * c * c)
+
+        p, d = (-3, -2, -1), (1, 10**2300 + 7, 3)
+        polar = form([x + y for x, y in zip(p, d)]) - form(p) - form(d)
+        a, b, c = (form(d) * x - polar * y for x, y in zip(p, d))
+        with cli._int_str_limit_lifted():
+            param = ",".join(map(str, (4 * a - 6 * b + 4 * c, a, b, c)))
+        assert len(param) > 4 * 4600
+        code, out, err = run_cli("construct", "--set", "0,1,2,3,4", "--param", param)
+        assert (code, out) == (2, "")
+        assert err == (
+            "diopoly: construction failed: the parameter is degenerate: "
+            "the line through the base point in this direction lies on the quadric\n"
+        )
 
     # construct --emit-twist digests, then the digests of verify's reports
     # on the document as printed and with f_1 moved by 1
@@ -1005,10 +1009,16 @@ class TestSearchCommand:
         assert doc["exhausted"] is True
         assert doc["found"] == [["1"], ["1", "24"]]
 
+    def test_zero_first_values_take_the_base_from_a_later_value(self):
+        # x^2 - x vanishes at 0 and 1, so the base value is f(2) = 2
+        code, out, _ = run_cli("search", "--set", "0,1,2,9", "--max-degree", "2", "--max-height", "1")
+        assert code == 0
+        assert ["0", "-1", "1"] in json.loads(out)["found"]
+
     def test_ceiling_refusal(self):
         code, _, err = run_cli("search", "--set", "0,1,2", "--max-degree", "9", "--max-height", "50")
         assert code == 1
-        assert "DIOPOLY_SEARCH_CEILING" in err
+        assert err == "diopoly: error: search box holds more than 100000000 candidates\n"
 
     def test_huge_box_refused_fast(self):
         # the full count has 47713 digits, past Python's int->str limit
@@ -1019,23 +1029,13 @@ class TestSearchCommand:
         assert (code, out) == (1, "")
         assert elapsed < 1
         assert "more than 100000000 candidates" in err
-        assert "DIOPOLY_SEARCH_CEILING" in err
         assert "Exceeds the limit" not in err and "digits" not in err
 
-    def test_env_ceiling_override(self, monkeypatch):
+    def test_environment_sets_no_ceiling(self, monkeypatch):
         monkeypatch.setenv("DIOPOLY_SEARCH_CEILING", "3")
-        code, _, err = run_cli("search", "--set", "1,3", "--max-degree", "1", "--max-height", "2")
-        assert code == 1
-        monkeypatch.setenv("DIOPOLY_SEARCH_CEILING", "1000")
         code, out, _ = run_cli("search", "--set", "1,3", "--max-degree", "1", "--max-height", "2")
         assert code == 0
-
-    @pytest.mark.parametrize("value", ["-5", "0"])
-    def test_env_ceiling_below_one_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("DIOPOLY_SEARCH_CEILING", value)
-        code, out, err = run_cli("search", "--set", "0,1", "--max-degree", "1", "--max-height", "1")
-        assert (code, out) == (1, "")
-        assert f"DIOPOLY_SEARCH_CEILING must be at least 1, got {value}" in err
+        assert json.loads(out)["candidates"] == "12"
 
 
 PASSING_DOCUMENT = '{"schema_version":"1","set":["0","1","2"],"poly":["1","24"]}\n'
@@ -1097,19 +1097,12 @@ EXIT_PATHS = {
         1,
         "diopoly: error: input line 3: witness document misses required field 'schema_version'\n",
     ),
-    "bad ceiling": (
-        ["search", "--set", "0,1,2", "--max-degree", "1", "--max-height", "5"],
-        "",
-        {"DIOPOLY_SEARCH_CEILING": "x"},
-        1,
-        "diopoly: error: DIOPOLY_SEARCH_CEILING is not a decimal integer: 'x'\n",
-    ),
     "refused box": (
         ["search", "--set", "0,1,2", "--max-degree", "9", "--max-height", "99"],
         "",
         {},
         1,
-        "diopoly: error: search box holds more than 100000000 candidates (ceiling override: DIOPOLY_SEARCH_CEILING)\n",
+        "diopoly: error: search box holds more than 100000000 candidates\n",
     ),
     "sampling exhausted": (
         ["construct", "--set", "0,1,2", "--seed", "77", "--max-attempts", "1"],
@@ -1130,7 +1123,6 @@ def test_exit_path(argv, stdin, env, code, stderr, tmp_path, monkeypatch):
     """main's exit code and stderr, byte for byte, on each exit path.  The
     missing file is looked up in an empty directory."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("DIOPOLY_SEARCH_CEILING", raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     if stderr is None:

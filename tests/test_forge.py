@@ -6,6 +6,7 @@ import math
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -976,6 +977,17 @@ class TestBruteForceSearch:
     def test_tight_ceiling_refuses(self):
         with pytest.raises(SearchSpaceError):
             brute_force_search([1, 3], max_degree=1, max_height=2, ceiling=3)
+
+    def test_memory_does_not_grow_with_the_pairs(self):
+        # each hit is tested against one base value, so a wide set holds no
+        # list of its n(n - 1)/2 index pairs (about 2 * 10^6 here)
+        tracemalloc.start()
+        try:
+            brute_force_search(range(2000), max_degree=1, max_height=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_degree_zero_closed_form(self):
         # a box of 10**8 constants is answered without walking it
