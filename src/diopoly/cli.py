@@ -185,12 +185,12 @@ def _witness_line(witness: Witness, include_twist: bool = False):
     yield "]," + _ENCODE(tail)[1:]
 
 
-def witness_document(witness: Witness, include_twist: bool = False) -> dict:
+def witness_document(witness: Witness) -> dict:
     """Serializable document for one witness, in fixed key order: the
-    pieces of the line construct prints, joined and read back (its big
-    integers are strings, so reading needs no lift)."""
+    pieces of the line construct prints without --emit-twist, joined and
+    read back (its big integers are strings, so reading needs no lift)."""
     with _printing():
-        line = "".join(_witness_line(witness, include_twist))
+        line = "".join(_witness_line(witness))
     return json.loads(line)
 
 

@@ -128,12 +128,7 @@ class ConstructionError(RuntimeError):
 
 
 class SearchSpaceError(ValueError):
-    """The exhaustive search box exceeds the configured ceiling; estimate
-    is a partial count that already exceeds it."""
-
-    def __init__(self, message: str, estimate: int):
-        super().__init__(message)
-        self.estimate = estimate
+    """The exhaustive search box exceeds the configured ceiling."""
 
 
 @dataclass(frozen=True)
@@ -185,12 +180,10 @@ class Polynomial:
 def poly_square_root(coeffs: Sequence[int]) -> tuple[int, ...] | None:
     """Integer polynomial g with g^2 equal to the input, or None.
 
-    Takes ascending coefficients; trailing zeros are ignored, and the
-    zero polynomial has no root here.
+    Takes ascending coefficients with a nonzero last one, as
+    Polynomial.coeffs are: its one caller, classify_trivial, passes a
+    primitive part's.
     """
-    coeffs = tuple(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs = coeffs[:-1]
     if len(coeffs) % 2 == 0 or coeffs[-1] < 0:
         return None
     m = len(coeffs) // 2
@@ -407,9 +400,11 @@ def _build_witness(
     ll, tail = config.base_lagrange[0], config.degree + 1
     # scaled = g * poly, with g carrying the sign of the normalization
     scale, rem = divmod(-ll if config.degree % 2 else ll, scaled.leading // poly.leading)
-    bad = [x for x, y in zip(config.nodes[tail:], image.coords[tail:]) if rem or poly(x) != scale * y * y]
+    # the node is named by its index: its value may be past the digit limit
+    nodes = zip(count(tail), config.nodes[tail:], image.coords[tail:])
+    bad = [i for i, x, y in nodes if rem or poly(x) != scale * y * y]
     if bad:
-        raise ConstructionError(f"reverse map breaks g * f(x) = +-L * Y_x^2 at node {bad[0]}")
+        raise ConstructionError(f"reverse map breaks g * f(x) = +-L * Y_x^2 at node x_{bad[0]}")
 
     zeros = [x for x, y in zip(config.nodes, image.coords) if y == 0 and x in elems]
     flags = set(classify_trivial(poly, zeros))
@@ -735,7 +730,7 @@ def brute_force_search(
         raise ValueError("ceiling must be at least 1")
     size = _search_size(max_degree, max_height, ceiling)
     if size > ceiling:
-        raise SearchSpaceError(f"search box holds more than {ceiling} candidates", size)
+        raise SearchSpaceError(f"search box holds more than {ceiling} candidates")
 
     # degree 0: of the constants 1..max_height only 1 is primitive, and it
     # verifies; only a higher degree builds the table and the span's masks

@@ -13,7 +13,8 @@ exactmath.lagrange_numerator of the values (L / w_i) * Y_i^2 with the
 config's weights (PointConfig.base_lagrange), so no determinant and no
 basis polynomial is formed.
 
-Parametrization of the quadric side (needs 2k <= d for k = n - d - 1):
+Parametrization of the quadric side (needs 2k <= d for k = n - d - 1,
+which forge's two configs meet: k = 0 for quadric, d = 2k for plane):
 the variety contains the plane spanned by the power points T_0..T_k;
 for a direction q the residual intersection point is
 sum(mu_t * T_t) + mu_{k+1} * q_hat, where q_hat pads q with zeros and
@@ -84,18 +85,6 @@ def quadric_to_certificate_lcm(config: PointConfig, y: Sequence[int]) -> tuple[i
     return tuple(sign * c for c in lagrange_numerator(config.nodes[: d + 1], values))
 
 
-def _plane_k(config: PointConfig) -> int:
-    """k = n - d - 1, so the k+1 extra indices give a (k+1) x (k+2) system;
-    the power points T_0..T_k lie on the variety only when 2k <= d."""
-    d = config.degree
-    k = config.n - d - 1
-    if 2 * k > d:
-        raise ValueError(
-            f"power-span construction needs 2k <= d for k = n - d - 1; got k = {k}, d = {d}"
-        )
-    return k
-
-
 def plane_image(config: PointConfig, direction: ProjPoint) -> tuple[ProjPoint, bool]:
     """Residual intersection point sum(mu_t * T_t) + mu_{k+1} * q_hat, in
     canonical form, and whether it lies in the spanned plane.
@@ -124,13 +113,14 @@ def plane_image(config: PointConfig, direction: ProjPoint) -> tuple[ProjPoint, b
     M at k+1 nodes, and q is nonzero, so the image lies in the plane
     exactly when lambda = 0.
 
-    The point is not checked against the variety here: forge checks the
+    The config is one of forge's two, k = 0 (quadric) or d = 2k (plane),
+    both with 2k <= d, and the direction has d + 1 coordinates:
+    construct_witness refuses an explicit parameter of another length,
+    and a draw has d + 1 by construction, so neither is checked again
+    here.  Nor is the point checked against the variety: forge checks the
     node identity of the witness built from it, which puts it there.
     """
-    k = _plane_k(config)
-    d = config.degree
-    if len(direction) != d + 1:
-        raise ValueError(f"direction needs {d + 1} coordinates, got {len(direction)}")
+    k = config.n - config.degree - 1
     q = direction.coords
     if not k:
         image, in_plane = _plane_image_on_line(config, q)

@@ -52,7 +52,7 @@ from typing import NamedTuple, Sequence
 
 from diopoly.exactmath import power_moments
 from diopoly import forge
-from diopoly.rationalmaps import DegenerateParameterError, _plane_k, plane_image
+from diopoly.rationalmaps import DegenerateParameterError, plane_image
 from diopoly.variety import PointConfig, ProjPoint
 
 
@@ -279,10 +279,13 @@ def plane_system_matrix(config: PointConfig, direction: ProjPoint) -> list[list[
     padded with zero at m, and the last is sum_j a_j * q_j, the bracket of
     the squared direction.  As a_j * (x_m - x_j) = -(L / w_j) * q_j * P_m,
     entry t+1 = x_m * entry_t + 2 * P_m * s_t, where the moments
-    s_t = sum_j (L / w_j) * q_j * x_j^t are shared by all rows.
+    s_t = sum_j (L / w_j) * q_j * x_j^t are shared by all rows.  The
+    power-span map needs 2k <= d, k = n - d - 1, and a ValueError says so.
     """
-    k = _plane_k(config)
     d = config.degree
+    k = config.n - d - 1
+    if 2 * k > d:
+        raise ValueError(f"power-span construction needs 2k <= d; got k = {k}, d = {d}")
     if len(direction) != d + 1:
         raise ValueError(f"direction needs {d + 1} coordinates, got {len(direction)}")
     q = direction.coords

@@ -6,18 +6,17 @@ README quick start, which runs as written."""
 import ast
 import importlib
 import inspect
-import io
 import json
 import pkgutil
 import sys
-import tempfile
-from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import diopoly
 from diopoly import cli
+
+from cli_driver import run_cli
 
 # __main__ runs the command line when imported, and exports nothing
 MODULES = ["diopoly"] + [
@@ -140,16 +139,8 @@ class Profiled:
     def main(self, label, *argv, stdin=""):
         """cli.main on argv with stdin; returns (exit code, stdout)."""
         self.label(label)
-        out, old_stdin = io.StringIO(), sys.stdin
-        sys.stdin = tempfile.TemporaryFile("w+", encoding="utf-8")
-        sys.stdin.write(stdin)
-        sys.stdin.seek(0)
-        try:
-            with redirect_stdout(out), redirect_stderr(io.StringIO()):
-                return cli.main(list(argv)), out.getvalue()
-        finally:
-            sys.stdin.close()
-            sys.stdin = old_stdin
+        code, out, _ = run_cli(*argv, stdin=stdin)
+        return code, out
 
 
 def run_commands(p):
@@ -229,7 +220,7 @@ def test_every_function_runs():
         run_commands(p)
         p.label("witness_document")
         w = diopoly.construct_witness(range(8), "plane", seed=1)
-        assert cli.witness_document(w, include_twist=True)["method"] == "plane"
+        assert cli.witness_document(w)["method"] == "plane"
         assert p.main("bad integer", "construct", "--set", "0,x,2")[0] == 1
         assert p.main("unknown option", "construct", "--set", "0,1,2", "--bogus")[0] == 1
         assert p.main("refused box", "search", "--set", "0,1,2", "--max-degree", "9", "--max-height", "99")[0] == 1

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from diopoly import cli
+from diopoly import cli, forge
 from diopoly.cli import (
     INPUT_DIGITS_CAP,
     SCHEMA_VERSION,
@@ -61,6 +61,15 @@ def construct_0_to_29(method, pinned, *flags):
     return out.getvalue()
 
 
+def twist_document(elements, method, *argv):
+    """The document construct --emit-twist prints for one witness on the
+    elements, pinned by argv (--param or --seed)."""
+    elements = ",".join(map(str, elements))
+    code, out, _ = run_cli("construct", "--set", elements, "--method", method, *argv, "--emit-twist")
+    assert code == 0
+    return json.loads(out)
+
+
 def read_document(text):
     """A witness document's (set, poly), read as verify --from-json reads
     each line."""
@@ -77,8 +86,7 @@ class TestDocuments:
         assert "twist" not in doc
 
     def test_witness_document_with_twist(self):
-        w = construct_witness([0, 1, 2], "quadric", parameter=(3, 1))
-        doc = witness_document(w, include_twist=True)
+        doc = twist_document([0, 1, 2], "quadric", "--param", "3,1")
         jsonschema.validate(doc, WITNESS_DOCUMENT_SCHEMA)
         assert doc["twist"]["twist_scalar"] == "1"
         assert doc["twist"]["points"][0] == {"x": "0", "y": "1"}
@@ -89,7 +97,7 @@ class TestDocuments:
         w = construct_witness([0, 1, 2, 3], "quadric", parameter=(3, 4, 5))
         assert w.poly.coeffs == (0, 0, 1)  # the primitive part of (0, 0, 2)
         assert w.image[0] == 0 and w.poly(0) == 0
-        doc = witness_document(w, include_twist=True)
+        doc = twist_document([0, 1, 2, 3], "quadric", "--param", "3,4,5")
         jsonschema.validate(doc, WITNESS_DOCUMENT_SCHEMA)
         assert doc["twist"] is None
 
@@ -98,16 +106,16 @@ class TestDocuments:
         # ordinate y = Y_i / Y_0 may be a fraction.  The documents are the
         # worked example, fractional ordinates, a null twist, a padded
         # plane set and 0..29 with each method.
-        witnesses = [
-            construct_witness([0, 1, 2], "quadric", parameter=(3, 1)),
-            construct_witness([0, 1, 2], "quadric", parameter=(3, 2)),
-            construct_witness([0, 1, 2, 3], "quadric", parameter=(3, 4, 5)),
-            construct_witness([5, 9, 13], "plane", seed=1),
-            *(construct_witness(range(30), method, seed=1) for method in METHODS),
+        docs = [
+            twist_document([0, 1, 2], "quadric", "--param", "3,1"),
+            twist_document([0, 1, 2], "quadric", "--param", "3,2"),
+            twist_document([0, 1, 2, 3], "quadric", "--param", "3,4,5"),
+            twist_document([5, 9, 13], "plane", "--seed", "1"),
+            *(twist_document(range(30), method, "--seed", "1") for method in METHODS),
         ]
-        for w in witnesses:
-            jsonschema.validate(witness_document(w, include_twist=True), WITNESS_DOCUMENT_SCHEMA)
-        doc = witness_document(witnesses[1], include_twist=True)
+        for doc in docs:
+            jsonschema.validate(doc, WITNESS_DOCUMENT_SCHEMA)
+        doc = docs[1]
         assert doc["twist"]["points"][1]["y"] == "5/7"
         bad_scalar, bad_x = json.loads(json.dumps(doc)), json.loads(json.dumps(doc))
         bad_scalar["twist"]["twist_scalar"] = "1/2"
@@ -360,6 +368,21 @@ class TestConstructCommand:
         code, out, err = run_cli("construct", *argv)
         assert (code, out) == (2, "")
         assert err == f"diopoly: construction failed: the parameter is degenerate: {cause}\n"
+
+    def test_broken_identity_past_the_digit_limit(self, monkeypatch):
+        # the reverse map tampered as in test_forge's
+        # test_tampered_reverse_map_raises: the tail node 10^5000, past the
+        # digit limit, breaks the identity and is named by its index
+        real = forge.quadric_to_certificate_lcm
+
+        def bumped(config, y):
+            coeffs = real(config, y)
+            return (coeffs[0] + 1, *coeffs[1:])
+
+        monkeypatch.setattr(forge, "quadric_to_certificate_lcm", bumped)
+        code, out, err = run_cli("construct", "--set", "0,1,1" + "0" * 5000, "--param", "3,1")
+        assert (code, out) == (2, "")
+        assert err == "diopoly: construction failed: reverse map breaks g * f(x) = +-L * Y_x^2 at node x_2\n"
 
     def test_degenerate_parameter_past_the_digit_limit(self):
         # on 0..4, (4a - 6b + 4c, a, b, c) is degenerate when
